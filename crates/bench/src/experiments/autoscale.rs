@@ -20,9 +20,7 @@
 
 use std::num::NonZeroUsize;
 
-use tokenflow_cluster::{
-    run_autoscaled, run_cluster_with, BacklogAwareRouter, ClusterOutcome, Execution,
-};
+use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution};
 use tokenflow_control::{ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy};
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -229,14 +227,14 @@ pub fn autoscale_sweep(setup: &AutoscaleSetup, workers: NonZeroUsize) -> Vec<Aut
     let mut rows = Vec::new();
 
     let static_run = |execution: Execution| {
-        run_cluster_with(
+        ClusterEngine::new(
             config(),
             setup.static_fleet,
             BacklogAwareRouter::new(),
             || Box::new(TokenFlowScheduler::new()),
-            &workload,
-            execution,
         )
+        .with_execution(execution)
+        .run(&workload)
     };
     let seq = static_run(Execution::Sequential);
     let par = static_run(Execution::Parallel(workers));
@@ -262,16 +260,12 @@ pub fn autoscale_sweep(setup: &AutoscaleSetup, workers: NonZeroUsize) -> Vec<Aut
     ];
     for (name, make) in policies {
         let elastic_run = |execution: Execution| {
-            run_autoscaled(
-                config(),
-                setup.bootstrap,
-                BacklogAwareRouter::new(),
-                || Box::new(TokenFlowScheduler::new()),
-                make(),
-                control(setup),
-                &workload,
-                execution,
-            )
+            ClusterEngine::new(config(), setup.bootstrap, BacklogAwareRouter::new(), || {
+                Box::new(TokenFlowScheduler::new())
+            })
+            .with_autoscaler(make(), control(setup))
+            .with_execution(execution)
+            .run(&workload)
         };
         let seq = elastic_run(Execution::Sequential);
         let par = elastic_run(Execution::Parallel(workers));

@@ -18,9 +18,7 @@
 
 use std::num::NonZeroUsize;
 
-use tokenflow_cluster::{
-    run_cluster_faulty, run_cluster_with, BacklogAwareRouter, ClusterOutcome, Execution,
-};
+use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution};
 use tokenflow_core::EngineConfig;
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy};
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -220,14 +218,11 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
     let mut rows = Vec::new();
 
     let healthy = |execution: Execution| {
-        run_cluster_with(
-            config(),
-            setup.fleet,
-            BacklogAwareRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-            &workload,
-            execution,
-        )
+        ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_execution(execution)
+        .run(&workload)
     };
     let seq = healthy(Execution::Sequential);
     let par = healthy(Execution::Parallel(workers));
@@ -246,15 +241,12 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
     ];
     for (name, retry) in plans {
         let faulted = |execution: Execution| {
-            run_cluster_faulty(
-                config(),
-                setup.fleet,
-                BacklogAwareRouter::new(),
-                || Box::new(TokenFlowScheduler::new()),
-                setup.plan(retry),
-                &workload,
-                execution,
-            )
+            ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
+                Box::new(TokenFlowScheduler::new())
+            })
+            .with_fault_plan(setup.plan(retry))
+            .with_execution(execution)
+            .run(&workload)
         };
         let seq = faulted(Execution::Sequential);
         let par = faulted(Execution::Parallel(workers));

@@ -1,30 +1,29 @@
 //! Fleet experiment: replica scaling to 32 replicas under a
-//! barrier-dense flash crowd, comparing all three epoch executors.
+//! barrier-dense flash crowd, pooled executor against sequential.
 //!
 //! Not a paper figure — this is the repo's fleet-scale extension. The
-//! arrival-barrier epoch design makes every replica independent between
-//! router dispatch points; *how* that independence is exploited is the
-//! executor's job, and this experiment measures the three strategies
-//! head to head on the regime the paper cares about (TokenFlow §6:
-//! flash crowds, where arrivals — and therefore barriers — are densest
-//! and per-epoch overhead hurts most):
+//! barrier-epoch design makes every replica independent between router
+//! dispatch points; *how* that independence is exploited is the
+//! executor's job, and this experiment measures the two strategies head
+//! to head on the regime the paper cares about (TokenFlow §6: flash
+//! crowds, where arrivals — and therefore barriers — are densest and
+//! per-epoch overhead hurts most):
 //!
 //! * `sequential` — the reference loop on the coordinator thread.
-//! * `scoped` — the legacy per-epoch `std::thread::scope` executor:
-//!   with thousands of barriers it pays thousands of spawn/join cycles,
-//!   which is exactly why it never beat sequential.
 //! * `pooled` — the persistent condvar-parked worker pool plus
 //!   quiescent-target barrier batching (round-robin routing is
 //!   load-oblivious, so sparse stretches coalesce).
 //!
 //! The sweep is *weak scaling* (a fixed per-replica share of the crowd,
 //! so the fleet serves a crowd that grows with it — the TokenScale
-//! tens-of-instances regime), and every parallel run is asserted
+//! tens-of-instances regime), and every pooled run is asserted
 //! byte-identical to its sequential twin before any number is reported.
 //!
-//! Results are also emitted as machine-readable JSON (`BENCH_fleet.json`
-//! in the working directory) so CI can gate the speedup floor and the
-//! perf trajectory can be tracked across commits without parsing tables.
+//! Results are also emitted as machine-readable JSON
+//! (`BENCH_fleet_run.json` in the working directory, beside the
+//! committed `BENCH_fleet.json` it never overwrites) so CI can gate the
+//! speedup floor and the perf trajectory can be tracked across commits
+//! without parsing tables.
 
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -64,15 +63,10 @@ pub struct FleetRow {
     pub complete: bool,
     /// Wall-clock of the sequential reference executor, seconds.
     pub sequential_secs: f64,
-    /// Wall-clock of the legacy scoped-per-epoch executor, seconds.
-    pub scoped_secs: f64,
     /// Wall-clock of the persistent-pool executor, seconds.
     pub pooled_secs: f64,
     /// `sequential_secs / pooled_secs`.
     pub speedup_vs_sequential: f64,
-    /// `scoped_secs / pooled_secs` — what replacing per-epoch spawns
-    /// with a persistent pool is worth at the same lane count.
-    pub speedup_vs_scoped: f64,
     /// Executor counters from the pooled run.
     pub stats: ExecutorStats,
 }
@@ -105,10 +99,9 @@ fn crowd(replicas: usize) -> Workload {
     .generate(42)
 }
 
-/// Lane count for both parallel executors: every available core, but at
-/// least 4 so single-core hosts still measure what a user asking for
-/// `parallel(4)` gets (the pool degrades to ~sequential there; the
-/// scoped executor pays 4 spawns per epoch regardless).
+/// Lane count for the pool: every available core, but at least 4 so
+/// single-core hosts still measure what a user asking for `parallel(4)`
+/// gets (the pool degrades to ~sequential there).
 fn lanes() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -147,12 +140,12 @@ fn run_fleet(
     (outcome, secs[secs.len() / 2], stats)
 }
 
-/// Runs the sweep over `fleet_sizes`, timing all three executors per
-/// size and asserting their outcomes byte-identical before reporting.
+/// Runs the sweep over `fleet_sizes`, timing both executors per size
+/// and asserting their outcomes byte-identical before reporting.
 ///
 /// # Panics
 ///
-/// Panics if a parallel run diverges from its sequential twin — a fleet
+/// Panics if a pooled run diverges from its sequential twin — a fleet
 /// number from a broken determinism contract is worse than no number.
 pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
     let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090());
@@ -162,12 +155,6 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
             let workload = crowd(replicas);
             let (seq, sequential_secs, _) =
                 run_fleet(&config, replicas, &workload, Execution::Sequential);
-            let (scoped, scoped_secs, _) = run_fleet(
-                &config,
-                replicas,
-                &workload,
-                Execution::scoped_per_epoch(lanes),
-            );
             let (pooled, pooled_secs, stats) =
                 run_fleet(&config, replicas, &workload, Execution::parallel(lanes));
             // Executor-mechanics counters (pool size, submissions) are
@@ -175,18 +162,16 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
             // compare the invariant projection.
             let mut seq_merged = seq.merged.clone();
             seq_merged.runtime = seq_merged.runtime.invariant();
-            for (other, label) in [(&scoped, "scoped"), (&pooled, "pooled")] {
-                let mut other_merged = other.merged.clone();
-                other_merged.runtime = other_merged.runtime.invariant();
-                assert_eq!(
-                    seq_merged, other_merged,
-                    "{label} executor divergence at {replicas} replicas"
-                );
-                assert_eq!(
-                    seq.assignments, other.assignments,
-                    "{label} assignment divergence at {replicas} replicas"
-                );
-            }
+            let mut pooled_merged = pooled.merged.clone();
+            pooled_merged.runtime = pooled_merged.runtime.invariant();
+            assert_eq!(
+                seq_merged, pooled_merged,
+                "pooled executor divergence at {replicas} replicas"
+            );
+            assert_eq!(
+                seq.assignments, pooled.assignments,
+                "pooled assignment divergence at {replicas} replicas"
+            );
             FleetRow {
                 replicas,
                 requests: workload.len(),
@@ -195,10 +180,8 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
                 qos: seq.merged.qos,
                 complete: seq.complete,
                 sequential_secs,
-                scoped_secs,
                 pooled_secs,
                 speedup_vs_sequential: sequential_secs / pooled_secs.max(1e-9),
-                speedup_vs_scoped: scoped_secs / pooled_secs.max(1e-9),
                 stats,
             }
         })
@@ -225,8 +208,8 @@ pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> S
         s.push_str(&format!(
             "    {{\"replicas\": {}, \"requests\": {}, \"effective_throughput\": {:.3}, \
              \"p99_ttft\": {:.4}, \"qos\": {:.3}, \"complete\": {}, \
-             \"sequential_secs\": {:.4}, \"scoped_secs\": {:.4}, \"pooled_secs\": {:.4}, \
-             \"speedup_vs_sequential\": {:.3}, \"speedup_vs_scoped\": {:.3}, \
+             \"sequential_secs\": {:.4}, \"pooled_secs\": {:.4}, \
+             \"speedup_vs_sequential\": {:.3}, \
              \"pool_workers\": {}, \"pool_submissions\": {}, \"epochs\": {}, \
              \"batched_barriers\": {}}}{}\n",
             r.replicas,
@@ -236,10 +219,8 @@ pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> S
             r.qos,
             r.complete,
             r.sequential_secs,
-            r.scoped_secs,
             r.pooled_secs,
             r.speedup_vs_sequential,
-            r.speedup_vs_scoped,
             r.stats.pool_workers,
             r.stats.pool_submissions,
             r.stats.epochs,
@@ -252,7 +233,7 @@ pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> S
 }
 
 /// The fleet experiment: 1–32 replicas, weak-scaled barrier-dense flash
-/// crowd, all three executors, JSON trajectory in `BENCH_fleet.json`.
+/// crowd, both executors, JSON trajectory in `BENCH_fleet_run.json`.
 pub fn fleet() -> String {
     let host = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -261,19 +242,19 @@ pub fn fleet() -> String {
     let rows = fleet_sweep(&[1, 2, 4, 8, 16, 32], lanes);
 
     let json = fleet_json(&rows, lanes, host);
-    let json_note = match std::fs::write("BENCH_fleet.json", &json) {
-        Ok(()) => "JSON trajectory written to BENCH_fleet.json".to_string(),
-        Err(e) => format!("(could not write BENCH_fleet.json: {e})"),
+    let json_note = match std::fs::write("BENCH_fleet_run.json", &json) {
+        Ok(()) => "JSON trajectory written to BENCH_fleet_run.json (BENCH_fleet.json is \
+                   the committed trajectory; copy over it to re-baseline)"
+            .to_string(),
+        Err(e) => format!("(could not write BENCH_fleet_run.json: {e})"),
     };
 
     let mut s = format!(
         "Weak-scaling flash crowd: {PER_REPLICA_REQUESTS} short requests per replica arriving\n\
          as a Poisson storm over {CROWD_WINDOW_SECS}s (every arrival its own barrier),\n\
-         round-robin routing, TokenFlow scheduling. All three executors are\n\
-         asserted byte-identical per size. `×scoped` is the persistent pool\n\
-         against the legacy per-epoch scoped-thread executor at the same lane\n\
-         count ({lanes} lanes) — the cost of respawning workers every epoch;\n\
-         `×seq` is the pool against the sequential reference and tracks the\n\
+         round-robin routing, TokenFlow scheduling. Both executors are\n\
+         asserted byte-identical per size. `×seq` is the persistent pool\n\
+         ({lanes} lanes) against the sequential reference and tracks the\n\
          host's real parallelism ({host} core(s) here).\n\n"
     );
     let mut table = Table::new(vec![
@@ -282,10 +263,8 @@ pub fn fleet() -> String {
         "eff thpt (tok/s)",
         "complete",
         "seq (s)",
-        "scoped (s)",
         "pooled (s)",
         "×seq",
-        "×scoped",
         "batched",
     ]);
     for r in &rows {
@@ -295,10 +274,8 @@ pub fn fleet() -> String {
             f(r.effective_throughput, 1),
             r.complete.to_string(),
             f(r.sequential_secs, 3),
-            f(r.scoped_secs, 3),
             f(r.pooled_secs, 3),
             f(r.speedup_vs_sequential, 2),
-            f(r.speedup_vs_scoped, 2),
             r.stats.batched_barriers.to_string(),
         ]);
     }
@@ -322,7 +299,7 @@ mod tests {
         for r in &rows {
             assert!(r.complete, "{} replicas incomplete", r.replicas);
             assert!(r.effective_throughput > 0.0);
-            assert!(r.sequential_secs > 0.0 && r.scoped_secs > 0.0 && r.pooled_secs > 0.0);
+            assert!(r.sequential_secs > 0.0 && r.pooled_secs > 0.0);
             assert_eq!(r.stats.pool_workers, 1, "parallel(2) spawns one worker");
             assert!(r.stats.pool_submissions > 0, "the pool must be exercised");
         }
@@ -339,7 +316,7 @@ mod tests {
         assert!(json.contains("\"experiment\": \"fleet\""));
         assert!(json.contains("\"replicas\": 1"));
         assert!(json.contains("\"speedup_vs_sequential\""));
-        assert!(json.contains("\"speedup_vs_scoped\""));
+        assert!(!json.contains("scoped"));
         assert!(json.contains("\"host_parallelism\""));
         // One row, no trailing comma.
         assert!(!json.contains("},\n  ]"));

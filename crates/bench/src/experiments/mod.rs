@@ -128,7 +128,7 @@ pub fn all() -> Vec<Experiment> {
         },
         Experiment {
             id: "fleet",
-            title: "Fleet scaling: 1-32 replicas, sequential vs scoped vs pooled executors",
+            title: "Fleet scaling: 1-32 replicas, sequential vs pooled executor",
             run: fleet::fleet,
         },
         Experiment {

@@ -112,8 +112,8 @@ struct FaultRuntime {
 /// the next arrival, or the final drain — replicas never observe each
 /// other, so each advances independently through
 /// [`Engine::step_until`]. [`ClusterEngine::with_execution`] chooses
-/// whether that independent work runs sequentially or on scoped worker
-/// threads; the choice cannot affect any outcome byte
+/// whether that independent work runs sequentially or on a persistent
+/// worker pool; the choice cannot affect any outcome byte
 /// (see [`Execution`]).
 ///
 /// # Examples
@@ -257,7 +257,11 @@ impl ClusterEngine {
     /// current fleet (all active) observes every arrival barrier and
     /// resizes the replica set through `policy` — provisioning new
     /// engines after `control.boot_delay`, draining and retiring surplus
-    /// ones. Call before running.
+    /// ones. When `control` enables a
+    /// [`control_tick`](tokenflow_control::ControlConfig::control_tick),
+    /// synthetic barriers at that interval keep the plane observing (and
+    /// retiring drained replicas) through arrival gaps. Call before
+    /// running.
     ///
     /// # Panics
     ///
@@ -284,10 +288,13 @@ impl ClusterEngine {
     /// Installs a deterministic fault plan: crashes, degradation windows,
     /// and boot failures become synthetic arrival barriers, and the
     /// plan's [`RetryPolicy`](tokenflow_fault::RetryPolicy) governs how
-    /// requests lost to crashes are re-queued. An **empty** plan is
-    /// treated exactly like no plan at all, so a fault-free plan cannot
-    /// perturb a single byte of any outcome. Call before running (in any
-    /// order with [`with_autoscaler`](ClusterEngine::with_autoscaler)).
+    /// requests lost to crashes are re-queued. On an elastic cluster the
+    /// re-queued residents join the plane's arrival group at the next
+    /// barrier, so crash-aware scale policies see lost capacity as demand
+    /// pressure without any side channel. An **empty** plan is treated
+    /// exactly like no plan at all, so a fault-free plan cannot perturb a
+    /// single byte of any outcome. Call before running (in any order
+    /// with [`with_autoscaler`](ClusterEngine::with_autoscaler)).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         if plan.is_empty() {
             return self;
@@ -305,27 +312,6 @@ impl ClusterEngine {
             gamma,
         });
         self
-    }
-
-    /// The current epoch execution strategy.
-    pub fn execution(&self) -> Execution {
-        self.execution
-    }
-
-    /// Number of managed replicas (including provisioning, draining, and
-    /// retired ones on elastic clusters).
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// The routing policy's name.
-    pub fn router_name(&self) -> &'static str {
-        self.router.name()
-    }
-
-    /// The scale policy's name, when the cluster is elastic.
-    pub fn policy_name(&self) -> Option<&'static str> {
-        self.plane.as_ref().map(|p| p.policy_name())
     }
 
     /// The cluster timeline: the furthest-behind replica that still has
@@ -394,6 +380,7 @@ impl ClusterEngine {
     /// reconciliation (one fresh engine per newly provisioned replica).
     /// Coordinator thread only.
     fn control_barrier(&mut self, t: SimTime, retries: &[PendingRetry]) {
+        let deadline = self.deadline();
         let Some(plane) = self.plane.as_mut() else {
             return;
         };
@@ -409,7 +396,7 @@ impl ClusterEngine {
         // the plane must not observe instants the engines can never
         // reach — billing replica-seconds across a frozen fleet would
         // report a bill larger than the run itself.
-        let barrier_at = t.min(SimTime::ZERO + self.config.deadline);
+        let barrier_at = t.min(deadline);
         plane.barrier(barrier_at, &loads, &group);
         // Re-arm the synthetic tick relative to this barrier, so ticks
         // only fire when no real barrier happened for a whole interval.
@@ -498,14 +485,9 @@ impl ClusterEngine {
                         );
                     }
                     let loads = cached.as_ref().expect("just filled");
-                    if self.trace.is_enabled() {
-                        self.router.route_scored(&spec, loads, &mut self.score_buf)
-                    } else {
-                        self.router.route(&spec, loads)
-                    }
+                    self.route(&spec, loads)
                 }
             };
-            assert!(pick < active.len(), "router index out of range");
             let replica = active[pick];
             debug_assert!(
                 self.plane
@@ -513,33 +495,66 @@ impl ClusterEngine {
                     .is_none_or(|p| p.phases()[replica].accepts_dispatch()),
                 "dispatch to a non-active replica"
             );
-            if self.trace.is_enabled() {
-                // The journal speaks cluster submission order; the event
-                // time is the arrival instant the barrier serves, so the
-                // journal is invariant to *when* the coordinator ran it.
-                let scores = std::mem::take(&mut self.score_buf);
-                self.trace.emit(
-                    spec.arrival,
-                    TraceEventKind::Dispatch {
-                        id: RequestId(global),
-                        replica: replica as u32,
-                        scores,
-                    },
-                );
-            }
-            let local_id = self.replicas[replica].submit(spec);
-            debug_assert_eq!(
-                local_id.0 as usize,
-                self.locals[replica].len(),
-                "engines assign dense local ids in submission order"
-            );
-            self.locals[replica].push(RequestId(global));
-            if let Some(fault) = self.fault.as_mut() {
-                fault.latest.insert(global, (replica, local_id.0));
-            }
+            let scores = std::mem::take(&mut self.score_buf);
+            let local_id = self.place(replica, spec, global, spec.arrival, scores);
             self.assignments.push(Assignment { replica, local_id });
-            self.done[replica] = false;
         }
+    }
+
+    /// One routing decision over `loads` (indexed like the active set),
+    /// recording the router's scores into `score_buf` when the run is
+    /// traced.
+    fn route(&mut self, spec: &RequestSpec, loads: &[EngineLoad]) -> usize {
+        let pick = if self.trace.is_enabled() {
+            self.router.route_scored(spec, loads, &mut self.score_buf)
+        } else {
+            self.router.route(spec, loads)
+        };
+        assert!(pick < loads.len(), "router index out of range");
+        pick
+    }
+
+    /// Submits `spec` to `replica` as cluster request `global`: journals
+    /// the dispatch at `at` with the router's traced `scores`, maps the
+    /// new replica-local id back to `global`, and records it as the
+    /// request's latest incarnation (a retry supersedes the lost one).
+    /// Every dispatch path — arrival groups, batched spans, retries —
+    /// goes through here, so their journals and bookkeeping cannot
+    /// drift apart. The journal speaks cluster submission order and is
+    /// stamped with the instant the barrier serves, so it is invariant
+    /// to *when* the coordinator ran the dispatch.
+    fn place(
+        &mut self,
+        replica: usize,
+        spec: RequestSpec,
+        global: u64,
+        at: SimTime,
+        scores: Vec<f64>,
+    ) -> RequestId {
+        if self.trace.is_enabled() {
+            self.trace.emit(
+                at,
+                TraceEventKind::Dispatch {
+                    id: RequestId(global),
+                    replica: replica as u32,
+                    scores,
+                },
+            );
+        }
+        let local_id = self.replicas[replica].submit(spec);
+        debug_assert_eq!(
+            local_id.0 as usize,
+            self.locals[replica].len(),
+            "engines assign dense local ids in submission order"
+        );
+        self.locals[replica].push(RequestId(global));
+        if let Some(fault) = self.fault.as_mut() {
+            if let Some(prev) = fault.latest.insert(global, (replica, local_id.0)) {
+                fault.superseded.insert(prev);
+            }
+        }
+        self.done[replica] = false;
+        local_id
     }
 
     /// Whether the running epoch may coalesce upcoming arrival barriers.
@@ -628,28 +643,16 @@ impl ClusterEngine {
                 let spec = self.pending.pop_front().expect("group counted");
                 let global = self.next_global;
                 self.next_global += 1;
-                if self.trace.is_enabled() {
-                    // Identical to the event `dispatch_due` would emit at
-                    // the real barrier: same arrival stamp, same empty
-                    // score vector (spans require oblivious routers), in
-                    // the same submission order — so journals are
-                    // byte-identical with span batching on or off.
-                    self.trace.emit(
-                        spec.arrival,
-                        TraceEventKind::Dispatch {
-                            id: RequestId(global),
-                            replica: pick as u32,
-                            scores: Vec::new(),
-                        },
-                    );
-                }
-                let local_id = self.replicas[pick].submit(spec);
-                self.locals[pick].push(RequestId(global));
+                // The same event `dispatch_due` would emit at the real
+                // barrier: same arrival stamp, same empty score vector
+                // (spans require oblivious routers), same submission
+                // order — so journals are byte-identical with span
+                // batching on or off.
+                let local_id = self.place(pick, spec, global, spec.arrival, Vec::new());
                 self.assignments.push(Assignment {
                     replica: pick,
                     local_id,
                 });
-                self.done[pick] = false;
             }
             self.batched_barriers += 1;
         }
@@ -748,26 +751,8 @@ impl ClusterEngine {
                 },
             );
             let fault = self.fault.as_mut().expect("crash implies fault runtime");
-            match fault.driver.on_lost(global, local, t) {
-                RetryVerdict::Retry { attempt, .. } => {
-                    self.trace.emit(
-                        t,
-                        TraceEventKind::RetryScheduled {
-                            id: RequestId(global),
-                            attempt,
-                        },
-                    );
-                }
-                RetryVerdict::Abandon { attempts } => {
-                    self.trace.emit(
-                        t,
-                        TraceEventKind::RequestAbandoned {
-                            id: RequestId(global),
-                            attempts,
-                        },
-                    );
-                }
-            }
+            let verdict = fault.driver.on_lost(global, local, t);
+            self.journal_verdict(t, global, verdict);
         }
         // The dead engine never steps again; its partial records are
         // resolved at merge time (superseded by a retry, or kept as the
@@ -776,6 +761,17 @@ impl ClusterEngine {
         if let Some(plane) = self.plane.as_mut() {
             plane.mark_failed(t, replica);
         }
+    }
+
+    /// Journals what the retry policy decided at `t` for lost request
+    /// `global`: another attempt after a backoff, or abandonment.
+    fn journal_verdict(&mut self, t: SimTime, global: u64, verdict: RetryVerdict) {
+        let id = RequestId(global);
+        let kind = match verdict {
+            RetryVerdict::Retry { attempt, .. } => TraceEventKind::RetryScheduled { id, attempt },
+            RetryVerdict::Abandon { attempts } => TraceEventKind::RequestAbandoned { id, attempts },
+        };
+        self.trace.emit(t, kind);
     }
 
     /// Re-dispatches every drained retry at barrier instant `t` through
@@ -793,107 +789,79 @@ impl ClusterEngine {
         for retry in retries {
             if active.is_empty() {
                 let fault = self.fault.as_mut().expect("retries imply fault runtime");
-                match fault.driver.on_undispatchable(retry, t) {
-                    RetryVerdict::Retry { attempt, .. } => {
-                        self.trace.emit(
-                            t,
-                            TraceEventKind::RetryScheduled {
-                                id: RequestId(retry.global),
-                                attempt,
-                            },
-                        );
-                    }
-                    RetryVerdict::Abandon { attempts } => {
-                        self.trace.emit(
-                            t,
-                            TraceEventKind::RequestAbandoned {
-                                id: RequestId(retry.global),
-                                attempts,
-                            },
-                        );
-                    }
-                }
+                let verdict = fault.driver.on_undispatchable(retry, t);
+                self.journal_verdict(t, retry.global, verdict);
                 continue;
             }
             let loads: Vec<EngineLoad> = active
                 .iter()
                 .map(|&i| self.replicas[i].load_snapshot())
                 .collect();
-            let pick = if self.trace.is_enabled() {
-                self.router
-                    .route_scored(&retry.spec, &loads, &mut self.score_buf)
-            } else {
-                self.router.route(&retry.spec, &loads)
-            };
-            assert!(pick < active.len(), "router index out of range");
-            let replica = active[pick];
-            if self.trace.is_enabled() {
-                let scores = std::mem::take(&mut self.score_buf);
-                self.trace.emit(
-                    t,
-                    TraceEventKind::Dispatch {
-                        id: RequestId(retry.global),
-                        replica: replica as u32,
-                        scores,
-                    },
-                );
-            }
-            let local_id = self.replicas[replica].submit(retry.spec);
-            self.locals[replica].push(RequestId(retry.global));
-            let fault = self.fault.as_mut().expect("retries imply fault runtime");
-            if let Some(prev) = fault.latest.insert(retry.global, (replica, local_id.0)) {
-                fault.superseded.insert(prev);
-            }
-            self.done[replica] = false;
+            let pick = self.route(&retry.spec, &loads);
+            let scores = std::mem::take(&mut self.score_buf);
+            self.place(active[pick], retry.spec, retry.global, t, scores);
         }
     }
 
-    /// Runs one arrival-barrier epoch: let the control plane act at the
-    /// barrier, dispatch the next due arrival group, then advance every
-    /// busy replica — under the configured [`Execution`] strategy —
-    /// until the next barrier (the following arrival time, or the safety
-    /// deadline on the final drain). Returns `false` once no further
-    /// epoch can make progress: everything is dispatched and finished,
-    /// or every busy replica has reached the deadline.
-    pub fn epoch(&mut self) -> bool {
-        let deadline = SimTime::ZERO + self.config.deadline;
-        let retries_pending = self
-            .fault
+    /// The safety deadline: no replica clock advances past it.
+    fn deadline(&self) -> SimTime {
+        SimTime::ZERO + self.config.deadline
+    }
+
+    /// Whether lost requests are still waiting out a retry backoff.
+    fn retries_pending(&self) -> bool {
+        self.fault
             .as_ref()
-            .is_some_and(|f| f.driver.has_pending_retries());
-        if self.pending.is_empty() && self.done.iter().all(|&d| d) && !retries_pending {
-            return false;
-        }
-        let next_arrival = self.pending.front().map(|s| s.arrival);
-        // A due control tick fires as a *synthetic* arrival barrier when
-        // the next real arrival is further away (or the trace has ended
-        // and replicas are still draining): the plane observes fresh
-        // load snapshots and may act, but nothing is dispatched. This
-        // bounds the plane's reaction latency in arrival gaps — without
-        // it a drain with no arrivals is invisible until run end.
-        // Ticks at or past the safety deadline never fire: the engines
-        // cannot reach those instants, and a tick that kept preempting a
-        // post-deadline arrival barrier would stall the epoch loop.
-        let due_tick = self.next_tick.filter(|&t| t < deadline);
-        // Scheduled fault actions are synthetic barriers exactly like
-        // control ticks (and equally unreachable at or past the
-        // deadline). Retry barriers are *not* deadline-filtered: like
-        // post-deadline arrivals, a post-deadline retry still dispatches
-        // so the request strands on a replica as an unfinished record
-        // instead of hanging invisibly in the retry queue.
-        let fault_at = self
-            .fault
-            .as_ref()
-            .and_then(|f| f.driver.next_action_time())
-            .filter(|&t| t < deadline);
-        let retry_at = self.fault.as_ref().and_then(|f| f.driver.next_retry_due());
-        // The epoch's barrier is the earliest due instant of any kind;
-        // fault-free this reduces to the classic tick-vs-arrival choice.
-        let barrier = [next_arrival, due_tick, fault_at, retry_at]
+            .is_some_and(|f| f.driver.has_pending_retries())
+    }
+
+    /// The earliest instant the coordinator must act at: the next
+    /// arrival, control tick, scheduled fault action, or retry due time.
+    /// [`epoch`](ClusterEngine::epoch) serves this barrier and then
+    /// advances replicas to the *following* one, so the barrier choice
+    /// and the advance bound come from this one definition and a new
+    /// barrier source is one entry here.
+    ///
+    /// A control tick is a *synthetic* barrier: the plane observes fresh
+    /// load snapshots and may act, but nothing is dispatched, which
+    /// bounds its reaction latency in arrival gaps (without it a drain
+    /// with no arrivals is invisible until run end). Ticks and fault
+    /// actions at or past the safety deadline never fire: the engines
+    /// cannot reach those instants, and a tick that kept preempting a
+    /// post-deadline arrival would stall the epoch loop. Arrivals and
+    /// retries are not deadline-filtered: a post-deadline request still
+    /// dispatches, so it strands on a replica as an unfinished record
+    /// instead of vanishing (conservation holds on incomplete runs too).
+    fn next_barrier(&self) -> Option<SimTime> {
+        let deadline = self.deadline();
+        let arrival = self.pending.front().map(|s| s.arrival);
+        let tick = self.next_tick.filter(|&t| t < deadline);
+        let (fault_at, retry_at) = match &self.fault {
+            Some(f) => (
+                f.driver.next_action_time().filter(|&t| t < deadline),
+                f.driver.next_retry_due(),
+            ),
+            None => (None, None),
+        };
+        [arrival, tick, fault_at, retry_at]
             .into_iter()
             .flatten()
-            .min();
-        if let Some(t) = barrier {
+            .min()
+    }
+
+    /// Runs one epoch: serve the next barrier (apply due faults, let the
+    /// control plane act, re-dispatch due retries, route the due arrival
+    /// group), then advance every busy replica — under the configured
+    /// [`Execution`] strategy — until the following barrier, or the
+    /// safety deadline on the final drain. Returns `false` once no
+    /// further epoch can make progress: everything is dispatched and
+    /// finished, or every busy replica has reached the deadline.
+    pub fn epoch(&mut self) -> bool {
+        if self.pending.is_empty() && self.done.iter().all(|&d| d) && !self.retries_pending() {
+            return false;
+        }
+        let deadline = self.deadline();
+        if let Some(t) = self.next_barrier() {
             self.apply_due_faults(t);
             let retries = match self.fault.as_mut() {
                 Some(f) => f.driver.due_retries(t),
@@ -901,41 +869,18 @@ impl ClusterEngine {
             };
             self.control_barrier(t, &retries);
             self.dispatch_retries(t, retries);
-            if next_arrival == Some(t) {
-                // Arrivals at or past the safety deadline are still
-                // routed: conservation ("every submitted request lands on
-                // exactly one replica") holds on incomplete runs too, and
-                // the unreachable requests materialise as unfinished
-                // records — exactly what a single engine reports for work
-                // the cut-off strands.
+            if self.pending.front().is_some_and(|s| s.arrival == t) {
                 self.dispatch_due(t);
                 if self.spans_barriers() {
                     self.extend_span(deadline);
                 }
             }
         }
-        let mut until = self
-            .pending
-            .front()
-            .map_or(deadline, |s| s.arrival)
-            .min(deadline);
-        if let Some(tick) = self.next_tick {
-            // Replicas never advance past a scheduled tick, so the plane
-            // observes every tick instant with replica clocks at (not
-            // beyond) the barrier — the same contract real arrival
-            // barriers have.
-            until = until.min(tick);
-        }
-        if let Some(fault) = &self.fault {
-            // Same contract for fault and retry barriers: replicas stop
-            // short, so faults apply with every clock at the barrier.
-            if let Some(t) = fault.driver.next_action_time() {
-                until = until.min(t);
-            }
-            if let Some(t) = fault.driver.next_retry_due() {
-                until = until.min(t);
-            }
-        }
+        // Replicas never advance past the next barrier of any kind, so
+        // every barrier is served with all replica clocks at (not
+        // beyond) it — the contract that keeps routing, scaling and
+        // fault injection byte-invariant across executors.
+        let until = self.next_barrier().map_or(deadline, |t| t.min(deadline));
         executor::advance_until(
             &mut self.replicas,
             &mut self.done,
@@ -948,10 +893,7 @@ impl ClusterEngine {
         // is waiting for its backoff, or some busy replica still sits
         // short of the deadline.
         !self.pending.is_empty()
-            || self
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.driver.has_pending_retries())
+            || self.retries_pending()
             || self
                 .replicas
                 .iter()
@@ -981,6 +923,18 @@ impl ClusterEngine {
         self.pending.is_empty() && self.done.iter().all(|&d| d)
     }
 
+    /// Runs a whole workload through this cluster and returns its
+    /// outcome: the one-call entry point mirroring
+    /// [`tokenflow_core::run_simulation`] for every shape the builder
+    /// assembles — static or elastic, with or without a fault plan,
+    /// under any [`Execution`] (which never changes a result, scale
+    /// decisions and fault recovery included).
+    pub fn run(mut self, workload: &Workload) -> ClusterOutcome {
+        self.submit_workload(workload);
+        self.run_to_completion();
+        self.into_outcome()
+    }
+
     /// Finalises every replica and returns per-replica plus merged
     /// results, consuming the cluster.
     pub fn into_outcome(mut self) -> ClusterOutcome {
@@ -1007,11 +961,7 @@ impl ClusterEngine {
         }
         let router = self.router.name().to_string();
         let policy = self.plane.as_ref().map(|p| p.policy_name().to_string());
-        let complete = self.pending.is_empty()
-            && self
-                .fault
-                .as_ref()
-                .is_none_or(|f| !f.driver.has_pending_retries());
+        let complete = self.pending.is_empty() && !self.retries_pending();
         let replica_total = self.replicas.len();
         let replicas: Vec<SimOutcome> = self
             .replicas
@@ -1158,118 +1108,3 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ClusterEngine>()
 };
-
-/// Runs a whole workload through a fresh cluster: the one-call entry
-/// point mirroring [`tokenflow_core::run_simulation`]. Uses sequential
-/// epoch execution; see [`run_cluster_with`] to pick a strategy.
-pub fn run_cluster(
-    config: EngineConfig,
-    replicas: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    workload: &Workload,
-) -> ClusterOutcome {
-    run_cluster_with(
-        config,
-        replicas,
-        router,
-        scheduler_factory,
-        workload,
-        Execution::Sequential,
-    )
-}
-
-/// [`run_cluster`] with an explicit [`Execution`] strategy. The strategy
-/// never changes results — only the wall-clock cost of simulating many
-/// replicas.
-pub fn run_cluster_with(
-    config: EngineConfig,
-    replicas: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    workload: &Workload,
-    execution: Execution,
-) -> ClusterOutcome {
-    let mut cluster =
-        ClusterEngine::new(config, replicas, router, scheduler_factory).with_execution(execution);
-    cluster.submit_workload(workload);
-    cluster.run_to_completion();
-    cluster.into_outcome()
-}
-
-/// Runs a whole workload through a fresh **elastic** cluster:
-/// `bootstrap` replicas are live at time zero and `policy` resizes the
-/// fleet at every arrival barrier within `control`'s bounds. When
-/// `control` enables a
-/// [`control_tick`](tokenflow_control::ControlConfig::control_tick),
-/// synthetic barriers at that interval keep the plane observing (and
-/// retiring drained replicas) through arrival gaps. The execution
-/// strategy never changes results — scale decisions included.
-/// [`run_cluster_with`] under a deterministic [`FaultPlan`]: replica
-/// crashes, stragglers, and KV-link faults fire at barrier-aligned
-/// instants, and lost requests recover through the plan's retry policy.
-/// An empty plan reproduces [`run_cluster_with`] byte for byte. The
-/// execution strategy never changes results — faults and recovery
-/// included.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cluster_faulty(
-    config: EngineConfig,
-    replicas: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    plan: FaultPlan,
-    workload: &Workload,
-    execution: Execution,
-) -> ClusterOutcome {
-    let mut cluster = ClusterEngine::new(config, replicas, router, scheduler_factory)
-        .with_fault_plan(plan)
-        .with_execution(execution);
-    cluster.submit_workload(workload);
-    cluster.run_to_completion();
-    cluster.into_outcome()
-}
-
-/// [`run_autoscaled`] under a deterministic [`FaultPlan`]. Crashed
-/// capacity reads as demand pressure at the next barrier (the re-queued
-/// residents join the plane's arrival group), so crash-aware scale
-/// policies see losses without any side channel. An empty plan
-/// reproduces [`run_autoscaled`] byte for byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_autoscaled_faulty(
-    config: EngineConfig,
-    bootstrap: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    policy: impl ScalePolicy + 'static,
-    control: ControlConfig,
-    plan: FaultPlan,
-    workload: &Workload,
-    execution: Execution,
-) -> ClusterOutcome {
-    let mut cluster = ClusterEngine::new(config, bootstrap, router, scheduler_factory)
-        .with_autoscaler(policy, control)
-        .with_fault_plan(plan)
-        .with_execution(execution);
-    cluster.submit_workload(workload);
-    cluster.run_to_completion();
-    cluster.into_outcome()
-}
-
-#[allow(clippy::too_many_arguments)]
-pub fn run_autoscaled(
-    config: EngineConfig,
-    bootstrap: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    policy: impl ScalePolicy + 'static,
-    control: ControlConfig,
-    workload: &Workload,
-    execution: Execution,
-) -> ClusterOutcome {
-    let mut cluster = ClusterEngine::new(config, bootstrap, router, scheduler_factory)
-        .with_autoscaler(policy, control)
-        .with_execution(execution);
-    cluster.submit_workload(workload);
-    cluster.run_to_completion();
-    cluster.into_outcome()
-}

@@ -10,13 +10,14 @@
 //!   [`RateAwareRouter`] (balances declared streaming demand `Σ rᵢ`
 //!   against each replica's capacity, the cluster-level analogue of the
 //!   paper's schedulability test).
-//! * [`cluster`] — the [`ClusterEngine`]: arrival-barrier epoch
-//!   execution over a **dynamic** replica set. At each barrier the
-//!   coordinator first lets the control plane act (elastic clusters
-//!   only), then routes the requests due at that instant over the
-//!   active replicas; between barriers replicas never observe each
-//!   other, so each advances independently to the next barrier. The
-//!   [`ClusterOutcome`] carries per-replica
+//! * [`cluster`] — the [`ClusterEngine`]: barrier-epoch execution over a
+//!   **dynamic** replica set. At each barrier the coordinator first lets
+//!   the control plane act (elastic clusters only), then routes the
+//!   requests due at that instant over the active replicas; between
+//!   barriers replicas never observe each other, so each advances
+//!   independently to the next barrier. The builder assembles every
+//!   cluster shape and [`ClusterEngine::run`] drives a workload through
+//!   it. The [`ClusterOutcome`] carries per-replica
 //!   [`SimOutcome`](tokenflow_core::SimOutcome)s plus an exact merged
 //!   [`RunReport`](tokenflow_metrics::RunReport), and — for elastic
 //!   runs — the fleet timeline, replica-seconds bill, and scale-event
@@ -24,17 +25,14 @@
 //! * Elasticity plugs in through `tokenflow-control`: a
 //!   [`ScalePolicy`](tokenflow_control::ScalePolicy) consulted at every
 //!   barrier drives the `Provisioning → Active → Draining → Retired`
-//!   replica lifecycle ([`ClusterEngine::with_autoscaler`],
-//!   [`run_autoscaled`]). Routers only ever see the active mask;
-//!   draining replicas finish their residents and drop out of epoch
-//!   stepping once empty.
+//!   replica lifecycle ([`ClusterEngine::with_autoscaler`]). Routers only
+//!   ever see the active mask; draining replicas finish their residents
+//!   and drop out of epoch stepping once empty.
 //! * [`executor`] / [`pool`] — how epochs run: [`Execution::Sequential`]
 //!   walks the replicas on the coordinator thread;
 //!   [`Execution::Parallel`] feeds busy replicas to a persistent,
-//!   condvar-parked [`WorkerPool`] spawned once per run (the legacy
-//!   per-epoch `std::thread::scope` strategy survives as
-//!   [`Execution::ScopedPerEpoch`], a differential baseline). On top of
-//!   the pool, load-oblivious routers let the coordinator coalesce
+//!   condvar-parked [`WorkerPool`] spawned once per run. On top of the
+//!   pool, load-oblivious routers let the coordinator coalesce
 //!   consecutive arrival barriers whose dispatches land on quiescent
 //!   replicas. None of it can change a byte of any outcome (the
 //!   equivalence property tests in `tests/equivalence.rs` and
@@ -57,10 +55,7 @@ pub mod executor;
 pub mod pool;
 pub mod router;
 
-pub use cluster::{
-    run_autoscaled, run_autoscaled_faulty, run_cluster, run_cluster_faulty, run_cluster_with,
-    Assignment, ClusterEngine, ClusterOutcome,
-};
+pub use cluster::{Assignment, ClusterEngine, ClusterOutcome};
 pub use executor::{Execution, ExecutorStats};
 pub use pool::WorkerPool;
 pub use router::{
@@ -97,13 +92,10 @@ mod tests {
     #[test]
     fn cluster_completes_and_conserves_requests() {
         let w = burst(24, 120);
-        let out = run_cluster(
-            config(),
-            3,
-            LeastLoadedRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-            &w,
-        );
+        let out = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .run(&w);
         assert!(out.complete);
         assert_eq!(out.assignments.len(), 24);
         assert_eq!(out.merged.submitted, 24);
@@ -118,13 +110,10 @@ mod tests {
     fn cluster_runs_are_deterministic() {
         let w = burst(16, 100);
         let run = || {
-            run_cluster(
-                config(),
-                2,
-                RateAwareRouter::new(),
-                || Box::new(TokenFlowScheduler::new()),
-                &w,
-            )
+            ClusterEngine::new(config(), 2, RateAwareRouter::new(), || {
+                Box::new(TokenFlowScheduler::new())
+            })
+            .run(&w)
         };
         let a = run();
         let b = run();
@@ -141,20 +130,14 @@ mod tests {
         // The TokenScale-style motivation: a flash crowd that saturates
         // one replica spreads across four.
         let w = burst(32, 150);
-        let solo = run_cluster(
-            config(),
-            1,
-            LeastLoadedRouter::new(),
-            || Box::new(FcfsScheduler::new()),
-            &w,
-        );
-        let quad = run_cluster(
-            config(),
-            4,
-            LeastLoadedRouter::new(),
-            || Box::new(FcfsScheduler::new()),
-            &w,
-        );
+        let solo = ClusterEngine::new(config(), 1, LeastLoadedRouter::new(), || {
+            Box::new(FcfsScheduler::new())
+        })
+        .run(&w);
+        let quad = ClusterEngine::new(config(), 4, LeastLoadedRouter::new(), || {
+            Box::new(FcfsScheduler::new())
+        })
+        .run(&w);
         assert!(solo.complete && quad.complete);
         assert_eq!(solo.merged.completed, 32);
         assert_eq!(quad.merged.completed, 32);
@@ -186,13 +169,10 @@ mod tests {
             output_tokens: 40,
             rate: 20.0,
         }));
-        let out = run_cluster(
-            config(),
-            2,
-            RoundRobinRouter::new(),
-            || Box::new(FcfsScheduler::new()),
-            &Workload::new(specs),
-        );
+        let out = ClusterEngine::new(config(), 2, RoundRobinRouter::new(), || {
+            Box::new(FcfsScheduler::new())
+        })
+        .run(&Workload::new(specs));
         assert!(out.complete);
         assert_eq!(out.merged.completed, 8);
         // Second-wave TTFTs are measured from their own arrivals, so the

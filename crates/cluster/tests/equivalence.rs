@@ -2,7 +2,7 @@
 //!
 //! The cluster's determinism argument is that replicas never observe each
 //! other between router dispatch points, so *where* their epoch work runs
-//! (coordinator thread vs scoped workers) cannot change any result. These
+//! (coordinator thread vs pool workers) cannot change any result. These
 //! tests hold every shipped router to the strongest version of that
 //! claim: byte-identical merged reports, per-replica records, and
 //! assignments between [`Execution::Sequential`] and
@@ -11,7 +11,7 @@
 //! `f64` fails the suite.
 
 use tokenflow_cluster::{
-    run_cluster_with, BacklogAwareRouter, ClusterOutcome, Execution, LeastLoadedRouter,
+    BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter,
     RateAwareRouter, RoundRobinRouter, Router,
 };
 use tokenflow_core::EngineConfig;
@@ -98,14 +98,9 @@ fn run(
     scheduler: fn() -> Box<dyn Scheduler>,
     execution: Execution,
 ) -> ClusterOutcome {
-    run_cluster_with(
-        config(),
-        replicas,
-        router(which),
-        scheduler,
-        workload,
-        execution,
-    )
+    ClusterEngine::new(config(), replicas, router(which), scheduler)
+        .with_execution(execution)
+        .run(workload)
 }
 
 #[test]

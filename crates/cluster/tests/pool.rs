@@ -1,12 +1,10 @@
 //! The persistent pool's contract, enforced: byte-identity under extreme
 //! replica skew, observable worker reuse, barrier batching invariance,
-//! and panic-payload survival through both parallel strategies.
+//! and panic-payload survival through the pool.
 
 use std::panic::{self, AssertUnwindSafe};
 
-use tokenflow_cluster::{
-    run_cluster_with, ClusterEngine, ClusterOutcome, Execution, RoundRobinRouter,
-};
+use tokenflow_cluster::{ClusterEngine, ClusterOutcome, Execution, RoundRobinRouter};
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::{FcfsScheduler, SchedContext, SchedPlan, Scheduler, TokenFlowScheduler};
@@ -53,7 +51,7 @@ fn assert_byte_identical(a: &ClusterOutcome, b: &ClusterOutcome, label: &str) {
 
 /// Round-robin over `replicas` replicas with every request that lands on
 /// replica 0 carrying a ~100x heavier decode than the rest: the worst
-/// case for the legacy contiguous-slice split, where the slice holding
+/// case for any static split of the busy list, where the share holding
 /// replica 0 serializes behind it while other workers idle.
 fn skewed_workload(replicas: usize, rounds: usize) -> Workload {
     let mut specs = Vec::new();
@@ -88,22 +86,17 @@ fn trickle_workload(requests: usize) -> Workload {
 }
 
 #[test]
-fn skewed_replicas_are_byte_identical_across_all_strategies() {
+fn skewed_replicas_are_byte_identical_across_strategies() {
     let workload = skewed_workload(4, 20);
     let run = |execution| {
-        run_cluster_with(
-            config(),
-            4,
-            RoundRobinRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-            &workload,
-            execution,
-        )
+        ClusterEngine::new(config(), 4, RoundRobinRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_execution(execution)
+        .run(&workload)
     };
     let sequential = run(Execution::Sequential);
-    let scoped = run(Execution::scoped_per_epoch(3));
     let pooled = run(Execution::parallel(3));
-    assert_byte_identical(&sequential, &scoped, "skew: sequential vs scoped");
     assert_byte_identical(&sequential, &pooled, "skew: sequential vs pooled");
     assert!(sequential.complete, "skewed run must complete");
 }
@@ -135,14 +128,10 @@ fn pool_is_reused_across_epochs_not_respawned() {
 #[test]
 fn trickle_batches_barriers_and_stays_byte_identical() {
     let workload = trickle_workload(24);
-    let sequential = run_cluster_with(
-        config(),
-        8,
-        RoundRobinRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        &workload,
-        Execution::Sequential,
-    );
+    let sequential = ClusterEngine::new(config(), 8, RoundRobinRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .run(&workload);
     let mut cluster = ClusterEngine::new(config(), 8, RoundRobinRouter::new(), || {
         Box::new(TokenFlowScheduler::new())
     })
@@ -202,19 +191,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 fn run_panicking(execution: Execution) -> String {
     let workload = skewed_workload(4, 6);
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        run_cluster_with(
-            config(),
-            4,
-            RoundRobinRouter::new(),
-            || {
-                Box::new(PanicAfter {
-                    inner: FcfsScheduler::new(),
-                    remaining: 5,
-                })
-            },
-            &workload,
-            execution,
-        )
+        ClusterEngine::new(config(), 4, RoundRobinRouter::new(), || {
+            Box::new(PanicAfter {
+                inner: FcfsScheduler::new(),
+                remaining: 5,
+            })
+        })
+        .with_execution(execution)
+        .run(&workload)
     }));
     let payload = result.expect_err("a panicking scheduler must fail the run");
     panic_message(payload.as_ref()).to_string()
@@ -226,14 +210,5 @@ fn scheduler_panic_message_survives_the_pool() {
     assert!(
         message.contains("kv accounting drifted"),
         "pooled execution must re-raise the original payload, got: {message}"
-    );
-}
-
-#[test]
-fn scheduler_panic_message_survives_scoped_threads() {
-    let message = run_panicking(Execution::scoped_per_epoch(3));
-    assert!(
-        message.contains("kv accounting drifted"),
-        "scoped execution must re-raise the original payload, got: {message}"
     );
 }

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use tokenflow_cluster::{
-    run_autoscaled, run_cluster_with, BacklogAwareRouter, Execution, LeastLoadedRouter,
-    RateAwareRouter, RoundRobinRouter, Router,
+    BacklogAwareRouter, ClusterEngine, Execution, LeastLoadedRouter, RateAwareRouter,
+    RoundRobinRouter, Router,
 };
 use tokenflow_control::{
     ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy, ScriptedPolicy,
@@ -85,27 +85,20 @@ proptest! {
     ) {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
             .with_max_batch(8);
-        let out = run_cluster_with(
-            config.clone(),
-            replicas,
-            router(which_router),
-            move || scheduler(which_sched),
-            &w,
-            Execution::Sequential,
-        );
+        let out = ClusterEngine::new(config.clone(), replicas, router(which_router), move || {
+            scheduler(which_sched)
+        })
+        .run(&w);
         prop_assert!(out.complete);
 
         // Executor invariance: the same run on parallel workers must be
         // byte-identical — same assignments, same per-replica records,
         // same merged report.
-        let par = run_cluster_with(
-            config,
-            replicas,
-            router(which_router),
-            move || scheduler(which_sched),
-            &w,
-            Execution::parallel(2),
-        );
+        let par = ClusterEngine::new(config, replicas, router(which_router), move || {
+            scheduler(which_sched)
+        })
+        .with_execution(Execution::parallel(2))
+        .run(&w);
         prop_assert_eq!(&out.assignments, &par.assignments);
         // Executor-mechanics runtime counters (epochs, barrier batching,
         // pool stats) are the one intentionally executor-visible
@@ -192,16 +185,12 @@ proptest! {
             .with_boot_delay(tokenflow_sim::SimDuration::from_millis(500))
             .with_cooldown(tokenflow_sim::SimDuration::ZERO);
         let run = |execution: Execution| {
-            run_autoscaled(
-                config.clone(),
-                bootstrap,
-                router(which_router),
-                || Box::new(TokenFlowScheduler::new()),
-                scale_policy(which_policy),
-                control.clone(),
-                &w,
-                execution,
-            )
+            ClusterEngine::new(config.clone(), bootstrap, router(which_router), || {
+                Box::new(TokenFlowScheduler::new())
+            })
+            .with_autoscaler(scale_policy(which_policy), control.clone())
+            .with_execution(execution)
+            .run(&w)
         };
         let seq = run(Execution::Sequential);
         let par = run(Execution::parallel(3));

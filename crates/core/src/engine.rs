@@ -920,7 +920,7 @@ impl Engine {
 
     /// Compile-time proof that whole replicas (engine + boxed scheduler)
     /// can move across threads: the cluster's parallel epoch executor
-    /// hands `&mut Engine` to scoped workers, which requires `Engine:
+    /// hands `&mut Engine` to pool workers, which requires `Engine:
     /// Send`. Breaking it (e.g. an `Rc` in a scheduler) fails this fn.
     #[doc(hidden)]
     pub const fn assert_send()

@@ -111,8 +111,8 @@ pub struct RuntimeCounters {
     pub epochs: u64,
     /// Epochs whose barriers were batched by the span optimisation.
     pub batched_barriers: u64,
-    /// Worker threads of the persistent executor pool (0 when sequential
-    /// or scoped).
+    /// Worker threads of the persistent executor pool (0 when
+    /// sequential).
     pub pool_workers: u64,
     /// Replica-advance tasks submitted to the pool.
     pub pool_submissions: u64,

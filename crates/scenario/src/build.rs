@@ -9,8 +9,8 @@
 //! to a [`RunOutcome`] with the report, its digest, and run metadata.
 
 use tokenflow_cluster::{
-    run_autoscaled, run_autoscaled_faulty, run_cluster_faulty, run_cluster_with,
-    BacklogAwareRouter, Execution, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
+    BacklogAwareRouter, ClusterEngine, Execution, LeastLoadedRouter, RateAwareRouter,
+    RoundRobinRouter, Router,
 };
 use tokenflow_control::{
     ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy, ScriptedPolicy,
@@ -406,25 +406,22 @@ impl Harness {
         self.run_with_execution(None)
     }
 
-    /// Runs with the topology's execution strategy overridden — the
-    /// trace determinism suite uses this to drive the legacy
-    /// scoped-per-epoch executor, which deliberately has no spec name.
-    /// `None` runs the spec's own strategy; the single topology has no
-    /// executor axis and ignores the override.
+    /// Runs with the topology's execution strategy overridden, so a
+    /// caller can check a spec's own executor against the `Sequential`
+    /// reference on one harness (`perfbench`'s seed test does). `None`
+    /// runs the spec's own strategy; the single topology has no executor
+    /// axis and ignores the override.
     pub fn run_with_execution(self, execution_override: Option<Execution>) -> RunOutcome {
         let scheduler_spec = self.scheduler;
         let scheduler_name = scheduler_spec.build_scheduler().name().to_string();
-        // Empty plans take the fault-free entry points, which are
-        // byte-identical anyway — this just keeps the common path common.
-        let fault = self.fault.filter(|p| !p.is_empty());
-        match self.topology {
+        let (topology, replicas, router, autoscale, execution) = match self.topology {
             TopologySpec::Single => {
                 let out = run_simulation_boxed(
                     self.config,
                     scheduler_spec.build_scheduler(),
                     &self.workload,
                 );
-                RunOutcome {
+                return RunOutcome {
                     scenario: self.name,
                     topology: "single".to_string(),
                     scheduler: scheduler_name,
@@ -436,47 +433,19 @@ impl Harness {
                     completion: out.completion,
                     report: out.report,
                     trace: out.trace,
-                }
+                };
             }
             TopologySpec::Cluster {
                 replicas,
                 router,
                 execution,
-            } => {
-                let execution = execution_override.unwrap_or_else(|| execution.build_execution());
-                let out = match fault {
-                    Some(plan) => run_cluster_faulty(
-                        self.config,
-                        replicas as usize,
-                        router.build_router(),
-                        move || scheduler_spec.build_scheduler(),
-                        plan,
-                        &self.workload,
-                        execution,
-                    ),
-                    None => run_cluster_with(
-                        self.config,
-                        replicas as usize,
-                        router.build_router(),
-                        move || scheduler_spec.build_scheduler(),
-                        &self.workload,
-                        execution,
-                    ),
-                };
-                RunOutcome {
-                    scenario: self.name,
-                    topology: format!("cluster({replicas})"),
-                    scheduler: scheduler_name,
-                    router: Some(out.router.clone()),
-                    scale_policy: None,
-                    replicas: out.replicas.len(),
-                    scale_events: 0,
-                    complete: out.complete,
-                    completion: completion_of(out.complete),
-                    report: out.merged,
-                    trace: out.trace,
-                }
-            }
+            } => (
+                format!("cluster({replicas})"),
+                replicas,
+                router,
+                None,
+                execution,
+            ),
             TopologySpec::Autoscaled {
                 bootstrap,
                 router,
@@ -484,45 +453,38 @@ impl Harness {
                 control,
                 execution,
             } => {
-                let control_config = control.build_control(&self.config);
-                let execution = execution_override.unwrap_or_else(|| execution.build_execution());
-                let out = match fault {
-                    Some(plan) => run_autoscaled_faulty(
-                        self.config,
-                        bootstrap as usize,
-                        router.build_router(),
-                        move || scheduler_spec.build_scheduler(),
-                        policy.build_policy(),
-                        control_config,
-                        plan,
-                        &self.workload,
-                        execution,
-                    ),
-                    None => run_autoscaled(
-                        self.config,
-                        bootstrap as usize,
-                        router.build_router(),
-                        move || scheduler_spec.build_scheduler(),
-                        policy.build_policy(),
-                        control_config,
-                        &self.workload,
-                        execution,
-                    ),
-                };
-                RunOutcome {
-                    scenario: self.name,
-                    topology: format!("autoscaled({bootstrap})"),
-                    scheduler: scheduler_name,
-                    router: Some(out.router.clone()),
-                    scale_policy: out.policy.clone(),
-                    replicas: out.replicas.len(),
-                    scale_events: out.scale_events.len(),
-                    complete: out.complete,
-                    completion: completion_of(out.complete),
-                    report: out.merged,
-                    trace: out.trace,
-                }
+                let autoscale = (policy.build_policy(), control.build_control(&self.config));
+                let topology = format!("autoscaled({bootstrap})");
+                (topology, bootstrap, router, Some(autoscale), execution)
             }
+        };
+        let mut cluster = ClusterEngine::new(
+            self.config,
+            replicas as usize,
+            router.build_router(),
+            move || scheduler_spec.build_scheduler(),
+        );
+        if let Some((policy, control)) = autoscale {
+            cluster = cluster.with_autoscaler(policy, control);
+        }
+        // An empty plan is no plan at all (`with_fault_plan` ignores it).
+        if let Some(plan) = self.fault {
+            cluster = cluster.with_fault_plan(plan);
+        }
+        let execution = execution_override.unwrap_or_else(|| execution.build_execution());
+        let out = cluster.with_execution(execution).run(&self.workload);
+        RunOutcome {
+            scenario: self.name,
+            topology,
+            scheduler: scheduler_name,
+            router: Some(out.router.clone()),
+            scale_policy: out.policy.clone(),
+            replicas: out.replicas.len(),
+            scale_events: out.scale_events.len(),
+            complete: out.complete,
+            completion: completion_of(out.complete),
+            report: out.merged,
+            trace: out.trace,
         }
     }
 }

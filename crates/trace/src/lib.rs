@@ -13,8 +13,8 @@
 //! a [`TraceSource`] with a private monotone sequence number, and
 //! [`TraceJournal::merge`] orders the union by `(time, source, seq)` — a
 //! total order independent of executor interleaving. The same scenario
-//! therefore produces the same journal under the sequential, scoped, and
-//! pooled cluster executors.
+//! therefore produces the same journal under the sequential and pooled
+//! cluster executors.
 //!
 //! Two determinism domains exist. *Meta* events (plan-horizon arm/end)
 //! describe the engine's internal fast-path machinery: they are

@@ -86,7 +86,7 @@
 //! ## Scaling out
 //!
 //! ```
-//! use tokenflow::cluster::{run_cluster, RateAwareRouter};
+//! use tokenflow::cluster::{ClusterEngine, RateAwareRouter};
 //! use tokenflow::core::EngineConfig;
 //! use tokenflow::model::{HardwareProfile, ModelProfile};
 //! use tokenflow::sched::TokenFlowScheduler;
@@ -105,13 +105,10 @@
 //!         .collect(),
 //! );
 //! let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
-//! let outcome = run_cluster(
-//!     config,
-//!     2,
-//!     RateAwareRouter::new(),
-//!     || Box::new(TokenFlowScheduler::new()),
-//!     &workload,
-//! );
+//! let outcome = ClusterEngine::new(config, 2, RateAwareRouter::new(), || {
+//!     Box::new(TokenFlowScheduler::new())
+//! })
+//! .run(&workload);
 //! assert_eq!(outcome.merged.completed, 8);
 //! assert_eq!(outcome.replicas.len(), 2);
 //! ```
@@ -135,8 +132,8 @@ pub use tokenflow_workload as workload;
 /// Convenience re-exports of the most common entry points.
 pub mod prelude {
     pub use tokenflow_cluster::{
-        run_autoscaled, ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter,
-        RateAwareRouter, RoundRobinRouter, Router,
+        ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter, RateAwareRouter,
+        RoundRobinRouter, Router,
     };
     pub use tokenflow_control::{
         ControlConfig, ControlPlane, PredictivePolicy, ReactivePolicy, ReplicaPhase, ScaleDecision,

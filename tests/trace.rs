@@ -3,8 +3,8 @@
 //! The trace subsystem's contract, enforced end-to-end:
 //!
 //! 1. **Executor invariance** — the *full* rendered journal (meta events
-//!    and sequence numbers included) is byte-identical under Sequential,
-//!    scoped-per-epoch, and pooled execution, for every shipped router.
+//!    and sequence numbers included) is byte-identical under Sequential
+//!    and pooled execution, for every shipped router.
 //! 2. **Fast-path invariance** — the *canonical* journal (meta-filtered,
 //!    seq-stripped) is byte-identical with the plan-horizon fast path on
 //!    and off, single-engine and clustered.
@@ -17,7 +17,7 @@
 //!    to each request's recorded TTFT and latency, for every request of
 //!    two scenarios (single-engine and clustered).
 
-use tokenflow_cluster::{run_cluster_with, Execution, LeastLoadedRouter};
+use tokenflow_cluster::{ClusterEngine, LeastLoadedRouter};
 use tokenflow_core::run_simulation_boxed;
 use tokenflow_metrics::RequestMetrics;
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -41,19 +41,14 @@ fn load_spec(path: &str) -> ScenarioSpec {
     parse_scenario(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
-/// Runs a spec with tracing on, optionally overriding the executor,
-/// returning the outcome and its journal.
-fn run_traced_on(spec: ScenarioSpec, execution: Option<Execution>) -> (RunOutcome, TraceJournal) {
+/// Runs a spec with tracing on, returning the outcome and its journal.
+fn run_traced(spec: ScenarioSpec) -> (RunOutcome, TraceJournal) {
     let mut harness = spec.build().expect("committed scenario builds");
     harness.config.trace = true;
-    let outcome = harness.run_with_execution(execution);
+    let outcome = harness.run();
     assert!(outcome.complete, "traced run incomplete");
     let journal = outcome.trace.clone().expect("traced run yields a journal");
     (outcome, journal)
-}
-
-fn run_traced(spec: ScenarioSpec) -> (RunOutcome, TraceJournal) {
-    run_traced_on(spec, None)
 }
 
 fn with_execution(mut spec: ScenarioSpec, execution: ExecutionSpec) -> ScenarioSpec {
@@ -77,21 +72,12 @@ fn full_journal_is_byte_identical_across_executors_for_every_router() {
             _ => panic!("fleet scenario must be a cluster"),
         }
         let (_, seq_journal) = run_traced(with_execution(spec.clone(), ExecutionSpec::Sequential));
-        let (_, pool_journal) =
-            run_traced(with_execution(spec.clone(), ExecutionSpec::Parallel(3)));
-        // scoped-per-epoch is the legacy strategy with no spec name; the
-        // harness override drives it directly.
-        let (_, scoped_journal) = run_traced_on(spec, Some(Execution::scoped_per_epoch(3)));
+        let (_, pool_journal) = run_traced(with_execution(spec, ExecutionSpec::Parallel(3)));
         let seq_text = trace_jsonl(&seq_journal);
         assert_eq!(
             seq_text,
             trace_jsonl(&pool_journal),
             "{router}: pooled journal diverged from sequential"
-        );
-        assert_eq!(
-            seq_text,
-            trace_jsonl(&scoped_journal),
-            "{router}: scoped journal diverged from sequential"
         );
         assert!(
             validate_trace_jsonl(&seq_text).expect("journal validates") > 0,
@@ -248,14 +234,10 @@ fn explain_attributions_sum_to_ttft_and_latency_single_engine() {
 #[test]
 fn explain_attributions_sum_to_ttft_and_latency_cluster() {
     let w = bursty_workload();
-    let out = run_cluster_with(
-        traced_config(),
-        3,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        &w,
-        Execution::Sequential,
-    );
+    let out = ClusterEngine::new(traced_config(), 3, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .run(&w);
     assert!(out.complete, "cluster run incomplete");
     let journal = out.trace.expect("traced run yields a journal");
     assert_eq!(out.assignments.len(), w.len());
