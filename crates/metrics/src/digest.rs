@@ -18,14 +18,42 @@ use crate::report::{FaultStats, RunReport, RuntimeCounters, Summary};
 /// 64-bit FNV-1a over a byte stream — stable, dependency-free, and fast
 /// enough for test-time digesting.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
+    let mut hash = Fnv1a64::new();
+    hash.write(bytes);
+    hash.finish()
+}
+
+/// Streaming [`fnv1a64`]: writing a byte stream in pieces yields the
+/// digest of their concatenation, so a caller can digest text it never
+/// holds whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The digest state of the empty stream.
+    pub const fn new() -> Fnv1a64 {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Folds `bytes` into the digest.
+    pub fn write(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+
+    /// The digest of everything written so far.
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Fnv1a64 {
+        Fnv1a64::new()
+    }
 }
 
 /// Canonical float rendering: Rust's shortest round-trip `Debug` form.
@@ -135,6 +163,16 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn streaming_digest_matches_one_shot() {
+        let mut hash = Fnv1a64::new();
+        hash.write(b"foo");
+        hash.write(b"");
+        hash.write(b"bar");
+        assert_eq!(hash.finish(), fnv1a64(b"foobar"));
+        assert_eq!(Fnv1a64::default().finish(), fnv1a64(b""));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod timeline;
 pub mod timeseries;
 pub mod weights;
 
-pub use digest::fnv1a64;
+pub use digest::{fnv1a64, Fnv1a64};
 pub use fleet::FleetStats;
 pub use record::RequestMetrics;
 pub use report::{percentile, FaultStats, RunReport, RuntimeCounters, Summary};

@@ -112,26 +112,18 @@ impl Json {
             Json::Num(n) => write_num(out, *n),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
+                let mut a = ArrWriter::open(out);
+                for v in items {
+                    v.write(a.item());
                 }
-                out.push(']');
+                a.close();
             }
             Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.write(out);
+                let mut o = ObjWriter::open(out);
+                for (k, v) in members {
+                    v.write(o.key(k));
                 }
-                out.push('}');
+                o.close();
             }
         }
     }
@@ -182,7 +174,7 @@ impl Json {
 /// produces them (overflowing literals are rejected), but a
 /// programmatically constructed non-finite value must still emit *valid*
 /// JSON — it becomes `null`, matching `JSON.stringify` semantics.
-fn write_num(out: &mut String, n: f64) {
+pub(crate) fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
@@ -208,6 +200,85 @@ fn write_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Streams one compact JSON array into a `String`, item by item — the
+/// array syntax [`Json::emit`] itself writes through (see [`ObjWriter`]).
+pub(crate) struct ArrWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ArrWriter<'a> {
+    pub(crate) fn open(out: &'a mut String) -> ArrWriter<'a> {
+        out.push('[');
+        ArrWriter { out, empty: true }
+    }
+
+    /// Writes the separator before the next item; the caller writes the
+    /// item.
+    pub(crate) fn item(&mut self) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out
+    }
+
+    pub(crate) fn close(self) {
+        self.out.push(']');
+    }
+}
+
+/// Streams one compact JSON object into a `String`, member by member —
+/// the object syntax [`Json::emit`] itself writes through, so a caller
+/// that renders straight to text (the trace writers) produces the same
+/// bytes as building the tree and emitting it.
+pub(crate) struct ObjWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjWriter<'a> {
+    pub(crate) fn open(out: &'a mut String) -> ObjWriter<'a> {
+        out.push('{');
+        ObjWriter { out, empty: true }
+    }
+
+    /// Writes `key` and its separators; the caller writes the value.
+    pub(crate) fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    pub(crate) fn num(&mut self, key: &str, v: f64) -> &mut Self {
+        write_num(self.key(key), v);
+        self
+    }
+
+    /// An integer member, rendered as [`ni`] renders it.
+    pub(crate) fn int(&mut self, key: &str, v: u64) -> &mut Self {
+        self.num(key, v as f64)
+    }
+
+    pub(crate) fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        write_str(self.key(key), v);
+        self
+    }
+
+    pub(crate) fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    pub(crate) fn close(&mut self) {
+        self.out.push('}');
+    }
 }
 
 /// A parse failure with its position.

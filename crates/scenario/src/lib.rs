@@ -70,8 +70,8 @@ pub use spec::{
     SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES, WORKLOAD_TYPE_NAMES,
 };
 pub use tracefmt::{
-    canonical_trace_jsonl, event_json, explain, perfetto_json, request_timeline, trace_digest,
-    trace_jsonl, validate_trace_jsonl, Phase, RequestTimeline,
+    canonical_trace_jsonl, explain, perfetto_json, request_timeline, request_timelines,
+    trace_digest, trace_jsonl, validate_trace_jsonl, Phase, RequestTimeline,
 };
 
 pub use sweep::{

@@ -2,11 +2,12 @@
 //! trace-event) JSON, and causal per-request explanations.
 //!
 //! The JSONL form is the journal's canonical serialization: one compact
-//! JSON object per event, in merge order, emitted through the same
-//! canonical [`json`] emitter the report uses — so two runs produce
-//! byte-identical files exactly when their journals are equal, and the
-//! trace digest (FNV-1a over the canonical, meta-filtered lines) is
-//! golden-pinnable the same way report digests are.
+//! JSON object per event, in merge order, written with the same
+//! canonical number and string rendering the [`json`](crate::json)
+//! emitter uses — so two runs produce byte-identical files exactly when
+//! their journals are equal, and the trace digest (FNV-1a over the
+//! canonical, meta-filtered lines) is golden-pinnable the same way
+//! report digests are.
 //!
 //! The Perfetto form renders the same journal for `chrome://tracing` /
 //! [ui.perfetto.dev](https://ui.perfetto.dev): one process track per
@@ -19,106 +20,92 @@
 //! completion) to a wait phase — the sums reproduce TTFT and latency
 //! *exactly* because phases are contiguous integer-microsecond segments
 //! cut at the journal's own event boundaries.
+//!
+//! Rendering makes one pass over the journal and builds no JSON tree:
+//! the writers append straight to the output text, [`trace_digest`]
+//! hashes each canonical line as it is written, and [`perfetto_json`]
+//! reads every request's timeline from one sorted `(request, event)`
+//! index ([`request_timelines`]) instead of scanning the journal once
+//! per request.
 
-use tokenflow_metrics::fnv1a64;
+use tokenflow_metrics::Fnv1a64;
 use tokenflow_sim::{RequestId, SimTime};
 use tokenflow_trace::{TraceEvent, TraceEventKind, TraceJournal, TraceSource};
 
-use crate::json::{n, ni, obj, s, Json};
+use crate::json::{write_num, ArrWriter, Json, ObjWriter};
 
-/// Renders one event as its canonical JSON object: the `(t_us, src,
+/// Writes one event as its canonical JSON object: the `(t_us, src,
 /// seq, kind)` envelope followed by the kind's payload fields.
-pub fn event_json(e: &TraceEvent) -> Json {
-    event_json_inner(e, true)
-}
-
-fn event_json_inner(e: &TraceEvent, with_seq: bool) -> Json {
-    let mut members: Vec<(String, Json)> = vec![
-        ("t_us".to_string(), ni(e.time.as_micros())),
-        ("src".to_string(), Json::Str(e.source.label())),
-        ("seq".to_string(), ni(e.seq)),
-        ("kind".to_string(), s(e.kind.name())),
-    ];
-    if !with_seq {
+fn write_event(out: &mut String, e: &TraceEvent, with_seq: bool) {
+    let mut o = ObjWriter::open(out);
+    o.int("t_us", e.time.as_micros())
+        .str("src", &e.source.label());
+    if with_seq {
         // Meta events (horizon arm/end) consume sequence numbers from
         // the same per-source counter as decisions, so canonical seq
         // *values* shift with the fast path even though the canonical
         // *order* does not. The digestable rendering drops them.
-        members.remove(2);
+        o.int("seq", e.seq);
     }
-    let id = |v: RequestId| ni(v.0);
+    o.str("kind", e.kind.name());
     match &e.kind {
-        TraceEventKind::Arrived { id: r, arrival } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("arrival_us".to_string(), ni(arrival.as_micros())));
+        TraceEventKind::Arrived { id, arrival } => {
+            o.int("id", id.0).int("arrival_us", arrival.as_micros());
         }
         TraceEventKind::Dispatch {
-            id: r,
+            id,
             replica,
             scores,
         } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("replica".to_string(), ni(u64::from(*replica))));
-            members.push((
-                "scores".to_string(),
-                Json::Arr(scores.iter().map(|&v| n(v)).collect()),
-            ));
+            o.int("id", id.0).int("replica", u64::from(*replica));
+            let mut a = ArrWriter::open(o.key("scores"));
+            for &v in scores {
+                write_num(a.item(), v);
+            }
+            a.close();
         }
         TraceEventKind::Admitted {
-            id: r,
+            id,
             recompute,
             queued_behind_tokens,
         } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("recompute".to_string(), Json::Bool(*recompute)));
-            members.push((
-                "queued_behind_tokens".to_string(),
-                ni(*queued_behind_tokens),
-            ));
+            o.int("id", id.0)
+                .bool("recompute", *recompute)
+                .int("queued_behind_tokens", *queued_behind_tokens);
         }
         TraceEventKind::PrefillChunk {
-            id: r,
+            id,
             tokens,
             completes,
         } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("tokens".to_string(), ni(*tokens)));
-            members.push(("completes".to_string(), Json::Bool(*completes)));
+            o.int("id", id.0)
+                .int("tokens", *tokens)
+                .bool("completes", *completes);
         }
-        TraceEventKind::FirstToken { id: r }
-        | TraceEventKind::Finished { id: r }
-        | TraceEventKind::Shed { id: r }
-        | TraceEventKind::Resumed { id: r }
-        | TraceEventKind::EvictDone { id: r }
-        | TraceEventKind::LoadDone { id: r } => {
-            members.push(("id".to_string(), id(*r)));
+        TraceEventKind::FirstToken { id }
+        | TraceEventKind::Finished { id }
+        | TraceEventKind::Shed { id }
+        | TraceEventKind::Resumed { id }
+        | TraceEventKind::EvictDone { id }
+        | TraceEventKind::LoadDone { id }
+        | TraceEventKind::AdmissionShed { id } => {
+            o.int("id", id.0);
         }
-        TraceEventKind::Preempted {
-            id: r,
-            discard,
-            cause,
-        } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("discard".to_string(), Json::Bool(*discard)));
-            members.push(("cause".to_string(), s(cause.label())));
+        TraceEventKind::Preempted { id, discard, cause } => {
+            o.int("id", id.0)
+                .bool("discard", *discard)
+                .str("cause", cause.label());
         }
-        TraceEventKind::DecodeGate { id: r, paused } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("paused".to_string(), Json::Bool(*paused)));
+        TraceEventKind::DecodeGate { id, paused } => {
+            o.int("id", id.0).bool("paused", *paused);
         }
-        TraceEventKind::EvictStart { id: r, tokens }
-        | TraceEventKind::LoadStart { id: r, tokens } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("tokens".to_string(), ni(*tokens)));
+        TraceEventKind::EvictStart { id, tokens } | TraceEventKind::LoadStart { id, tokens } => {
+            o.int("id", id.0).int("tokens", *tokens);
         }
-        TraceEventKind::Reprice {
-            id: r,
-            before,
-            after,
-        } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("before".to_string(), n(*before)));
-            members.push(("after".to_string(), n(*after)));
+        TraceEventKind::Reprice { id, before, after } => {
+            o.int("id", id.0)
+                .num("before", *before)
+                .num("after", *after);
         }
         TraceEventKind::Swap {
             evicted,
@@ -126,10 +113,10 @@ fn event_json_inner(e: &TraceEvent, with_seq: bool) -> Json {
             evicted_priority,
             admitted_priority,
         } => {
-            members.push(("evicted".to_string(), id(*evicted)));
-            members.push(("admitted".to_string(), id(*admitted)));
-            members.push(("evicted_priority".to_string(), n(*evicted_priority)));
-            members.push(("admitted_priority".to_string(), n(*admitted_priority)));
+            o.int("evicted", evicted.0)
+                .int("admitted", admitted.0)
+                .num("evicted_priority", *evicted_priority)
+                .num("admitted_priority", *admitted_priority);
         }
         TraceEventKind::Scale {
             delta,
@@ -137,75 +124,67 @@ fn event_json_inner(e: &TraceEvent, with_seq: bool) -> Json {
             active,
             terms,
         } => {
-            members.push(("delta".to_string(), n(*delta as f64)));
-            members.push(("applied".to_string(), Json::Bool(*applied)));
-            members.push(("active".to_string(), ni(*active)));
-            members.push((
-                "terms".to_string(),
-                Json::Obj(
-                    terms
-                        .iter()
-                        .map(|&(name, v)| (name.to_string(), n(v)))
-                        .collect(),
-                ),
-            ));
+            o.num("delta", *delta as f64)
+                .bool("applied", *applied)
+                .int("active", *active);
+            let mut t = ObjWriter::open(o.key("terms"));
+            for &(name, v) in terms {
+                t.num(name, v);
+            }
+            t.close();
         }
         TraceEventKind::HorizonArmed {
             valid_until,
             gates_static,
         } => {
             // `SimTime::MAX` encodes an unbounded certificate.
-            let until = if *valid_until == SimTime::MAX {
-                Json::Null
+            if *valid_until == SimTime::MAX {
+                o.key("valid_until_us").push_str("null");
             } else {
-                ni(valid_until.as_micros())
-            };
-            members.push(("valid_until_us".to_string(), until));
-            members.push(("gates_static".to_string(), Json::Bool(*gates_static)));
+                o.int("valid_until_us", valid_until.as_micros());
+            }
+            o.bool("gates_static", *gates_static);
         }
         TraceEventKind::HorizonEnded { reason } => {
-            members.push(("reason".to_string(), s(reason.label())));
+            o.str("reason", reason.label());
         }
         TraceEventKind::ReplicaCrashed { replica, lost } => {
-            members.push(("replica".to_string(), ni(u64::from(*replica))));
-            members.push(("lost".to_string(), ni(*lost)));
+            o.int("replica", u64::from(*replica)).int("lost", *lost);
         }
         TraceEventKind::ReplicaDegraded { replica, factor }
         | TraceEventKind::LinkDegraded { replica, factor } => {
-            members.push(("replica".to_string(), ni(u64::from(*replica))));
-            members.push(("factor".to_string(), n(*factor)));
+            o.int("replica", u64::from(*replica)).num("factor", *factor);
         }
         TraceEventKind::BootFailed { replica } => {
-            members.push(("replica".to_string(), ni(u64::from(*replica))));
+            o.int("replica", u64::from(*replica));
         }
-        TraceEventKind::RequestLost { id: r, replica } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("replica".to_string(), ni(u64::from(*replica))));
+        TraceEventKind::RequestLost { id, replica } => {
+            o.int("id", id.0).int("replica", u64::from(*replica));
         }
-        TraceEventKind::RetryScheduled { id: r, attempt } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("attempt".to_string(), ni(u64::from(*attempt))));
+        TraceEventKind::RetryScheduled { id, attempt } => {
+            o.int("id", id.0).int("attempt", u64::from(*attempt));
         }
-        TraceEventKind::RequestAbandoned { id: r, attempts } => {
-            members.push(("id".to_string(), id(*r)));
-            members.push(("attempts".to_string(), ni(u64::from(*attempts))));
-        }
-        TraceEventKind::AdmissionShed { id: r } => {
-            members.push(("id".to_string(), id(*r)));
+        TraceEventKind::RequestAbandoned { id, attempts } => {
+            o.int("id", id.0).int("attempts", u64::from(*attempts));
         }
     }
-    Json::Obj(members)
+    o.close();
+}
+
+/// One line per event, trailing newline.
+fn write_lines<'a>(events: impl Iterator<Item = &'a TraceEvent>, with_seq: bool) -> String {
+    let mut out = String::new();
+    for e in events {
+        write_event(&mut out, e, with_seq);
+        out.push('\n');
+    }
+    out
 }
 
 /// The full journal as JSONL: one canonical JSON object per line (meta
 /// events included), trailing newline.
 pub fn trace_jsonl(journal: &TraceJournal) -> String {
-    let mut out = String::new();
-    for e in &journal.events {
-        out.push_str(&event_json(e).emit());
-        out.push('\n');
-    }
-    out
+    write_lines(journal.events.iter(), true)
 }
 
 /// The canonical (meta-filtered, seq-stripped) journal as JSONL — the
@@ -215,18 +194,22 @@ pub fn trace_jsonl(journal: &TraceJournal) -> String {
 /// counter; the line *order* still carries the total `(time, source,
 /// seq)` merge order.
 pub fn canonical_trace_jsonl(journal: &TraceJournal) -> String {
-    let mut out = String::new();
-    for e in journal.canonical() {
-        out.push_str(&event_json_inner(e, false).emit());
-        out.push('\n');
-    }
-    out
+    write_lines(journal.canonical(), false)
 }
 
 /// FNV-1a digest of the canonical JSONL bytes — the golden-pinnable
-/// fingerprint of a run's decision record.
+/// fingerprint of a run's decision record. Each line is hashed as it is
+/// written, so the canonical text is never held whole.
 pub fn trace_digest(journal: &TraceJournal) -> u64 {
-    fnv1a64(canonical_trace_jsonl(journal).as_bytes())
+    let mut hash = Fnv1a64::new();
+    let mut line = String::new();
+    for e in journal.canonical() {
+        line.clear();
+        write_event(&mut line, e, false);
+        line.push('\n');
+        hash.write(line.as_bytes());
+    }
+    hash.finish()
 }
 
 /// Payload fields the validator requires per kind name; `None` for an
@@ -310,7 +293,8 @@ pub fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Phase {
     /// What the request was doing (or waiting on): `queued`, `prefill`,
-    /// `decode`, `gated`, `preempted`, or `reloading`.
+    /// `decode`, `gated`, `preempted`, `reloading`, or `lost` (between a
+    /// replica crash and the retry's dispatch).
     pub label: &'static str,
     /// Segment start (inclusive).
     pub from: SimTime,
@@ -327,28 +311,119 @@ impl Phase {
 
 /// One request's causal story, reconstructed from the journal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RequestTimeline {
+pub struct RequestTimeline<'a> {
     /// The request (journal id space: submission order).
     pub id: RequestId,
-    /// The replica that served it, when the journal records one.
+    /// The replica that served it, when the journal records one: the
+    /// last dispatch's target, so a crashed request's retry wins.
     pub replica: Option<u32>,
-    /// Workload arrival instant (from the `arrived` payload).
+    /// Workload arrival instant (from the `arrived` payload, or the
+    /// `dispatch`/`admission_shed` instant that precedes it).
     pub arrival: SimTime,
-    /// First-token instant, if reached.
+    /// First-token instant, if reached (the surviving attempt's, when a
+    /// crash forced a retry).
     pub first_token_at: Option<SimTime>,
     /// Completion instant, if reached.
     pub finished_at: Option<SimTime>,
-    /// True when the request was shed.
+    /// True when the request was shed (by a replica or at admission).
     pub shed: bool,
     /// Every event mentioning the request, in journal order.
-    pub events: Vec<TraceEvent>,
+    pub events: Vec<&'a TraceEvent>,
     /// Contiguous phases from arrival to the last state change. Summing
     /// the phases that end at or before `first_token_at` reproduces
     /// TTFT exactly; summing all phases reproduces latency exactly.
     pub phases: Vec<Phase>,
 }
 
-impl RequestTimeline {
+impl<'a> RequestTimeline<'a> {
+    /// Runs the phase state machine over `events` (every event mentioning
+    /// `id`, in journal order), or `None` when none of them fixes an
+    /// arrival.
+    fn from_events(id: RequestId, events: Vec<&'a TraceEvent>) -> Option<RequestTimeline<'a>> {
+        let arrival = events.iter().find_map(|e| match e.kind {
+            TraceEventKind::Arrived { arrival, .. } => Some(arrival),
+            TraceEventKind::Dispatch { .. } | TraceEventKind::AdmissionShed { .. } => Some(e.time),
+            _ => None,
+        })?;
+        let replica = events
+            .iter()
+            .rev()
+            .find_map(|e| match e.kind {
+                TraceEventKind::Dispatch { replica, .. } => Some(replica),
+                _ => None,
+            })
+            .or_else(|| {
+                events.iter().find_map(|e| match e.source {
+                    TraceSource::Replica(i) => Some(i),
+                    _ => None,
+                })
+            });
+        let mut timeline = RequestTimeline {
+            id,
+            replica,
+            arrival,
+            first_token_at: None,
+            finished_at: None,
+            shed: false,
+            events: Vec::new(),
+            phases: Vec::new(),
+        };
+        // Walk the events as a state machine, cutting a phase at every
+        // state change. Events are already in time order.
+        let mut label = "queued";
+        let mut start = arrival;
+        for e in &events {
+            let next = match &e.kind {
+                // A lost request waits for its retry's dispatch; whatever
+                // the crashed replica journaled at the crash instant
+                // describes the dead incarnation.
+                TraceEventKind::Dispatch { .. } if label == "lost" => "queued",
+                _ if label == "lost" => continue,
+                // The retry starts its stream over: its own first token,
+                // not the dead attempt's, ends the TTFT window.
+                TraceEventKind::RequestLost { .. } => {
+                    timeline.first_token_at = None;
+                    "lost"
+                }
+                TraceEventKind::Admitted { .. } => "prefill",
+                TraceEventKind::FirstToken { .. } => {
+                    timeline.first_token_at = Some(e.time);
+                    "decode"
+                }
+                TraceEventKind::Preempted { .. } => "preempted",
+                TraceEventKind::Resumed { .. } => "reloading",
+                TraceEventKind::LoadDone { .. } if timeline.first_token_at.is_some() => "decode",
+                TraceEventKind::LoadDone { .. } => "prefill",
+                TraceEventKind::DecodeGate { paused: true, .. } => "gated",
+                TraceEventKind::DecodeGate { paused: false, .. } => "decode",
+                TraceEventKind::Finished { .. } => {
+                    timeline.finished_at = Some(e.time);
+                    "done"
+                }
+                TraceEventKind::Shed { .. } | TraceEventKind::AdmissionShed { .. } => {
+                    timeline.shed = true;
+                    "shed"
+                }
+                // Transfer progress and scheduler pricing don't change
+                // what the request is waiting on; swaps are covered by
+                // the preempt/admit events they cause; a first dispatch
+                // leaves the request queued.
+                _ => continue,
+            };
+            if e.time > start {
+                timeline.phases.push(Phase {
+                    label,
+                    from: start,
+                    to: e.time,
+                });
+                start = e.time;
+            }
+            label = next;
+        }
+        timeline.events = events;
+        Some(timeline)
+    }
+
     /// Per-label wait totals (micros) over phases inside `[arrival,
     /// until]`, in first-appearance order. Their sum is exactly
     /// `until - arrival`.
@@ -377,106 +452,42 @@ impl RequestTimeline {
     }
 }
 
-/// Reconstructs `id`'s timeline from the journal, or `None` when the
-/// journal never mentions it.
-pub fn request_timeline(journal: &TraceJournal, id: RequestId) -> Option<RequestTimeline> {
-    let events: Vec<TraceEvent> = journal.for_request(id).cloned().collect();
-    let arrival = events.iter().find_map(|e| match e.kind {
-        TraceEventKind::Arrived { arrival, .. } => Some(arrival),
-        TraceEventKind::Dispatch { .. } => Some(e.time),
-        _ => None,
-    })?;
-    let replica = events.iter().find_map(|e| match (e.source, &e.kind) {
-        (_, TraceEventKind::Dispatch { replica, .. }) => Some(*replica),
-        (TraceSource::Replica(i), _) => Some(i),
-        _ => None,
-    });
-    let mut timeline = RequestTimeline {
-        id,
-        replica,
-        arrival,
-        first_token_at: None,
-        finished_at: None,
-        shed: false,
-        events,
-        phases: Vec::new(),
-    };
-    // Walk the event sequence as a state machine, cutting a phase at
-    // every state change. Events are already in time order.
-    let mut label = "queued";
-    let mut start = arrival;
-    let change = |phases: &mut Vec<Phase>,
-                  label: &mut &'static str,
-                  start: &mut SimTime,
-                  next: &'static str,
-                  at: SimTime| {
-        if at > *start {
-            phases.push(Phase {
-                label,
-                from: *start,
-                to: at,
-            });
-            *start = at;
+/// Reconstructs `id`'s timeline with one scan of the journal, or `None`
+/// when the journal never mentions it.
+pub fn request_timeline(journal: &TraceJournal, id: RequestId) -> Option<RequestTimeline<'_>> {
+    RequestTimeline::from_events(id, journal.for_request(id).collect())
+}
+
+/// Every request's timeline, in id order — the same timelines
+/// [`request_timeline`] builds one id at a time, from one pass over the
+/// journal: an index of `(request, event)` pairs over every mention
+/// (both sides of a `swap`), pushed in journal order and stably sorted
+/// by request once, so the cost is O(E log E) rather than a journal scan
+/// per request.
+pub fn request_timelines(journal: &TraceJournal) -> Vec<RequestTimeline<'_>> {
+    let mut index: Vec<(RequestId, &TraceEvent)> = Vec::with_capacity(journal.len());
+    for e in &journal.events {
+        if let Some(id) = e.kind.request() {
+            index.push((id, e));
         }
-        *label = next;
-    };
-    let events = std::mem::take(&mut timeline.events);
-    for e in &events {
-        let at = e.time;
-        match &e.kind {
-            TraceEventKind::Admitted { .. } => {
-                change(&mut timeline.phases, &mut label, &mut start, "prefill", at);
+        // `request()` names a swap's evicted side; `mentions` matches both.
+        if let TraceEventKind::Swap {
+            evicted, admitted, ..
+        } = e.kind
+        {
+            if admitted != evicted {
+                index.push((admitted, e));
             }
-            TraceEventKind::FirstToken { .. } => {
-                change(&mut timeline.phases, &mut label, &mut start, "decode", at);
-                timeline.first_token_at = Some(at);
-            }
-            TraceEventKind::Preempted { .. } => {
-                change(
-                    &mut timeline.phases,
-                    &mut label,
-                    &mut start,
-                    "preempted",
-                    at,
-                );
-            }
-            TraceEventKind::Resumed { .. } => {
-                change(
-                    &mut timeline.phases,
-                    &mut label,
-                    &mut start,
-                    "reloading",
-                    at,
-                );
-            }
-            TraceEventKind::LoadDone { .. } => {
-                let next = if timeline.first_token_at.is_some() {
-                    "decode"
-                } else {
-                    "prefill"
-                };
-                change(&mut timeline.phases, &mut label, &mut start, next, at);
-            }
-            TraceEventKind::DecodeGate { paused, .. } => {
-                let next = if *paused { "gated" } else { "decode" };
-                change(&mut timeline.phases, &mut label, &mut start, next, at);
-            }
-            TraceEventKind::Finished { .. } => {
-                change(&mut timeline.phases, &mut label, &mut start, "done", at);
-                timeline.finished_at = Some(at);
-            }
-            TraceEventKind::Shed { .. } => {
-                change(&mut timeline.phases, &mut label, &mut start, "shed", at);
-                timeline.shed = true;
-            }
-            // Transfer progress and scheduler pricing don't change what
-            // the request is waiting on; swaps are covered by the
-            // preempt/admit events they cause.
-            _ => {}
         }
     }
-    timeline.events = events;
-    Some(timeline)
+    index.sort_by_key(|&(id, _)| id);
+    index
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter_map(|group| {
+            let &(id, _) = group.first()?;
+            RequestTimeline::from_events(id, group.iter().map(|&(_, e)| e).collect())
+        })
+        .collect()
 }
 
 fn secs(t: SimTime) -> String {
@@ -636,132 +647,129 @@ fn pid_of(source: TraceSource) -> u64 {
     }
 }
 
+/// A track-naming metadata record.
+fn meta(w: &mut ArrWriter<'_>, name: &str, pid: u64, tid: Option<u64>, label: &str) {
+    let mut o = ObjWriter::open(w.item());
+    o.str("name", name).str("ph", "M").int("pid", pid);
+    if let Some(tid) = tid {
+        o.int("tid", tid);
+    }
+    ObjWriter::open(o.key("args")).str("name", label).close();
+    o.close();
+}
+
+/// One end of a flow arrow: `s` starts it, `f` binds its finish to the
+/// enclosing slice.
+fn flow(w: &mut ArrWriter<'_>, name: &str, ph: &str, id: u64, pid: u64, tid: u64, at: SimTime) {
+    let mut o = ObjWriter::open(w.item());
+    o.str("name", name).str("cat", "flow").str("ph", ph);
+    if ph == "f" {
+        o.str("bp", "e");
+    }
+    o.int("id", id)
+        .int("pid", pid)
+        .int("tid", tid)
+        .int("ts", at.as_micros())
+        .close();
+}
+
 /// Renders the journal as Chrome trace-event JSON (Perfetto-loadable):
 /// one process per replica (plus control/coordinator tracks), one
 /// thread lane per request carrying its phase slices and markers, and
 /// flow arrows stitching dispatch → arrival and preempt → resume.
 pub fn perfetto_json(journal: &TraceJournal) -> String {
-    let mut events: Vec<Json> = Vec::new();
-    let meta = |name: &str, pid: u64, tid: Option<u64>, label: &str| {
-        let mut members = vec![("name", s(name)), ("ph", s("M")), ("pid", ni(pid))];
-        if let Some(tid) = tid {
-            members.push(("tid", ni(tid)));
-        }
-        members.push(("args", obj(vec![("name", s(label))])));
-        obj(members)
-    };
+    let mut out = String::new();
+    let mut doc = ObjWriter::open(&mut out);
+    doc.str("displayTimeUnit", "ms");
+    let mut w = ArrWriter::open(doc.key("traceEvents"));
     // Track naming: processes for every source seen, lanes per request.
     let mut sources: Vec<TraceSource> = journal.events.iter().map(|e| e.source).collect();
     sources.sort_unstable();
     sources.dedup();
-    for source in &sources {
-        events.push(meta("process_name", pid_of(*source), None, &source.label()));
+    for source in sources {
+        meta(
+            &mut w,
+            "process_name",
+            pid_of(source),
+            None,
+            &source.label(),
+        );
     }
-    // Requests, in id order, with the replica lane they ran on.
-    let mut ids: Vec<RequestId> = journal
-        .events
-        .iter()
-        .filter_map(|e| e.kind.request())
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    let mut flow = 0u64;
-    for id in ids {
-        let Some(timeline) = request_timeline(journal, id) else {
-            continue;
-        };
-        let pid = pid_of(TraceSource::Replica(timeline.replica.unwrap_or(0)));
-        let tid = id.0 + 1;
-        events.push(meta("thread_name", pid, Some(tid), &format!("{id}")));
+    // Requests, in id order, on the lane of the replica that served
+    // them (a request shed at admission never reached one).
+    let coordinator = pid_of(TraceSource::Coordinator);
+    let mut flow_id = 0u64;
+    for timeline in request_timelines(journal) {
+        let pid = timeline
+            .replica
+            .map_or(coordinator, |r| pid_of(TraceSource::Replica(r)));
+        let tid = timeline.id.0 + 1;
+        meta(
+            &mut w,
+            "thread_name",
+            pid,
+            Some(tid),
+            &timeline.id.to_string(),
+        );
         for p in &timeline.phases {
-            events.push(obj(vec![
-                ("name", s(p.label)),
-                ("cat", s("request")),
-                ("ph", s("X")),
-                ("pid", ni(pid)),
-                ("tid", ni(tid)),
-                ("ts", ni(p.from.as_micros())),
-                ("dur", ni(p.micros())),
-            ]));
+            ObjWriter::open(w.item())
+                .str("name", p.label)
+                .str("cat", "request")
+                .str("ph", "X")
+                .int("pid", pid)
+                .int("tid", tid)
+                .int("ts", p.from.as_micros())
+                .int("dur", p.micros())
+                .close();
         }
-        for e in &timeline.events {
+        let events = &timeline.events;
+        for (at, e) in events.iter().enumerate() {
             match &e.kind {
-                TraceEventKind::FirstToken { .. } | TraceEventKind::Finished { .. } => {
-                    events.push(obj(vec![
-                        ("name", s(e.kind.name())),
-                        ("cat", s("request")),
-                        ("ph", s("i")),
-                        ("s", s("t")),
-                        ("pid", ni(pid)),
-                        ("tid", ni(tid)),
-                        ("ts", ni(e.time.as_micros())),
-                    ]));
+                TraceEventKind::FirstToken { .. }
+                | TraceEventKind::Finished { .. }
+                | TraceEventKind::AdmissionShed { .. } => {
+                    ObjWriter::open(w.item())
+                        .str("name", e.kind.name())
+                        .str("cat", "request")
+                        .str("ph", "i")
+                        .str("s", "t")
+                        .int("pid", pid)
+                        .int("tid", tid)
+                        .int("ts", e.time.as_micros())
+                        .close();
                 }
                 // Flow arrow: the coordinator's dispatch decision flows
-                // into the replica-side arrival it caused.
+                // into the replica-side arrival it caused (the first one
+                // after it, so a crash retry's arrow ends at the retry).
                 TraceEventKind::Dispatch { .. } => {
-                    flow += 1;
-                    events.push(obj(vec![
-                        ("name", s("dispatch")),
-                        ("cat", s("flow")),
-                        ("ph", s("s")),
-                        ("id", ni(flow)),
-                        ("pid", ni(pid_of(TraceSource::Coordinator))),
-                        ("tid", ni(tid)),
-                        ("ts", ni(e.time.as_micros())),
-                    ]));
-                    let arrived = timeline
-                        .events
+                    flow_id += 1;
+                    flow(&mut w, "dispatch", "s", flow_id, coordinator, tid, e.time);
+                    let arrived = events
                         .iter()
+                        .skip(at)
                         .find(|a| matches!(a.kind, TraceEventKind::Arrived { .. }));
                     if let Some(a) = arrived {
-                        events.push(obj(vec![
-                            ("name", s("dispatch")),
-                            ("cat", s("flow")),
-                            ("ph", s("f")),
-                            ("bp", s("e")),
-                            ("id", ni(flow)),
-                            ("pid", ni(pid)),
-                            ("tid", ni(tid)),
-                            ("ts", ni(a.time.as_micros())),
-                        ]));
+                        flow(&mut w, "dispatch", "f", flow_id, pid, tid, a.time);
                     }
                 }
                 // Flow arrow: a preemption flows into the resumption (or
                 // recompute re-admission) that undoes it.
                 TraceEventKind::Preempted { .. } => {
-                    let revival = timeline.events.iter().find(|r| {
-                        r.time >= e.time
-                            && matches!(
-                                r.kind,
-                                TraceEventKind::Resumed { .. }
-                                    | TraceEventKind::Admitted {
-                                        recompute: true,
-                                        ..
-                                    }
-                            )
+                    let from = events.partition_point(|r| r.time < e.time);
+                    let revival = events.iter().skip(from).find(|r| {
+                        matches!(
+                            r.kind,
+                            TraceEventKind::Resumed { .. }
+                                | TraceEventKind::Admitted {
+                                    recompute: true,
+                                    ..
+                                }
+                        )
                     });
                     if let Some(r) = revival {
-                        flow += 1;
-                        events.push(obj(vec![
-                            ("name", s("preempt")),
-                            ("cat", s("flow")),
-                            ("ph", s("s")),
-                            ("id", ni(flow)),
-                            ("pid", ni(pid)),
-                            ("tid", ni(tid)),
-                            ("ts", ni(e.time.as_micros())),
-                        ]));
-                        events.push(obj(vec![
-                            ("name", s("preempt")),
-                            ("cat", s("flow")),
-                            ("ph", s("f")),
-                            ("bp", s("e")),
-                            ("id", ni(flow)),
-                            ("pid", ni(pid)),
-                            ("tid", ni(tid)),
-                            ("ts", ni(r.time.as_micros())),
-                        ]));
+                        flow_id += 1;
+                        flow(&mut w, "preempt", "s", flow_id, pid, tid, e.time);
+                        flow(&mut w, "preempt", "f", flow_id, pid, tid, r.time);
                     }
                 }
                 _ => {}
@@ -770,25 +778,20 @@ pub fn perfetto_json(journal: &TraceJournal) -> String {
     }
     // Source-level events (scale decisions, horizon arms) as instants on
     // their own track's lane 0.
-    for e in &journal.events {
-        if e.kind.request().is_some() {
-            continue;
-        }
-        events.push(obj(vec![
-            ("name", s(e.kind.name())),
-            ("cat", s(if e.kind.is_meta() { "meta" } else { "control" })),
-            ("ph", s("i")),
-            ("s", s("p")),
-            ("pid", ni(pid_of(e.source))),
-            ("tid", ni(0)),
-            ("ts", ni(e.time.as_micros())),
-        ]));
+    for e in journal.events.iter().filter(|e| e.kind.request().is_none()) {
+        ObjWriter::open(w.item())
+            .str("name", e.kind.name())
+            .str("cat", if e.kind.is_meta() { "meta" } else { "control" })
+            .str("ph", "i")
+            .str("s", "p")
+            .int("pid", pid_of(e.source))
+            .int("tid", 0)
+            .int("ts", e.time.as_micros())
+            .close();
     }
-    obj(vec![
-        ("displayTimeUnit", s("ms")),
-        ("traceEvents", Json::Arr(events)),
-    ])
-    .emit()
+    w.close();
+    doc.close();
+    out
 }
 
 #[cfg(test)]
@@ -883,5 +886,271 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.get("ph").unwrap().as_str() == Some("M")));
+    }
+
+    /// One event of every kind, with fractional, negative, empty and
+    /// unbounded payload values.
+    fn every_kind_journal() -> TraceJournal {
+        use tokenflow_trace::{HorizonEndReason, PreemptCause};
+        let id = RequestId(7);
+        let kinds = vec![
+            TraceEventKind::Arrived {
+                id,
+                arrival: SimTime::from_micros(3),
+            },
+            TraceEventKind::Dispatch {
+                id,
+                replica: 1,
+                scores: vec![0.25, 2.0, -1.5],
+            },
+            TraceEventKind::Dispatch {
+                id,
+                replica: 0,
+                scores: Vec::new(),
+            },
+            TraceEventKind::Admitted {
+                id,
+                recompute: true,
+                queued_behind_tokens: 640,
+            },
+            TraceEventKind::PrefillChunk {
+                id,
+                tokens: 128,
+                completes: false,
+            },
+            TraceEventKind::FirstToken { id },
+            TraceEventKind::Finished { id },
+            TraceEventKind::Preempted {
+                id,
+                discard: false,
+                cause: PreemptCause::Reclaim,
+            },
+            TraceEventKind::Shed { id },
+            TraceEventKind::Resumed { id },
+            TraceEventKind::DecodeGate { id, paused: true },
+            TraceEventKind::EvictStart { id, tokens: 393 },
+            TraceEventKind::EvictDone { id },
+            TraceEventKind::LoadStart { id, tokens: 393 },
+            TraceEventKind::LoadDone { id },
+            TraceEventKind::Reprice {
+                id,
+                before: 1.7816,
+                after: 0.0003,
+            },
+            TraceEventKind::Swap {
+                evicted: id,
+                admitted: RequestId(8),
+                evicted_priority: 0.5,
+                admitted_priority: 1e-9,
+            },
+            TraceEventKind::Scale {
+                delta: -2,
+                applied: false,
+                active: 6,
+                terms: vec![("queued", 12.0), ("utilization", 0.875)],
+            },
+            TraceEventKind::HorizonArmed {
+                valid_until: SimTime::MAX,
+                gates_static: true,
+            },
+            TraceEventKind::HorizonArmed {
+                valid_until: SimTime::from_micros(1_500),
+                gates_static: false,
+            },
+            TraceEventKind::HorizonEnded {
+                reason: HorizonEndReason::Invalidated,
+            },
+            TraceEventKind::ReplicaCrashed {
+                replica: 2,
+                lost: 5,
+            },
+            TraceEventKind::ReplicaDegraded {
+                replica: 1,
+                factor: 0.5,
+            },
+            TraceEventKind::BootFailed { replica: 3 },
+            TraceEventKind::LinkDegraded {
+                replica: 1,
+                factor: 1.0,
+            },
+            TraceEventKind::RequestLost { id, replica: 2 },
+            TraceEventKind::RetryScheduled { id, attempt: 1 },
+            TraceEventKind::RequestAbandoned { id, attempts: 3 },
+            TraceEventKind::AdmissionShed { id },
+        ];
+        let mut sink = TraceSink::enabled(TraceSource::Coordinator);
+        for (i, kind) in kinds.into_iter().enumerate() {
+            sink.emit(SimTime::from_micros(10 * i as u64), kind);
+        }
+        sink.into_journal().expect("enabled sink yields a journal")
+    }
+
+    #[test]
+    fn every_kind_renders_canonical_validating_json() {
+        let journal = every_kind_journal();
+        let text = trace_jsonl(&journal);
+        assert_eq!(validate_trace_jsonl(&text), Ok(journal.len()));
+        // Canonical text is a fixed point of parse-then-emit: the direct
+        // writers produce exactly what the `Json` emitter would.
+        for line in text.lines().chain(canonical_trace_jsonl(&journal).lines()) {
+            assert_eq!(crate::json::parse(line).unwrap().emit(), line);
+        }
+        assert!(text.contains(r#""scores":[0.25,2,-1.5]"#), "{text}");
+        assert!(text.contains(r#""scores":[]"#), "{text}");
+        assert!(text.contains(r#""valid_until_us":null"#), "{text}");
+        assert!(
+            text.contains(
+                r#""delta":-2,"applied":false,"active":6,"terms":{"queued":12,"utilization":0.875}"#
+            ),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn streamed_digest_equals_the_digest_of_the_canonical_text() {
+        for journal in [
+            sample_journal(),
+            every_kind_journal(),
+            TraceJournal::default(),
+        ] {
+            assert_eq!(
+                trace_digest(&journal),
+                tokenflow_metrics::fnv1a64(canonical_trace_jsonl(&journal).as_bytes())
+            );
+        }
+    }
+
+    /// req#0 decodes on replica 2, is lost to its crash, and its retry on
+    /// replica 1 is offloaded and reloaded mid-prefill before streaming;
+    /// req#1 is lost after its first token and then abandoned.
+    fn lost_and_retried_journal() -> TraceJournal {
+        use tokenflow_trace::PreemptCause;
+        let t = SimTime::from_micros;
+        let (retried, abandoned) = (RequestId(0), RequestId(1));
+        let mut sink = TraceSink::enabled(TraceSource::Coordinator);
+        for id in [retried, abandoned] {
+            sink.emit(
+                t(0),
+                TraceEventKind::Dispatch {
+                    id,
+                    replica: 2,
+                    scores: Vec::new(),
+                },
+            );
+            sink.emit(t(0), TraceEventKind::Arrived { id, arrival: t(0) });
+            sink.emit(
+                t(10),
+                TraceEventKind::Admitted {
+                    id,
+                    recompute: false,
+                    queued_behind_tokens: 0,
+                },
+            );
+            sink.emit(t(30), TraceEventKind::FirstToken { id });
+            sink.emit(t(50), TraceEventKind::RequestLost { id, replica: 2 });
+        }
+        let id = retried;
+        sink.emit(
+            t(80),
+            TraceEventKind::Dispatch {
+                id,
+                replica: 1,
+                scores: Vec::new(),
+            },
+        );
+        sink.emit(t(80), TraceEventKind::Arrived { id, arrival: t(0) });
+        sink.emit(
+            t(90),
+            TraceEventKind::Admitted {
+                id,
+                recompute: false,
+                queued_behind_tokens: 0,
+            },
+        );
+        sink.emit(
+            t(100),
+            TraceEventKind::Preempted {
+                id,
+                discard: false,
+                cause: PreemptCause::Reclaim,
+            },
+        );
+        sink.emit(t(120), TraceEventKind::Resumed { id });
+        sink.emit(t(130), TraceEventKind::LoadDone { id });
+        sink.emit(t(150), TraceEventKind::FirstToken { id });
+        sink.emit(t(200), TraceEventKind::Finished { id });
+        sink.emit(
+            t(300),
+            TraceEventKind::RequestAbandoned {
+                id: abandoned,
+                attempts: 1,
+            },
+        );
+        sink.into_journal().expect("enabled sink yields a journal")
+    }
+
+    #[test]
+    fn a_lost_attempts_first_token_does_not_end_the_retrys_ttft() {
+        let journal = lost_and_retried_journal();
+        let retried = request_timeline(&journal, RequestId(0)).unwrap();
+        assert_eq!(retried.replica, Some(1));
+        assert_eq!(retried.first_token_at, Some(SimTime::from_micros(150)));
+        // The retry reloads before its own first token: still prefill.
+        let labels: Vec<(&str, u64)> = retried
+            .phases
+            .iter()
+            .map(|p| (p.label, p.from.as_micros()))
+            .collect();
+        assert_eq!(
+            labels,
+            vec![
+                ("queued", 0),
+                ("prefill", 10),
+                ("decode", 30),
+                ("lost", 50),
+                ("queued", 80),
+                ("prefill", 90),
+                ("preempted", 100),
+                ("reloading", 120),
+                ("prefill", 130),
+                ("decode", 150),
+            ]
+        );
+        let ttft = retried.ttft_attribution().unwrap();
+        assert_eq!(ttft.iter().map(|(_, us)| us).sum::<u64>(), 150);
+
+        let abandoned = request_timeline(&journal, RequestId(1)).unwrap();
+        assert_eq!(abandoned.first_token_at, None);
+        assert_eq!(abandoned.ttft_attribution(), None);
+        let text = explain(&journal, RequestId(1)).unwrap();
+        assert!(!text.contains("time to first token"), "{text}");
+        assert!(text.contains("did not complete"), "{text}");
+        assert_eq!(request_timelines(&journal), vec![retried, abandoned]);
+    }
+
+    #[test]
+    fn index_groups_both_sides_of_a_swap() {
+        let mut sink = TraceSink::enabled(TraceSource::Replica(0));
+        let t = SimTime::from_micros;
+        for id in [RequestId(0), RequestId(1)] {
+            sink.emit(t(0), TraceEventKind::Arrived { id, arrival: t(0) });
+        }
+        sink.emit(
+            t(5),
+            TraceEventKind::Swap {
+                evicted: RequestId(0),
+                admitted: RequestId(1),
+                evicted_priority: 0.1,
+                admitted_priority: 0.9,
+            },
+        );
+        let journal = sink.into_journal().unwrap();
+        let indexed = request_timelines(&journal);
+        let scanned: Vec<_> = (0..3)
+            .filter_map(|id| request_timeline(&journal, RequestId(id)))
+            .collect();
+        assert_eq!(indexed, scanned);
+        assert_eq!(indexed.len(), 2);
+        assert!(indexed.iter().all(|timeline| timeline.events.len() == 2));
     }
 }

@@ -4,15 +4,18 @@
 //! I/O failures exit 1 — in particular a failed `--out`/`--trace` write
 //! must fail the invocation (it used to be possible for a run to look
 //! successful while the artifact a script depended on was never
-//! written). Also smoke-covers the trace surfaces end to end: `run
-//! --trace` emits schema-valid JSONL, `trace --format perfetto` emits
-//! parseable Chrome trace JSON, and `explain` reports a causal timeline
+//! written). Also covers the trace surfaces end to end, on a single
+//! engine and on a cluster: `run --trace` emits schema-valid JSONL,
+//! `trace --format perfetto` emits well-formed Chrome trace JSON (track
+//! metadata, timed slices, instants, and flow arrows whose every start
+//! has exactly one finish), and `explain` reports a causal timeline
 //! whose wait attributions are printed with the TTFT they sum to.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use tokenflow_scenario::{json, validate_trace_jsonl};
+use tokenflow_scenario::{json, validate_trace_jsonl, Json};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tokenflow"))
@@ -33,6 +36,7 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 const QUICKSTART: &str = "scenarios/quickstart_single.json";
+const FLEET: &str = "scenarios/cluster_fleet_burst.json";
 
 #[test]
 fn no_command_exits_2_with_usage() {
@@ -85,26 +89,108 @@ fn bad_format_value_exits_2() {
 
 #[test]
 fn run_trace_writes_schema_valid_jsonl() {
-    let path = temp_path("run-trace.jsonl");
-    let out = run(&["run", QUICKSTART, "--trace", path.to_str().unwrap()]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    let text = std::fs::read_to_string(&path).expect("trace file written");
-    let _ = std::fs::remove_file(&path);
-    let events = validate_trace_jsonl(&text).expect("trace JSONL validates");
-    assert!(events > 0, "journal must not be empty");
-    assert!(stderr_of(&out).contains("digest"));
+    // (scenario, event count a healthy journal must exceed)
+    for (spec, floor) in [(QUICKSTART, 0), (FLEET, 100)] {
+        let path = temp_path("run-trace.jsonl");
+        let out = run(&["run", spec, "--trace", path.to_str().unwrap()]);
+        assert!(out.status.success(), "{spec}: {}", stderr_of(&out));
+        let text = std::fs::read_to_string(&path).expect("trace file written");
+        let _ = std::fs::remove_file(&path);
+        let events = validate_trace_jsonl(&text)
+            .unwrap_or_else(|e| panic!("{spec}: trace JSONL invalid: {e}"));
+        assert!(
+            events > floor,
+            "{spec}: suspiciously small journal ({events} events)"
+        );
+        assert!(stderr_of(&out).contains("digest"));
+    }
 }
 
 #[test]
 fn trace_perfetto_emits_parseable_chrome_json() {
-    let out = run(&["trace", QUICKSTART, "--format", "perfetto"]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    let doc = json::parse(&String::from_utf8_lossy(&out.stdout)).expect("perfetto JSON parses");
-    let events = doc
-        .get("traceEvents")
-        .and_then(|e| e.as_arr())
-        .expect("traceEvents array");
-    assert!(!events.is_empty());
+    // (scenario, fewest flow arrows: a single engine dispatches nothing)
+    for (spec, min_flows) in [(QUICKSTART, 0), (FLEET, 1)] {
+        // Without `--out` the document goes to stdout, and nothing else
+        // may: the banner and digest belong on stderr.
+        let out = run(&["trace", spec, "--format", "perfetto"]);
+        assert!(out.status.success(), "{spec}: {}", stderr_of(&out));
+        let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        let doc = json::parse(&stdout)
+            .unwrap_or_else(|e| panic!("{spec}: stdout is not one JSON document: {e}"));
+        let events = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents array");
+        let flows = check_perfetto_events(spec, events);
+        assert!(flows >= min_flows, "{spec}: {flows} flow arrows");
+
+        // `--out` writes the same document.
+        let path = temp_path("trace.perfetto.json");
+        let out = run(&[
+            "trace",
+            spec,
+            "--format",
+            "perfetto",
+            "--out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{spec}: {}", stderr_of(&out));
+        let text = std::fs::read_to_string(&path).expect("Perfetto file written");
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            stdout.strip_suffix('\n') == Some(text.as_str()),
+            "{spec}: the --out file differs from the stdout document"
+        );
+    }
+}
+
+/// The structure the Perfetto UI relies on: track metadata (`M`), timed
+/// phase slices (`X`, each with `ts` and `dur`), and instants (`i`); and
+/// every flow arrow's start (`s`) matched by exactly one finish (`f`).
+/// Returns the number of flow arrows.
+fn check_perfetto_events(spec: &str, events: &[Json]) -> usize {
+    fn ph(e: &Json) -> &str {
+        e.get("ph").and_then(Json::as_str).unwrap_or_default()
+    }
+    for phase in ["M", "X", "i"] {
+        assert!(
+            events.iter().any(|e| ph(e) == phase),
+            "{spec}: no \"{phase}\" events"
+        );
+    }
+    for slice in events.iter().filter(|e| ph(e) == "X") {
+        assert!(
+            slice.get("ts").and_then(Json::as_u64).is_some()
+                && slice.get("dur").and_then(Json::as_u64).is_some(),
+            "{spec}: slice without ts/dur: {}",
+            slice.emit()
+        );
+    }
+    // flow id -> (starts, finishes)
+    let mut flows: BTreeMap<u64, (u32, u32)> = BTreeMap::new();
+    for e in events {
+        let phase = ph(e);
+        if phase == "s" || phase == "f" {
+            let id = e
+                .get("id")
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{spec}: flow event without id: {}", e.emit()));
+            let ends = flows.entry(id).or_default();
+            if phase == "s" {
+                ends.0 += 1;
+            } else {
+                ends.1 += 1;
+            }
+        }
+    }
+    for (id, ends) in &flows {
+        assert_eq!(
+            *ends,
+            (1, 1),
+            "{spec}: flow {id} has (starts, finishes) {ends:?}"
+        );
+    }
+    flows.len()
 }
 
 #[test]

@@ -11,30 +11,42 @@
 //! 3. **Zero observer effect** — a traced run's report digest equals the
 //!    untraced run's: recording decisions never changes one.
 //! 4. **Pinned trace digests** — the committed quickstart and fleet
-//!    scenarios' canonical journals are golden-pinned like report
-//!    digests; the failing assertion prints the replacement value.
+//!    scenarios' canonical journals, and the full bytes of their JSONL
+//!    and Perfetto renderings, are golden-pinned like report digests;
+//!    the failing assertion prints the replacement value.
 //! 5. **Explain arithmetic** — per-phase wait attributions sum *exactly*
 //!    to each request's recorded TTFT and latency, for every request of
-//!    two scenarios (single-engine and clustered).
+//!    three scenarios (single-engine, clustered, and clustered with a
+//!    crash, where a lost request's retry wait is its own `lost` phase).
+//! 6. **One timeline definition** — the one-pass index behind the
+//!    Perfetto export rebuilds exactly the timelines the per-request
+//!    scan behind `explain` does.
+//! 7. **Every journaled request is explainable** — including a request
+//!    shed at admission, which also gets its Perfetto lane.
 
-use tokenflow_cluster::{ClusterEngine, LeastLoadedRouter};
+use std::collections::BTreeMap;
+
+use tokenflow_cluster::{ClusterEngine, ClusterOutcome, LeastLoadedRouter};
 use tokenflow_core::run_simulation_boxed;
-use tokenflow_metrics::RequestMetrics;
+use tokenflow_metrics::{fnv1a64, RequestMetrics};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
-    canonical_trace_jsonl, parse_scenario, request_timeline, router_from_json, trace_digest,
-    trace_jsonl, validate_trace_jsonl, EngineSpec, ExecutionSpec, Json, RateDistSpec, RunOutcome,
-    ScenarioSpec, TopologySpec, WorkloadSpec,
+    canonical_trace_jsonl, explain, json, parse_scenario, perfetto_json, request_timeline,
+    request_timelines, router_from_json, trace_digest, trace_jsonl, validate_trace_jsonl,
+    EngineSpec, ExecutionSpec, Json, RateDistSpec, RunOutcome, ScenarioSpec, TopologySpec,
+    WorkloadSpec,
 };
 use tokenflow_sched::TokenFlowScheduler;
-use tokenflow_sim::RequestId;
-use tokenflow_trace::TraceJournal;
+use tokenflow_sim::{RequestId, SimTime};
+use tokenflow_trace::{TraceEventKind, TraceJournal};
 use tokenflow_workload::Workload;
 
 /// The committed scenarios this suite drives (read from disk so the CI
 /// trace job and this suite pin the same artifacts).
 const QUICKSTART: &str = "scenarios/quickstart_single.json";
 const FLEET: &str = "scenarios/cluster_fleet_burst.json";
+/// A crash on replica 2 at 35 s, a straggler, and retries.
+const FAULTY: &str = "scenarios/faulty_flash_crowd.json";
 
 fn load_spec(path: &str) -> ScenarioSpec {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
@@ -156,6 +168,57 @@ fn committed_scenario_trace_digests_are_pinned() {
     }
 }
 
+// FNV-1a of the full `trace_jsonl` and `perfetto_json` bytes. Re-pin
+// the same way, and only after an intentional rendering change.
+const QUICKSTART_JSONL_FNV: u64 = 0xfc3987aab7c95df3;
+const QUICKSTART_PERFETTO_FNV: u64 = 0xbb48f0d344b58fb4;
+const FLEET_JSONL_FNV: u64 = 0x7df35d65ded12830;
+const FLEET_PERFETTO_FNV: u64 = 0xcf7922b61970ded9;
+
+#[test]
+fn committed_scenario_renderings_are_pinned_byte_for_byte() {
+    for (path, jsonl_pin, perfetto_pin) in [
+        (QUICKSTART, QUICKSTART_JSONL_FNV, QUICKSTART_PERFETTO_FNV),
+        (FLEET, FLEET_JSONL_FNV, FLEET_PERFETTO_FNV),
+    ] {
+        let (_, journal) = run_traced(load_spec(path));
+        let jsonl = fnv1a64(trace_jsonl(&journal).as_bytes());
+        assert_eq!(
+            jsonl, jsonl_pin,
+            "{path}: JSONL bytes moved; re-pin with 0x{jsonl:016x}"
+        );
+        let perfetto = fnv1a64(perfetto_json(&journal).as_bytes());
+        assert_eq!(
+            perfetto, perfetto_pin,
+            "{path}: Perfetto bytes moved; re-pin with 0x{perfetto:016x}"
+        );
+    }
+}
+
+#[test]
+fn indexed_timelines_match_the_per_request_scan() {
+    for path in [FLEET, FAULTY] {
+        let (_, journal) = run_traced(load_spec(path));
+        let indexed = request_timelines(&journal);
+        assert!(!indexed.is_empty(), "{path}: no request timelines");
+        let last = journal
+            .events
+            .iter()
+            .filter_map(|e| e.kind.request())
+            .max()
+            .expect("journal names requests");
+        // Every id up to one past the last, so ids the scan rejects
+        // must be missing from the index too.
+        let scanned: Vec<_> = (0..=last.0 + 1)
+            .filter_map(|id| request_timeline(&journal, RequestId(id)))
+            .collect();
+        assert_eq!(indexed.len(), scanned.len(), "{path}: timeline count");
+        for (a, b) in indexed.iter().zip(&scanned) {
+            assert_eq!(a, b, "{path}: {} indexed timeline diverged", b.id);
+        }
+    }
+}
+
 /// The seeded bursty workload the golden suite uses: enough pressure to
 /// exercise preemption, KV offload, recompute, and decode gating — the
 /// phases whose attribution arithmetic this test pins.
@@ -247,4 +310,127 @@ fn explain_attributions_sum_to_ttft_and_latency_cluster() {
         let record = &out.replicas[a.replica].records[a.local_id.0 as usize];
         assert_sums(&journal, RequestId(global as u64), record, "cluster");
     }
+}
+
+/// Runs the committed fault scenario traced, through the cluster engine
+/// itself (the way `Harness::run` builds it) so every replica's records,
+/// the superseded incarnations' included, stay reachable.
+fn run_faulted_cluster() -> ClusterOutcome {
+    let harness = load_spec(FAULTY)
+        .build()
+        .expect("committed scenario builds");
+    let TopologySpec::Cluster {
+        replicas,
+        router,
+        execution,
+    } = harness.topology
+    else {
+        panic!("fault scenario must be a static cluster");
+    };
+    let mut config = harness.config;
+    config.trace = true;
+    let scheduler = harness.scheduler;
+    let out = ClusterEngine::new(
+        config,
+        replicas as usize,
+        router.build_router(),
+        move || scheduler.build_scheduler(),
+    )
+    .with_fault_plan(harness.fault.expect("fault scenario carries a plan"))
+    .with_execution(execution.build_execution())
+    .run(&harness.workload);
+    assert!(out.complete, "faulted run incomplete");
+    out
+}
+
+/// Each request's surviving incarnation as `(replica, local id)`.
+/// Engines number submissions densely and the coordinator journals each
+/// one as a `dispatch` whose sequence number orders it, so the last
+/// dispatch of an id names the incarnation a retry left standing.
+fn surviving_incarnations(journal: &TraceJournal) -> BTreeMap<RequestId, (usize, usize)> {
+    let mut dispatches: Vec<(u64, RequestId, usize)> = journal
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Dispatch { id, replica, .. } => Some((e.seq, id, replica as usize)),
+            _ => None,
+        })
+        .collect();
+    dispatches.sort_unstable();
+    let mut submitted: Vec<usize> = Vec::new();
+    let mut latest = BTreeMap::new();
+    for (_, id, replica) in dispatches {
+        if submitted.len() <= replica {
+            submitted.resize(replica + 1, 0);
+        }
+        latest.insert(id, (replica, submitted[replica]));
+        submitted[replica] += 1;
+    }
+    latest
+}
+
+#[test]
+fn explain_attributions_sum_to_ttft_and_latency_under_a_crash() {
+    let out = run_faulted_cluster();
+    let journal = out.trace.as_ref().expect("traced run yields a journal");
+    let survivors = surviving_incarnations(journal);
+    assert_eq!(survivors.len(), out.assignments.len());
+    for (&id, &(replica, local)) in &survivors {
+        let record = &out.replicas[replica].records[local];
+        assert_eq!(
+            record.id.0 as usize, local,
+            "records are indexed by local id"
+        );
+        assert_sums(journal, id, record, "faulted");
+    }
+    // req#6 was decoding on replica 2 when it crashed at 35 s; its retry
+    // was dispatched to replica 1 after the 500 ms backoff and admitted
+    // there 31,188 us later. That wait is recovery, not decoding.
+    let timeline = request_timeline(journal, RequestId(6)).expect("req#6 is journaled");
+    let lost = timeline
+        .phases
+        .iter()
+        .position(|p| p.label == "lost")
+        .expect("req#6 was lost to the crash");
+    let (lost, queued) = (timeline.phases[lost], timeline.phases[lost + 1]);
+    assert_eq!(lost.from, SimTime::from_secs(35));
+    assert_eq!(lost.micros(), 500_000);
+    assert_eq!((queued.label, queued.micros()), ("queued", 31_188));
+    assert_eq!(timeline.replica, Some(1), "the retry's replica serves it");
+}
+
+#[test]
+fn a_request_shed_at_admission_is_explained_and_gets_a_lane() {
+    let mut spec = load_spec(FAULTY);
+    spec.fault
+        .as_mut()
+        .expect("fault scenario carries a fault block")
+        .shed_utilization = Some(0.3);
+    let (_, journal) = run_traced(spec);
+    let shed = RequestId(38);
+    assert!(
+        journal
+            .for_request(shed)
+            .any(|e| matches!(e.kind, TraceEventKind::AdmissionShed { .. })),
+        "req#38 must be shed at admission"
+    );
+    let text = explain(&journal, shed).expect("a shed request is explainable");
+    assert!(text.contains("shed at the dispatch barrier"), "{text}");
+    assert!(
+        text.ends_with("request was shed and never completed\n"),
+        "{text}"
+    );
+    let doc = json::parse(&perfetto_json(&journal)).expect("Perfetto JSON parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array");
+    let lane = events.iter().any(|e| {
+        e.get("name").and_then(Json::as_str) == Some("thread_name")
+            && e.get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(Json::as_str)
+                == Some("req#38")
+    });
+    assert!(lane, "req#38 has no Perfetto lane");
 }
