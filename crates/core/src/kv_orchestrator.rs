@@ -57,13 +57,15 @@ pub(crate) fn apply_transfers(
 /// buffer occupancy (fuller buffers flush first — their owners are the
 /// likeliest preemption victims).
 ///
-/// Priorities are re-priced with one pass over the pending write queue
-/// (looking each queued request up in the id-sorted batch) rather than
-/// one queue scan per batch member — same updates, O(queue·log batch)
-/// instead of O(batch·queue). Skipping the buffer advance for members
-/// with nothing queued is invisible: a reader's time-advance is Markov
-/// in `t` (stalls anchor to the scheduled read instant, not the call
-/// instant), so the next advance produces the same state either way.
+/// Priorities are re-priced with one pass over the pending write queue,
+/// looking each queued request up in the id-sorted batch: O(queue·log
+/// batch). Skipping the buffer advance for members with nothing queued
+/// is invisible: a reader's time-advance is Markov in `t` (stalls anchor
+/// to the scheduled read instant, not the call instant), so the next
+/// advance produces the same state either way. The pump itself orders
+/// the queue once, O(queue·log queue), and drains it in that order; the
+/// per-token pushes that refill it during delivery are O(1) each (see
+/// [`tokenflow_kv::write_queue`]).
 pub(crate) fn pump_write_through(
     st: &mut EngineState,
     kv: &mut KvManager,

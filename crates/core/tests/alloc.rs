@@ -2,17 +2,18 @@
 //!
 //! The hot-path contract is that one [`Engine::step_into`] on the
 //! steady decode path — live requests decoding, no arrivals, no phase
-//! transitions, no KV traffic — performs **zero heap allocations**: the
-//! scheduler contexts, the iteration batch, the scheduler's own pass
-//! scratch, and the caller's outcome buffer are all retained and
-//! refilled in place. This test pins that with a counting global
-//! allocator.
+//! transitions — performs **zero heap allocations**: the scheduler
+//! contexts, the iteration batch, the scheduler's own pass scratch, and
+//! the caller's outcome buffer are all retained and refilled in place.
+//! This test pins that with a counting global allocator.
 //!
-//! Scope notes: write-through is disabled here because background sync
-//! legitimately allocates (transfer completions are reported as a
-//! per-advance vector) — that is KV *traffic*, not the per-step engine
-//! overhead this test isolates. The file holds exactly one `#[test]` so
-//! no concurrent test pollutes the counter.
+//! Scope notes: the window is measured twice, first with write-through
+//! off (the engine loop alone) and then with the paper-default KV
+//! features, where every step also re-prices and pulls the write-through
+//! queue, enqueues the pulled chunks on the host link and applies the
+//! previous chunks' completions — all through retained buffers, so the
+//! background sync is pinned allocation-free too. The file holds
+//! exactly one `#[test]` so no concurrent test pollutes the counter.
 //!
 //! The disabled [`TraceSink`] is threaded through every stage of the
 //! measured window (admission, planning, batch, KV, gates), so the
@@ -63,10 +64,22 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_step_allocates_nothing() {
-    // Write-through off isolates the engine loop from KV sync traffic
-    // (see module docs); offload stays on, but nothing preempts here.
+    // Write-through off first, then on (offload and load-evict overlap
+    // stay on throughout, but nothing preempts here).
+    for write_through in [false, true] {
+        measure_steady_state(write_through);
+    }
+}
+
+fn measure_steady_state(write_through: bool) {
+    let label = if write_through {
+        "write-through on"
+    } else {
+        "write-through off"
+    };
     let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200())
-        .with_kv_features(true, false, true);
+        .with_kv_features(true, write_through, true);
+    assert_eq!(config.write_through, write_through, "{label}");
     let mut engine = Engine::new(config, FcfsScheduler::new());
     // Eight requests, all at t = 0, with outputs far longer than the
     // measured window: the steady state is a fixed decode batch with no
@@ -83,11 +96,15 @@ fn steady_state_step_allocates_nothing() {
 
     // Warm-up: admit + prefill everyone, let every retained buffer (the
     // double-buffered contexts, batch vectors, profiler windows,
-    // telemetry reserve) reach its high-water mark.
+    // telemetry reserve, write-through queue and transfer scratch) reach
+    // its high-water mark.
     let mut out = StepOutcome::default();
     for _ in 0..2_000 {
         engine.step_into(&mut out);
-        assert!(!out.done, "window must end before any request finishes");
+        assert!(
+            !out.done,
+            "{label}: window must end before any request finishes"
+        );
     }
 
     // Measured window: five hundred steady decode steps, zero allocations.
@@ -97,13 +114,13 @@ fn steady_state_step_allocates_nothing() {
         engine.step_into(&mut out);
         assert!(
             !out.idle && !out.done,
-            "window must stay on the decode path"
+            "{label}: window must stay on the decode path"
         );
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocs, 0,
-        "steady-state steps must not allocate (got {allocs} allocations over 500 steps)"
+        "{label}: steady-state steps must not allocate (got {allocs} allocations over 500 steps)"
     );
     // The zero-alloc claim must cover the plan-horizon fast path, not
     // just full passes: the quiescent window ought to run almost
@@ -113,15 +130,15 @@ fn steady_state_step_allocates_nothing() {
     let fast_steps = engine.fast_path_stats().fast_steps - fast_before;
     assert!(
         fast_steps >= 450,
-        "measured window should be dominated by fast-path steps (got {fast_steps}/500)"
+        "{label}: measured window should be dominated by fast-path steps (got {fast_steps}/500)"
     );
     // The window really did deliver work (one token per member per step).
-    assert_eq!(out.delivered.len(), 8);
+    assert_eq!(out.delivered.len(), 8, "{label}");
     // Tracing-off means *off*: the sink threaded through the measured
     // window buffered nothing (the zero-alloc assertion above already
     // proves it allocated nothing).
     assert!(
         engine.take_trace_events().is_empty(),
-        "untraced engine must record no events"
+        "{label}: untraced engine must record no events"
     );
 }

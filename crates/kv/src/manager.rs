@@ -403,7 +403,7 @@ impl KvManager {
     /// Bulk write-priority update: one pass over the pending write queue,
     /// asking `f` for each queued request's new priority (`None` = keep).
     /// Equivalent to calling [`KvManager::set_write_priority`] for every
-    /// request `f` prices, without the per-request queue scan.
+    /// queued request `f` prices.
     pub fn retune_write_priorities<F: FnMut(RequestId) -> Option<f64>>(&mut self, f: F) {
         self.write_queue.retune(f);
     }
@@ -607,15 +607,18 @@ impl KvManager {
         chunks.clear();
         self.write_queue
             .pull_into(budget_tokens, self.config.chunk_tokens, &mut chunks);
+        let mut host_full = false;
         for chunk in chunks.drain(..) {
             let Some(s) = self.req_state(chunk.req) else {
                 continue;
             };
             let new_cpu_hold = s.cpu_hold + chunk.tokens;
-            if self.set_cpu_hold(chunk.req, new_cpu_hold).is_err() {
-                // Host pool full: leave the tokens dirty for later.
+            host_full = host_full || self.set_cpu_hold(chunk.req, new_cpu_hold).is_err();
+            if host_full {
+                // Host pool full: this chunk and every later one stay
+                // dirty, queued for a later pump.
                 self.write_queue.push(chunk.req, chunk.tokens, 0.0);
-                break;
+                continue;
             }
             self.pcie.enqueue(
                 Direction::D2H,
@@ -986,6 +989,33 @@ mod tests {
         // Stale write-through completions are silently absorbed.
         let events = kv.advance_to(FAR);
         assert!(events.is_empty());
+        assert!(kv.check_conservation());
+    }
+
+    #[test]
+    fn host_pool_full_requeues_every_pulled_chunk() {
+        let mut cfg = KvConfig::test_config();
+        cfg.cpu_blocks = 4; // room for one 48-token host copy, not two
+        let mut kv = KvManager::new(cfg);
+        for i in 0..3 {
+            kv.on_prefill(r(i), 48, SimTime::ZERO).unwrap();
+        }
+        kv.pump_writes(SimTime::ZERO, SimDuration::from_secs(1));
+        // r0 fits the host pool; r1 fails, and r2 (pulled after it) must
+        // stay queued too rather than drop out of the queue while dirty.
+        let dirty: u64 = (0..3).map(|i| kv.dirty_tokens(r(i))).sum();
+        assert_eq!(dirty, 96);
+        assert_eq!(kv.write_backlog_tokens(), dirty);
+
+        // Freeing host room lets the backlog drain, one request at a time.
+        kv.drop_kv(r(0));
+        kv.pump_writes(SimTime::ZERO, SimDuration::from_secs(1));
+        assert_eq!(kv.write_backlog_tokens(), 48);
+        kv.drop_kv(r(1));
+        kv.pump_writes(SimTime::ZERO, SimDuration::from_secs(1));
+        assert_eq!(kv.write_backlog_tokens(), 0);
+        kv.advance_to(FAR);
+        assert_eq!(kv.dirty_tokens(r(2)), 0);
         assert!(kv.check_conservation());
     }
 

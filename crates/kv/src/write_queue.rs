@@ -9,20 +9,45 @@
 //! with larger output buffers are more likely to be preempted soon, so their
 //! dirty tokens are flushed first (§5.2). A FIFO mode is kept for the
 //! Figure 8 comparison.
-
-use std::collections::VecDeque;
+//!
+//! Every decode member appends one token per step, so the queue holds
+//! about one entry per batch member and is pushed to once per member per
+//! step. Entries are stored in arrival order, one per request, behind a
+//! dense slot index (`RequestId` → entry position): push, merge,
+//! re-pricing, cancel and per-request lookups are O(1), and an entry's
+//! position doubles as its FIFO rank. [`WriteQueue::pull_into`] orders
+//! the queue once per pump — one O(Q log Q) sort of `(priority key,
+//! position)` pairs in priority mode, none in FIFO mode — drains entries
+//! in that order, and compacts the drained ones away in one O(Q) pass.
 
 use tokenflow_sim::RequestId;
 
-/// One pending dirty range.
+/// Slot-index value of a request with nothing queued.
+const VACANT: usize = usize::MAX;
+
+/// One request's pending dirty tokens. An entry with no tokens is a
+/// cancelled one awaiting the next pull's compaction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct WriteItem {
     req: RequestId,
     tokens: u64,
     /// Larger = flushed earlier in priority mode (the owner's buffer size).
     priority: f64,
-    /// Arrival order for FIFO mode and stable tie-breaking.
-    seq: u64,
+}
+
+/// The sort key that flushes higher priorities first: the priority's
+/// IEEE bits mapped to an integer whose ascending order is the float's
+/// descending order. `-0.0` is folded into `0.0` first, so the two zeros
+/// tie exactly as `==` ties them.
+fn descending(priority: f64) -> u64 {
+    debug_assert!(!priority.is_nan(), "write priority must not be NaN");
+    let bits = (priority + 0.0).to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
 }
 
 /// A chunk pulled from the queue, ready to enqueue on the D2H stream.
@@ -35,6 +60,9 @@ pub struct WriteChunk {
 }
 
 /// The pending write-through buffer.
+///
+/// Request ids are expected to be dense (the engine's ids are): the slot
+/// index grows to the largest id ever pushed. Priorities must not be NaN.
 ///
 /// # Examples
 ///
@@ -50,9 +78,18 @@ pub struct WriteChunk {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WriteQueue {
-    items: VecDeque<WriteItem>,
+    /// Entries in arrival order: a request's entry is created by its
+    /// first push after the queue last held none of its tokens, and keeps
+    /// its place through merges, so position order is FIFO order.
+    items: Vec<WriteItem>,
+    /// `slots[req]` is the position of `req`'s live entry in `items`, or
+    /// [`VACANT`].
+    slots: Vec<usize>,
+    /// Retained pull scratch: `(flush key, position)` per live entry.
+    order: Vec<(u64, usize)>,
+    /// Sum of `tokens` over `items`.
+    pending: u64,
     priority_mode: bool,
-    next_seq: u64,
 }
 
 impl WriteQueue {
@@ -60,9 +97,32 @@ impl WriteQueue {
     /// (the paper's default) over FIFO.
     pub fn new(priority_mode: bool) -> Self {
         WriteQueue {
-            items: VecDeque::new(),
             priority_mode,
-            next_seq: 0,
+            ..WriteQueue::default()
+        }
+    }
+
+    /// The position of `req`'s live entry in `items`, if it has one.
+    fn position(&self, req: RequestId) -> Option<usize> {
+        self.slots
+            .get(req.0 as usize)
+            .copied()
+            .filter(|&pos| pos != VACANT)
+    }
+
+    fn entry_mut(&mut self, req: RequestId) -> Option<&mut WriteItem> {
+        let pos = self.position(req)?;
+        self.items.get_mut(pos)
+    }
+
+    /// Points `req`'s slot at `pos`, growing the index on first touch.
+    fn set_slot(&mut self, req: RequestId, pos: usize) {
+        let idx = req.0 as usize;
+        if self.slots.len() <= idx {
+            self.slots.resize(idx + 1, VACANT);
+        }
+        if let Some(slot) = self.slots.get_mut(idx) {
+            *slot = pos;
         }
     }
 
@@ -72,36 +132,35 @@ impl WriteQueue {
         if tokens == 0 {
             return;
         }
-        if let Some(item) = self.items.iter_mut().find(|i| i.req == req) {
+        self.pending += tokens;
+        if let Some(item) = self.entry_mut(req) {
             item.tokens += tokens;
             item.priority = priority;
             return;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.items.push_back(WriteItem {
+        self.set_slot(req, self.items.len());
+        self.items.push(WriteItem {
             req,
             tokens,
             priority,
-            seq,
         });
     }
 
     /// Updates the flush priority of a request's pending tokens.
     pub fn set_priority(&mut self, req: RequestId, priority: f64) {
-        if let Some(item) = self.items.iter_mut().find(|i| i.req == req) {
+        if let Some(item) = self.entry_mut(req) {
             item.priority = priority;
         }
     }
 
     /// Re-prices every queued entry in one pass: `f` returns the new
-    /// priority for a request, or `None` to leave it unchanged.
+    /// priority for a request, or `None` to leave it unchanged. Each
+    /// queued request is asked once.
     ///
     /// This is the bulk form of [`WriteQueue::set_priority`] for callers
-    /// updating many requests per step — one walk of the queue instead of
-    /// a linear scan per request.
+    /// updating many requests per step.
     pub fn retune<F: FnMut(RequestId) -> Option<f64>>(&mut self, mut f: F) {
-        for item in &mut self.items {
+        for item in self.items.iter_mut().filter(|i| i.tokens > 0) {
             if let Some(p) = f(item.req) {
                 item.priority = p;
             }
@@ -110,18 +169,19 @@ impl WriteQueue {
 
     /// Removes and returns all pending tokens for `req` (used when the
     /// request is preempted — the remainder flushes via the eviction path —
-    /// or released).
+    /// or released). The emptied entry keeps its place until the next
+    /// pull compacts it away.
     pub fn cancel(&mut self, req: RequestId) -> u64 {
-        let mut removed = 0;
-        self.items.retain(|i| {
-            if i.req == req {
-                removed += i.tokens;
-                false
-            } else {
-                true
-            }
-        });
-        removed
+        let Some(pos) = self.position(req) else {
+            return 0;
+        };
+        self.set_slot(req, VACANT);
+        let tokens = self
+            .items
+            .get_mut(pos)
+            .map_or(0, |item| std::mem::take(&mut item.tokens));
+        self.pending -= tokens;
+        tokens
     }
 
     /// Pulls up to `budget` tokens of chunks, each at most `max_chunk`
@@ -137,60 +197,83 @@ impl WriteQueue {
 
     /// [`WriteQueue::pull`] into a caller-retained buffer (cleared first),
     /// for per-step callers that must not allocate in the steady state.
+    ///
+    /// Orders the live entries once (by `(priority key, position)` in
+    /// priority mode, by position alone in FIFO mode), drains them in
+    /// that order (the last one possibly in part), then compacts every
+    /// emptied entry away and re-points the survivors' slots. All scratch
+    /// is retained, so nothing allocates once the queue has reached its
+    /// high-water mark.
     pub fn pull_into(&mut self, budget: u64, max_chunk: u64, out: &mut Vec<WriteChunk>) {
         assert!(max_chunk > 0, "max_chunk must be positive");
         out.clear();
+        if budget == 0 || self.pending == 0 {
+            return;
+        }
+        let priority_mode = self.priority_mode;
+        self.order.clear();
+        self.order.extend(
+            self.items
+                .iter()
+                .enumerate()
+                .filter(|(_, item)| item.tokens > 0)
+                .map(|(pos, item)| {
+                    let key = if priority_mode {
+                        descending(item.priority)
+                    } else {
+                        0
+                    };
+                    (key, pos)
+                }),
+        );
+        if priority_mode {
+            self.order.sort_unstable();
+        }
         let mut remaining = budget;
-        while remaining > 0 {
-            let idx = match self.next_index() {
-                Some(i) => i,
-                None => break,
+        for &(_, pos) in &self.order {
+            let Some(item) = self.items.get_mut(pos) else {
+                continue;
             };
-            let take = self.items[idx].tokens.min(max_chunk).min(remaining);
-            self.items[idx].tokens -= take;
-            let req = self.items[idx].req;
-            if self.items[idx].tokens == 0 {
-                self.items.remove(idx);
+            while item.tokens > 0 && remaining > 0 {
+                let take = item.tokens.min(max_chunk).min(remaining);
+                item.tokens -= take;
+                remaining -= take;
+                out.push(WriteChunk {
+                    req: item.req,
+                    tokens: take,
+                });
             }
-            out.push(WriteChunk { req, tokens: take });
-            remaining -= take;
-        }
-    }
-
-    fn next_index(&self) -> Option<usize> {
-        if self.items.is_empty() {
-            return None;
-        }
-        if !self.priority_mode {
-            return Some(0);
-        }
-        let mut best = 0;
-        for i in 1..self.items.len() {
-            let (a, b) = (&self.items[i], &self.items[best]);
-            if a.priority > b.priority || (a.priority == b.priority && a.seq < b.seq) {
-                best = i;
+            if item.tokens > 0 {
+                break; // budget spent mid-entry
+            }
+            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
+                *slot = VACANT;
             }
         }
-        Some(best)
+        self.pending -= budget - remaining;
+        self.items.retain(|item| item.tokens > 0);
+        for (pos, item) in self.items.iter().enumerate() {
+            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
+                *slot = pos;
+            }
+        }
     }
 
     /// Total pending tokens.
     pub fn pending_tokens(&self) -> u64 {
-        self.items.iter().map(|i| i.tokens).sum()
+        self.pending
     }
 
     /// Pending tokens for a specific request.
     pub fn pending_for(&self, req: RequestId) -> u64 {
-        self.items
-            .iter()
-            .filter(|i| i.req == req)
-            .map(|i| i.tokens)
-            .sum()
+        self.position(req)
+            .and_then(|pos| self.items.get(pos))
+            .map_or(0, |item| item.tokens)
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.pending == 0
     }
 }
 

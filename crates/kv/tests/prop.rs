@@ -1,8 +1,10 @@
 //! Property tests: the KV manager's block accounting survives arbitrary
-//! operation sequences without leaking or double-freeing.
+//! operation sequences without leaking or double-freeing, and the
+//! write-through queue flushes in exactly the order its rules define.
 
 use proptest::prelude::*;
-use tokenflow_kv::{KvConfig, KvManager, Residency};
+use tokenflow_kv::write_queue::WriteChunk;
+use tokenflow_kv::{KvConfig, KvManager, Residency, WriteQueue};
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 
 #[derive(Debug, Clone)]
@@ -100,5 +102,229 @@ proptest! {
         }
         prop_assert_eq!(kv.context_tokens(r), tokens);
         prop_assert_eq!(kv.dirty_tokens(r), 0, "roundtrip leaves everything synced");
+    }
+}
+
+/// Flush priorities the queue ops draw from: a small set, so ties are
+/// common, with both signed zeros (which must tie with each other).
+const PRIORITIES: [f64; 5] = [0.0, -0.0, 1.0, 2.5, 9.0];
+
+/// Request ids the queue ops draw from.
+const QUEUE_REQS: u64 = 6;
+
+#[derive(Debug, Clone)]
+enum QueueOp {
+    Push {
+        req: u64,
+        tokens: u64,
+        priority: usize,
+    },
+    SetPriority {
+        req: u64,
+        priority: usize,
+    },
+    /// One entry per request id: an index into `PRIORITIES`, or
+    /// `PRIORITIES.len()` to leave that request's priority unchanged.
+    Retune {
+        priorities: Vec<usize>,
+    },
+    Cancel {
+        req: u64,
+    },
+    Pull {
+        budget: u64,
+        max_chunk: u64,
+    },
+}
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    let n = PRIORITIES.len();
+    // Pushes are listed twice so they are drawn twice as often as any
+    // other op: the queue needs entries for the orderings to matter.
+    prop_oneof![
+        (0..QUEUE_REQS, 0u64..200, 0..n).prop_map(|(req, tokens, priority)| QueueOp::Push {
+            req,
+            tokens,
+            priority
+        }),
+        (0..QUEUE_REQS, 0u64..200, 0..n).prop_map(|(req, tokens, priority)| QueueOp::Push {
+            req,
+            tokens,
+            priority
+        }),
+        (0..QUEUE_REQS, 0..n).prop_map(|(req, priority)| QueueOp::SetPriority { req, priority }),
+        prop::collection::vec(0..n + 1, QUEUE_REQS as usize..QUEUE_REQS as usize + 1)
+            .prop_map(|priorities| QueueOp::Retune { priorities }),
+        (0..QUEUE_REQS).prop_map(|req| QueueOp::Cancel { req }),
+        (0u64..400, 1u64..80).prop_map(|(budget, max_chunk)| QueueOp::Pull { budget, max_chunk }),
+    ]
+}
+
+/// One pending entry of the reference queue.
+#[derive(Debug, Clone)]
+struct ModelItem {
+    req: RequestId,
+    tokens: u64,
+    priority: f64,
+    seq: u64,
+}
+
+/// The write queue's flush rules restated as the simplest implementation:
+/// entries in arrival order, and each pulled chunk taken from the front
+/// (FIFO mode) or from the winner of a linear max-scan (priority mode:
+/// highest priority, ties to the lowest arrival sequence number).
+#[derive(Debug)]
+struct ModelQueue {
+    items: Vec<ModelItem>,
+    priority_mode: bool,
+    next_seq: u64,
+}
+
+impl ModelQueue {
+    fn new(priority_mode: bool) -> Self {
+        ModelQueue {
+            items: Vec::new(),
+            priority_mode,
+            next_seq: 0,
+        }
+    }
+
+    fn push(&mut self, req: RequestId, tokens: u64, priority: f64) {
+        if tokens == 0 {
+            return;
+        }
+        if let Some(item) = self.items.iter_mut().find(|i| i.req == req) {
+            item.tokens += tokens;
+            item.priority = priority;
+            return;
+        }
+        self.items.push(ModelItem {
+            req,
+            tokens,
+            priority,
+            seq: self.next_seq,
+        });
+        self.next_seq += 1;
+    }
+
+    fn set_priority(&mut self, req: RequestId, priority: f64) {
+        if let Some(item) = self.items.iter_mut().find(|i| i.req == req) {
+            item.priority = priority;
+        }
+    }
+
+    fn cancel(&mut self, req: RequestId) -> u64 {
+        let removed = self.pending_for(req);
+        self.items.retain(|i| i.req != req);
+        removed
+    }
+
+    fn next_index(&self) -> usize {
+        if !self.priority_mode {
+            return 0;
+        }
+        let mut best = 0;
+        for (i, item) in self.items.iter().enumerate() {
+            let b = &self.items[best];
+            if item.priority > b.priority || (item.priority == b.priority && item.seq < b.seq) {
+                best = i;
+            }
+        }
+        best
+    }
+
+    fn pull(&mut self, budget: u64, max_chunk: u64) -> Vec<WriteChunk> {
+        let mut out = Vec::new();
+        let mut remaining = budget;
+        while remaining > 0 && !self.items.is_empty() {
+            let idx = self.next_index();
+            let item = &mut self.items[idx];
+            let take = item.tokens.min(max_chunk).min(remaining);
+            item.tokens -= take;
+            remaining -= take;
+            out.push(WriteChunk {
+                req: item.req,
+                tokens: take,
+            });
+            if item.tokens == 0 {
+                self.items.remove(idx);
+            }
+        }
+        out
+    }
+
+    fn pending_for(&self, req: RequestId) -> u64 {
+        self.items
+            .iter()
+            .filter(|i| i.req == req)
+            .map(|i| i.tokens)
+            .sum()
+    }
+
+    fn pending_tokens(&self) -> u64 {
+        self.items.iter().map(|i| i.tokens).sum()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn write_queue_matches_the_reference_flush_order(
+        ops in prop::collection::vec(arb_queue_op(), 1..80),
+    ) {
+        for priority_mode in [true, false] {
+            let mut queue = WriteQueue::new(priority_mode);
+            let mut model = ModelQueue::new(priority_mode);
+            let mut chunks = Vec::new();
+            for (step, op) in ops.iter().enumerate() {
+                match op {
+                    QueueOp::Push { req, tokens, priority } => {
+                        let p = PRIORITIES[*priority];
+                        queue.push(RequestId(*req), *tokens, p);
+                        model.push(RequestId(*req), *tokens, p);
+                    }
+                    QueueOp::SetPriority { req, priority } => {
+                        let p = PRIORITIES[*priority];
+                        queue.set_priority(RequestId(*req), p);
+                        model.set_priority(RequestId(*req), p);
+                    }
+                    QueueOp::Retune { priorities } => {
+                        let price = |req: RequestId| PRIORITIES.get(priorities[req.0 as usize]).copied();
+                        queue.retune(price);
+                        for item in &mut model.items {
+                            if let Some(p) = price(item.req) {
+                                item.priority = p;
+                            }
+                        }
+                    }
+                    QueueOp::Cancel { req } => {
+                        prop_assert_eq!(
+                            queue.cancel(RequestId(*req)),
+                            model.cancel(RequestId(*req)),
+                            "cancel at step {} ({:?}), priority mode {}", step, op, priority_mode
+                        );
+                    }
+                    QueueOp::Pull { budget, max_chunk } => {
+                        queue.pull_into(*budget, *max_chunk, &mut chunks);
+                        prop_assert_eq!(
+                            &chunks,
+                            &model.pull(*budget, *max_chunk),
+                            "pull at step {} ({:?}), priority mode {}", step, op, priority_mode
+                        );
+                    }
+                }
+                for req in 0..QUEUE_REQS {
+                    prop_assert_eq!(
+                        queue.pending_for(RequestId(req)),
+                        model.pending_for(RequestId(req)),
+                        "pending_for(req#{}) after step {} ({:?}), priority mode {}",
+                        req, step, op, priority_mode
+                    );
+                }
+                prop_assert_eq!(queue.pending_tokens(), model.pending_tokens());
+                prop_assert_eq!(queue.is_empty(), model.items.is_empty());
+            }
+        }
     }
 }

@@ -9,7 +9,9 @@
 //! `trace --format perfetto` emits well-formed Chrome trace JSON (track
 //! metadata, timed slices, instants, and flow arrows whose every start
 //! has exactly one finish), and `explain` reports a causal timeline
-//! whose wait attributions are printed with the TTFT they sum to.
+//! whose wait attributions are printed with the TTFT they sum to. The
+//! committed fault scenario's journal and report are checked against its
+//! fault plan: one crash with full recovery, one straggler window.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -37,6 +39,7 @@ fn temp_path(name: &str) -> PathBuf {
 
 const QUICKSTART: &str = "scenarios/quickstart_single.json";
 const FLEET: &str = "scenarios/cluster_fleet_burst.json";
+const FAULTY: &str = "scenarios/faulty_flash_crowd.json";
 
 #[test]
 fn no_command_exits_2_with_usage() {
@@ -142,6 +145,83 @@ fn trace_perfetto_emits_parseable_chrome_json() {
             "{spec}: the --out file differs from the stdout document"
         );
     }
+}
+
+#[test]
+fn fault_run_matches_its_plan_in_trace_and_report() {
+    let trace_path = temp_path("fault.trace.jsonl");
+    let report_path = temp_path("fault.report.json");
+    let out = run(&[
+        "run",
+        FAULTY,
+        "--trace",
+        trace_path.to_str().unwrap(),
+        "--out",
+        report_path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let report = std::fs::read_to_string(&report_path).expect("report file written");
+    let _ = std::fs::remove_file(&trace_path);
+    let _ = std::fs::remove_file(&report_path);
+
+    // Every fault and recovery event carries its typed payload, and the
+    // counts line up with the plan: one crash whose every stranded
+    // request is retried, and one straggler window (a degrade event and
+    // its restore).
+    validate_trace_jsonl(&trace).unwrap_or_else(|e| panic!("fault trace JSONL invalid: {e}"));
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    for line in trace.lines().filter(|l| !l.is_empty()) {
+        let event = json::parse(line).expect("validated line parses");
+        let kind = event.get("kind").and_then(Json::as_str).expect("kind");
+        *counts.entry(kind.to_string()).or_default() += 1;
+    }
+    let count = |kind: &str| counts.get(kind).copied().unwrap_or(0);
+    assert_eq!(count("replica_crashed"), 1, "{counts:?}");
+    assert!(
+        count("request_lost") > 0,
+        "the crash must strand work: {counts:?}"
+    );
+    assert_eq!(
+        count("retry_scheduled"),
+        count("request_lost"),
+        "every loss must schedule a retry: {counts:?}"
+    );
+    assert_eq!(count("replica_degraded"), 2, "{counts:?}");
+    assert_eq!(count("request_abandoned"), 0, "{counts:?}");
+    assert_eq!(count("admission_shed"), 0, "{counts:?}");
+
+    // The report's failure-accounting block and the pinned digest.
+    let doc = json::parse(&report).expect("report is JSON");
+    assert_eq!(doc.get("complete").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        doc.get("digest").and_then(Json::as_str),
+        Some("29b847a6773a9837")
+    );
+    let body = doc.get("report").expect("report block");
+    let faults = body.get("faults").expect("faults block");
+    for key in [
+        "crashes",
+        "boot_failures",
+        "lost_events",
+        "recovered",
+        "abandoned",
+        "shed",
+        "retry_attempts",
+        "recovery_latency",
+    ] {
+        assert!(faults.get(key).is_some(), "missing faults.{key}");
+    }
+    let field = |key: &str| faults.get(key).and_then(Json::as_u64);
+    assert_eq!(field("crashes"), Some(1));
+    let lost = field("lost_events").expect("faults.lost_events");
+    assert!(lost > 0, "the crash must strand work");
+    assert_eq!(field("recovered"), Some(lost), "full recovery expected");
+    assert_eq!(field("abandoned"), Some(0));
+    assert_eq!(field("shed"), Some(0));
+    let completed = body.get("completed").and_then(Json::as_u64);
+    assert!(completed.is_some());
+    assert_eq!(completed, body.get("submitted").and_then(Json::as_u64));
 }
 
 /// The structure the Perfetto UI relies on: track metadata (`M`), timed
