@@ -1,7 +1,7 @@
 //! Shared experiment-running utilities.
 
 use tokenflow_core::{run_simulation_boxed, EngineConfig, SimOutcome};
-use tokenflow_scenario::{json::Json, scheduler_from_json};
+use tokenflow_scenario::{from_json, json::Json, SchedulerSpec};
 use tokenflow_sched::Scheduler;
 use tokenflow_workload::Workload;
 
@@ -18,7 +18,7 @@ pub const SYSTEMS: [&str; 4] = ["chunked", "fcfs", "andes", "tokenflow"];
 ///
 /// Panics on an unknown key.
 pub fn make_scheduler(which: &str) -> Box<dyn Scheduler> {
-    scheduler_from_json(&Json::Str(which.to_string()), "scheduler")
+    from_json::<SchedulerSpec>(&Json::Str(which.to_string()), "scheduler")
         .unwrap_or_else(|e| panic!("{e}"))
         .build_scheduler()
 }

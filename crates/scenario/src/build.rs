@@ -361,9 +361,11 @@ impl ScenarioSpec {
     ///
     /// Resolves profiles, generates the workload, and wires the topology
     /// — the same construction path the hand-written examples used to
-    /// spell out.
+    /// spell out. First it re-applies every rule the parser applies, so a
+    /// spec built in code fails with the same typed error as its JSON
+    /// spelling instead of panicking at run time.
     pub fn build(&self) -> Result<Harness, SpecError> {
-        crate::codec::check_fault_topology(self, "scenario")?;
+        crate::codec::check(self, "scenario")?;
         let model = ModelProfile::by_name(&self.model)
             .ok_or_else(|| build_err(format!("unknown model {}", self.model)))?;
         let hardware = HardwareProfile::by_name(&self.hardware)

@@ -1,20 +1,25 @@
-//! JSON ⇄ spec conversion with typed errors.
+//! JSON ⇄ spec conversion with typed errors, derived from one field walk
+//! per spec type.
 //!
-//! Parsing is lenient about *omissions* — any missing field takes its
-//! default, so `{"workload": {"type": "preset", "name": "rtx4090-a"}}`
-//! is a complete scenario — but strict about *mistakes*: unknown `type`
-//! names produce [`SpecError::UnknownName`] listing the valid names,
-//! unknown fields produce [`SpecError::UnknownField`], and type
-//! mismatches produce [`SpecError::Invalid`]. Nothing panics on
-//! malformed input.
+//! Every spec type implements [`Spec`]: one `fields` walk that names each
+//! field once with its JSON key and its [`Rule`]; the variant it starts
+//! from comes from the type's [`Variants`] table (names and defaults, in
+//! `spec.rs`). Three [`Fields`] walkers run the walk, so the paths that must
+//! agree cannot drift apart: **parse** reads the present keys (absent ones
+//! keep their defaults; left-over keys are unknown fields), **emit**
+//! writes canonical JSON (every field explicit, in walk order; a variant
+//! without fields as its bare type string), and **check** re-applies every
+//! rule to a typed spec — what `ScenarioSpec::build` runs, so a spec built
+//! in code fails with the error its JSON spelling gets.
 //!
-//! Emission is canonical: every field explicit, in declaration order,
-//! knob-free enums as bare strings. `parse(emit(spec)) == spec` for any
-//! spec, and emission is a fixed point over parse — the round-trip
-//! property suite pins both.
+//! Omissions take defaults and any variant may be a bare type string;
+//! mistakes are typed errors: unknown names list the valid ones, unknown
+//! fields are typo-guarded, and every value the runtime would assert on is
+//! range-checked, so a spec that parses also builds and runs.
 
-use crate::json::{self, n, ni, obj, s, Json, JsonError};
+use crate::json::{self, Json, JsonError};
 use crate::spec::*;
+use Rule::*;
 
 /// A spec-level failure: where in the document, and what went wrong.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,1468 +84,819 @@ impl From<JsonError> for SpecError {
     }
 }
 
-fn unknown_name(field: &str, got: &str, valid: &[&str]) -> SpecError {
+/// A field's dotted path, rendered only when an error names it.
+pub type At<'a> = &'a dyn Fn() -> String;
+
+/// The outcome of walking a field (or a whole spec): `Ok`, or the first
+/// rule it breaks.
+pub type Walk = Result<(), SpecError>;
+
+pub(crate) fn unknown_name(field: String, got: &str, valid: &[&str]) -> SpecError {
     SpecError::UnknownName {
-        field: field.to_string(),
+        field,
         got: got.to_string(),
         valid: valid.iter().map(|v| v.to_string()).collect(),
     }
 }
 
-fn invalid(field: &str, msg: impl Into<String>) -> SpecError {
+fn invalid(at: At, msg: &str) -> SpecError {
     SpecError::Invalid {
-        field: field.to_string(),
-        msg: msg.into(),
+        field: at(),
+        msg: msg.to_string(),
     }
 }
 
-/// Checks an object's keys against the accepted set (typo guard).
-fn check_fields(v: &Json, path: &str, accepted: &[&str]) -> Result<(), SpecError> {
-    let Some(members) = v.as_obj() else {
-        return Err(invalid(path, "expected an object"));
+/// The range rule of one field. Numeric rules bound the value (integers
+/// included); `Name` restricts a string to a name table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// Any value of the field's type.
+    Any,
+    /// At least zero (times, delays: `SimTime` rejects negatives).
+    NonNeg,
+    /// Strictly positive (rates and intervals the runtime asserts on).
+    Pos,
+    /// At least one (counts of replicas, threads, tokens).
+    AtLeast1,
+    /// In `(0, 1]` (fractions and throughput factors).
+    Unit,
+    /// Fits the engine's 32-bit fields (batch caps, burst sizes).
+    U32,
+    /// A millisecond interval that survives `SimDuration::from_millis`.
+    Millis,
+    /// One of these names, matched case-insensitively and stored in its
+    /// canonical spelling.
+    Name(&'static [&'static str]),
+}
+
+impl Rule {
+    /// Applies the rule to a number (integers included).
+    fn check(self, x: f64, at: At) -> Walk {
+        let u32_max = f64::from(u32::MAX);
+        let (ok, msg) = match self {
+            Rule::Any | Rule::Name(_) => (true, ""),
+            Rule::NonNeg => (x >= 0.0, "must be non-negative"),
+            Rule::Pos => (x > 0.0, "must be positive"),
+            Rule::AtLeast1 => (x >= 1.0, "must be ≥ 1"),
+            Rule::Unit => (x > 0.0 && x <= 1.0, "must be in (0, 1]"),
+            Rule::U32 => (x <= u32_max, "must fit in 32 bits (≤ 4294967295)"),
+            Rule::Millis => (x <= u32_max, "interval too large (at most 4294967295 ms)"),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(invalid(at, msg))
+        }
+    }
+}
+
+/// How one field's value reads from JSON, writes to it, and is
+/// re-checked against its rule.
+pub trait Value: Sized {
+    /// Reads a value the document spells out and applies `rule`.
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError>;
+    /// The value's canonical JSON.
+    fn emit(&self) -> Json;
+    /// Re-applies `rule` to a typed value (by default, by parsing its
+    /// emission).
+    fn check(&self, rule: Rule, at: At) -> Walk {
+        Self::parse(&self.emit(), rule, at).map(drop)
+    }
+}
+
+impl Value for f64 {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        match j.as_f64() {
+            Some(x) if x.is_finite() => rule.check(x, at).map(|()| x),
+            _ => Err(invalid(at, "expected a finite number")),
+        }
+    }
+
+    fn emit(&self) -> Json {
+        Json::Num(*self)
+    }
+}
+
+impl Value for u64 {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        let x = j
+            .as_u64()
+            .ok_or_else(|| invalid(at, "expected a non-negative integer"))?;
+        rule.check(x as f64, at).map(|()| x)
+    }
+
+    fn emit(&self) -> Json {
+        json::ni(*self)
+    }
+}
+
+impl Value for bool {
+    fn parse(j: &Json, _: Rule, at: At) -> Result<Self, SpecError> {
+        j.as_bool()
+            .ok_or_else(|| invalid(at, "expected true or false"))
+    }
+
+    fn emit(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl Value for String {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        let s = j.as_str().ok_or_else(|| invalid(at, "expected a string"))?;
+        match rule {
+            Rule::Name(names) => names
+                .iter()
+                .find(|n| n.eq_ignore_ascii_case(s))
+                .map(|n| n.to_string())
+                .ok_or_else(|| unknown_name(at(), s, names)),
+            _ => Ok(s.to_string()),
+        }
+    }
+
+    fn emit(&self) -> Json {
+        json::s(self)
+    }
+}
+
+/// A raw JSON member, passed through for the caller to interpret.
+impl Value for Json {
+    fn parse(j: &Json, _: Rule, _: At) -> Result<Self, SpecError> {
+        Ok(j.clone())
+    }
+
+    fn emit(&self) -> Json {
+        self.clone()
+    }
+}
+
+/// `null` (or an absent key) is `None`; the rule applies to the value.
+impl<V: Value> Value for Option<V> {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        match j {
+            Json::Null => Ok(None),
+            j => V::parse(j, rule, at).map(Some),
+        }
+    }
+
+    fn emit(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Value::emit)
+    }
+
+    fn check(&self, rule: Rule, at: At) -> Walk {
+        self.as_ref().map_or(Ok(()), |v| v.check(rule, at))
+    }
+}
+
+/// An array; the rule applies to every element.
+impl<V: Value> Value for Vec<V> {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        let items = j.as_arr().ok_or_else(|| invalid(at, "expected an array"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, j)| V::parse(j, rule, &|| format!("{}[{i}]", at())))
+            .collect()
+    }
+
+    fn emit(&self) -> Json {
+        Json::Arr(self.iter().map(Value::emit).collect())
+    }
+
+    fn check(&self, rule: Rule, at: At) -> Walk {
+        self.iter()
+            .enumerate()
+            .try_for_each(|(i, v)| v.check(rule, &|| format!("{}[{i}]", at())))
+    }
+}
+
+/// A two-element array; the rule applies to both elements.
+impl<A: Value, B: Value> Value for (A, B) {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        let Some([a, b]) = j.as_arr() else {
+            return Err(invalid(at, "expected a two-element array"));
+        };
+        Ok((
+            A::parse(a, rule, &|| format!("{}[0]", at()))?,
+            B::parse(b, rule, &|| format!("{}[1]", at()))?,
+        ))
+    }
+
+    fn emit(&self) -> Json {
+        Json::Arr(vec![self.0.emit(), self.1.emit()])
+    }
+}
+
+/// One walker over a spec's fields: parse, emit and check implement it.
+pub trait Fields {
+    /// Visits one field: `key` in the document, `value` in the spec.
+    fn field<V: Value>(&mut self, key: &str, value: &mut V, rule: Rule) -> Walk;
+
+    /// Visits a field that has no default: the document must spell it.
+    fn required<V: Value>(&mut self, key: &str, value: &mut V, rule: Rule) -> Walk {
+        self.field(key, value, rule)
+    }
+
+    /// Applies a rule across fields, given the object's path. Emission
+    /// skips it.
+    fn rule(&mut self, check: impl FnOnce(At) -> Walk) -> Walk;
+
+    /// A default that depends on other fields: parsing sets it when the
+    /// document omits `key`.
+    fn derive<T>(&mut self, _key: &str, _value: &mut T, _default: T) {}
+
+    /// A cross-field rule: fails at `key` with `msg` unless `ok`.
+    fn ensure(&mut self, key: &str, ok: bool, msg: &str) -> Walk {
+        self.rule(|at| {
+            if ok {
+                Ok(())
+            } else {
+                Err(invalid(&|| format!("{}.{key}", at()), msg))
+            }
+        })
+    }
+}
+
+/// The parse walker: reads one JSON object into a spec.
+struct Parse<'a> {
+    obj: &'a [(String, Json)],
+    at: At<'a>,
+    /// Document keys consumed so far (the `type` tag included).
+    matched: usize,
+}
+
+impl<'a> Parse<'a> {
+    fn get(&self, key: &str) -> Option<&'a Json> {
+        self.obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+impl Fields for Parse<'_> {
+    fn field<V: Value>(&mut self, key: &str, value: &mut V, rule: Rule) -> Walk {
+        if let Some(j) = self.get(key) {
+            self.matched += 1;
+            *value = V::parse(j, rule, &|| format!("{}.{key}", (self.at)()))?;
+        }
+        Ok(())
+    }
+
+    fn required<V: Value>(&mut self, key: &str, value: &mut V, rule: Rule) -> Walk {
+        if self.get(key).is_none() {
+            return Err(invalid(&|| format!("{}.{key}", (self.at)()), "required"));
+        }
+        self.field(key, value, rule)
+    }
+
+    fn rule(&mut self, check: impl FnOnce(At) -> Walk) -> Walk {
+        check(self.at)
+    }
+
+    fn derive<T>(&mut self, key: &str, value: &mut T, default: T) {
+        if self.get(key).is_none() {
+            *value = default;
+        }
+    }
+}
+
+/// The emit walker: collects `(key, canonical value)` members.
+struct Emit(Vec<(String, Json)>);
+
+impl Fields for Emit {
+    fn field<V: Value>(&mut self, key: &str, value: &mut V, _: Rule) -> Walk {
+        self.0.push((key.to_string(), value.emit()));
+        Ok(())
+    }
+
+    fn rule(&mut self, _: impl FnOnce(At) -> Walk) -> Walk {
+        Ok(())
+    }
+}
+
+/// The check walker: re-applies every rule to a typed spec.
+struct Check<'a>(At<'a>);
+
+impl Fields for Check<'_> {
+    fn field<V: Value>(&mut self, key: &str, value: &mut V, rule: Rule) -> Walk {
+        value.check(rule, &|| format!("{}.{key}", (self.0)()))
+    }
+
+    fn rule(&mut self, check: impl FnOnce(At) -> Walk) -> Walk {
+        check(self.0)
+    }
+}
+
+/// A spec type's field walk, which parse, emit and check all run; the
+/// variants it dispatches on come from its [`Variants`] table.
+pub trait Spec: Variants {
+    /// Whether an untagged single-key object `{"<name>": {…}}` stands for
+    /// `{"type": "<name>", …}`.
+    const NESTED: bool = false;
+
+    /// Walks every field once, in canonical order. A spec without
+    /// fields keeps this.
+    fn fields<F: Fields>(&mut self, _f: &mut F) -> Walk {
+        Ok(())
+    }
+}
+
+impl<T: Spec> Value for T {
+    fn parse(j: &Json, _: Rule, at: At) -> Result<Self, SpecError> {
+        let (name, obj, tagged) = match j {
+            _ if T::NAMES.is_empty() => {
+                let obj = j
+                    .as_obj()
+                    .ok_or_else(|| invalid(at, "expected an object"))?;
+                ("", obj, false)
+            }
+            Json::Str(name) => (name.as_str(), [].as_slice(), false),
+            Json::Obj(obj) => match j.get("type") {
+                Some(Json::Str(name)) => (name.as_str(), obj.as_slice(), true),
+                None if T::NESTED => return parse_nested(obj, at),
+                _ => return Err(invalid(&|| format!("{}.type", at()), "expected a string")),
+            },
+            _ => return Err(invalid(at, "expected a string or a {\"type\": …} object")),
+        };
+        let spec = T::variant(name)
+            .ok_or_else(|| unknown_name(format!("{}.type", at()), name, T::NAMES))?;
+        parse_object(spec, obj, tagged, at)
+    }
+
+    fn emit(&self) -> Json {
+        let mut members = Emit(Vec::new());
+        // The emit walker never fails.
+        let _ = self.clone().fields(&mut members);
+        match self.type_name() {
+            "" => Json::Obj(members.0),
+            name if members.0.is_empty() => json::s(name),
+            name => {
+                members.0.insert(0, ("type".to_string(), json::s(name)));
+                Json::Obj(members.0)
+            }
+        }
+    }
+
+    fn check(&self, _: Rule, at: At) -> Walk {
+        self.clone().fields(&mut Check(at))
+    }
+}
+
+/// Runs the parse walk over `obj`, then the unknown-field guard.
+fn parse_object<T: Spec>(
+    mut spec: T,
+    obj: &[(String, Json)],
+    tagged: bool,
+    at: At,
+) -> Result<T, SpecError> {
+    let mut walk = Parse {
+        obj,
+        at,
+        matched: usize::from(tagged),
     };
-    for (k, _) in members {
-        if !accepted.contains(&k.as_str()) {
+    spec.fields(&mut walk)?;
+    if walk.matched < obj.len() {
+        // The emit walker lists every key the walk accepts.
+        let mut keys = Emit(Vec::new());
+        let _ = spec.fields(&mut keys);
+        let valid: Vec<String> = tagged
+            .then(|| "type".to_string())
+            .into_iter()
+            .chain(keys.0.into_iter().map(|(k, _)| k))
+            .collect();
+        if let Some((k, _)) = obj.iter().find(|(k, _)| !valid.contains(k)) {
             return Err(SpecError::UnknownField {
-                field: format!("{path}.{k}"),
-                valid: accepted.iter().map(|a| a.to_string()).collect(),
+                field: format!("{}.{k}", at()),
+                valid,
             });
         }
     }
-    Ok(())
-}
-
-fn get_f64(v: &Json, path: &str, key: &str, default: f64) -> Result<f64, SpecError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => match j.as_f64() {
-            Some(x) if x.is_finite() => Ok(x),
-            _ => Err(invalid(
-                &format!("{path}.{key}"),
-                "expected a finite number",
-            )),
-        },
-    }
-}
-
-/// Strictly positive finite number — rates and intervals the engine
-/// asserts on at run time fail here with a typed error instead.
-fn get_pos_f64(v: &Json, path: &str, key: &str, default: f64) -> Result<f64, SpecError> {
-    let x = get_f64(v, path, key, default)?;
-    if x > 0.0 {
-        Ok(x)
-    } else {
-        Err(invalid(&format!("{path}.{key}"), "must be positive"))
-    }
-}
-
-/// Non-negative finite number — times and delays (`SimTime::from_secs_f64`
-/// rejects negatives) fail here with a typed error instead.
-fn get_nonneg_f64(v: &Json, path: &str, key: &str, default: f64) -> Result<f64, SpecError> {
-    let x = get_f64(v, path, key, default)?;
-    if x >= 0.0 {
-        Ok(x)
-    } else {
-        Err(invalid(&format!("{path}.{key}"), "must be non-negative"))
-    }
-}
-
-/// Integer that must also fit the engine's `u32` fields (batch caps,
-/// burst sizes) — out-of-range values error instead of silently wrapping
-/// at build time.
-fn get_u32_sized(v: &Json, path: &str, key: &str, default: u64) -> Result<u64, SpecError> {
-    let x = get_u64(v, path, key, default)?;
-    if x <= u64::from(u32::MAX) {
-        Ok(x)
-    } else {
-        Err(invalid(
-            &format!("{path}.{key}"),
-            format!("must fit in 32 bits (≤ {})", u32::MAX),
-        ))
-    }
-}
-
-/// Millisecond interval that must survive `SimDuration::from_millis`'s
-/// `×1000` conversion — bounded to `u32` range (~49 days), far beyond any
-/// meaningful scheduling interval, so oversized values error at parse
-/// time instead of overflowing at build time.
-fn get_millis(v: &Json, path: &str, key: &str, default: u64) -> Result<u64, SpecError> {
-    let x = get_u64(v, path, key, default)?;
-    if x <= u64::from(u32::MAX) {
-        Ok(x)
-    } else {
-        Err(invalid(
-            &format!("{path}.{key}"),
-            format!("interval too large (at most {} ms)", u32::MAX),
-        ))
-    }
-}
-
-fn get_u64(v: &Json, path: &str, key: &str, default: u64) -> Result<u64, SpecError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j
-            .as_u64()
-            .ok_or_else(|| invalid(&format!("{path}.{key}"), "expected a non-negative integer")),
-    }
-}
-
-fn get_bool(v: &Json, path: &str, key: &str, default: bool) -> Result<bool, SpecError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j
-            .as_bool()
-            .ok_or_else(|| invalid(&format!("{path}.{key}"), "expected true or false")),
-    }
-}
-
-fn get_opt_f64(v: &Json, path: &str, key: &str) -> Result<Option<f64>, SpecError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(j) => match j.as_f64() {
-            Some(x) if x.is_finite() => Ok(Some(x)),
-            _ => Err(invalid(
-                &format!("{path}.{key}"),
-                "expected a finite number or null",
-            )),
-        },
-    }
-}
-
-fn get_str<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a str, SpecError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| invalid(&format!("{path}.{key}"), "expected a string"))
-}
-
-/// The `type` tag of a tagged object, or the bare string itself.
-fn type_tag<'a>(v: &'a Json, path: &str, valid: &[&str]) -> Result<&'a str, SpecError> {
-    let name = match v {
-        Json::Str(name) => name.as_str(),
-        Json::Obj(_) => get_str(v, path, "type")?,
-        _ => return Err(invalid(path, "expected a string or a {\"type\": …} object")),
-    };
-    if valid.contains(&name) {
-        Ok(name)
-    } else {
-        Err(unknown_name(&format!("{path}.type"), name, valid))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-/// Parses a [`ScenarioSpec`] from JSON text.
-pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, SpecError> {
-    scenario_from_json(&json::parse(text)?, "scenario")
-}
-
-/// Parses a [`ScenarioSpec`] from an already-parsed JSON value.
-pub fn scenario_from_json(v: &Json, path: &str) -> Result<ScenarioSpec, SpecError> {
-    check_fields(
-        v,
-        path,
-        &[
-            "name",
-            "model",
-            "hardware",
-            "engine",
-            "scheduler",
-            "workload",
-            "topology",
-            "fault",
-        ],
-    )?;
-    let d = ScenarioSpec::default();
-    let model = match v.get("model") {
-        None => d.model,
-        Some(j) => {
-            let name = j
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{path}.model"), "expected a string"))?;
-            canonical_name(name, MODEL_NAMES)
-                .ok_or_else(|| unknown_name(&format!("{path}.model"), name, MODEL_NAMES))?
-        }
-    };
-    let hardware = match v.get("hardware") {
-        None => d.hardware,
-        Some(j) => {
-            let name = j
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{path}.hardware"), "expected a string"))?;
-            canonical_name(name, HARDWARE_NAMES)
-                .ok_or_else(|| unknown_name(&format!("{path}.hardware"), name, HARDWARE_NAMES))?
-        }
-    };
-    let spec = ScenarioSpec {
-        name: match v.get("name") {
-            None => d.name,
-            Some(j) => j
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{path}.name"), "expected a string"))?
-                .to_string(),
-        },
-        model,
-        hardware,
-        engine: match v.get("engine") {
-            None => EngineSpec::default(),
-            Some(j) => engine_from_json(j, &format!("{path}.engine"))?,
-        },
-        scheduler: match v.get("scheduler") {
-            None => SchedulerSpec::default(),
-            Some(j) => scheduler_from_json(j, &format!("{path}.scheduler"))?,
-        },
-        workload: match v.get("workload") {
-            None => WorkloadSpec::default(),
-            Some(j) => workload_from_json(j, &format!("{path}.workload"))?,
-        },
-        topology: match v.get("topology") {
-            None => TopologySpec::default(),
-            Some(j) => topology_from_json(j, &format!("{path}.topology"))?,
-        },
-        fault: match v.get("fault") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(fault_from_json(j, &format!("{path}.fault"))?),
-        },
-    };
-    check_fault_topology(&spec, path)?;
     Ok(spec)
 }
 
-/// Cross-field check: a fault schedule needs a multi-replica topology,
+/// The nested shorthand `{"<name>": {fields…}}` of a [`Spec::NESTED`] enum.
+fn parse_nested<T: Spec>(obj: &[(String, Json)], at: At) -> Result<T, SpecError> {
+    let [(name, body)] = obj else {
+        return Err(invalid(
+            at,
+            "expected a single-key {\"<name>\": {…}} object",
+        ));
+    };
+    let spec = T::variant(name).ok_or_else(|| unknown_name(at(), name, T::NAMES))?;
+    let at = || format!("{}.{name}", at());
+    let body = body
+        .as_obj()
+        .ok_or_else(|| invalid(&at, "expected an object"))?;
+    parse_object(spec, body, false, &at)
+}
+
+/// Parses a value of type `T`; `path` names it in errors.
+pub fn from_json<T: Value>(v: &Json, path: &str) -> Result<T, SpecError> {
+    T::parse(v, Rule::Any, &|| path.to_string())
+}
+
+/// Emits the canonical JSON of a value.
+pub fn to_json<T: Value>(value: &T) -> Json {
+    value.emit()
+}
+
+/// Re-applies every parse rule to a typed value; `path` names it in
+/// errors. What `ScenarioSpec::build` runs before it builds anything.
+pub(crate) fn check<T: Value>(value: &T, path: &str) -> Walk {
+    value.check(Rule::Any, &|| path.to_string())
+}
+
+/// Parses a [`ScenarioSpec`] from JSON text.
+pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, SpecError> {
+    from_json(&json::parse(text)?, "scenario")
+}
+
+// ---------------------------------------------------------------------
+// The field walks, one per spec type
+// ---------------------------------------------------------------------
+
+impl Spec for ScenarioSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.field("name", &mut self.name, Any)?;
+        f.field("model", &mut self.model, Name(MODEL_NAMES))?;
+        f.field("hardware", &mut self.hardware, Name(HARDWARE_NAMES))?;
+        f.field("engine", &mut self.engine, Any)?;
+        f.field("scheduler", &mut self.scheduler, Any)?;
+        f.field("workload", &mut self.workload, Any)?;
+        f.field("topology", &mut self.topology, Any)?;
+        f.field("fault", &mut self.fault, Any)?;
+        f.rule(|at| check_fault_topology(self, at))
+    }
+}
+
+/// Cross-field rule: a fault schedule needs a multi-replica topology,
 /// and every replica index it names must lie inside it (`replicas` for a
 /// fixed cluster, `control.max_replicas` for an elastic fleet).
-/// `ScenarioSpec::build` re-runs this so programmatically constructed
-/// specs hit the same typed error instead of a run-time panic.
-pub fn check_fault_topology(spec: &ScenarioSpec, path: &str) -> Result<(), SpecError> {
+fn check_fault_topology(spec: &ScenarioSpec, at: At) -> Walk {
     let Some(fault) = &spec.fault else {
         return Ok(());
     };
     let bound = match &spec.topology {
         TopologySpec::Single => {
             return Err(invalid(
-                &format!("{path}.fault"),
+                &|| format!("{}.fault", at()),
                 "fault injection needs a cluster or autoscaled topology",
             ));
         }
         TopologySpec::Cluster { replicas, .. } => *replicas,
         TopologySpec::Autoscaled { control, .. } => control.max_replicas,
     };
-    let check = |field: String, replica: u64| {
-        if replica >= bound {
-            Err(invalid(
-                &field,
-                format!(
-                    "replica {replica} is outside the topology (valid replica indices: 0..{bound})"
-                ),
-            ))
-        } else {
-            Ok(())
+    let lists: [(&str, &mut dyn Iterator<Item = u64>); 4] = [
+        ("crashes", &mut fault.crashes.iter().map(|c| c.replica)),
+        (
+            "stragglers",
+            &mut fault.stragglers.iter().map(|w| w.replica),
+        ),
+        ("kv_link", &mut fault.kv_link.iter().map(|w| w.replica)),
+        ("boot_failures", &mut fault.boot_failures.iter().copied()),
+    ];
+    for (list, replicas) in lists {
+        if let Some((i, replica)) = replicas.enumerate().find(|&(_, r)| r >= bound) {
+            let field = match list {
+                "boot_failures" => format!("{}.fault.{list}[{i}]", at()),
+                _ => format!("{}.fault.{list}[{i}].replica", at()),
+            };
+            let msg = format!(
+                "replica {replica} is outside the topology (valid replica indices: 0..{bound})"
+            );
+            return Err(SpecError::Invalid { field, msg });
         }
-    };
-    for (i, c) in fault.crashes.iter().enumerate() {
-        check(format!("{path}.fault.crashes[{i}].replica"), c.replica)?;
-    }
-    for (i, w) in fault.stragglers.iter().enumerate() {
-        check(format!("{path}.fault.stragglers[{i}].replica"), w.replica)?;
-    }
-    for (i, w) in fault.kv_link.iter().enumerate() {
-        check(format!("{path}.fault.kv_link[{i}].replica"), w.replica)?;
-    }
-    for (i, &b) in fault.boot_failures.iter().enumerate() {
-        check(format!("{path}.fault.boot_failures[{i}]"), b)?;
     }
     Ok(())
 }
 
-/// Case-insensitive lookup returning the canonical spelling.
-fn canonical_name(name: &str, valid: &[&str]) -> Option<String> {
-    valid
-        .iter()
-        .find(|v| v.eq_ignore_ascii_case(name))
-        .map(|v| v.to_string())
+impl Spec for EngineSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.field("max_batch", &mut self.max_batch, U32)?;
+        f.ensure("max_batch", self.max_batch >= 1, "must be ≥ 1")?;
+        f.field("mem_frac", &mut self.mem_frac, Unit)?;
+        f.field("offload_enabled", &mut self.offload_enabled, Any)?;
+        f.field("write_through", &mut self.write_through, Any)?;
+        f.field("load_evict_overlap", &mut self.load_evict_overlap, Any)?;
+        f.field("max_prefill_tokens", &mut self.max_prefill_tokens, Any)?;
+        f.field("deadline_secs", &mut self.deadline_secs, NonNeg)?;
+        f.field("plan_horizon", &mut self.plan_horizon, Any)
+    }
 }
 
-/// Parses a [`SchedulerSpec`].
-pub fn scheduler_from_json(v: &Json, path: &str) -> Result<SchedulerSpec, SpecError> {
-    match type_tag(v, path, SCHEDULER_NAMES)? {
-        "fcfs" => {
-            if v.as_obj().is_some() {
-                check_fields(v, path, &["type", "headroom"])?;
-            }
-            let headroom = match v.get("headroom") {
-                None | Some(Json::Null) => None,
-                Some(j) => Some(j.as_u64().ok_or_else(|| {
-                    invalid(&format!("{path}.headroom"), "expected an integer or null")
-                })?),
-            };
-            Ok(SchedulerSpec::Fcfs { headroom })
-        }
-        "chunked" => {
-            if v.as_obj().is_some() {
-                check_fields(v, path, &["type", "chunk"])?;
-            }
-            let chunk = get_u64(v, path, "chunk", 512)?;
-            if chunk == 0 {
-                return Err(invalid(&format!("{path}.chunk"), "must be positive"));
-            }
-            Ok(SchedulerSpec::Chunked { chunk })
-        }
-        "andes" => {
-            if v.as_obj().is_some() {
-                check_fields(v, path, &["type", "interval_ms"])?;
-            }
-            Ok(SchedulerSpec::Andes {
-                interval_ms: get_millis(v, path, "interval_ms", 500)?,
-            })
-        }
-        "tokenflow" => {
-            if v.as_obj().is_some() {
-                check_fields(
-                    v,
-                    path,
-                    &[
-                        "type",
-                        "schedule_interval_ms",
-                        "buffer_conservativeness",
-                        "ws_adjust_rate",
-                        "gamma",
-                        "critical_buffer_secs",
-                        "headroom_tokens",
-                        "util_target",
-                        "max_transitions",
-                        "io_backpressure",
-                        "capacity_safety",
-                        "prefill_chunk",
-                        "swap_candidates",
-                    ],
-                )?;
-            }
-            let d = TokenFlowSpec::default();
-            Ok(SchedulerSpec::TokenFlow(TokenFlowSpec {
-                schedule_interval_ms: get_millis(
-                    v,
-                    path,
-                    "schedule_interval_ms",
-                    d.schedule_interval_ms,
-                )?,
-                buffer_conservativeness: get_nonneg_f64(
-                    v,
-                    path,
+impl Spec for SchedulerSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        match self {
+            SchedulerSpec::Fcfs { headroom } => f.field("headroom", headroom, Any),
+            SchedulerSpec::Chunked { chunk } => f.field("chunk", chunk, Pos),
+            SchedulerSpec::Andes { interval_ms } => f.field("interval_ms", interval_ms, Millis),
+            SchedulerSpec::TokenFlow(t) => {
+                f.field("schedule_interval_ms", &mut t.schedule_interval_ms, Millis)?;
+                f.field(
                     "buffer_conservativeness",
-                    d.buffer_conservativeness,
-                )?,
-                ws_adjust_rate: get_f64(v, path, "ws_adjust_rate", d.ws_adjust_rate)?,
-                gamma: get_f64(v, path, "gamma", d.gamma)?,
-                critical_buffer_secs: get_f64(
-                    v,
-                    path,
-                    "critical_buffer_secs",
-                    d.critical_buffer_secs,
-                )?,
-                headroom_tokens: get_u64(v, path, "headroom_tokens", d.headroom_tokens)?,
-                util_target: get_f64(v, path, "util_target", d.util_target)?,
-                max_transitions: get_u64(v, path, "max_transitions", d.max_transitions)?,
-                io_backpressure: get_f64(v, path, "io_backpressure", d.io_backpressure)?,
-                capacity_safety: get_f64(v, path, "capacity_safety", d.capacity_safety)?,
-                prefill_chunk: get_u64(v, path, "prefill_chunk", d.prefill_chunk)?,
-                swap_candidates: get_u64(v, path, "swap_candidates", d.swap_candidates)?,
-            }))
+                    &mut t.buffer_conservativeness,
+                    NonNeg,
+                )?;
+                f.field("ws_adjust_rate", &mut t.ws_adjust_rate, Any)?;
+                f.field("gamma", &mut t.gamma, Any)?;
+                f.field("critical_buffer_secs", &mut t.critical_buffer_secs, Any)?;
+                f.field("headroom_tokens", &mut t.headroom_tokens, Any)?;
+                f.field("util_target", &mut t.util_target, Any)?;
+                f.field("max_transitions", &mut t.max_transitions, Any)?;
+                f.field("io_backpressure", &mut t.io_backpressure, Any)?;
+                f.field("capacity_safety", &mut t.capacity_safety, Any)?;
+                f.field("prefill_chunk", &mut t.prefill_chunk, Any)?;
+                f.field("swap_candidates", &mut t.swap_candidates, Any)
+            }
         }
-        _ => unreachable!("type_tag validated"),
     }
 }
 
-/// Parses a [`RouterSpec`] (a bare string or `{"type": …}`).
-pub fn router_from_json(v: &Json, path: &str) -> Result<RouterSpec, SpecError> {
-    Ok(match type_tag(v, path, ROUTER_NAMES)? {
-        "round-robin" => RouterSpec::RoundRobin,
-        "least-loaded" => RouterSpec::LeastLoaded,
-        "backlog-aware" => RouterSpec::BacklogAware,
-        "rate-aware" => RouterSpec::RateAware,
-        _ => unreachable!("type_tag validated"),
-    })
-}
+impl Spec for RouterSpec {}
 
-/// Parses a [`ScalePolicySpec`].
-pub fn policy_from_json(v: &Json, path: &str) -> Result<ScalePolicySpec, SpecError> {
-    match type_tag(v, path, SCALE_POLICY_NAMES)? {
-        "reactive" => {
-            if v.as_obj().is_some() {
-                check_fields(
-                    v,
-                    path,
-                    &[
-                        "type",
-                        "target_utilization",
-                        "backlog_per_replica",
-                        "kv_watermark",
-                    ],
-                )?;
+impl Spec for ScalePolicySpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        let (target_utilization, backlog_per_replica, kv_watermark) = match self {
+            ScalePolicySpec::Reactive {
+                target_utilization,
+                backlog_per_replica,
+                kv_watermark,
+            } => (target_utilization, backlog_per_replica, kv_watermark),
+            ScalePolicySpec::PredictiveEwma {
+                tau_secs,
+                target_utilization,
+                backlog_per_replica,
+                kv_watermark,
+            } => {
+                f.field("tau_secs", tau_secs, Any)?;
+                (target_utilization, backlog_per_replica, kv_watermark)
             }
-            Ok(ScalePolicySpec::Reactive {
-                target_utilization: get_f64(v, path, "target_utilization", 0.60)?,
-                backlog_per_replica: get_u64(v, path, "backlog_per_replica", 1_024)?,
-                kv_watermark: get_f64(v, path, "kv_watermark", 0.50)?,
-            })
-        }
-        "predictive-ewma" => {
-            if v.as_obj().is_some() {
-                check_fields(
-                    v,
-                    path,
-                    &[
-                        "type",
-                        "tau_secs",
-                        "target_utilization",
-                        "backlog_per_replica",
-                        "kv_watermark",
-                    ],
-                )?;
-            }
-            Ok(ScalePolicySpec::PredictiveEwma {
-                tau_secs: get_f64(v, path, "tau_secs", 30.0)?,
-                target_utilization: get_f64(v, path, "target_utilization", 0.60)?,
-                backlog_per_replica: get_u64(v, path, "backlog_per_replica", 1_024)?,
-                kv_watermark: get_f64(v, path, "kv_watermark", 0.50)?,
-            })
-        }
-        "scripted" => {
-            check_fields(v, path, &["type", "steps"])?;
-            let steps_json = v
-                .get("steps")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| invalid(&format!("{path}.steps"), "expected an array"))?;
-            let mut steps = Vec::with_capacity(steps_json.len());
-            for (i, step) in steps_json.iter().enumerate() {
-                let pair = step.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                    invalid(
-                        &format!("{path}.steps[{i}]"),
-                        "expected [at_secs, fleet_size]",
-                    )
-                })?;
-                let at = match pair[0].as_f64() {
-                    Some(at) if at.is_finite() && at >= 0.0 => at,
-                    _ => {
-                        return Err(invalid(
-                            &format!("{path}.steps[{i}][0]"),
-                            "expected a non-negative number",
-                        ))
-                    }
-                };
-                let fleet = pair[1].as_u64().ok_or_else(|| {
-                    invalid(&format!("{path}.steps[{i}][1]"), "expected an integer")
-                })?;
-                steps.push((at, fleet));
-            }
-            Ok(ScalePolicySpec::Scripted { steps })
-        }
-        _ => unreachable!("type_tag validated"),
+            ScalePolicySpec::Scripted { steps } => return f.required("steps", steps, NonNeg),
+        };
+        f.field("target_utilization", target_utilization, Any)?;
+        f.field("backlog_per_replica", backlog_per_replica, Any)?;
+        f.field("kv_watermark", kv_watermark, Any)
     }
 }
 
-/// Parses a [`ControlSpec`].
-pub fn control_from_json(v: &Json, path: &str) -> Result<ControlSpec, SpecError> {
-    check_fields(
-        v,
-        path,
-        &[
-            "min_replicas",
+impl Spec for ControlSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.field("min_replicas", &mut self.min_replicas, AtLeast1)?;
+        f.field("max_replicas", &mut self.max_replicas, Any)?;
+        f.ensure(
             "max_replicas",
-            "boot_delay_secs",
-            "cooldown_secs",
-            "gamma",
-            "control_tick_secs",
-        ],
-    )?;
-    let d = ControlSpec::default();
-    let spec = ControlSpec {
-        min_replicas: get_u64(v, path, "min_replicas", d.min_replicas)?,
-        max_replicas: get_u64(v, path, "max_replicas", d.max_replicas)?,
-        boot_delay_secs: get_nonneg_f64(v, path, "boot_delay_secs", d.boot_delay_secs)?,
-        cooldown_secs: get_nonneg_f64(v, path, "cooldown_secs", d.cooldown_secs)?,
-        gamma: get_opt_f64(v, path, "gamma")?,
-        control_tick_secs: get_opt_f64(v, path, "control_tick_secs")?,
-    };
-    if spec.min_replicas == 0 {
-        return Err(invalid(&format!("{path}.min_replicas"), "must be ≥ 1"));
-    }
-    if spec.max_replicas < spec.min_replicas {
-        return Err(invalid(
-            &format!("{path}.max_replicas"),
+            self.max_replicas >= self.min_replicas,
             "must be ≥ min_replicas",
-        ));
-    }
-    if spec.gamma.is_some_and(|g| g <= 0.0 || g.is_nan()) {
-        return Err(invalid(&format!("{path}.gamma"), "must be positive"));
-    }
-    if spec.control_tick_secs.is_some_and(|t| t <= 0.0) {
-        return Err(invalid(
-            &format!("{path}.control_tick_secs"),
-            "must be positive",
-        ));
-    }
-    Ok(spec)
-}
-
-/// Parses an [`ExecutionSpec`]: a bare string (`"sequential"`,
-/// `"auto"`), a `{"type": "parallel", "threads": n}` object, or the
-/// nested shorthand `{"parallel": {"threads": n}}`. Unknown strategy
-/// names list the valid alternatives.
-pub fn execution_from_json(v: &Json, path: &str) -> Result<ExecutionSpec, SpecError> {
-    // Nested shorthand: a single-key object whose key names the
-    // strategy, e.g. {"parallel": {"threads": 8}}.
-    if let Some(members) = v.as_obj() {
-        if v.get("type").is_none() {
-            let [(name, body)] = members else {
-                return Err(invalid(
-                    path,
-                    "expected a strategy string, a {\"type\": …} object, \
-                     or a single-key {\"parallel\": {…}} object",
-                ));
-            };
-            if !EXECUTION_NAMES.contains(&name.as_str()) {
-                return Err(unknown_name(path, name, EXECUTION_NAMES));
-            }
-            let inner = format!("{path}.{name}");
-            return match name.as_str() {
-                "parallel" => {
-                    check_fields(body, &inner, &["threads"])?;
-                    let threads = get_u64(body, &inner, "threads", 4)?;
-                    if threads == 0 {
-                        return Err(invalid(&format!("{inner}.threads"), "must be ≥ 1"));
-                    }
-                    Ok(ExecutionSpec::Parallel(threads))
-                }
-                "sequential" => {
-                    check_fields(body, &inner, &[])?;
-                    Ok(ExecutionSpec::Sequential)
-                }
-                _ => {
-                    check_fields(body, &inner, &[])?;
-                    Ok(ExecutionSpec::Auto)
-                }
-            };
-        }
-    }
-    match type_tag(v, path, EXECUTION_NAMES)? {
-        "sequential" => Ok(ExecutionSpec::Sequential),
-        "auto" => {
-            if v.as_obj().is_some() {
-                check_fields(v, path, &["type"])?;
-            }
-            Ok(ExecutionSpec::Auto)
-        }
-        "parallel" => {
-            if v.as_obj().is_some() {
-                check_fields(v, path, &["type", "threads"])?;
-            }
-            let threads = get_u64(v, path, "threads", 4)?;
-            if threads == 0 {
-                return Err(invalid(&format!("{path}.threads"), "must be ≥ 1"));
-            }
-            Ok(ExecutionSpec::Parallel(threads))
-        }
-        _ => unreachable!("type_tag validated"),
+        )?;
+        f.field("boot_delay_secs", &mut self.boot_delay_secs, NonNeg)?;
+        f.field("cooldown_secs", &mut self.cooldown_secs, NonNeg)?;
+        f.field("gamma", &mut self.gamma, Pos)?;
+        f.field("control_tick_secs", &mut self.control_tick_secs, Pos)
     }
 }
 
-/// Parses a [`WorkloadSpec`].
-pub fn workload_from_json(v: &Json, path: &str) -> Result<WorkloadSpec, SpecError> {
-    match type_tag(v, path, WORKLOAD_TYPE_NAMES)? {
-        "preset" => {
-            check_fields(v, path, &["type", "name", "seed"])?;
-            let name = get_str(v, path, "name")?;
-            let Some(name) = canonical_name(name, PRESET_NAMES) else {
-                return Err(unknown_name(&format!("{path}.name"), name, PRESET_NAMES));
-            };
-            Ok(WorkloadSpec::Preset {
-                name,
-                seed: get_u64(v, path, "seed", 42)?,
-            })
+impl Spec for ExecutionSpec {
+    const NESTED: bool = true;
+
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        match self {
+            ExecutionSpec::Parallel(threads) => f.field("threads", threads, AtLeast1),
+            ExecutionSpec::Sequential | ExecutionSpec::Auto => Ok(()),
         }
-        "diurnal-flash-crowd" => {
-            check_fields(
-                v,
-                path,
-                &[
-                    "type",
-                    "peak_rate",
-                    "duration_secs",
-                    "crowd_size",
-                    "crowd_at_secs",
-                    "rate",
-                    "seed",
-                ],
-            )?;
-            let WorkloadSpec::DiurnalFlashCrowd {
+    }
+}
+
+impl Spec for TopologySpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        match self {
+            TopologySpec::Single => Ok(()),
+            TopologySpec::Cluster {
+                replicas,
+                router,
+                execution,
+            } => {
+                f.field("replicas", replicas, AtLeast1)?;
+                f.field("router", router, Any)?;
+                f.field("execution", execution, Any)
+            }
+            TopologySpec::Autoscaled {
+                bootstrap,
+                router,
+                policy,
+                control,
+                execution,
+            } => {
+                f.field("bootstrap", bootstrap, AtLeast1)?;
+                f.field("router", router, Any)?;
+                f.field("policy", policy, Any)?;
+                f.field("control", control, Any)?;
+                f.ensure(
+                    "bootstrap",
+                    (control.min_replicas..=control.max_replicas).contains(bootstrap),
+                    "must lie within [control.min_replicas, control.max_replicas]",
+                )?;
+                f.field("execution", execution, Any)
+            }
+        }
+    }
+}
+
+impl Spec for WorkloadSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        match self {
+            WorkloadSpec::Preset { name, seed } => {
+                f.required("name", name, Name(PRESET_NAMES))?;
+                f.field("seed", seed, Any)
+            }
+            WorkloadSpec::DiurnalFlashCrowd {
                 peak_rate,
                 duration_secs,
                 crowd_size,
                 crowd_at_secs,
                 rate,
                 seed,
-            } = WorkloadSpec::default()
-            else {
-                unreachable!("default is diurnal-flash-crowd");
-            };
-            Ok(WorkloadSpec::DiurnalFlashCrowd {
-                peak_rate: get_pos_f64(v, path, "peak_rate", peak_rate)?,
-                duration_secs: get_nonneg_f64(v, path, "duration_secs", duration_secs)?,
-                crowd_size: get_u32_sized(v, path, "crowd_size", crowd_size)?,
-                crowd_at_secs: get_nonneg_f64(v, path, "crowd_at_secs", crowd_at_secs)?,
-                rate: match v.get("rate") {
-                    None => rate,
-                    Some(j) => rate_dist_from_json(j, &format!("{path}.rate"))?,
-                },
-                seed: get_u64(v, path, "seed", seed)?,
-            })
-        }
-        "synthetic" => {
-            check_fields(
-                v,
-                path,
-                &["type", "arrivals", "prompt", "output", "rate", "seed"],
-            )?;
-            let arrivals = v
-                .get("arrivals")
-                .ok_or_else(|| invalid(&format!("{path}.arrivals"), "required for synthetic"))?;
-            Ok(WorkloadSpec::Synthetic {
-                arrivals: arrivals_from_json(arrivals, &format!("{path}.arrivals"))?,
-                prompt: match v.get("prompt") {
-                    None => LengthDistSpec::SharegptPrompt,
-                    Some(j) => length_dist_from_json(j, &format!("{path}.prompt"))?,
-                },
-                output: match v.get("output") {
-                    None => LengthDistSpec::SharegptOutput,
-                    Some(j) => length_dist_from_json(j, &format!("{path}.output"))?,
-                },
-                rate: match v.get("rate") {
-                    None => RateDistSpec::Fixed(tokenflow_workload::presets::DEFAULT_RATE),
-                    Some(j) => rate_dist_from_json(j, &format!("{path}.rate"))?,
-                },
-                seed: get_u64(v, path, "seed", 42)?,
-            })
-        }
-        "trace-csv" => {
-            check_fields(v, path, &["type", "path"])?;
-            Ok(WorkloadSpec::TraceCsv {
-                path: get_str(v, path, "path")?.to_string(),
-            })
-        }
-        "inline" => {
-            check_fields(v, path, &["type", "requests"])?;
-            let arr = v
-                .get("requests")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| invalid(&format!("{path}.requests"), "expected an array"))?;
-            let mut requests = Vec::with_capacity(arr.len());
-            for (i, r) in arr.iter().enumerate() {
-                let rpath = format!("{path}.requests[{i}]");
-                check_fields(
-                    r,
-                    &rpath,
-                    &["arrival_secs", "prompt_tokens", "output_tokens", "rate"],
-                )?;
-                requests.push(InlineRequest {
-                    arrival_secs: get_nonneg_f64(r, &rpath, "arrival_secs", 0.0)?,
-                    prompt_tokens: get_u64(r, &rpath, "prompt_tokens", 256)?,
-                    output_tokens: match get_u64(r, &rpath, "output_tokens", 128)? {
-                        0 => {
-                            return Err(invalid(
-                                &format!("{rpath}.output_tokens"),
-                                "must be \u{2265} 1",
-                            ))
-                        }
-                        n => n,
-                    },
-                    rate: get_pos_f64(
-                        r,
-                        &rpath,
-                        "rate",
-                        tokenflow_workload::presets::DEFAULT_RATE,
-                    )?,
-                });
+            } => {
+                f.field("peak_rate", peak_rate, Pos)?;
+                f.field("duration_secs", duration_secs, NonNeg)?;
+                f.field("crowd_size", crowd_size, U32)?;
+                f.field("crowd_at_secs", crowd_at_secs, NonNeg)?;
+                f.field("rate", rate, Any)?;
+                f.field("seed", seed, Any)
             }
-            Ok(WorkloadSpec::Inline { requests })
+            WorkloadSpec::Synthetic {
+                arrivals,
+                prompt,
+                output,
+                rate,
+                seed,
+            } => {
+                f.required("arrivals", arrivals, Any)?;
+                f.field("prompt", prompt, Any)?;
+                f.field("output", output, Any)?;
+                f.field("rate", rate, Any)?;
+                f.field("seed", seed, Any)
+            }
+            WorkloadSpec::TraceCsv { path } => f.required("path", path, Any),
+            WorkloadSpec::Inline { requests } => f.required("requests", requests, Any),
         }
-        _ => unreachable!("type_tag validated"),
     }
 }
 
-fn arrivals_from_json(v: &Json, path: &str) -> Result<ArrivalSpecSpec, SpecError> {
-    match type_tag(v, path, ARRIVAL_NAMES)? {
-        "burst" => {
-            check_fields(v, path, &["type", "size", "at_secs"])?;
-            Ok(ArrivalSpecSpec::Burst {
-                size: get_u32_sized(v, path, "size", 60)?,
-                at_secs: get_nonneg_f64(v, path, "at_secs", 0.0)?,
-            })
-        }
-        "poisson" => {
-            check_fields(v, path, &["type", "rate", "duration_secs"])?;
-            Ok(ArrivalSpecSpec::Poisson {
-                rate: get_pos_f64(v, path, "rate", 2.0)?,
-                duration_secs: get_nonneg_f64(v, path, "duration_secs", 60.0)?,
-            })
-        }
-        "mmpp" => {
-            check_fields(
-                v,
-                path,
-                &[
-                    "type",
-                    "base_rate",
-                    "burst_rate",
-                    "mean_calm_secs",
-                    "mean_burst_secs",
-                    "duration_secs",
-                ],
-            )?;
-            Ok(ArrivalSpecSpec::Mmpp {
-                base_rate: get_pos_f64(v, path, "base_rate", 1.0)?,
-                burst_rate: get_pos_f64(v, path, "burst_rate", 20.0)?,
-                mean_calm_secs: get_pos_f64(v, path, "mean_calm_secs", 25.0)?,
-                mean_burst_secs: get_pos_f64(v, path, "mean_burst_secs", 6.0)?,
-                duration_secs: get_nonneg_f64(v, path, "duration_secs", 300.0)?,
-            })
-        }
-        "diurnal" => {
-            check_fields(
-                v,
-                path,
-                &[
-                    "type",
-                    "trough_rate",
+impl Spec for InlineRequest {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.field("arrival_secs", &mut self.arrival_secs, NonNeg)?;
+        f.field("prompt_tokens", &mut self.prompt_tokens, Any)?;
+        f.field("output_tokens", &mut self.output_tokens, AtLeast1)?;
+        f.field("rate", &mut self.rate, Pos)
+    }
+}
+
+impl Spec for ArrivalSpecSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        match self {
+            ArrivalSpecSpec::Burst { size, at_secs } => {
+                f.field("size", size, U32)?;
+                f.field("at_secs", at_secs, NonNeg)
+            }
+            ArrivalSpecSpec::Poisson {
+                rate,
+                duration_secs,
+            } => {
+                f.field("rate", rate, Pos)?;
+                f.field("duration_secs", duration_secs, NonNeg)
+            }
+            ArrivalSpecSpec::Mmpp {
+                base_rate,
+                burst_rate,
+                mean_calm_secs,
+                mean_burst_secs,
+                duration_secs,
+            } => {
+                f.field("base_rate", base_rate, Pos)?;
+                f.field("burst_rate", burst_rate, Pos)?;
+                f.field("mean_calm_secs", mean_calm_secs, Pos)?;
+                f.field("mean_burst_secs", mean_burst_secs, Pos)?;
+                f.field("duration_secs", duration_secs, NonNeg)
+            }
+            ArrivalSpecSpec::Diurnal {
+                trough_rate,
+                peak_rate,
+                period_secs,
+                duration_secs,
+            } => {
+                f.field("trough_rate", trough_rate, NonNeg)?;
+                f.field("peak_rate", peak_rate, Pos)?;
+                f.ensure(
                     "peak_rate",
-                    "period_secs",
-                    "duration_secs",
-                ],
-            )?;
-            let duration = get_nonneg_f64(v, path, "duration_secs", 600.0)?;
-            Ok(ArrivalSpecSpec::Diurnal {
-                trough_rate: get_nonneg_f64(v, path, "trough_rate", 0.5)?,
-                peak_rate: get_pos_f64(v, path, "peak_rate", 5.0)?,
-                period_secs: get_pos_f64(v, path, "period_secs", duration)?,
-                duration_secs: duration,
-            })
+                    peak_rate >= trough_rate,
+                    "must be ≥ trough_rate",
+                )?;
+                f.field("period_secs", period_secs, Any)?;
+                f.field("duration_secs", duration_secs, NonNeg)?;
+                f.derive("period_secs", period_secs, *duration_secs);
+                f.ensure("period_secs", *period_secs > 0.0, "must be positive")
+            }
         }
-        _ => unreachable!("type_tag validated"),
     }
 }
 
-fn length_dist_from_json(v: &Json, path: &str) -> Result<LengthDistSpec, SpecError> {
-    match type_tag(v, path, LENGTH_DIST_NAMES)? {
-        "fixed" => {
-            check_fields(v, path, &["type", "tokens"])?;
-            Ok(LengthDistSpec::Fixed(get_u64(v, path, "tokens", 256)?))
-        }
-        "normal" => {
-            check_fields(v, path, &["type", "mean", "std", "min", "max"])?;
-            let mean = get_f64(v, path, "mean", 512.0)?;
-            Ok(LengthDistSpec::Normal {
+impl Spec for LengthDistSpec {
+    /// Sampling floors every length at one token and clamps to
+    /// `[max(min, 1), max]`, so the rules reject exactly the bounds that
+    /// leave that range empty.
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        match self {
+            LengthDistSpec::Fixed(tokens) => f.field("tokens", tokens, Any),
+            LengthDistSpec::Normal {
                 mean,
-                std: get_f64(v, path, "std", mean / 4.0)?,
-                min: get_u64(v, path, "min", 16)?,
-                max: get_u64(v, path, "max", (mean * 4.0) as u64)?,
-            })
-        }
-        "lognormal" => {
-            check_fields(v, path, &["type", "mean", "std", "min", "max"])?;
-            let mean = get_f64(v, path, "mean", 350.0)?;
-            Ok(LengthDistSpec::LogNormal {
+                std,
+                min,
+                max,
+            } => {
+                f.field("mean", mean, Any)?;
+                f.field("std", std, Any)?;
+                f.field("min", min, Any)?;
+                f.field("max", max, Any)?;
+                f.derive("std", std, *mean / 4.0);
+                f.derive("max", max, (*mean * 4.0) as u64);
+                f.ensure("max", (*min).max(1) <= *max, "must be ≥ min and ≥ 1")
+            }
+            LengthDistSpec::LogNormal {
                 mean,
-                std: get_f64(v, path, "std", mean)?,
-                min: get_u64(v, path, "min", 8)?,
-                max: get_u64(v, path, "max", 8_192)?,
-            })
+                std,
+                min,
+                max,
+            } => {
+                f.field("mean", mean, Pos)?;
+                f.field("std", std, NonNeg)?;
+                f.field("min", min, Any)?;
+                f.field("max", max, Any)?;
+                f.derive("std", std, *mean);
+                f.ensure("max", (*min).max(1) <= *max, "must be ≥ min and ≥ 1")
+            }
+            LengthDistSpec::Uniform { lo, hi } => {
+                f.field("lo", lo, Any)?;
+                f.field("hi", hi, Any)?;
+                f.ensure("hi", *lo <= (*hi).max(1), "must be ≥ lo")
+            }
+            LengthDistSpec::SharegptPrompt | LengthDistSpec::SharegptOutput => Ok(()),
         }
-        "uniform" => {
-            check_fields(v, path, &["type", "lo", "hi"])?;
-            Ok(LengthDistSpec::Uniform {
-                lo: get_u64(v, path, "lo", 16)?,
-                hi: get_u64(v, path, "hi", 1_024)?,
-            })
-        }
-        "sharegpt-prompt" => Ok(LengthDistSpec::SharegptPrompt),
-        "sharegpt-output" => Ok(LengthDistSpec::SharegptOutput),
-        _ => unreachable!("type_tag validated"),
     }
 }
 
-fn rate_dist_from_json(v: &Json, path: &str) -> Result<RateDistSpec, SpecError> {
-    match type_tag(v, path, RATE_DIST_NAMES)? {
-        "fixed" => {
-            check_fields(v, path, &["type", "rate"])?;
-            Ok(RateDistSpec::Fixed(get_pos_f64(
-                v,
-                path,
-                "rate",
-                tokenflow_workload::presets::DEFAULT_RATE,
-            )?))
-        }
-        "uniform" => {
-            check_fields(v, path, &["type", "lo", "hi"])?;
-            let lo = get_pos_f64(v, path, "lo", 8.0)?;
-            let hi = get_pos_f64(v, path, "hi", 24.0)?;
-            if hi < lo {
-                return Err(invalid(&format!("{path}.hi"), "must be \u{2265} lo"));
+impl Spec for RateDistSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        match self {
+            RateDistSpec::Fixed(rate) => f.field("rate", rate, Pos),
+            RateDistSpec::Uniform { lo, hi } => {
+                f.field("lo", lo, Pos)?;
+                f.field("hi", hi, Pos)?;
+                f.ensure("hi", hi >= lo, "must be ≥ lo")
             }
-            Ok(RateDistSpec::Uniform { lo, hi })
-        }
-        "mix" => {
-            check_fields(v, path, &["type", "entries"])?;
-            let arr = v
-                .get("entries")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| invalid(&format!("{path}.entries"), "expected an array"))?;
-            let mut entries = Vec::with_capacity(arr.len());
-            for (i, e) in arr.iter().enumerate() {
-                let pair = e.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                    invalid(&format!("{path}.entries[{i}]"), "expected [weight, rate]")
-                })?;
-                let w = match pair[0].as_f64() {
-                    Some(w) if w.is_finite() && w > 0.0 => w,
-                    _ => {
-                        return Err(invalid(
-                            &format!("{path}.entries[{i}][0]"),
-                            "weight must be a positive number",
-                        ))
-                    }
-                };
-                let r = match pair[1].as_f64() {
-                    Some(r) if r.is_finite() && r > 0.0 => r,
-                    _ => {
-                        return Err(invalid(
-                            &format!("{path}.entries[{i}][1]"),
-                            "rate must be a positive number",
-                        ))
-                    }
-                };
-                entries.push((w, r));
+            RateDistSpec::Mix(entries) => {
+                f.required("entries", entries, Pos)?;
+                f.ensure("entries", !entries.is_empty(), "must be non-empty")
             }
-            if entries.is_empty() {
-                return Err(invalid(&format!("{path}.entries"), "must be non-empty"));
-            }
-            Ok(RateDistSpec::Mix(entries))
         }
-        _ => unreachable!("type_tag validated"),
     }
 }
 
-fn engine_from_json(v: &Json, path: &str) -> Result<EngineSpec, SpecError> {
-    check_fields(
-        v,
-        path,
-        &[
-            "max_batch",
-            "mem_frac",
-            "offload_enabled",
-            "write_through",
-            "load_evict_overlap",
-            "max_prefill_tokens",
-            "deadline_secs",
-            "plan_horizon",
-        ],
-    )?;
-    let d = EngineSpec::default();
-    let spec = EngineSpec {
-        max_batch: get_u32_sized(v, path, "max_batch", d.max_batch)?,
-        mem_frac: get_f64(v, path, "mem_frac", d.mem_frac)?,
-        offload_enabled: get_bool(v, path, "offload_enabled", d.offload_enabled)?,
-        write_through: get_bool(v, path, "write_through", d.write_through)?,
-        load_evict_overlap: get_bool(v, path, "load_evict_overlap", d.load_evict_overlap)?,
-        max_prefill_tokens: get_u64(v, path, "max_prefill_tokens", d.max_prefill_tokens)?,
-        deadline_secs: get_nonneg_f64(v, path, "deadline_secs", d.deadline_secs)?,
-        plan_horizon: get_bool(v, path, "plan_horizon", d.plan_horizon)?,
-    };
-    if spec.max_batch == 0 {
-        return Err(invalid(&format!("{path}.max_batch"), "must be ≥ 1"));
-    }
-    if !(spec.mem_frac > 0.0 && spec.mem_frac <= 1.0) {
-        return Err(invalid(&format!("{path}.mem_frac"), "must be in (0, 1]"));
-    }
-    Ok(spec)
-}
-
-/// Parses a [`TopologySpec`].
-pub fn topology_from_json(v: &Json, path: &str) -> Result<TopologySpec, SpecError> {
-    match type_tag(v, path, TOPOLOGY_NAMES)? {
-        "single" => Ok(TopologySpec::Single),
-        "cluster" => {
-            check_fields(v, path, &["type", "replicas", "router", "execution"])?;
-            let replicas = get_u64(v, path, "replicas", 2)?;
-            if replicas == 0 {
-                return Err(invalid(&format!("{path}.replicas"), "must be ≥ 1"));
-            }
-            Ok(TopologySpec::Cluster {
-                replicas,
-                router: match v.get("router") {
-                    None => RouterSpec::default(),
-                    Some(j) => router_from_json(j, &format!("{path}.router"))?,
-                },
-                execution: match v.get("execution") {
-                    None => ExecutionSpec::default(),
-                    Some(j) => execution_from_json(j, &format!("{path}.execution"))?,
-                },
-            })
-        }
-        "autoscaled" => {
-            check_fields(
-                v,
-                path,
-                &[
-                    "type",
-                    "bootstrap",
-                    "router",
-                    "policy",
-                    "control",
-                    "execution",
-                ],
-            )?;
-            let bootstrap = get_u64(v, path, "bootstrap", 1)?;
-            if bootstrap == 0 {
-                return Err(invalid(&format!("{path}.bootstrap"), "must be ≥ 1"));
-            }
-            Ok(TopologySpec::Autoscaled {
-                bootstrap,
-                router: match v.get("router") {
-                    None => RouterSpec::default(),
-                    Some(j) => router_from_json(j, &format!("{path}.router"))?,
-                },
-                policy: match v.get("policy") {
-                    None => ScalePolicySpec::default(),
-                    Some(j) => policy_from_json(j, &format!("{path}.policy"))?,
-                },
-                control: match v.get("control") {
-                    None => ControlSpec::default(),
-                    Some(j) => control_from_json(j, &format!("{path}.control"))?,
-                },
-                execution: match v.get("execution") {
-                    None => ExecutionSpec::default(),
-                    Some(j) => execution_from_json(j, &format!("{path}.execution"))?,
-                },
-            })
-        }
-        _ => unreachable!("type_tag validated"),
+impl Spec for FaultSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.field("crashes", &mut self.crashes, Any)?;
+        f.field("stragglers", &mut self.stragglers, Any)?;
+        f.field("kv_link", &mut self.kv_link, Any)?;
+        f.field("boot_failures", &mut self.boot_failures, Any)?;
+        f.field("retry", &mut self.retry, Any)?;
+        f.field("shed_utilization", &mut self.shed_utilization, Pos)
     }
 }
 
-/// Integer field that must be present (fault entries have no sensible
-/// default replica or instant).
-fn req_u64(v: &Json, path: &str, key: &str) -> Result<u64, SpecError> {
-    if v.get(key).is_none() {
-        return Err(invalid(&format!("{path}.{key}"), "required"));
+impl Spec for CrashSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.required("replica", &mut self.replica, Any)?;
+        f.required("at_secs", &mut self.at_secs, NonNeg)
     }
-    get_u64(v, path, key, 0)
 }
 
-/// Non-negative number field that must be present.
-fn req_nonneg_f64(v: &Json, path: &str, key: &str) -> Result<f64, SpecError> {
-    if v.get(key).is_none() {
-        return Err(invalid(&format!("{path}.{key}"), "required"));
-    }
-    get_nonneg_f64(v, path, key, 0.0)
-}
-
-fn window_fault_from_json(v: &Json, path: &str) -> Result<WindowFaultSpec, SpecError> {
-    check_fields(v, path, &["replica", "from_secs", "until_secs", "factor"])?;
-    let spec = WindowFaultSpec {
-        replica: req_u64(v, path, "replica")?,
-        from_secs: req_nonneg_f64(v, path, "from_secs")?,
-        until_secs: req_nonneg_f64(v, path, "until_secs")?,
-        factor: {
-            if v.get("factor").is_none() {
-                return Err(invalid(&format!("{path}.factor"), "required"));
-            }
-            get_f64(v, path, "factor", 1.0)?
-        },
-    };
-    if spec.until_secs <= spec.from_secs {
-        return Err(invalid(
-            &format!("{path}.until_secs"),
+impl Spec for WindowFaultSpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.required("replica", &mut self.replica, Any)?;
+        f.required("from_secs", &mut self.from_secs, NonNeg)?;
+        f.required("until_secs", &mut self.until_secs, NonNeg)?;
+        f.ensure(
+            "until_secs",
+            self.until_secs > self.from_secs,
             "must be greater than from_secs",
-        ));
-    }
-    if !(spec.factor > 0.0 && spec.factor <= 1.0) {
-        return Err(invalid(&format!("{path}.factor"), "must be in (0, 1]"));
-    }
-    Ok(spec)
-}
-
-fn fault_array<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a [Json], SpecError> {
-    match v.get(key) {
-        None => Ok(&[]),
-        Some(j) => j
-            .as_arr()
-            .ok_or_else(|| invalid(&format!("{path}.{key}"), "expected an array")),
+        )?;
+        f.required("factor", &mut self.factor, Unit)
     }
 }
 
-/// Parses a [`FaultSpec`]. Field-level checks live here; the cross-field
-/// replica-vs-topology check is [`check_fault_topology`].
-pub fn fault_from_json(v: &Json, path: &str) -> Result<FaultSpec, SpecError> {
-    check_fields(
-        v,
-        path,
-        &[
-            "crashes",
-            "stragglers",
-            "kv_link",
-            "boot_failures",
-            "retry",
-            "shed_utilization",
-        ],
-    )?;
-    let mut crashes = Vec::new();
-    for (i, c) in fault_array(v, path, "crashes")?.iter().enumerate() {
-        let cpath = format!("{path}.crashes[{i}]");
-        check_fields(c, &cpath, &["replica", "at_secs"])?;
-        crashes.push(CrashSpec {
-            replica: req_u64(c, &cpath, "replica")?,
-            at_secs: req_nonneg_f64(c, &cpath, "at_secs")?,
-        });
-    }
-    let mut stragglers = Vec::new();
-    for (i, w) in fault_array(v, path, "stragglers")?.iter().enumerate() {
-        stragglers.push(window_fault_from_json(
-            w,
-            &format!("{path}.stragglers[{i}]"),
-        )?);
-    }
-    let mut kv_link = Vec::new();
-    for (i, w) in fault_array(v, path, "kv_link")?.iter().enumerate() {
-        kv_link.push(window_fault_from_json(w, &format!("{path}.kv_link[{i}]"))?);
-    }
-    let mut boot_failures = Vec::new();
-    for (i, b) in fault_array(v, path, "boot_failures")?.iter().enumerate() {
-        boot_failures.push(b.as_u64().ok_or_else(|| {
-            invalid(
-                &format!("{path}.boot_failures[{i}]"),
-                "expected a non-negative integer",
-            )
-        })?);
-    }
-    let retry = match v.get("retry") {
-        None => RetrySpec::default(),
-        Some(j) => {
-            let rpath = format!("{path}.retry");
-            check_fields(
-                j,
-                &rpath,
-                &[
-                    "max_attempts",
-                    "base_backoff_ms",
-                    "multiplier",
-                    "max_backoff_ms",
-                ],
-            )?;
-            let d = RetrySpec::default();
-            let spec = RetrySpec {
-                max_attempts: get_u32_sized(j, &rpath, "max_attempts", d.max_attempts)?,
-                base_backoff_ms: get_millis(j, &rpath, "base_backoff_ms", d.base_backoff_ms)?,
-                multiplier: get_f64(j, &rpath, "multiplier", d.multiplier)?,
-                max_backoff_ms: get_millis(j, &rpath, "max_backoff_ms", d.max_backoff_ms)?,
-            };
-            if spec.multiplier < 1.0 {
-                return Err(invalid(&format!("{rpath}.multiplier"), "must be ≥ 1"));
-            }
-            spec
-        }
-    };
-    let shed_utilization = get_opt_f64(v, path, "shed_utilization")?;
-    if shed_utilization.is_some_and(|u| u <= 0.0) {
-        return Err(invalid(
-            &format!("{path}.shed_utilization"),
-            "must be positive",
-        ));
-    }
-    Ok(FaultSpec {
-        crashes,
-        stragglers,
-        kv_link,
-        boot_failures,
-        retry,
-        shed_utilization,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Emission (canonical: every field explicit, declaration order)
-// ---------------------------------------------------------------------
-
-/// Emits the canonical JSON for a [`ScenarioSpec`].
-pub fn scenario_to_json(spec: &ScenarioSpec) -> Json {
-    obj(vec![
-        ("name", s(&spec.name)),
-        ("model", s(&spec.model)),
-        ("hardware", s(&spec.hardware)),
-        ("engine", engine_to_json(&spec.engine)),
-        ("scheduler", scheduler_to_json(&spec.scheduler)),
-        ("workload", workload_to_json(&spec.workload)),
-        ("topology", topology_to_json(&spec.topology)),
-        (
-            "fault",
-            spec.fault.as_ref().map_or(Json::Null, fault_to_json),
-        ),
-    ])
-}
-
-fn window_fault_to_json(w: &WindowFaultSpec) -> Json {
-    obj(vec![
-        ("replica", ni(w.replica)),
-        ("from_secs", n(w.from_secs)),
-        ("until_secs", n(w.until_secs)),
-        ("factor", n(w.factor)),
-    ])
-}
-
-/// Emits the canonical JSON for a [`FaultSpec`].
-pub fn fault_to_json(spec: &FaultSpec) -> Json {
-    obj(vec![
-        (
-            "crashes",
-            Json::Arr(
-                spec.crashes
-                    .iter()
-                    .map(|c| obj(vec![("replica", ni(c.replica)), ("at_secs", n(c.at_secs))]))
-                    .collect(),
-            ),
-        ),
-        (
-            "stragglers",
-            Json::Arr(spec.stragglers.iter().map(window_fault_to_json).collect()),
-        ),
-        (
-            "kv_link",
-            Json::Arr(spec.kv_link.iter().map(window_fault_to_json).collect()),
-        ),
-        (
-            "boot_failures",
-            Json::Arr(spec.boot_failures.iter().copied().map(ni).collect()),
-        ),
-        (
-            "retry",
-            obj(vec![
-                ("max_attempts", ni(spec.retry.max_attempts)),
-                ("base_backoff_ms", ni(spec.retry.base_backoff_ms)),
-                ("multiplier", n(spec.retry.multiplier)),
-                ("max_backoff_ms", ni(spec.retry.max_backoff_ms)),
-            ]),
-        ),
-        (
-            "shed_utilization",
-            spec.shed_utilization.map_or(Json::Null, n),
-        ),
-    ])
-}
-
-/// Emits the canonical JSON for a [`SchedulerSpec`].
-pub fn scheduler_to_json(spec: &SchedulerSpec) -> Json {
-    match spec {
-        SchedulerSpec::Fcfs { headroom } => obj(vec![
-            ("type", s("fcfs")),
-            ("headroom", headroom.map_or(Json::Null, ni)),
-        ]),
-        SchedulerSpec::Chunked { chunk } => {
-            obj(vec![("type", s("chunked")), ("chunk", ni(*chunk))])
-        }
-        SchedulerSpec::Andes { interval_ms } => obj(vec![
-            ("type", s("andes")),
-            ("interval_ms", ni(*interval_ms)),
-        ]),
-        SchedulerSpec::TokenFlow(t) => obj(vec![
-            ("type", s("tokenflow")),
-            ("schedule_interval_ms", ni(t.schedule_interval_ms)),
-            ("buffer_conservativeness", n(t.buffer_conservativeness)),
-            ("ws_adjust_rate", n(t.ws_adjust_rate)),
-            ("gamma", n(t.gamma)),
-            ("critical_buffer_secs", n(t.critical_buffer_secs)),
-            ("headroom_tokens", ni(t.headroom_tokens)),
-            ("util_target", n(t.util_target)),
-            ("max_transitions", ni(t.max_transitions)),
-            ("io_backpressure", n(t.io_backpressure)),
-            ("capacity_safety", n(t.capacity_safety)),
-            ("prefill_chunk", ni(t.prefill_chunk)),
-            ("swap_candidates", ni(t.swap_candidates)),
-        ]),
-    }
-}
-
-/// Emits the canonical JSON for a [`RouterSpec`] (a bare string).
-pub fn router_to_json(spec: &RouterSpec) -> Json {
-    s(spec.type_name())
-}
-
-/// Emits the canonical JSON for a [`ScalePolicySpec`].
-pub fn policy_to_json(spec: &ScalePolicySpec) -> Json {
-    match spec {
-        ScalePolicySpec::Reactive {
-            target_utilization,
-            backlog_per_replica,
-            kv_watermark,
-        } => obj(vec![
-            ("type", s("reactive")),
-            ("target_utilization", n(*target_utilization)),
-            ("backlog_per_replica", ni(*backlog_per_replica)),
-            ("kv_watermark", n(*kv_watermark)),
-        ]),
-        ScalePolicySpec::PredictiveEwma {
-            tau_secs,
-            target_utilization,
-            backlog_per_replica,
-            kv_watermark,
-        } => obj(vec![
-            ("type", s("predictive-ewma")),
-            ("tau_secs", n(*tau_secs)),
-            ("target_utilization", n(*target_utilization)),
-            ("backlog_per_replica", ni(*backlog_per_replica)),
-            ("kv_watermark", n(*kv_watermark)),
-        ]),
-        ScalePolicySpec::Scripted { steps } => obj(vec![
-            ("type", s("scripted")),
-            (
-                "steps",
-                Json::Arr(
-                    steps
-                        .iter()
-                        .map(|&(at, fleet)| Json::Arr(vec![n(at), ni(fleet)]))
-                        .collect(),
-                ),
-            ),
-        ]),
-    }
-}
-
-fn control_to_json(spec: &ControlSpec) -> Json {
-    obj(vec![
-        ("min_replicas", ni(spec.min_replicas)),
-        ("max_replicas", ni(spec.max_replicas)),
-        ("boot_delay_secs", n(spec.boot_delay_secs)),
-        ("cooldown_secs", n(spec.cooldown_secs)),
-        ("gamma", spec.gamma.map_or(Json::Null, n)),
-        (
-            "control_tick_secs",
-            spec.control_tick_secs.map_or(Json::Null, n),
-        ),
-    ])
-}
-
-fn execution_to_json(spec: &ExecutionSpec) -> Json {
-    match spec {
-        ExecutionSpec::Sequential => s("sequential"),
-        ExecutionSpec::Auto => s("auto"),
-        ExecutionSpec::Parallel(threads) => {
-            obj(vec![("type", s("parallel")), ("threads", ni(*threads))])
-        }
-    }
-}
-
-/// Emits the canonical JSON for a [`WorkloadSpec`].
-pub fn workload_to_json(spec: &WorkloadSpec) -> Json {
-    match spec {
-        WorkloadSpec::Preset { name, seed } => obj(vec![
-            ("type", s("preset")),
-            ("name", s(name)),
-            ("seed", ni(*seed)),
-        ]),
-        WorkloadSpec::DiurnalFlashCrowd {
-            peak_rate,
-            duration_secs,
-            crowd_size,
-            crowd_at_secs,
-            rate,
-            seed,
-        } => obj(vec![
-            ("type", s("diurnal-flash-crowd")),
-            ("peak_rate", n(*peak_rate)),
-            ("duration_secs", n(*duration_secs)),
-            ("crowd_size", ni(*crowd_size)),
-            ("crowd_at_secs", n(*crowd_at_secs)),
-            ("rate", rate_dist_to_json(rate)),
-            ("seed", ni(*seed)),
-        ]),
-        WorkloadSpec::Synthetic {
-            arrivals,
-            prompt,
-            output,
-            rate,
-            seed,
-        } => obj(vec![
-            ("type", s("synthetic")),
-            ("arrivals", arrivals_to_json(arrivals)),
-            ("prompt", length_dist_to_json(prompt)),
-            ("output", length_dist_to_json(output)),
-            ("rate", rate_dist_to_json(rate)),
-            ("seed", ni(*seed)),
-        ]),
-        WorkloadSpec::TraceCsv { path } => obj(vec![("type", s("trace-csv")), ("path", s(path))]),
-        WorkloadSpec::Inline { requests } => obj(vec![
-            ("type", s("inline")),
-            (
-                "requests",
-                Json::Arr(
-                    requests
-                        .iter()
-                        .map(|r| {
-                            obj(vec![
-                                ("arrival_secs", n(r.arrival_secs)),
-                                ("prompt_tokens", ni(r.prompt_tokens)),
-                                ("output_tokens", ni(r.output_tokens)),
-                                ("rate", n(r.rate)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-    }
-}
-
-fn arrivals_to_json(spec: &ArrivalSpecSpec) -> Json {
-    match spec {
-        ArrivalSpecSpec::Burst { size, at_secs } => obj(vec![
-            ("type", s("burst")),
-            ("size", ni(*size)),
-            ("at_secs", n(*at_secs)),
-        ]),
-        ArrivalSpecSpec::Poisson {
-            rate,
-            duration_secs,
-        } => obj(vec![
-            ("type", s("poisson")),
-            ("rate", n(*rate)),
-            ("duration_secs", n(*duration_secs)),
-        ]),
-        ArrivalSpecSpec::Mmpp {
-            base_rate,
-            burst_rate,
-            mean_calm_secs,
-            mean_burst_secs,
-            duration_secs,
-        } => obj(vec![
-            ("type", s("mmpp")),
-            ("base_rate", n(*base_rate)),
-            ("burst_rate", n(*burst_rate)),
-            ("mean_calm_secs", n(*mean_calm_secs)),
-            ("mean_burst_secs", n(*mean_burst_secs)),
-            ("duration_secs", n(*duration_secs)),
-        ]),
-        ArrivalSpecSpec::Diurnal {
-            trough_rate,
-            peak_rate,
-            period_secs,
-            duration_secs,
-        } => obj(vec![
-            ("type", s("diurnal")),
-            ("trough_rate", n(*trough_rate)),
-            ("peak_rate", n(*peak_rate)),
-            ("period_secs", n(*period_secs)),
-            ("duration_secs", n(*duration_secs)),
-        ]),
-    }
-}
-
-fn length_dist_to_json(spec: &LengthDistSpec) -> Json {
-    match spec {
-        LengthDistSpec::Fixed(tokens) => obj(vec![("type", s("fixed")), ("tokens", ni(*tokens))]),
-        LengthDistSpec::Normal {
-            mean,
-            std,
-            min,
-            max,
-        } => obj(vec![
-            ("type", s("normal")),
-            ("mean", n(*mean)),
-            ("std", n(*std)),
-            ("min", ni(*min)),
-            ("max", ni(*max)),
-        ]),
-        LengthDistSpec::LogNormal {
-            mean,
-            std,
-            min,
-            max,
-        } => obj(vec![
-            ("type", s("lognormal")),
-            ("mean", n(*mean)),
-            ("std", n(*std)),
-            ("min", ni(*min)),
-            ("max", ni(*max)),
-        ]),
-        LengthDistSpec::Uniform { lo, hi } => obj(vec![
-            ("type", s("uniform")),
-            ("lo", ni(*lo)),
-            ("hi", ni(*hi)),
-        ]),
-        LengthDistSpec::SharegptPrompt => s("sharegpt-prompt"),
-        LengthDistSpec::SharegptOutput => s("sharegpt-output"),
-    }
-}
-
-fn rate_dist_to_json(spec: &RateDistSpec) -> Json {
-    match spec {
-        RateDistSpec::Fixed(rate) => obj(vec![("type", s("fixed")), ("rate", n(*rate))]),
-        RateDistSpec::Uniform { lo, hi } => {
-            obj(vec![("type", s("uniform")), ("lo", n(*lo)), ("hi", n(*hi))])
-        }
-        RateDistSpec::Mix(entries) => obj(vec![
-            ("type", s("mix")),
-            (
-                "entries",
-                Json::Arr(
-                    entries
-                        .iter()
-                        .map(|&(w, r)| Json::Arr(vec![n(w), n(r)]))
-                        .collect(),
-                ),
-            ),
-        ]),
-    }
-}
-
-fn engine_to_json(spec: &EngineSpec) -> Json {
-    obj(vec![
-        ("max_batch", ni(spec.max_batch)),
-        ("mem_frac", n(spec.mem_frac)),
-        ("offload_enabled", Json::Bool(spec.offload_enabled)),
-        ("write_through", Json::Bool(spec.write_through)),
-        ("load_evict_overlap", Json::Bool(spec.load_evict_overlap)),
-        ("max_prefill_tokens", ni(spec.max_prefill_tokens)),
-        ("deadline_secs", n(spec.deadline_secs)),
-        ("plan_horizon", Json::Bool(spec.plan_horizon)),
-    ])
-}
-
-/// Emits the canonical JSON for a [`TopologySpec`].
-pub fn topology_to_json(spec: &TopologySpec) -> Json {
-    match spec {
-        TopologySpec::Single => s("single"),
-        TopologySpec::Cluster {
-            replicas,
-            router,
-            execution,
-        } => obj(vec![
-            ("type", s("cluster")),
-            ("replicas", ni(*replicas)),
-            ("router", router_to_json(router)),
-            ("execution", execution_to_json(execution)),
-        ]),
-        TopologySpec::Autoscaled {
-            bootstrap,
-            router,
-            policy,
-            control,
-            execution,
-        } => obj(vec![
-            ("type", s("autoscaled")),
-            ("bootstrap", ni(*bootstrap)),
-            ("router", router_to_json(router)),
-            ("policy", policy_to_json(policy)),
-            ("control", control_to_json(control)),
-            ("execution", execution_to_json(execution)),
-        ]),
+impl Spec for RetrySpec {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.field("max_attempts", &mut self.max_attempts, U32)?;
+        f.field("base_backoff_ms", &mut self.base_backoff_ms, Millis)?;
+        f.field("multiplier", &mut self.multiplier, AtLeast1)?;
+        f.field("max_backoff_ms", &mut self.max_backoff_ms, Millis)
     }
 }
 
@@ -1577,10 +933,10 @@ mod tests {
     #[test]
     fn default_roundtrips_canonically() {
         let spec = ScenarioSpec::default();
-        let text = scenario_to_json(&spec).emit();
+        let text = to_json(&spec).emit();
         let parsed = parse_scenario(&text).unwrap();
         assert_eq!(parsed, spec);
-        assert_eq!(scenario_to_json(&parsed).emit(), text);
+        assert_eq!(to_json(&parsed).emit(), text);
     }
 
     #[test]
@@ -1649,10 +1005,10 @@ mod tests {
         let fault = spec.fault.as_ref().unwrap();
         assert_eq!(fault.retry, RetrySpec::default());
         assert_eq!(fault.max_replica(), Some(2));
-        let text = scenario_to_json(&spec).emit();
+        let text = to_json(&spec).emit();
         let parsed = parse_scenario(&text).unwrap();
         assert_eq!(parsed, spec);
-        assert_eq!(scenario_to_json(&parsed).emit(), text);
+        assert_eq!(to_json(&parsed).emit(), text);
     }
 
     #[test]

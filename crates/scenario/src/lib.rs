@@ -34,9 +34,10 @@
 //! drivable from a JSON file without writing Rust.
 //!
 //! * [`spec`] — the spec types and their defaults.
-//! * [`codec`] — JSON ⇄ spec with typed errors ([`SpecError`]): unknown
-//!   names list the valid ones, unknown fields are typo-guarded, nothing
-//!   panics on malformed input.
+//! * [`codec`] — JSON ⇄ spec with typed errors ([`SpecError`]), derived
+//!   from one field walk per spec type: unknown names list the valid
+//!   ones, unknown fields are typo-guarded, and any spec that parses
+//!   builds and runs without panicking.
 //! * [`build`] — spec → [`Harness`] → [`RunOutcome`] (report + digest).
 //! * [`sweep`] — cartesian grids over spec fields ([`SweepSpec`]):
 //!   `{scheduler: [...], workload: [...]}` is the paper's evaluation
@@ -56,18 +57,15 @@ pub mod sweep;
 pub mod tracefmt;
 
 pub use build::{Harness, RunOutcome};
-pub use codec::{
-    check_fault_topology, fault_from_json, fault_to_json, parse_scenario, policy_from_json,
-    policy_to_json, router_from_json, router_to_json, scenario_from_json, scenario_to_json,
-    scheduler_from_json, scheduler_to_json, SpecError,
-};
+pub use codec::{from_json, parse_scenario, to_json, SpecError};
 pub use json::Json;
 pub use spec::{
     ArrivalSpecSpec, ControlSpec, CrashSpec, EngineSpec, ExecutionSpec, FaultSpec, InlineRequest,
     LengthDistSpec, RateDistSpec, RetrySpec, RouterSpec, ScalePolicySpec, ScenarioSpec,
-    SchedulerSpec, TokenFlowSpec, TopologySpec, WindowFaultSpec, WorkloadSpec, ARRIVAL_NAMES,
-    HARDWARE_NAMES, LENGTH_DIST_NAMES, MODEL_NAMES, PRESET_NAMES, RATE_DIST_NAMES, ROUTER_NAMES,
-    SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES, WORKLOAD_TYPE_NAMES,
+    SchedulerSpec, TokenFlowSpec, TopologySpec, Variants, WindowFaultSpec, WorkloadSpec,
+    ARRIVAL_NAMES, EXECUTION_NAMES, HARDWARE_NAMES, LENGTH_DIST_NAMES, MODEL_NAMES, PRESET_NAMES,
+    RATE_DIST_NAMES, ROUTER_NAMES, SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES,
+    WORKLOAD_TYPE_NAMES,
 };
 pub use tracefmt::{
     canonical_trace_jsonl, explain, perfetto_json, request_timeline, request_timelines,

@@ -6,11 +6,15 @@
 //! the same defaults as the hand-built constructors, so an empty object
 //! `{}` on any axis means "what `::new()` would give you" and a spec-built
 //! stack is byte-identical to the equivalent hand-built one (the
-//! `equivalence` test suite pins that per shipped combination).
+//! `equivalence` test suite pins that per shipped combination). Each
+//! type's [`Variants`] table lists its `type` names (the `*_NAMES`
+//! constants) and the default of each variant.
 //!
 //! Specs are parsed from and emitted to JSON by [`crate::codec`]; the
 //! emitted form is canonical (every field explicit, fixed order), so
 //! `parse(emit(spec)) == spec` and emission is a fixed point.
+
+use tokenflow_workload::presets::DEFAULT_RATE;
 
 /// Valid `scheduler.type` names.
 pub const SCHEDULER_NAMES: &[&str] = &["fcfs", "chunked", "andes", "tokenflow"];
@@ -59,6 +63,31 @@ pub const HARDWARE_NAMES: &[&str] = &["RTX4090", "A6000", "H200", "Ascend910B"];
 /// Valid model profile names.
 pub const MODEL_NAMES: &[&str] = &["Llama3-8B", "Qwen2-7B", "Qwen2.5-7B", "Qwen2.5-32B"];
 
+/// A spec type's variant table: its valid `type` names and the default
+/// of each variant — what the codec dispatches on. A struct has no names
+/// and one default.
+pub trait Variants: Clone + Default {
+    /// Valid `type` names of an enum; empty for a struct.
+    const NAMES: &'static [&'static str] = &[];
+
+    /// The default of the variant called `name`; `None` for a name outside
+    /// [`Variants::NAMES`]. A struct keeps this: its default, for any name.
+    fn variant(_name: &str) -> Option<Self> {
+        Some(Self::default())
+    }
+
+    /// The variant's `type` name (empty for a struct): the entry of
+    /// [`Variants::NAMES`] whose default is the same variant.
+    fn type_name(&self) -> &'static str {
+        let this = std::mem::discriminant(self);
+        Self::NAMES
+            .iter()
+            .copied()
+            .find(|name| Self::variant(name).is_some_and(|v| std::mem::discriminant(&v) == this))
+            .unwrap_or_default()
+    }
+}
+
 /// A scheduling policy plus its knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedulerSpec {
@@ -89,15 +118,17 @@ impl Default for SchedulerSpec {
     }
 }
 
-impl SchedulerSpec {
-    /// The spec's `type` name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            SchedulerSpec::Fcfs { .. } => "fcfs",
-            SchedulerSpec::Chunked { .. } => "chunked",
-            SchedulerSpec::Andes { .. } => "andes",
-            SchedulerSpec::TokenFlow(_) => "tokenflow",
-        }
+impl Variants for SchedulerSpec {
+    const NAMES: &'static [&'static str] = SCHEDULER_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "fcfs" => SchedulerSpec::Fcfs { headroom: None },
+            "chunked" => SchedulerSpec::Chunked { chunk: 512 },
+            "andes" => SchedulerSpec::Andes { interval_ms: 500 },
+            "tokenflow" => SchedulerSpec::default(),
+            _ => return None,
+        })
     }
 }
 
@@ -166,15 +197,17 @@ pub enum RouterSpec {
     RateAware,
 }
 
-impl RouterSpec {
-    /// The spec's canonical name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            RouterSpec::RoundRobin => "round-robin",
-            RouterSpec::LeastLoaded => "least-loaded",
-            RouterSpec::BacklogAware => "backlog-aware",
-            RouterSpec::RateAware => "rate-aware",
-        }
+impl Variants for RouterSpec {
+    const NAMES: &'static [&'static str] = ROUTER_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "round-robin" => RouterSpec::RoundRobin,
+            "least-loaded" => RouterSpec::LeastLoaded,
+            "backlog-aware" => RouterSpec::BacklogAware,
+            "rate-aware" => RouterSpec::RateAware,
+            _ => return None,
+        })
     }
 }
 
@@ -219,15 +252,6 @@ impl Default for ScalePolicySpec {
 }
 
 impl ScalePolicySpec {
-    /// The spec's `type` name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            ScalePolicySpec::Reactive { .. } => "reactive",
-            ScalePolicySpec::PredictiveEwma { .. } => "predictive-ewma",
-            ScalePolicySpec::Scripted { .. } => "scripted",
-        }
-    }
-
     /// The default predictive spec (τ = 30 s).
     pub fn predictive_default() -> Self {
         ScalePolicySpec::PredictiveEwma {
@@ -236,6 +260,19 @@ impl ScalePolicySpec {
             backlog_per_replica: 1_024,
             kv_watermark: 0.50,
         }
+    }
+}
+
+impl Variants for ScalePolicySpec {
+    const NAMES: &'static [&'static str] = SCALE_POLICY_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "reactive" => ScalePolicySpec::default(),
+            "predictive-ewma" => ScalePolicySpec::predictive_default(),
+            "scripted" => ScalePolicySpec::Scripted { steps: Vec::new() },
+            _ => return None,
+        })
     }
 }
 
@@ -256,6 +293,8 @@ pub struct ControlSpec {
     /// Periodic control tick interval, seconds (`None` = arrival-driven).
     pub control_tick_secs: Option<f64>,
 }
+
+impl Variants for ControlSpec {}
 
 impl Default for ControlSpec {
     fn default() -> Self {
@@ -283,6 +322,19 @@ pub enum ExecutionSpec {
     /// Pool sized to the host's available parallelism
     /// ([`Execution::parallel_auto`](tokenflow_cluster::Execution::parallel_auto)).
     Auto,
+}
+
+impl Variants for ExecutionSpec {
+    const NAMES: &'static [&'static str] = EXECUTION_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "sequential" => ExecutionSpec::Sequential,
+            "parallel" => ExecutionSpec::Parallel(4),
+            "auto" => ExecutionSpec::Auto,
+            _ => return None,
+        })
+    }
 }
 
 /// An engine-facing workload description.
@@ -351,17 +403,6 @@ impl Default for WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// The spec's `type` name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            WorkloadSpec::Preset { .. } => "preset",
-            WorkloadSpec::DiurnalFlashCrowd { .. } => "diurnal-flash-crowd",
-            WorkloadSpec::Synthetic { .. } => "synthetic",
-            WorkloadSpec::TraceCsv { .. } => "trace-csv",
-            WorkloadSpec::Inline { .. } => "inline",
-        }
-    }
-
     /// Resolves a relative `trace-csv` path against `base` (the single
     /// place the resolution rule lives — scenario- and sweep-level
     /// rebasing both call this).
@@ -372,6 +413,34 @@ impl WorkloadSpec {
                 *path = base.join(p).to_string_lossy().into_owned();
             }
         }
+    }
+}
+
+impl Variants for WorkloadSpec {
+    const NAMES: &'static [&'static str] = WORKLOAD_TYPE_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "preset" => WorkloadSpec::Preset {
+                name: String::new(),
+                seed: 42,
+            },
+            "diurnal-flash-crowd" => WorkloadSpec::default(),
+            "synthetic" => WorkloadSpec::Synthetic {
+                arrivals: ArrivalSpecSpec::default(),
+                prompt: LengthDistSpec::default(),
+                output: LengthDistSpec::SharegptOutput,
+                rate: RateDistSpec::default(),
+                seed: 42,
+            },
+            "trace-csv" => WorkloadSpec::TraceCsv {
+                path: String::new(),
+            },
+            "inline" => WorkloadSpec::Inline {
+                requests: Vec::new(),
+            },
+            _ => return None,
+        })
     }
 }
 
@@ -386,6 +455,19 @@ pub struct InlineRequest {
     pub output_tokens: u64,
     /// Required streaming rate, tokens/second.
     pub rate: f64,
+}
+
+impl Variants for InlineRequest {}
+
+impl Default for InlineRequest {
+    fn default() -> Self {
+        InlineRequest {
+            arrival_secs: 0.0,
+            prompt_tokens: 256,
+            output_tokens: 128,
+            rate: DEFAULT_RATE,
+        }
+    }
 }
 
 /// An arrival process (times in seconds; mirrors
@@ -432,21 +514,47 @@ pub enum ArrivalSpecSpec {
     },
 }
 
-impl ArrivalSpecSpec {
-    /// The spec's `type` name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            ArrivalSpecSpec::Burst { .. } => "burst",
-            ArrivalSpecSpec::Poisson { .. } => "poisson",
-            ArrivalSpecSpec::Mmpp { .. } => "mmpp",
-            ArrivalSpecSpec::Diurnal { .. } => "diurnal",
+impl Default for ArrivalSpecSpec {
+    fn default() -> Self {
+        ArrivalSpecSpec::Burst {
+            size: 60,
+            at_secs: 0.0,
         }
+    }
+}
+
+impl Variants for ArrivalSpecSpec {
+    const NAMES: &'static [&'static str] = ARRIVAL_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "burst" => ArrivalSpecSpec::default(),
+            "poisson" => ArrivalSpecSpec::Poisson {
+                rate: 2.0,
+                duration_secs: 60.0,
+            },
+            "mmpp" => ArrivalSpecSpec::Mmpp {
+                base_rate: 1.0,
+                burst_rate: 20.0,
+                mean_calm_secs: 25.0,
+                mean_burst_secs: 6.0,
+                duration_secs: 300.0,
+            },
+            // `period_secs` defaults to the horizon (the codec derives it).
+            "diurnal" => ArrivalSpecSpec::Diurnal {
+                trough_rate: 0.5,
+                peak_rate: 5.0,
+                period_secs: 0.0,
+                duration_secs: 600.0,
+            },
+            _ => return None,
+        })
     }
 }
 
 /// A token-length distribution (mirrors `tokenflow_workload::LengthDist`,
 /// plus the two named ShareGPT presets).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum LengthDistSpec {
     /// Every request gets exactly this many tokens.
     Fixed(u64),
@@ -480,22 +588,37 @@ pub enum LengthDistSpec {
         hi: u64,
     },
     /// ShareGPT-like prompt lengths.
+    #[default]
     SharegptPrompt,
     /// ShareGPT-like output lengths.
     SharegptOutput,
 }
 
-impl LengthDistSpec {
-    /// The spec's `type` name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            LengthDistSpec::Fixed(_) => "fixed",
-            LengthDistSpec::Normal { .. } => "normal",
-            LengthDistSpec::LogNormal { .. } => "lognormal",
-            LengthDistSpec::Uniform { .. } => "uniform",
-            LengthDistSpec::SharegptPrompt => "sharegpt-prompt",
-            LengthDistSpec::SharegptOutput => "sharegpt-output",
-        }
+impl Variants for LengthDistSpec {
+    const NAMES: &'static [&'static str] = LENGTH_DIST_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "fixed" => LengthDistSpec::Fixed(256),
+            // `std` and `max` default to mean/4 and mean×4 (the codec derives them).
+            "normal" => LengthDistSpec::Normal {
+                mean: 512.0,
+                std: 0.0,
+                min: 16,
+                max: 0,
+            },
+            // `std` defaults to the mean (the codec derives it).
+            "lognormal" => LengthDistSpec::LogNormal {
+                mean: 350.0,
+                std: 0.0,
+                min: 8,
+                max: 8_192,
+            },
+            "uniform" => LengthDistSpec::Uniform { lo: 16, hi: 1_024 },
+            "sharegpt-prompt" => LengthDistSpec::SharegptPrompt,
+            "sharegpt-output" => LengthDistSpec::SharegptOutput,
+            _ => return None,
+        })
     }
 }
 
@@ -515,14 +638,22 @@ pub enum RateDistSpec {
     Mix(Vec<(f64, f64)>),
 }
 
-impl RateDistSpec {
-    /// The spec's `type` name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            RateDistSpec::Fixed(_) => "fixed",
-            RateDistSpec::Uniform { .. } => "uniform",
-            RateDistSpec::Mix(_) => "mix",
-        }
+impl Default for RateDistSpec {
+    fn default() -> Self {
+        RateDistSpec::Fixed(DEFAULT_RATE)
+    }
+}
+
+impl Variants for RateDistSpec {
+    const NAMES: &'static [&'static str] = RATE_DIST_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "fixed" => RateDistSpec::default(),
+            "uniform" => RateDistSpec::Uniform { lo: 8.0, hi: 24.0 },
+            "mix" => RateDistSpec::Mix(Vec::new()),
+            _ => return None,
+        })
     }
 }
 
@@ -550,6 +681,8 @@ pub struct EngineSpec {
     /// testing and debugging.
     pub plan_horizon: bool,
 }
+
+impl Variants for EngineSpec {}
 
 impl Default for EngineSpec {
     fn default() -> Self {
@@ -597,19 +730,31 @@ pub enum TopologySpec {
     },
 }
 
-impl TopologySpec {
-    /// The spec's `type` name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            TopologySpec::Single => "single",
-            TopologySpec::Cluster { .. } => "cluster",
-            TopologySpec::Autoscaled { .. } => "autoscaled",
-        }
+impl Variants for TopologySpec {
+    const NAMES: &'static [&'static str] = TOPOLOGY_NAMES;
+
+    fn variant(name: &str) -> Option<Self> {
+        Some(match name {
+            "single" => TopologySpec::Single,
+            "cluster" => TopologySpec::Cluster {
+                replicas: 2,
+                router: RouterSpec::default(),
+                execution: ExecutionSpec::default(),
+            },
+            "autoscaled" => TopologySpec::Autoscaled {
+                bootstrap: 1,
+                router: RouterSpec::default(),
+                policy: ScalePolicySpec::default(),
+                control: ControlSpec::default(),
+                execution: ExecutionSpec::default(),
+            },
+            _ => return None,
+        })
     }
 }
 
 /// One scheduled fail-stop replica crash.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CrashSpec {
     /// Replica index, 0-based in provisioning order.
     pub replica: u64,
@@ -617,9 +762,11 @@ pub struct CrashSpec {
     pub at_secs: f64,
 }
 
+impl Variants for CrashSpec {}
+
 /// One degradation window: the replica (straggler) or its KV link runs
 /// at `factor` of healthy throughput over `[from_secs, until_secs)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WindowFaultSpec {
     /// Replica index, 0-based in provisioning order.
     pub replica: u64,
@@ -630,6 +777,8 @@ pub struct WindowFaultSpec {
     /// Throughput multiplier in `(0, 1]`.
     pub factor: f64,
 }
+
+impl Variants for WindowFaultSpec {}
 
 /// Crash-recovery retry/backoff knobs, mirroring
 /// `tokenflow_fault::RetryPolicy` field for field (times in
@@ -645,6 +794,8 @@ pub struct RetrySpec {
     /// Ceiling on any single backoff, milliseconds.
     pub max_backoff_ms: u64,
 }
+
+impl Variants for RetrySpec {}
 
 impl Default for RetrySpec {
     fn default() -> Self {
@@ -680,6 +831,8 @@ pub struct FaultSpec {
     pub shed_utilization: Option<f64>,
 }
 
+impl Variants for FaultSpec {}
+
 impl FaultSpec {
     /// The largest replica index the spec references, if it names any.
     pub fn max_replica(&self) -> Option<u64> {
@@ -713,6 +866,8 @@ pub struct ScenarioSpec {
     /// Deterministic fault schedule (`None` = fault-free).
     pub fault: Option<FaultSpec>,
 }
+
+impl Variants for ScenarioSpec {}
 
 impl Default for ScenarioSpec {
     fn default() -> Self {

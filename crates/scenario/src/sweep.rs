@@ -23,13 +23,10 @@
 //! instead of silently ignoring the axis.
 
 use crate::build::RunOutcome;
-use crate::codec::{
-    policy_from_json, router_from_json, scenario_from_json, scheduler_from_json,
-    workload_from_json, SpecError,
-};
+use crate::codec::{from_json, unknown_name, Fields, Rule, Spec, SpecError, Value, Walk};
 use crate::json::{self, obj, s, Json};
 use crate::spec::{
-    RouterSpec, ScalePolicySpec, ScenarioSpec, SchedulerSpec, TopologySpec, WorkloadSpec,
+    RouterSpec, ScalePolicySpec, ScenarioSpec, SchedulerSpec, TopologySpec, Variants, WorkloadSpec,
     HARDWARE_NAMES, MODEL_NAMES,
 };
 
@@ -195,127 +192,77 @@ pub fn parse_sweep(text: &str) -> Result<SweepSpec, SpecError> {
     sweep_from_json(&doc)
 }
 
-/// Parses a [`SweepSpec`] from an already-parsed document.
-pub fn sweep_from_json(doc: &Json) -> Result<SweepSpec, SpecError> {
-    let members = doc.as_obj().ok_or_else(|| SpecError::Invalid {
-        field: "sweep".to_string(),
-        msg: "expected an object".to_string(),
-    })?;
-    for (k, _) in members {
-        if !["name", "base", "axes"].contains(&k.as_str()) {
-            return Err(SpecError::UnknownField {
-                field: format!("sweep.{k}"),
-                valid: vec!["name".to_string(), "base".to_string(), "axes".to_string()],
-            });
+/// A sweep document's top level, walked like any spec.
+#[derive(Clone)]
+struct SweepDoc {
+    name: String,
+    base: ScenarioSpec,
+    axes: Json,
+}
+
+impl Default for SweepDoc {
+    fn default() -> Self {
+        SweepDoc {
+            name: "sweep".to_string(),
+            base: ScenarioSpec::default(),
+            axes: Json::Null,
         }
     }
-    let name = match doc.get("name") {
-        None => "sweep".to_string(),
-        Some(j) => j
-            .as_str()
-            .ok_or_else(|| SpecError::Invalid {
-                field: "sweep.name".to_string(),
-                msg: "expected a string".to_string(),
-            })?
-            .to_string(),
-    };
-    let base = match doc.get("base") {
-        None => ScenarioSpec::default(),
-        Some(j) => scenario_from_json(j, "sweep.base")?,
-    };
-    let axes_json = doc.get("axes").ok_or_else(|| SpecError::Invalid {
-        field: "sweep.axes".to_string(),
-        msg: "a sweep needs an axes object".to_string(),
-    })?;
-    let axis_members = axes_json.as_obj().ok_or_else(|| SpecError::Invalid {
+}
+
+impl Variants for SweepDoc {}
+
+impl Spec for SweepDoc {
+    fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
+        f.field("name", &mut self.name, Rule::Any)?;
+        f.field("base", &mut self.base, Rule::Any)?;
+        f.required("axes", &mut self.axes, Rule::Any)
+    }
+}
+
+/// Parses a [`SweepSpec`] from an already-parsed document.
+pub fn sweep_from_json(doc: &Json) -> Result<SweepSpec, SpecError> {
+    let SweepDoc { name, base, axes } = from_json(doc, "sweep")?;
+    let members = axes.as_obj().ok_or_else(|| SpecError::Invalid {
         field: "sweep.axes".to_string(),
         msg: "expected an object".to_string(),
     })?;
+    if let Some((k, _)) = members
+        .iter()
+        .find(|(k, _)| !AXIS_NAMES.contains(&k.as_str()))
+    {
+        return Err(unknown_name("sweep.axes".to_string(), k, AXIS_NAMES));
+    }
     // Fixed expansion order regardless of authored order, so a sweep's
     // cell order is deterministic and documented.
-    let mut axes = Vec::new();
+    let mut parsed = Vec::new();
     for &axis_name in AXIS_NAMES {
-        let Some(values_json) = axes_json.get(axis_name) else {
+        let Some(values) = axes.get(axis_name) else {
             continue;
         };
-        let path = format!("sweep.axes.{axis_name}");
-        let values = values_json.as_arr().ok_or_else(|| SpecError::Invalid {
-            field: path.clone(),
-            msg: "expected an array".to_string(),
-        })?;
-        if values.is_empty() {
+        let at = || format!("sweep.axes.{axis_name}");
+        let axis = match axis_name {
+            "model" => Axis::Model(Value::parse(values, Rule::Name(MODEL_NAMES), &at)?),
+            "hardware" => Axis::Hardware(Value::parse(values, Rule::Name(HARDWARE_NAMES), &at)?),
+            "scheduler" => Axis::Scheduler(Value::parse(values, Rule::Any, &at)?),
+            "workload" => Axis::Workload(Value::parse(values, Rule::Any, &at)?),
+            "router" => Axis::Router(Value::parse(values, Rule::Any, &at)?),
+            // "policy", the last name in `AXIS_NAMES`.
+            _ => Axis::Policy(Value::parse(values, Rule::Any, &at)?),
+        };
+        if axis.len() == 0 {
             return Err(SpecError::Invalid {
-                field: path,
+                field: at(),
                 msg: "axis must be non-empty".to_string(),
             });
         }
-        let axis = match axis_name {
-            "model" => Axis::Model(name_axis(values, &path, MODEL_NAMES)?),
-            "hardware" => Axis::Hardware(name_axis(values, &path, HARDWARE_NAMES)?),
-            "scheduler" => Axis::Scheduler(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| scheduler_from_json(v, &format!("{path}[{i}]")))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "workload" => Axis::Workload(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| workload_from_json(v, &format!("{path}[{i}]")))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "router" => Axis::Router(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| router_from_json(v, &format!("{path}[{i}]")))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "policy" => Axis::Policy(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| policy_from_json(v, &format!("{path}[{i}]")))
-                    .collect::<Result<_, _>>()?,
-            ),
-            _ => unreachable!("AXIS_NAMES is exhaustive"),
-        };
-        axes.push(axis);
+        parsed.push(axis);
     }
-    for (k, _) in axis_members {
-        if !AXIS_NAMES.contains(&k.as_str()) {
-            return Err(SpecError::UnknownName {
-                field: "sweep.axes".to_string(),
-                got: k.clone(),
-                valid: AXIS_NAMES.iter().map(|a| a.to_string()).collect(),
-            });
-        }
-    }
-    Ok(SweepSpec { name, base, axes })
-}
-
-fn name_axis(values: &[Json], path: &str, valid: &[&str]) -> Result<Vec<String>, SpecError> {
-    values
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let name = v.as_str().ok_or_else(|| SpecError::Invalid {
-                field: format!("{path}[{i}]"),
-                msg: "expected a string".to_string(),
-            })?;
-            valid
-                .iter()
-                .find(|c| c.eq_ignore_ascii_case(name))
-                .map(|c| c.to_string())
-                .ok_or_else(|| SpecError::UnknownName {
-                    field: format!("{path}[{i}]"),
-                    got: name.to_string(),
-                    valid: valid.iter().map(|c| c.to_string()).collect(),
-                })
-        })
-        .collect()
+    Ok(SweepSpec {
+        name,
+        base,
+        axes: parsed,
+    })
 }
 
 /// One executed sweep cell.

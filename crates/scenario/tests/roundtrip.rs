@@ -162,7 +162,7 @@ fn arb_arrivals() -> impl Strategy<Value = ArrivalSpecSpec> {
             ),
         (0.01f64..5.0, 1.0f64..50.0, 10.0f64..600.0, 10.0f64..600.0).prop_map(
             |(trough_rate, peak_rate, period_secs, duration_secs)| ArrivalSpecSpec::Diurnal {
-                trough_rate,
+                trough_rate: trough_rate.min(peak_rate),
                 peak_rate,
                 period_secs,
                 duration_secs,
@@ -298,8 +298,9 @@ fn arb_topology() -> impl Strategy<Value = TopologySpec> {
             arb_execution()
         )
             .prop_map(|(bootstrap, router, policy, control, execution)| {
+                // The control plane boots inside the fleet bounds.
                 TopologySpec::Autoscaled {
-                    bootstrap,
+                    bootstrap: bootstrap.clamp(control.min_replicas, control.max_replicas),
                     router,
                     policy,
                     control,
@@ -397,15 +398,15 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
 proptest! {
     #[test]
     fn scenario_json_roundtrip_is_identity(spec in arb_scenario()) {
-        let text = codec::scenario_to_json(&spec).emit();
+        let text = codec::to_json(&spec).emit();
         let parsed = codec::parse_scenario(&text)
             .map_err(|e| format!("emitted spec failed to parse: {e}\n{text}"))?;
         prop_assert_eq!(&parsed, &spec);
         // Emission is a fixed point: JSON → spec → JSON is identity on
         // canonical documents.
-        prop_assert_eq!(codec::scenario_to_json(&parsed).emit(), text);
+        prop_assert_eq!(codec::to_json(&parsed).emit(), text);
         // The pretty form parses back to the same spec too.
-        let pretty = codec::scenario_to_json(&spec).emit_pretty();
+        let pretty = codec::to_json(&spec).emit_pretty();
         let reparsed = codec::parse_scenario(&pretty)
             .map_err(|e| format!("pretty form failed to parse: {e}"))?;
         prop_assert_eq!(reparsed, spec);
@@ -413,23 +414,23 @@ proptest! {
 
     #[test]
     fn scheduler_json_roundtrip_is_identity(spec in arb_scheduler()) {
-        let j = codec::scheduler_to_json(&spec);
-        let parsed = codec::scheduler_from_json(&j, "s")
+        let j = codec::to_json(&spec);
+        let parsed = codec::from_json::<SchedulerSpec>(&j, "s")
             .map_err(|e| format!("{e}"))?;
         prop_assert_eq!(parsed, spec);
     }
 
     #[test]
     fn router_json_roundtrip_is_identity(spec in arb_router()) {
-        let j = codec::router_to_json(&spec);
-        let parsed = codec::router_from_json(&j, "r").map_err(|e| format!("{e}"))?;
+        let j = codec::to_json(&spec);
+        let parsed = codec::from_json::<RouterSpec>(&j, "r").map_err(|e| format!("{e}"))?;
         prop_assert_eq!(parsed, spec);
     }
 
     #[test]
     fn policy_json_roundtrip_is_identity(spec in arb_policy()) {
-        let j = codec::policy_to_json(&spec);
-        let parsed = codec::policy_from_json(&j, "p").map_err(|e| format!("{e}"))?;
+        let j = codec::to_json(&spec);
+        let parsed = codec::from_json::<ScalePolicySpec>(&j, "p").map_err(|e| format!("{e}"))?;
         prop_assert_eq!(parsed, spec);
     }
 
@@ -438,7 +439,7 @@ proptest! {
         // Truncating an emitted document at any byte boundary must yield
         // a typed error (or still parse, for trailing-whitespace cuts) —
         // never a panic.
-        let text = codec::scenario_to_json(&spec).emit();
+        let text = codec::to_json(&spec).emit();
         let cut = cut.min(text.len());
         let truncated: String = text.chars().take(cut).collect();
         let _ = codec::parse_scenario(&truncated);
@@ -475,7 +476,7 @@ fn unknown_names_are_typed_errors_listing_valid_ones() {
 #[test]
 fn execution_grammar_accepts_every_documented_form() {
     let parse = |doc: &str| {
-        codec::execution_from_json(&json::parse(doc).unwrap(), "topology.execution").unwrap()
+        codec::from_json::<ExecutionSpec>(&json::parse(doc).unwrap(), "topology.execution").unwrap()
     };
     // Bare strings.
     assert_eq!(parse(r#""sequential""#), ExecutionSpec::Sequential);
@@ -497,7 +498,7 @@ fn execution_grammar_accepts_every_documented_form() {
         ExecutionSpec::Auto,
         ExecutionSpec::Parallel(8),
     ] {
-        let emitted = codec::scenario_to_json(&ScenarioSpec {
+        let emitted = codec::to_json(&ScenarioSpec {
             topology: TopologySpec::Cluster {
                 replicas: 2,
                 router: RouterSpec::RoundRobin,
@@ -516,7 +517,7 @@ fn execution_grammar_accepts_every_documented_form() {
 
 #[test]
 fn execution_grammar_rejects_bad_forms_with_typed_errors() {
-    let parse = |doc: &str| codec::execution_from_json(&json::parse(doc).unwrap(), "e");
+    let parse = |doc: &str| codec::from_json::<ExecutionSpec>(&json::parse(doc).unwrap(), "e");
     // Unknown strategy names list the valid alternatives, in both the
     // tagged and the nested form.
     for doc in [r#""threaded""#, r#"{"threaded": {"threads": 2}}"#] {
@@ -581,7 +582,7 @@ fn committed_grammar_examples_parse() {
         TopologySpec::Cluster { replicas: 2, .. }
     ));
     // Shorthand and canonical forms parse to the same spec.
-    let canonical = codec::scenario_to_json(&spec).emit();
+    let canonical = codec::to_json(&spec).emit();
     assert_eq!(codec::parse_scenario(&canonical).unwrap(), spec);
 }
 
@@ -590,12 +591,183 @@ fn emitted_pretty_files_are_stable_fixed_points() {
     // What `scenarios/` files rely on: pretty emission parses back and
     // re-emits identically.
     let spec = ScenarioSpec::default();
-    let pretty = codec::scenario_to_json(&spec).emit_pretty();
+    let pretty = codec::to_json(&spec).emit_pretty();
     let reparsed = codec::parse_scenario(&pretty).unwrap();
-    assert_eq!(codec::scenario_to_json(&reparsed).emit_pretty(), pretty);
+    assert_eq!(codec::to_json(&reparsed).emit_pretty(), pretty);
 }
 
 // Silence an unused-import lint when the json helpers aren't referenced
 // directly: the module is exercised through codec.
 #[allow(unused_imports)]
 use json as _json;
+
+/// A JSON number drawn from `x`, rounded when the field is an integer —
+/// negative integers included, so the parser sees them.
+fn num(x: f64, int: bool) -> String {
+    if int {
+        format!("{}", x.round())
+    } else {
+        format!("{x}")
+    }
+}
+
+/// An object body from `(key, value)` pairs, keeping only the pairs whose
+/// bit is set in `keep` (so omitted fields take their — possibly derived —
+/// defaults).
+fn members(pairs: &[(&str, String)], keep: u32) -> String {
+    pairs
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| keep & (1 << i) != 0)
+        .map(|(_, (k, v))| format!(r#""{k}": {v}"#))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// A length distribution with moments and bounds drawn independently,
+/// over ranges that include zero, negatives and swapped bounds.
+fn arb_small_length() -> impl Strategy<Value = String> {
+    let moments = (
+        -10.0f64..250.0,
+        -40.0f64..120.0,
+        -10.0f64..260.0,
+        -10.0f64..260.0,
+        0u32..16,
+    );
+    prop_oneof![
+        (-20.0f64..260.0, -20.0f64..260.0).prop_map(|(lo, hi)| format!(
+            r#"{{"type": "uniform", "lo": {}, "hi": {}}}"#,
+            num(lo, true),
+            num(hi, true)
+        )),
+        (0u32..2, moments.clone()).prop_map(|(kind, (mean, std, min, max, keep))| {
+            let kind = ["normal", "lognormal"][kind as usize];
+            let body = members(
+                &[
+                    ("mean", num(mean, false)),
+                    ("std", num(std, false)),
+                    ("min", num(min, true)),
+                    ("max", num(max, true)),
+                ],
+                keep,
+            );
+            format!(r#"{{"type": "{kind}", {body}}}"#).replace(", }", "}")
+        }),
+        (-5.0f64..200.0)
+            .prop_map(|tokens| format!(r#"{{"type": "fixed", "tokens": {}}}"#, num(tokens, true))),
+    ]
+}
+
+/// A small arrival process: a burst of at most 8 requests, or at most
+/// 10 s of arrivals, with every rate drawn over a range through zero.
+fn arb_small_arrivals() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (1.0f64..9.0, -2.0f64..5.0).prop_map(|(size, at)| format!(
+            r#"{{"type": "burst", "size": {}, "at_secs": {}}}"#,
+            num(size.floor(), true),
+            num(at, false)
+        )),
+        (-2.0f64..4.0, 0.0f64..10.0).prop_map(|(rate, duration)| format!(
+            r#"{{"type": "poisson", "rate": {rate}, "duration_secs": {duration}}}"#
+        )),
+        (-1.0f64..3.0, -1.0f64..5.0, 0.0f64..10.0).prop_map(|(base, burst, duration)| format!(
+            r#"{{"type": "mmpp", "base_rate": {base}, "burst_rate": {burst},
+                "mean_calm_secs": 3, "mean_burst_secs": 1, "duration_secs": {duration}}}"#
+        )),
+        (
+            -2.0f64..4.0,
+            -2.0f64..4.0,
+            -2.0f64..10.0,
+            0.0f64..10.0,
+            0u32..16
+        )
+            .prop_map(|(trough, peak, period, duration, keep)| {
+                let body = members(
+                    &[
+                        ("trough_rate", num(trough, false)),
+                        ("peak_rate", num(peak, false)),
+                        ("period_secs", num(period, false)),
+                        ("duration_secs", num(duration, false)),
+                    ],
+                    keep | 8,
+                );
+                format!(r#"{{"type": "diurnal", {body}}}"#)
+            }),
+    ]
+}
+
+/// A single engine, or an autoscaled fleet whose bootstrap size and
+/// replica bounds are drawn independently (including zero and negatives).
+fn arb_small_topology() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(r#""single""#.to_string()),
+        (-1.0f64..5.0, -1.0f64..4.0, -1.0f64..6.0, 0u32..8).prop_map(
+            |(bootstrap, min, max, keep)| {
+                let control = members(
+                    &[
+                        ("min_replicas", num(min, true)),
+                        ("max_replicas", num(max, true)),
+                        ("boot_delay_secs", "1".to_string()),
+                    ],
+                    keep | 4,
+                );
+                let bootstrap = members(&[("bootstrap", num(bootstrap, true))], keep >> 2);
+                format!(
+                    r#"{{"type": "autoscaled", {bootstrap}{sep}"control": {{{control}}}}}"#,
+                    sep = if bootstrap.is_empty() { "" } else { ", " }
+                )
+            }
+        ),
+    ]
+}
+
+fn arb_small_doc() -> impl Strategy<Value = String> {
+    (
+        arb_small_arrivals(),
+        arb_small_length(),
+        arb_small_length(),
+        arb_small_topology(),
+    )
+        .prop_map(|(arrivals, prompt, output, topology)| {
+            format!(
+                r#"{{"engine": {{"max_batch": 16}},
+                    "workload": {{"type": "synthetic", "arrivals": {arrivals},
+                                  "prompt": {prompt}, "output": {output},
+                                  "rate": {{"type": "fixed", "rate": 15}}, "seed": 7}},
+                    "topology": {topology}}}"#
+            )
+        })
+}
+
+/// ROADMAP item 4: every spec the parser accepts builds and runs to the
+/// end without panicking, and every one it rejects is a typed error.
+/// The knobs the runtime asserts on — length bounds and moments, arrival
+/// rates, the fleet's bootstrap size and bounds — are drawn
+/// independently over ranges that include zero, negatives and swapped
+/// bounds, on workloads small enough to run in milliseconds.
+#[test]
+fn every_accepted_spec_builds_and_runs_without_panicking() {
+    let strategy = arb_small_doc();
+    let mut rng = proptest::TestRng::new(proptest::seed_from_name("accepted-specs-run"));
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..400 {
+        let doc = strategy.generate(&mut rng);
+        let outcome = std::panic::catch_unwind(|| {
+            codec::parse_scenario(&doc).map(|spec| spec.build().map(|h| h.run().complete))
+        });
+        match outcome {
+            Err(_) => panic!("case {case} panicked:\n{doc}"),
+            Ok(Ok(Ok(_))) => accepted += 1,
+            Ok(Ok(Err(e))) => panic!("case {case} parsed but failed to build: {e}\n{doc}"),
+            Ok(Err(SpecError::Json(e))) => {
+                panic!("case {case}: generator wrote bad JSON: {e}\n{doc}")
+            }
+            Ok(Err(_)) => rejected += 1,
+        }
+    }
+    // Both sides of the grammar are exercised, not just one.
+    assert!(
+        accepted >= 20 && rejected >= 20,
+        "{accepted} accepted, {rejected} rejected"
+    );
+}

@@ -9,7 +9,7 @@ use tokenflow_cluster::{ClusterEngine, LeastLoadedRouter};
 use tokenflow_control::{ControlConfig, ReactivePolicy};
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
-use tokenflow_scenario::{is_sweep, json, scenario_from_json, sweep_from_json};
+use tokenflow_scenario::{from_json, is_sweep, json, sweep_from_json, ScenarioSpec};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::{diurnal_flash_crowd, RateDist};
@@ -51,7 +51,7 @@ fn every_committed_scenario_parses_and_builds() {
                     .unwrap_or_else(|e| panic!("{}[{label}]: {e}", path.display()));
             }
         } else {
-            let mut spec = scenario_from_json(&doc, "scenario")
+            let mut spec = from_json::<ScenarioSpec>(&doc, "scenario")
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
             spec.rebase_paths(&scenarios_dir());
             spec.build()
@@ -84,7 +84,7 @@ fn committed_sweep_is_a_policy_by_workload_grid() {
 fn faulty_flash_crowd_recovers_fully_and_digest_is_pinned() {
     let text = std::fs::read_to_string(scenarios_dir().join("faulty_flash_crowd.json"))
         .expect("fault scenario committed");
-    let spec = scenario_from_json(&json::parse(&text).unwrap(), "scenario").unwrap();
+    let spec = from_json::<ScenarioSpec>(&json::parse(&text).unwrap(), "scenario").unwrap();
     let out = spec.build().expect("buildable").run();
     assert!(out.complete);
     let faults = out
@@ -115,7 +115,7 @@ fn faulty_flash_crowd_recovers_fully_and_digest_is_pinned() {
 fn flash_crowd_autoscale_file_matches_hand_built_stack() {
     let text = std::fs::read_to_string(scenarios_dir().join("flash_crowd_autoscale.json"))
         .expect("flagship scenario committed");
-    let spec = scenario_from_json(&json::parse(&text).unwrap(), "scenario").unwrap();
+    let spec = from_json::<ScenarioSpec>(&json::parse(&text).unwrap(), "scenario").unwrap();
     let from_file = spec.build().expect("buildable").run();
 
     // The hand-built equivalent, spelled out the pre-spec way.

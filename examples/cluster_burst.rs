@@ -8,7 +8,9 @@
 //! cargo run --release --example cluster_burst
 //! ```
 
-use tokenflow::scenario::{ExecutionSpec, RouterSpec, ScenarioSpec, TopologySpec, WorkloadSpec};
+use tokenflow::scenario::{
+    ExecutionSpec, RouterSpec, ScenarioSpec, TopologySpec, Variants, WorkloadSpec,
+};
 
 fn main() {
     // The Table 1 RTX 4090 (a) flash crowd: 60 requests at t = 0.

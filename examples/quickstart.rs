@@ -8,7 +8,7 @@
 //! tokenflow run scenarios/quickstart_single.json
 //! ```
 
-use tokenflow::scenario::parse_scenario;
+use tokenflow::scenario::{parse_scenario, Variants};
 
 fn main() {
     // An H200 serving Llama3-8B with the TokenFlow scheduler; three

@@ -32,10 +32,10 @@ use std::process::ExitCode;
 use std::num::NonZeroUsize;
 
 use tokenflow_scenario::{
-    is_sweep, json, run_sweep_jobs, scenario_from_json, sweep_from_json, sweep_table,
-    sweep_to_json, tracefmt, Harness, RunOutcome, SpecError, ARRIVAL_NAMES, HARDWARE_NAMES,
-    LENGTH_DIST_NAMES, MODEL_NAMES, PRESET_NAMES, RATE_DIST_NAMES, ROUTER_NAMES,
-    SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES, WORKLOAD_TYPE_NAMES,
+    from_json, is_sweep, json, run_sweep_jobs, sweep_from_json, sweep_table, sweep_to_json,
+    tracefmt, Harness, RunOutcome, ScenarioSpec, SpecError, Variants, ARRIVAL_NAMES,
+    EXECUTION_NAMES, HARDWARE_NAMES, LENGTH_DIST_NAMES, MODEL_NAMES, PRESET_NAMES, RATE_DIST_NAMES,
+    ROUTER_NAMES, SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES, WORKLOAD_TYPE_NAMES,
 };
 use tokenflow_sim::RequestId;
 use tokenflow_trace::TraceJournal;
@@ -271,7 +271,7 @@ fn load_harness(path: &str, traced: bool) -> Result<Harness, CliError> {
             msg: format!("is a sweep spec (has `axes`); use `tokenflow sweep {path}`"),
         });
     }
-    let mut spec = scenario_from_json(&doc, "scenario").map_err(|e| spec_err(path, e))?;
+    let mut spec = from_json::<ScenarioSpec>(&doc, "scenario").map_err(|e| spec_err(path, e))?;
     spec.rebase_paths(&base_dir(path));
     let mut harness = spec.build().map_err(|e| spec_err(path, e))?;
     harness.config.trace = traced;
@@ -475,7 +475,8 @@ fn cmd_validate(args: &[String]) -> Result<(), CliError> {
             let cells = sweep.expand().map_err(|e| spec_err(path, e))?;
             println!("{path}: sweep `{}`, {} cells — OK", sweep.name, cells.len());
         } else {
-            let spec = scenario_from_json(&doc, "scenario").map_err(|e| spec_err(path, e))?;
+            let spec =
+                from_json::<ScenarioSpec>(&doc, "scenario").map_err(|e| spec_err(path, e))?;
             println!(
                 "{path}: scenario `{}` ({} / {} / {}) — OK",
                 spec.name,
@@ -500,6 +501,7 @@ fn cmd_list_policies() {
     section("routers (topology.router)", ROUTER_NAMES);
     section("scale policies (topology.policy.type)", SCALE_POLICY_NAMES);
     section("topologies (topology.type)", TOPOLOGY_NAMES);
+    section("execution strategies (topology.execution)", EXECUTION_NAMES);
     section("workload types (workload.type)", WORKLOAD_TYPE_NAMES);
     section("workload presets (workload.name)", PRESET_NAMES);
     section("arrival processes (arrivals.type)", ARRIVAL_NAMES);

@@ -12,12 +12,20 @@
 //! whose wait attributions are printed with the TTFT they sum to. The
 //! committed fault scenario's journal and report are checked against its
 //! fault plan: one crash with full recovery, one straggler window.
+//! Finally the spec surface: `list-policies` names every valid value,
+//! `validate` accepts every committed spec and rejects, naming the field,
+//! one that would otherwise panic at run time, and every committed
+//! scenario runs to a complete, schema-valid report.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use tokenflow_scenario::{json, validate_trace_jsonl, Json};
+use tokenflow_scenario::{
+    json, validate_trace_jsonl, Json, ARRIVAL_NAMES, EXECUTION_NAMES, HARDWARE_NAMES,
+    LENGTH_DIST_NAMES, MODEL_NAMES, PRESET_NAMES, RATE_DIST_NAMES, ROUTER_NAMES,
+    SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES, WORKLOAD_TYPE_NAMES,
+};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tokenflow"))
@@ -297,4 +305,161 @@ fn explain_unknown_request_exits_1() {
 fn explain_bad_id_exits_2() {
     let out = run(&["explain", QUICKSTART, "request-three"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn list_policies_prints_every_name_of_every_table() {
+    let out = run(&["list-policies"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let tables: [&[&str]; 12] = [
+        SCHEDULER_NAMES,
+        ROUTER_NAMES,
+        SCALE_POLICY_NAMES,
+        EXECUTION_NAMES,
+        TOPOLOGY_NAMES,
+        WORKLOAD_TYPE_NAMES,
+        PRESET_NAMES,
+        ARRIVAL_NAMES,
+        LENGTH_DIST_NAMES,
+        RATE_DIST_NAMES,
+        MODEL_NAMES,
+        HARDWARE_NAMES,
+    ];
+    for name in tables.into_iter().flatten() {
+        assert!(
+            stdout.lines().any(|line| line.trim() == *name),
+            "list-policies does not print `{name}`:\n{stdout}"
+        );
+    }
+}
+
+/// Every committed spec file, in name order.
+fn committed_specs() -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir("scenarios")
+        .expect("scenarios/ directory exists")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .map(|p| p.to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn validate_accepts_every_committed_spec() {
+    let files = committed_specs();
+    let mut args = vec!["validate"];
+    args.extend(files.iter().map(String::as_str));
+    let out = run(&args);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    for file in &files {
+        assert!(
+            stdout
+                .lines()
+                .any(|line| line.starts_with(&format!("{file}: ")) && line.ends_with("OK")),
+            "{file} not validated:\n{stdout}"
+        );
+    }
+}
+
+#[test]
+fn validate_rejects_a_spec_that_would_panic_at_run_time_and_names_the_field() {
+    // A bootstrap fleet above the fleet ceiling: the control plane would
+    // refuse it with a panic at the first run step.
+    let path = temp_path("bootstrap-outside-bounds.json");
+    std::fs::write(
+        &path,
+        r#"{"topology": {"type": "autoscaled", "bootstrap": 8, "control": {"max_replicas": 2}}}"#,
+    )
+    .expect("temp spec written");
+    let out = run(&["validate", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr_of(&out).contains("scenario.topology.bootstrap"),
+        "stderr must name the field: {}",
+        stderr_of(&out)
+    );
+}
+
+/// The report contract of one run outcome (a `run --out` document or one
+/// sweep cell): run metadata, a 16-character digest, the report keys, a
+/// complete run, and no stranded request.
+fn check_outcome(doc: &Json, at: &str) {
+    for key in [
+        "scenario",
+        "topology",
+        "scheduler",
+        "replicas",
+        "scale_events",
+        "complete",
+        "digest",
+        "report",
+    ] {
+        assert!(doc.get(key).is_some(), "{at}: missing {key}");
+    }
+    assert_eq!(
+        doc.get("complete").and_then(Json::as_bool),
+        Some(true),
+        "{at}"
+    );
+    let digest = doc.get("digest").and_then(Json::as_str).unwrap_or_default();
+    assert_eq!(digest.len(), 16, "{at}: malformed digest {digest:?}");
+    let report = doc.get("report").expect("report block");
+    for key in [
+        "submitted",
+        "completed",
+        "duration_us",
+        "ttft",
+        "throughput",
+        "effective_throughput",
+        "qos",
+        "total_rebuffer_secs",
+        "stall_events",
+        "preemptions",
+        "recomputes",
+        "mean_generation_rate",
+        "replica_seconds",
+    ] {
+        assert!(report.get(key).is_some(), "{at}: missing report.{key}");
+    }
+    let count = |key: &str| report.get(key).and_then(Json::as_u64);
+    assert!(count("submitted").is_some(), "{at}");
+    assert_eq!(
+        count("completed"),
+        count("submitted"),
+        "{at}: stranded requests"
+    );
+}
+
+#[test]
+fn every_committed_scenario_runs_to_a_complete_report() {
+    let mut reports = 0;
+    for file in committed_specs() {
+        let path = temp_path("committed-report.json");
+        let command = if file.ends_with("sweep_policy_workload.json") {
+            "sweep"
+        } else {
+            "run"
+        };
+        let out = run(&[command, &file, "--out", path.to_str().unwrap()]);
+        assert!(out.status.success(), "{file}: {}", stderr_of(&out));
+        let text = std::fs::read_to_string(&path).expect("report written");
+        let _ = std::fs::remove_file(&path);
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        match doc.get("cells").and_then(Json::as_arr) {
+            Some(cells) => {
+                assert!(cells.len() >= 6, "{file}: sweep below 6 cells");
+                for cell in cells {
+                    let label = cell.get("label").and_then(Json::as_str);
+                    check_outcome(cell, &format!("{file}[{}]", label.unwrap_or("?")));
+                }
+            }
+            None => check_outcome(&doc, &file),
+        }
+        reports += 1;
+    }
+    assert!(reports >= 7, "expected at least 7 reports, found {reports}");
 }

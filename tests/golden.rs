@@ -28,8 +28,8 @@ use tokenflow_core::{run_simulation_boxed, EngineConfig, SimOutcome};
 use tokenflow_metrics::{fnv1a64, RunReport, RuntimeCounters};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
-    json::Json, policy_from_json, router_from_json, scheduler_from_json, ControlSpec, EngineSpec,
-    RateDistSpec, SchedulerSpec, WorkloadSpec,
+    from_json, json::Json, ControlSpec, EngineSpec, RateDistSpec, RouterSpec, ScalePolicySpec,
+    SchedulerSpec, WorkloadSpec,
 };
 use tokenflow_sched::Scheduler;
 use tokenflow_sim::SimDuration;
@@ -61,13 +61,13 @@ fn trace() -> Workload {
 
 /// Spec-built scheduler by its spec name (the CLI's shorthand form).
 fn scheduler(which: &str) -> Box<dyn Scheduler> {
-    scheduler_from_json(&Json::Str(which.to_string()), "scheduler")
+    from_json::<SchedulerSpec>(&Json::Str(which.to_string()), "scheduler")
         .unwrap_or_else(|e| panic!("unknown scheduler {which}: {e}"))
         .build_scheduler()
 }
 
 fn scheduler_spec(which: &str) -> SchedulerSpec {
-    scheduler_from_json(&Json::Str(which.to_string()), "scheduler")
+    from_json::<SchedulerSpec>(&Json::Str(which.to_string()), "scheduler")
         .unwrap_or_else(|e| panic!("unknown scheduler {which}: {e}"))
 }
 
@@ -182,7 +182,7 @@ const ROUTERS: [&str; 4] = ["round-robin", "least-loaded", "backlog-aware", "rat
 
 /// Spec-built router by its spec name.
 fn router(which: &str) -> Box<dyn Router> {
-    router_from_json(&Json::Str(which.to_string()), "router")
+    from_json::<RouterSpec>(&Json::Str(which.to_string()), "router")
         .unwrap_or_else(|e| panic!("unknown router {which}: {e}"))
         .build_router()
 }
@@ -280,7 +280,7 @@ fn policy(which: &str) -> Box<dyn ScalePolicy> {
         "scripted" => r#"{"type": "scripted", "steps": [[0, 2], [30, 5], [80, 1]]}"#.to_string(),
         other => panic!("unknown policy {other}"),
     };
-    policy_from_json(
+    from_json::<ScalePolicySpec>(
         &tokenflow_scenario::json::parse(&doc).expect("valid JSON"),
         "policy",
     )

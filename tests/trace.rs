@@ -31,10 +31,10 @@ use tokenflow_core::run_simulation_boxed;
 use tokenflow_metrics::{fnv1a64, RequestMetrics};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
-    canonical_trace_jsonl, explain, json, parse_scenario, perfetto_json, request_timeline,
-    request_timelines, router_from_json, trace_digest, trace_jsonl, validate_trace_jsonl,
-    EngineSpec, ExecutionSpec, Json, RateDistSpec, RunOutcome, ScenarioSpec, TopologySpec,
-    WorkloadSpec,
+    canonical_trace_jsonl, explain, from_json, json, parse_scenario, perfetto_json,
+    request_timeline, request_timelines, trace_digest, trace_jsonl, validate_trace_jsonl,
+    EngineSpec, ExecutionSpec, Json, RateDistSpec, RouterSpec, RunOutcome, ScenarioSpec,
+    TopologySpec, WorkloadSpec,
 };
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{RequestId, SimTime};
@@ -78,7 +78,7 @@ fn full_journal_is_byte_identical_across_executors_for_every_router() {
         let mut spec = load_spec(FLEET);
         match &mut spec.topology {
             TopologySpec::Cluster { router: r, .. } => {
-                *r = router_from_json(&Json::Str(router.to_string()), "router")
+                *r = from_json::<RouterSpec>(&Json::Str(router.to_string()), "router")
                     .expect("shipped router name");
             }
             _ => panic!("fleet scenario must be a cluster"),
