@@ -383,6 +383,9 @@ pub fn fault() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
+    use tokenflow_scenario::{json, Json};
 
     #[test]
     fn smoke_sweep_shows_recovery_and_abandonment() {
@@ -460,5 +463,78 @@ mod tests {
         assert!(json.contains("\"rows\": ["));
         // Two rows, no trailing comma.
         assert!(!json.contains("},\n  ]"));
+    }
+
+    #[test]
+    fn committed_bench_fault_json_keeps_its_schema_and_recovery_claims() {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fault.json");
+        let text = std::fs::read_to_string(&path).expect("BENCH_fault.json is committed");
+        let doc = json::parse(&text).expect("BENCH_fault.json parses");
+        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("fault"));
+        for key in ["router", "scheduler", "workload", "fault", "rows"] {
+            assert!(doc.get(key).is_some(), "missing {key}");
+        }
+        let fault = doc.get("fault").expect("fault block");
+        for key in ["fleet", "crash_replica", "crash_at_secs"] {
+            assert!(fault.get(key).is_some(), "missing fault.{key}");
+        }
+        let rows = doc.get("rows").and_then(Json::as_arr).expect("rows array");
+        fn config_of(row: &Json) -> &str {
+            row.get("config")
+                .and_then(Json::as_str)
+                .expect("rows[].config")
+        }
+        let by_config: BTreeMap<&str, &Json> = rows.iter().map(|r| (config_of(r), r)).collect();
+        assert_eq!(
+            by_config.keys().copied().collect::<Vec<_>>(),
+            ["crash", "crash-no-retry", "healthy"]
+        );
+        for r in rows {
+            for key in [
+                "p99_ttft",
+                "rebuffer_secs",
+                "lost_events",
+                "recovered",
+                "abandoned",
+                "abandoned_rate",
+                "completed",
+                "submitted",
+                "replica_seconds",
+                "complete",
+            ] {
+                assert!(r.get(key).is_some(), "missing rows[].{key}");
+            }
+            let complete = r.get("complete").and_then(Json::as_bool);
+            assert_eq!(complete, Some(true), "{} did not drain", config_of(r));
+        }
+        let field = |config: &str, key: &str| {
+            by_config[config]
+                .get(key)
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("{config}.{key} is not a number"))
+        };
+        let healthy = |key| field("healthy", key);
+        let crash = |key| field("crash", key);
+        let bare = |key| field("crash-no-retry", key);
+        assert!(healthy("lost_events") == 0.0 && healthy("abandoned") == 0.0);
+        assert_eq!(healthy("completed"), healthy("submitted"));
+        assert!(crash("lost_events") > 0.0);
+        assert_eq!(crash("recovered"), crash("lost_events"));
+        assert_eq!(
+            crash("completed"),
+            crash("submitted"),
+            "recovery must finish"
+        );
+        assert!(
+            crash("p99_ttft") >= healthy("p99_ttft"),
+            "recovery cannot beat the healthy tail"
+        );
+        assert!(bare("abandoned") == bare("lost_events") && bare("lost_events") > 0.0);
+        assert_eq!(
+            bare("completed") + bare("abandoned"),
+            bare("submitted"),
+            "conservation: complete or abandoned"
+        );
+        assert!(bare("abandoned_rate") > 0.0);
     }
 }

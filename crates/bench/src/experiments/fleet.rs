@@ -28,10 +28,9 @@
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-use tokenflow_cluster::{
-    ClusterEngine, ClusterOutcome, Execution, ExecutorStats, RoundRobinRouter,
-};
+use tokenflow_cluster::{ClusterEngine, ClusterOutcome, Execution, RoundRobinRouter};
 use tokenflow_core::EngineConfig;
+use tokenflow_metrics::RuntimeCounters;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::SimDuration;
@@ -67,8 +66,8 @@ pub struct FleetRow {
     pub pooled_secs: f64,
     /// `sequential_secs / pooled_secs`.
     pub speedup_vs_sequential: f64,
-    /// Executor counters from the pooled run.
-    pub stats: ExecutorStats,
+    /// Runtime counters of the pooled run.
+    pub stats: RuntimeCounters,
 }
 
 /// The flash crowd sized for `replicas` engines: a Poisson storm of
@@ -119,7 +118,7 @@ fn run_fleet(
     replicas: usize,
     workload: &Workload,
     execution: Execution,
-) -> (ClusterOutcome, f64, ExecutorStats) {
+) -> (ClusterOutcome, f64) {
     let mut secs = Vec::with_capacity(TIMING_REPS);
     let mut kept = None;
     for _ in 0..TIMING_REPS {
@@ -132,12 +131,10 @@ fn run_fleet(
         let start = Instant::now();
         cluster.run_to_completion();
         secs.push(start.elapsed().as_secs_f64());
-        let stats = cluster.executor_stats();
-        kept = Some((cluster.into_outcome(), stats));
+        kept = Some(cluster.into_outcome());
     }
     secs.sort_by(f64::total_cmp);
-    let (outcome, stats) = kept.expect("TIMING_REPS > 0");
-    (outcome, secs[secs.len() / 2], stats)
+    (kept.expect("TIMING_REPS > 0"), secs[secs.len() / 2])
 }
 
 /// Runs the sweep over `fleet_sizes`, timing both executors per size
@@ -153,9 +150,9 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
         .iter()
         .map(|&replicas| {
             let workload = crowd(replicas);
-            let (seq, sequential_secs, _) =
+            let (seq, sequential_secs) =
                 run_fleet(&config, replicas, &workload, Execution::Sequential);
-            let (pooled, pooled_secs, stats) =
+            let (pooled, pooled_secs) =
                 run_fleet(&config, replicas, &workload, Execution::parallel(lanes));
             // Executor-mechanics counters (pool size, submissions) are
             // the one intentionally executor-visible report surface;
@@ -182,7 +179,7 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
                 sequential_secs,
                 pooled_secs,
                 speedup_vs_sequential: sequential_secs / pooled_secs.max(1e-9),
-                stats,
+                stats: pooled.merged.runtime,
             }
         })
         .collect()

@@ -30,7 +30,8 @@
 
 use std::time::Instant;
 
-use tokenflow_core::{Engine, EngineConfig, FastPathStats, StepOutcome};
+use tokenflow_core::{Engine, EngineConfig, StepOutcome};
+use tokenflow_metrics::RuntimeCounters;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
@@ -151,7 +152,7 @@ pub struct HotpathRow {
     /// The final window — late in the run, large finished population.
     pub late: HotpathWindow,
     /// Whole-run fast-path counters at the end of the prefix.
-    pub fast_path: FastPathStats,
+    pub fast_path: RuntimeCounters,
 }
 
 /// The deterministic trace of one case: a diurnal base at 12 req/s peak

@@ -1,11 +1,11 @@
 //! One runner per table/figure of the paper's evaluation.
 //!
 //! Each experiment regenerates the rows/series its figure reports and
-//! returns them as formatted text; `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison. Shapes — who wins, by roughly what factor,
-//! where crossovers fall — are the reproduction target, not absolute
-//! numbers (the substrate is an analytical simulator, not the authors'
-//! testbed).
+//! returns them as formatted text; the paper-vs-measured comparison is
+//! still to be written up (ROADMAP item 6). Shapes — who wins, by
+//! roughly what factor, where crossovers fall — are the reproduction
+//! target, not absolute numbers (the substrate is an analytical
+//! simulator, not the authors' testbed).
 
 pub mod autoscale;
 pub mod cluster;
@@ -152,9 +152,4 @@ pub fn all() -> Vec<Experiment> {
             run: sweep::sweep,
         },
     ]
-}
-
-/// Runs one experiment by id, if it exists.
-pub fn run_by_id(id: &str) -> Option<String> {
-    all().into_iter().find(|e| e.id == id).map(|e| (e.run)())
 }

@@ -106,11 +106,6 @@ impl TokenBuffer {
         self.rate
     }
 
-    /// The read cadence (`1/rate`) as a duration.
-    pub fn read_interval(&self) -> SimDuration {
-        SimDuration::from_micros(self.interval_us)
-    }
-
     /// Time the first token arrived, if any.
     pub fn first_token_at(&self) -> Option<SimTime> {
         self.first_token_at

@@ -16,7 +16,7 @@ use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{TraceEvent, TraceEventKind, TraceJournal, TraceSink, TraceSource};
 use tokenflow_workload::{RequestSpec, Workload};
 
-use crate::executor::{self, Execution, ExecutorStats};
+use crate::executor::{self, Execution};
 use crate::pool::WorkerPool;
 use crate::router::Router;
 
@@ -170,10 +170,9 @@ pub struct ClusterEngine {
     /// [`extend_span`](ClusterEngine::extend_span)); `dispatch_due`
     /// drains these before consulting the router again.
     held_routes: VecDeque<usize>,
-    /// Arrival barriers coalesced into running epochs.
-    batched_barriers: u64,
-    /// Epochs run so far.
-    epochs: u64,
+    /// Coordinator-owned runtime counters: epochs and batched barriers,
+    /// plus the pool's counts once the run is finalised.
+    runtime: RuntimeCounters,
     /// Coordinator-side decision journal: one [`TraceEventKind::Dispatch`]
     /// per routed request, stamped at the request's arrival instant. A
     /// no-op sink unless [`EngineConfig::trace`] is set.
@@ -231,8 +230,7 @@ impl ClusterEngine {
             next_tick: None,
             pool: None,
             held_routes: VecDeque::new(),
-            batched_barriers: 0,
-            epochs: 0,
+            runtime: RuntimeCounters::default(),
             trace: if config.trace {
                 TraceSink::enabled(TraceSource::Coordinator)
             } else {
@@ -654,7 +652,7 @@ impl ClusterEngine {
                     local_id,
                 });
             }
-            self.batched_barriers += 1;
+            self.runtime.batched_barriers += 1;
         }
     }
 
@@ -888,7 +886,7 @@ impl ClusterEngine {
             self.execution,
             &mut self.pool,
         );
-        self.epochs += 1;
+        self.runtime.epochs += 1;
         // Another epoch can make progress while arrivals remain, a retry
         // is waiting for its backoff, or some busy replica still sits
         // short of the deadline.
@@ -899,20 +897,6 @@ impl ClusterEngine {
                 .iter()
                 .zip(&self.done)
                 .any(|(e, &d)| !d && e.now() < deadline)
-    }
-
-    /// Exact executor counters for this run so far: epochs, coalesced
-    /// barriers, and — once a parallel epoch ran — the persistent pool's
-    /// spawn and submission counts. The constant `pool_workers` against
-    /// a growing `pool_submissions` is the observable proof that epochs
-    /// reuse one pool instead of respawning threads.
-    pub fn executor_stats(&self) -> ExecutorStats {
-        ExecutorStats {
-            epochs: self.epochs,
-            batched_barriers: self.batched_barriers,
-            pool_workers: self.pool.as_ref().map_or(0, WorkerPool::spawned_workers),
-            pool_submissions: self.pool.as_ref().map_or(0, WorkerPool::submissions),
-        }
     }
 
     /// Runs epochs until every submitted request completes on its replica
@@ -950,7 +934,6 @@ impl ClusterEngine {
             let loads: Vec<EngineLoad> = self.replicas.iter().map(|e| e.load_snapshot()).collect();
             plane.close(end, &loads);
         }
-        let exec_stats = self.executor_stats();
         let traced = self.trace.is_enabled();
         let mut trace_parts: Vec<Vec<TraceEvent>> = Vec::new();
         if traced {
@@ -1011,14 +994,14 @@ impl ClusterEngine {
             .max()
             .unwrap_or(SimDuration::ZERO);
         let mut merged = RunReport::from_records(&all_records, duration, &self.config.qos);
-        // Fleet-wide runtime counters: sum the per-replica fast-path
-        // numbers, then fill the coordinator-owned executor counters the
-        // replicas cannot see.
-        merged.runtime = RuntimeCounters::merged(replicas.iter().map(|o| &o.report.runtime));
-        merged.runtime.epochs = exec_stats.epochs;
-        merged.runtime.batched_barriers = exec_stats.batched_barriers;
-        merged.runtime.pool_workers = exec_stats.pool_workers as u64;
-        merged.runtime.pool_submissions = exec_stats.pool_submissions;
+        // Fleet-wide runtime counters: the replicas' fast-path counters
+        // merged with the coordinator's executor counters.
+        if let Some(pool) = &self.pool {
+            self.runtime.pool_workers = pool.spawned_workers() as u64;
+            self.runtime.pool_submissions = pool.submissions();
+        }
+        let parts = replicas.iter().map(|o| &o.report.runtime);
+        merged.runtime = RuntimeCounters::merged(parts.chain([&self.runtime]));
         // Merge the decision journals onto one timeline, rewriting each
         // replica's dense local request ids to cluster-global ids (the
         // ids the coordinator's dispatch events already speak). The

@@ -64,34 +64,6 @@ impl Execution {
     pub fn parallel(threads: usize) -> Self {
         Execution::Parallel(NonZeroUsize::new(threads).unwrap_or(NonZeroUsize::MIN))
     }
-
-    /// Short name for reports (`"sequential"` / `"parallel(n)"`).
-    pub fn describe(&self) -> String {
-        match self {
-            Execution::Sequential => "sequential".to_string(),
-            Execution::Parallel(n) => format!("parallel({n})"),
-        }
-    }
-}
-
-/// Observability counters for a cluster's epoch executor (see
-/// [`ClusterEngine::executor_stats`](crate::ClusterEngine::executor_stats)).
-/// All counters are exact and deterministic for a given run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecutorStats {
-    /// Barrier epochs the coordinator ran.
-    pub epochs: u64,
-    /// Arrival barriers coalesced into a running epoch by the
-    /// quiescent-target batching rule — each one saved a full
-    /// advance/wake cycle (see `ClusterEngine::extend_span`).
-    pub batched_barriers: u64,
-    /// OS threads the persistent pool spawned; zero until the first
-    /// parallel epoch, then constant (the pool is reused, never
-    /// respawned).
-    pub pool_workers: usize,
-    /// Pool batches submitted (one per parallel epoch with busy
-    /// replicas).
-    pub pool_submissions: u64,
 }
 
 /// Advances every busy replica (`done[i] == false`) until its clock
@@ -131,22 +103,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn describe_names_strategies() {
-        assert_eq!(Execution::Sequential.describe(), "sequential");
-        assert_eq!(Execution::parallel(4).describe(), "parallel(4)");
-    }
-
-    #[test]
     fn parallel_clamps_to_one_worker() {
         assert_eq!(Execution::parallel(0), Execution::parallel(1));
-    }
-
-    #[test]
-    fn auto_parallelism_is_parallel_on_multicore() {
-        // On any host where available_parallelism succeeds this is
-        // Parallel(n >= 1); the fallback is Sequential. Either way the
-        // value must be usable.
-        let e = Execution::parallel_auto();
-        assert!(!e.describe().is_empty());
     }
 }

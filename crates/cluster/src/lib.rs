@@ -56,7 +56,7 @@ pub mod pool;
 pub mod router;
 
 pub use cluster::{Assignment, ClusterEngine, ClusterOutcome};
-pub use executor::{Execution, ExecutorStats};
+pub use executor::Execution;
 pub use pool::WorkerPool;
 pub use router::{
     BacklogAwareRouter, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,

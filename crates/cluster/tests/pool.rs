@@ -104,13 +104,13 @@ fn skewed_replicas_are_byte_identical_across_strategies() {
 #[test]
 fn pool_is_reused_across_epochs_not_respawned() {
     let workload = skewed_workload(4, 20);
-    let mut cluster = ClusterEngine::new(config(), 4, RoundRobinRouter::new(), || {
+    let outcome = ClusterEngine::new(config(), 4, RoundRobinRouter::new(), || {
         Box::new(TokenFlowScheduler::new())
     })
-    .with_execution(Execution::parallel(3));
-    cluster.submit_workload(&workload);
-    assert!(cluster.run_to_completion());
-    let stats = cluster.executor_stats();
+    .with_execution(Execution::parallel(3))
+    .run(&workload);
+    assert!(outcome.complete);
+    let stats = outcome.merged.runtime;
     // Parallel(3) = coordinator + 2 spawned threads, created exactly
     // once; every epoch with busy replicas fed the same pool.
     assert_eq!(stats.pool_workers, 2, "pool spawn count");
@@ -132,14 +132,13 @@ fn trickle_batches_barriers_and_stays_byte_identical() {
         Box::new(TokenFlowScheduler::new())
     })
     .run(&workload);
-    let mut cluster = ClusterEngine::new(config(), 8, RoundRobinRouter::new(), || {
+    let pooled = ClusterEngine::new(config(), 8, RoundRobinRouter::new(), || {
         Box::new(TokenFlowScheduler::new())
     })
-    .with_execution(Execution::parallel(2));
-    cluster.submit_workload(&workload);
-    assert!(cluster.run_to_completion());
-    let stats = cluster.executor_stats();
-    let pooled = cluster.into_outcome();
+    .with_execution(Execution::parallel(2))
+    .run(&workload);
+    assert!(pooled.complete);
+    let stats = pooled.merged.runtime;
     assert_byte_identical(&sequential, &pooled, "trickle: sequential vs pooled");
     // Each arrival finds the fleet drained and rotation picks a fresh
     // quiescent replica, so almost every barrier after the first should

@@ -86,18 +86,6 @@ impl EngineConfig {
         }
     }
 
-    /// Enables or disables decision-event tracing.
-    pub fn with_trace(mut self, enabled: bool) -> Self {
-        self.trace = enabled;
-        self
-    }
-
-    /// Overrides the iteration-count safety cap.
-    pub fn with_max_iterations(mut self, n: u64) -> Self {
-        self.max_iterations = n;
-        self
-    }
-
     /// Enables or disables the plan-horizon fast path.
     pub fn with_plan_horizon(mut self, enabled: bool) -> Self {
         self.plan_horizon = enabled;

@@ -18,7 +18,7 @@
 
 use tokenflow_client::TokenBuffer;
 use tokenflow_kv::{Direction, KvConfig, KvManager};
-use tokenflow_metrics::{RequestMetrics, RunReport, TokenTimeline};
+use tokenflow_metrics::{RequestMetrics, RunReport, RuntimeCounters, TokenTimeline};
 use tokenflow_model::CostModel;
 use tokenflow_sched::{PlanNote, SchedContext, SchedContextBuilder, Scheduler};
 use tokenflow_sim::{Clock, EventQueue, RequestId, SimDuration, SimTime};
@@ -55,23 +55,6 @@ impl Completion {
     pub fn is_finished(self) -> bool {
         self == Completion::Finished
     }
-}
-
-/// Counters of the plan-horizon fast path, in the style of the cluster
-/// executor's stats: cheap enough to maintain always, rich enough for
-/// the bench harness to report a skip rate per run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FastPathStats {
-    /// Steps served by horizon replay or gate-refresh recompose — the
-    /// full admission/plan/compose pipeline was skipped.
-    pub fast_steps: u64,
-    /// Horizons armed at full-step boundaries.
-    pub horizons_issued: u64,
-    /// Horizons cut short by a decision-epoch event before their
-    /// certified expiry (arrival, finish, transfer completion, …).
-    pub horizons_invalidated: u64,
-    /// Horizons that ran to their certified expiry time.
-    pub horizons_expired: u64,
 }
 
 /// An armed plan-horizon certificate: the scheduler's horizon plus the
@@ -144,8 +127,8 @@ pub struct Engine {
     /// engine applies transfers up to three times per step, so the
     /// steady state reuses one allocation.
     kv_events: Vec<tokenflow_kv::KvEvent>,
-    /// Fast-path counters.
-    fast_stats: FastPathStats,
+    /// Fast-path counters; the executor-mechanics ones stay zero.
+    runtime: RuntimeCounters,
     /// Compute slowdown multiplier on iteration times (`1.0` = healthy).
     /// Fault injection sets it over a straggler window; while it is not
     /// `1.0` the plan-horizon fast path stays disarmed, so degraded
@@ -213,7 +196,7 @@ impl Engine {
             horizon: None,
             running_ctx_idx: Vec::new(),
             kv_events: Vec::new(),
-            fast_stats: FastPathStats::default(),
+            runtime: RuntimeCounters::default(),
             slowdown: 1.0,
             trace: if config.trace {
                 TraceSink::enabled(TraceSource::Replica(0))
@@ -565,7 +548,7 @@ impl Engine {
                         gates_static: h.gates_static,
                         epoch: epoch_at_plan,
                     });
-                    self.fast_stats.horizons_issued += 1;
+                    self.runtime.horizons_issued += 1;
                     self.trace.emit(
                         end,
                         TraceEventKind::HorizonArmed {
@@ -587,7 +570,7 @@ impl Engine {
         };
         if self.st.decision_epoch != h.epoch {
             self.horizon = None;
-            self.fast_stats.horizons_invalidated += 1;
+            self.runtime.horizons_invalidated += 1;
             self.trace.emit(
                 now,
                 TraceEventKind::HorizonEnded {
@@ -598,7 +581,7 @@ impl Engine {
         }
         if now >= h.valid_until {
             self.horizon = None;
-            self.fast_stats.horizons_expired += 1;
+            self.runtime.horizons_expired += 1;
             self.trace.emit(
                 now,
                 TraceEventKind::HorizonEnded {
@@ -633,7 +616,7 @@ impl Engine {
         // iteration, which the full pipeline owns.
         if (flipped || !h.gates_static) && !self.refresh_and_regate(now) {
             self.horizon = None;
-            self.fast_stats.horizons_invalidated += 1;
+            self.runtime.horizons_invalidated += 1;
             self.trace.emit(
                 now,
                 TraceEventKind::HorizonEnded {
@@ -650,7 +633,7 @@ impl Engine {
             > self.kv.gpu_free_tokens() / bt
         {
             self.horizon = None;
-            self.fast_stats.horizons_invalidated += 1;
+            self.runtime.horizons_invalidated += 1;
             self.trace.emit(
                 now,
                 TraceEventKind::HorizonEnded {
@@ -787,7 +770,7 @@ impl Engine {
         self.profs.decode.record(end, decode_delivered);
         self.telemetry.sample(&self.st, &self.kv, end);
         self.iterations += 1;
-        self.fast_stats.fast_steps += 1;
+        self.runtime.fast_steps += 1;
         outcome.now = end;
         outcome.done = self.st.all_finished() && self.arrivals.is_empty();
     }
@@ -909,8 +892,8 @@ impl Engine {
     }
 
     /// Plan-horizon fast-path counters accumulated so far.
-    pub fn fast_path_stats(&self) -> FastPathStats {
-        self.fast_stats
+    pub fn fast_path_stats(&self) -> RuntimeCounters {
+        self.runtime
     }
 
     /// Iterations executed so far (fast and full steps both count).
@@ -955,10 +938,7 @@ impl Engine {
             run_end.saturating_since(SimTime::ZERO),
             &self.config.qos,
         );
-        report.runtime.fast_steps = self.fast_stats.fast_steps;
-        report.runtime.horizons_issued = self.fast_stats.horizons_issued;
-        report.runtime.horizons_invalidated = self.fast_stats.horizons_invalidated;
-        report.runtime.horizons_expired = self.fast_stats.horizons_expired;
+        report.runtime = self.runtime;
         let timelines = self
             .st
             .requests

@@ -45,7 +45,7 @@ pub mod profiler;
 pub mod state;
 
 pub use config::EngineConfig;
-pub use engine::{Completion, Engine, FastPathStats, StepOutcome};
+pub use engine::{Completion, Engine, StepOutcome};
 pub use outcome::SimOutcome;
 pub use state::EngineLoad;
 

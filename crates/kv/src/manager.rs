@@ -329,12 +329,6 @@ impl KvManager {
         self.gpu.total_blocks() * self.config.block_tokens as u64
     }
 
-    /// Whether a prefill of `tokens` could allocate right now.
-    pub fn can_fit(&self, tokens: u64) -> bool {
-        self.gpu
-            .can_alloc(tokens_to_blocks(tokens, self.config.block_tokens))
-    }
-
     /// Tokens awaiting background write-through sync.
     pub fn write_backlog_tokens(&self) -> u64 {
         self.write_queue.pending_tokens()

@@ -13,6 +13,8 @@
 //! reorder fields or change float formatting without updating every
 //! golden digest.
 
+use std::fmt::Write;
+
 use crate::report::{FaultStats, RunReport, RuntimeCounters, Summary};
 
 /// 64-bit FNV-1a over a byte stream — stable, dependency-free, and fast
@@ -65,19 +67,12 @@ fn float(v: f64) -> String {
 }
 
 fn runtime_json(c: &RuntimeCounters) -> String {
-    format!(
-        "{{\"fast_steps\":{},\"horizons_issued\":{},\"horizons_invalidated\":{},\
-         \"horizons_expired\":{},\"epochs\":{},\"batched_barriers\":{},\
-         \"pool_workers\":{},\"pool_submissions\":{}}}",
-        c.fast_steps,
-        c.horizons_issued,
-        c.horizons_invalidated,
-        c.horizons_expired,
-        c.epochs,
-        c.batched_barriers,
-        c.pool_workers,
-        c.pool_submissions,
-    )
+    let mut json = String::from("{");
+    for (i, (key, value)) in c.entries().into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(json, "{sep}\"{key}\":{value}");
+    }
+    json + "}"
 }
 
 fn fault_json(f: &FaultStats) -> String {

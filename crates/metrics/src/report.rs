@@ -24,38 +24,6 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Count-weighted merge of summaries over disjoint sample sets.
-    ///
-    /// Counts, means, and maxima merge exactly. Percentiles cannot be
-    /// recovered from summaries alone, so they are count-weighted averages
-    /// — a documented approximation for dashboards over pre-aggregated
-    /// data. When the underlying samples are available, recompute with
-    /// [`Summary::of`] instead (the cluster crate's merged reports do).
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a Summary>) -> Summary {
-        let mut total = Summary::default();
-        for s in parts {
-            if s.count == 0 {
-                continue;
-            }
-            let n0 = total.count as f64;
-            let n1 = s.count as f64;
-            let n = n0 + n1;
-            total.mean = (total.mean * n0 + s.mean * n1) / n;
-            total.p50 = (total.p50 * n0 + s.p50 * n1) / n;
-            total.p90 = (total.p90 * n0 + s.p90 * n1) / n;
-            total.p99 = (total.p99 * n0 + s.p99 * n1) / n;
-            // Seed the maximum from the first non-empty part so all-negative
-            // sample sets merge exactly too.
-            total.max = if total.count == 0 {
-                s.max
-            } else {
-                total.max.max(s.max)
-            };
-            total.count += s.count;
-        }
-        total
-    }
-
     /// Summarises a sample set. Returns the zero summary for empty input.
     pub fn of(samples: &[f64]) -> Summary {
         if samples.is_empty() {
@@ -96,7 +64,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// the engine's plan-horizon fast-path statistics and the cluster
 /// executor's barrier/pool statistics. Zero for layers that don't apply
 /// (a single-engine run has no epochs; a replica report inside a cluster
-/// merge has no pool).
+/// merge has no pool). Each counter is declared once, in `COUNTERS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RuntimeCounters {
     /// Engine steps served by the plan-horizon fast path.
@@ -109,50 +77,85 @@ pub struct RuntimeCounters {
     pub horizons_expired: u64,
     /// Cluster arrival-barrier epochs executed.
     pub epochs: u64,
-    /// Epochs whose barriers were batched by the span optimisation.
+    /// Arrival barriers coalesced into a running epoch by span batching.
     pub batched_barriers: u64,
     /// Worker threads of the persistent executor pool (0 when
     /// sequential).
     pub pool_workers: u64,
-    /// Replica-advance tasks submitted to the pool.
+    /// Replica-advance batches submitted to the pool.
     pub pool_submissions: u64,
 }
 
+/// Which contract a runtime counter falls under. Simulation semantics
+/// must not move between execution strategies; executor mechanics
+/// describe *how* a cluster run was executed — barrier batching and
+/// worker pools are exactly what `Sequential` vs `Parallel` changes.
+#[derive(PartialEq)]
+enum Class {
+    Semantic,
+    Mechanics,
+}
+
+/// The field of [`RuntimeCounters`] a counter lives in.
+type Field = fn(&mut RuntimeCounters) -> &mut u64;
+
+/// One runtime counter: its JSON key, field, merge rule and class.
+struct Counter(&'static str, Field, fn(u64, u64) -> u64, Class);
+
+impl Class {
+    /// A counter of this class that merges by sum.
+    const fn sum(self, key: &'static str, field: Field) -> Counter {
+        Counter(key, field, |total, part| total + part, self)
+    }
+
+    /// A counter of this class that merges by maximum: a setting, not a total.
+    const fn max(self, key: &'static str, field: Field) -> Counter {
+        Counter(key, field, u64::max, self)
+    }
+}
+
+/// Every runtime counter, in canonical JSON order.
+const COUNTERS: [Counter; 8] = [
+    Class::Semantic.sum("fast_steps", |c| &mut c.fast_steps),
+    Class::Semantic.sum("horizons_issued", |c| &mut c.horizons_issued),
+    Class::Semantic.sum("horizons_invalidated", |c| &mut c.horizons_invalidated),
+    Class::Semantic.sum("horizons_expired", |c| &mut c.horizons_expired),
+    Class::Mechanics.sum("epochs", |c| &mut c.epochs),
+    Class::Mechanics.sum("batched_barriers", |c| &mut c.batched_barriers),
+    Class::Mechanics.max("pool_workers", |c| &mut c.pool_workers),
+    Class::Mechanics.sum("pool_submissions", |c| &mut c.pool_submissions),
+];
+
 impl RuntimeCounters {
-    /// Field-wise sum, except `pool_workers` (a configuration value, not
-    /// a total) which takes the maximum.
+    /// Combines the counters of one run's parts (a cluster's replicas
+    /// and its coordinator), each by its declared merge rule.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a RuntimeCounters>) -> RuntimeCounters {
         let mut total = RuntimeCounters::default();
-        for c in parts {
-            total.fast_steps += c.fast_steps;
-            total.horizons_issued += c.horizons_issued;
-            total.horizons_invalidated += c.horizons_invalidated;
-            total.horizons_expired += c.horizons_expired;
-            total.epochs += c.epochs;
-            total.batched_barriers += c.batched_barriers;
-            total.pool_workers = total.pool_workers.max(c.pool_workers);
-            total.pool_submissions += c.pool_submissions;
+        for mut part in parts.into_iter().copied() {
+            for Counter(_, field, merge, _) in COUNTERS {
+                let acc = field(&mut total);
+                *acc = merge(*acc, *field(&mut part));
+            }
         }
         total
     }
 
-    /// Copy with the executor-mechanics counters (epochs, batched
-    /// barriers, pool stats) zeroed, keeping only the counters pinned by
-    /// the executor-invariance contract. The mechanics counters describe
-    /// *how* a cluster run was executed — barrier batching and worker
-    /// pools are exactly what `Sequential` vs `Parallel` changes — so
-    /// they are the one part of a report allowed to differ between
-    /// execution strategies. The fast-path counters are simulation
-    /// semantics and must not move; equivalence suites compare reports
-    /// through this view.
+    /// Copy with the executor-mechanics counters zeroed: the view of
+    /// the counters the executor-invariance contract pins, through which
+    /// equivalence suites compare reports.
     pub fn invariant(&self) -> RuntimeCounters {
-        RuntimeCounters {
-            fast_steps: self.fast_steps,
-            horizons_issued: self.horizons_issued,
-            horizons_invalidated: self.horizons_invalidated,
-            horizons_expired: self.horizons_expired,
-            ..RuntimeCounters::default()
+        let mut kept = *self;
+        for Counter(_, field, _, class) in COUNTERS {
+            if class == Class::Mechanics {
+                *field(&mut kept) = 0;
+            }
         }
+        kept
+    }
+
+    /// Every counter as `(JSON key, value)`, in canonical order.
+    pub(crate) fn entries(mut self) -> [(&'static str, u64); 8] {
+        COUNTERS.map(|Counter(key, field, ..)| (key, *field(&mut self)))
     }
 }
 
@@ -179,33 +182,6 @@ pub struct FaultStats {
     pub retry_attempts: Vec<u64>,
     /// Seconds from a recovered request's first loss to its completion.
     pub recovery_latency: Summary,
-}
-
-impl FaultStats {
-    /// Field-wise merge: counters sum, histograms add element-wise, and
-    /// the latency summary merges count-weighted (see
-    /// [`Summary::merged`]).
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a FaultStats>) -> FaultStats {
-        let mut total = FaultStats::default();
-        let mut summaries = Vec::new();
-        for f in parts {
-            total.crashes += f.crashes;
-            total.boot_failures += f.boot_failures;
-            total.lost_events += f.lost_events;
-            total.recovered += f.recovered;
-            total.abandoned += f.abandoned;
-            total.shed += f.shed;
-            if total.retry_attempts.len() < f.retry_attempts.len() {
-                total.retry_attempts.resize(f.retry_attempts.len(), 0);
-            }
-            for (slot, &n) in total.retry_attempts.iter_mut().zip(&f.retry_attempts) {
-                *slot += n;
-            }
-            summaries.push(&f.recovery_latency);
-        }
-        total.recovery_latency = Summary::merged(summaries);
-        total
-    }
 }
 
 /// Aggregated results of one serving run.
@@ -237,9 +213,9 @@ pub struct RunReport {
     /// tokens/second.
     pub mean_generation_rate: f64,
     /// Serving cost: billable replicas × seconds. A single-engine run
-    /// bills one replica for the whole duration; cluster merges sum their
-    /// parts, and elastic clusters overwrite this with the control
-    /// plane's exact integral (see `tokenflow-metrics`' `FleetStats`).
+    /// bills one replica for the whole duration; a static cluster bills
+    /// every replica for the whole run, and an elastic one overwrites
+    /// this with the control plane's exact integral (see `FleetStats`).
     pub replica_seconds: f64,
     /// Execution-machinery counters (fast-path and executor statistics).
     /// `from_records` leaves them zero; the engine and cluster layers
@@ -292,68 +268,6 @@ impl RunReport {
             replica_seconds: duration.as_secs_f64(),
             runtime: RuntimeCounters::default(),
             faults: None,
-        }
-    }
-
-    /// Merges reports from replicas that ran concurrently on one simulated
-    /// timeline (a cluster run): counts and totals sum, the duration is the
-    /// longest replica's, and rate metrics are recovered from each
-    /// replica's `rate × duration` token totals before re-normalising by
-    /// the merged duration.
-    ///
-    /// TTFT percentiles are count-weighted approximations (see
-    /// [`Summary::merged`]), and `mean_generation_rate` is weighted by
-    /// completed counts even though each replica normalises it over only
-    /// its rate-measurable requests — both are summary-level
-    /// approximations. When per-request records are available, prefer
-    /// [`RunReport::from_records`] over the concatenated records — that
-    /// is what `tokenflow-cluster` reports as the exact merge.
-    pub fn merged<'a>(reports: impl IntoIterator<Item = &'a RunReport>) -> RunReport {
-        let reports: Vec<&RunReport> = reports.into_iter().collect();
-        let duration = reports
-            .iter()
-            .map(|r| r.duration)
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        let dur_secs = duration.as_secs_f64().max(1e-9);
-        let recover = |f: fn(&RunReport) -> f64| -> f64 {
-            reports
-                .iter()
-                .map(|r| f(r) * r.duration.as_secs_f64())
-                .sum::<f64>()
-                / dur_secs
-        };
-        let completed: usize = reports.iter().map(|r| r.completed).sum();
-        let rate_weight: f64 = reports
-            .iter()
-            .map(|r| r.mean_generation_rate * r.completed as f64)
-            .sum();
-        RunReport {
-            submitted: reports.iter().map(|r| r.submitted).sum(),
-            completed,
-            duration,
-            ttft: Summary::merged(reports.iter().map(|r| &r.ttft)),
-            throughput: recover(|r| r.throughput),
-            effective_throughput: recover(|r| r.effective_throughput),
-            qos: recover(|r| r.qos),
-            total_rebuffer_secs: reports.iter().map(|r| r.total_rebuffer_secs).sum(),
-            stall_events: reports.iter().map(|r| r.stall_events).sum(),
-            preemptions: reports.iter().map(|r| r.preemptions).sum(),
-            recomputes: reports.iter().map(|r| r.recomputes).sum(),
-            mean_generation_rate: if completed == 0 {
-                0.0
-            } else {
-                rate_weight / completed as f64
-            },
-            replica_seconds: reports.iter().map(|r| r.replica_seconds).sum(),
-            runtime: RuntimeCounters::merged(reports.iter().map(|r| &r.runtime)),
-            faults: if reports.iter().all(|r| r.faults.is_none()) {
-                None
-            } else {
-                Some(FaultStats::merged(
-                    reports.iter().filter_map(|r| r.faults.as_ref()),
-                ))
-            },
         }
     }
 }
@@ -421,6 +335,8 @@ mod tests {
         assert_eq!(r.throughput, 100.0);
         assert_eq!(r.effective_throughput, 80.0);
         assert!((r.ttft.mean - 1.0).abs() < 1e-9);
+        // One replica billed for the whole run.
+        assert_eq!(r.replica_seconds, 10.0);
         // Effective throughput can never exceed raw throughput.
         assert!(r.effective_throughput <= r.throughput);
     }
@@ -437,76 +353,60 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_is_count_weighted() {
-        let a = Summary::of(&[1.0, 2.0, 3.0]);
-        let b = Summary::of(&[10.0]);
-        let m = Summary::merged([&a, &b]);
-        assert_eq!(m.count, 4);
-        assert!((m.mean - (1.0 + 2.0 + 3.0 + 10.0) / 4.0).abs() < 1e-9);
-        assert_eq!(m.max, 10.0);
-        let empty = Summary::merged([&Summary::default(), &a]);
-        assert_eq!(empty.count, a.count);
-        assert_eq!(empty.mean, a.mean);
-    }
-
-    #[test]
-    fn report_merge_sums_counts_and_recovers_rates() {
-        let qos = QosParams::default();
-        let d = SimDuration::from_secs(10);
-        let a = RunReport::from_records(
-            &[record(0, 500, 600, 500.0), record(1, 1_500, 400, 300.0)],
-            d,
-            &qos,
-        );
-        let b = RunReport::from_records(
-            &[record(0, 700, 1_000, 900.0)],
-            SimDuration::from_secs(20),
-            &qos,
-        );
-        let m = RunReport::merged([&a, &b]);
-        assert_eq!(m.submitted, a.submitted + b.submitted);
-        assert_eq!(m.completed, a.completed + b.completed);
-        assert_eq!(m.duration, SimDuration::from_secs(20));
-        // Total tokens (1000 + 1000) over the merged 20 s timeline.
-        assert!((m.throughput - 100.0).abs() < 1e-9, "{}", m.throughput);
-        assert_eq!(m.ttft.count, 3);
-        assert_eq!(m.stall_events, a.stall_events + b.stall_events);
-        // Merging matches recomputing from the concatenated records on
-        // every count/total (percentiles are approximate by contract).
-        let exact = RunReport::from_records(
-            &[
-                record(0, 500, 600, 500.0),
-                record(1, 1_500, 400, 300.0),
-                record(2, 700, 1_000, 900.0),
-            ],
-            SimDuration::from_secs(20),
-            &qos,
-        );
-        assert_eq!(m.submitted, exact.submitted);
-        assert_eq!(m.completed, exact.completed);
-        assert!((m.throughput - exact.throughput).abs() < 1e-9);
-        assert!((m.effective_throughput - exact.effective_throughput).abs() < 1e-9);
-    }
-
-    #[test]
-    fn replica_seconds_default_to_duration_and_sum_on_merge() {
-        let qos = QosParams::default();
-        let a = RunReport::from_records(
-            &[record(0, 500, 600, 500.0)],
-            SimDuration::from_secs(10),
-            &qos,
-        );
-        assert_eq!(a.replica_seconds, 10.0);
-        let b = RunReport::from_records(
-            &[record(0, 700, 1_000, 900.0)],
-            SimDuration::from_secs(20),
-            &qos,
-        );
-        // Two replicas that ran 10 s and 20 s cost 30 replica-seconds even
-        // though the merged wall-clock is only 20 s.
-        let m = RunReport::merged([&a, &b]);
-        assert_eq!(m.replica_seconds, 30.0);
-        assert_eq!(m.duration, SimDuration::from_secs(20));
+    fn runtime_counters_render_merge_and_project_by_declaration() {
+        let a = RuntimeCounters {
+            fast_steps: 1,
+            horizons_issued: 2,
+            horizons_invalidated: 3,
+            horizons_expired: 4,
+            epochs: 5,
+            batched_barriers: 6,
+            pool_workers: 7,
+            pool_submissions: 8,
+        };
+        let b = RuntimeCounters {
+            fast_steps: 10,
+            horizons_issued: 20,
+            horizons_invalidated: 30,
+            horizons_expired: 40,
+            epochs: 50,
+            batched_barriers: 60,
+            pool_workers: 3,
+            pool_submissions: 80,
+        };
+        let mut report = RunReport::from_records(&[], SimDuration::ZERO, &QosParams::default());
+        report.runtime = a;
+        assert!(report.canonical_json().ends_with(
+            "\"runtime\":{\"fast_steps\":1,\"horizons_issued\":2,\"horizons_invalidated\":3,\
+             \"horizons_expired\":4,\"epochs\":5,\"batched_barriers\":6,\"pool_workers\":7,\
+             \"pool_submissions\":8}}"
+        ));
+        // `pool_workers` is a configuration value and merges by max; the
+        // other seven are totals.
+        let sum = RuntimeCounters {
+            fast_steps: 11,
+            horizons_issued: 22,
+            horizons_invalidated: 33,
+            horizons_expired: 44,
+            epochs: 55,
+            batched_barriers: 66,
+            pool_workers: 7,
+            pool_submissions: 88,
+        };
+        assert_eq!(RuntimeCounters::merged([&a, &b]), sum);
+        assert_eq!(RuntimeCounters::merged([&b, &a]), sum);
+        assert_eq!(RuntimeCounters::merged([]), RuntimeCounters::default());
+        // The invariant view zeroes exactly the four executor-mechanics
+        // counters.
+        let semantic = RuntimeCounters {
+            fast_steps: 1,
+            horizons_issued: 2,
+            horizons_invalidated: 3,
+            horizons_expired: 4,
+            ..RuntimeCounters::default()
+        };
+        assert_eq!(a.invariant(), semantic);
+        assert_eq!(semantic.invariant(), semantic);
     }
 
     #[test]

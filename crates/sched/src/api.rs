@@ -161,21 +161,6 @@ impl SchedContext {
         self.phase_counts[phase_index(phase)]
     }
 
-    /// Mutable view of one request, by binary search (same ordering
-    /// contract as [`SchedContext::view_of`]).
-    ///
-    /// This exists for the engine's plan-horizon fast path, which
-    /// refreshes a member's gate-read fields in place between full
-    /// context rebuilds. Callers that change a view's `phase` must call
-    /// [`SchedContext::recount_phases`] afterwards or the cached counts
-    /// go stale.
-    pub fn view_mut_of(&mut self, id: RequestId) -> Option<&mut ReqView> {
-        self.requests
-            .binary_search_by(|r| r.id.cmp(&id))
-            .ok()
-            .map(|i| &mut self.requests[i])
-    }
-
     /// Moves the context's clock without rebuilding anything else — the
     /// plan-horizon fast path advances retained contexts step by step.
     pub fn set_now(&mut self, now: SimTime) {

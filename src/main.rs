@@ -278,13 +278,12 @@ fn load_harness(path: &str, traced: bool) -> Result<Harness, CliError> {
     Ok(harness)
 }
 
-/// Runs a traced harness and hands back the journal alongside the
-/// outcome.
+/// Runs a traced harness and moves the journal out of its outcome.
 fn run_traced(harness: Harness) -> Result<(RunOutcome, TraceJournal), CliError> {
-    let outcome = harness.run();
+    let mut outcome = harness.run();
     let journal = outcome
         .trace
-        .clone()
+        .take()
         .expect("traced run must yield a journal");
     Ok((outcome, journal))
 }

@@ -283,11 +283,18 @@ fn check_perfetto_events(spec: &str, events: &[Json]) -> usize {
 
 #[test]
 fn explain_prints_a_timeline_with_attributions() {
-    for id in ["req#0", "0"] {
-        let out = run(&["explain", QUICKSTART, id]);
+    for (spec, id, shown) in [
+        (QUICKSTART, "req#0", "req#0"),
+        (QUICKSTART, "0", "req#0"),
+        (FLEET, "req#3", "req#3"),
+    ] {
+        let out = run(&["explain", spec, id]);
         assert!(out.status.success(), "{}", stderr_of(&out));
         let text = String::from_utf8_lossy(&out.stdout).into_owned();
-        assert!(text.contains("req#0 — decision timeline"), "{text}");
+        assert!(
+            text.contains(&format!("{shown} — decision timeline")),
+            "{text}"
+        );
         assert!(text.contains("first token"), "{text}");
         assert!(text.contains("time to first token"), "{text}");
         assert!(text.contains("total latency"), "{text}");
