@@ -6,7 +6,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use audit::{ratchet_findings, report, run_audit, tiers};
+use audit::tiers::{self, Tier};
+use audit::{ratchet_findings, report, run_audit};
 
 fn workspace_root() -> PathBuf {
     let here = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -34,6 +35,17 @@ fn workspace_audits_clean() {
         "workspace has unbaselined findings:\n{}",
         render_all(&outcome.findings)
     );
+    // The tier map's two anchors: the simulation core is deterministic,
+    // the experiment harness is host code.
+    let tier = |name: &str| {
+        outcome
+            .crates
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.tier)
+    };
+    assert_eq!(tier("sim"), Some(Tier::Deterministic));
+    assert_eq!(tier("bench"), Some(Tier::Host));
 }
 
 #[test]

@@ -1006,6 +1006,167 @@ mod tests {
         );
     }
 
+    /// One event of each of the 27 kinds, each from its own source, time
+    /// and sequence number, with the integer, float and string edges of
+    /// the canonical writer: ids and counts on both sides of 10^15 (the
+    /// float fallback) up to `u64::MAX`, negative and non-integral
+    /// floats, an unbounded horizon, and multi-digit replica labels.
+    fn golden_kind_journal() -> TraceJournal {
+        use tokenflow_trace::{HorizonEndReason, PreemptCause};
+        let big = RequestId(1_000_000_000_000_000);
+        let edge = RequestId(999_999_999_999_999);
+        let id = RequestId(7);
+        let kinds = vec![
+            TraceEventKind::Arrived {
+                id: big,
+                arrival: SimTime::from_micros(1_000_000_000_000_007),
+            },
+            TraceEventKind::Dispatch {
+                id: edge,
+                replica: 12,
+                scores: vec![0.25, 2.0, -1.5, 1e-9, 1e21],
+            },
+            TraceEventKind::Admitted {
+                id,
+                recompute: true,
+                queued_behind_tokens: u64::MAX,
+            },
+            TraceEventKind::PrefillChunk {
+                id,
+                tokens: 0,
+                completes: false,
+            },
+            TraceEventKind::FirstToken { id },
+            TraceEventKind::Finished { id },
+            TraceEventKind::Preempted {
+                id,
+                discard: true,
+                cause: PreemptCause::Planned,
+            },
+            TraceEventKind::Shed { id },
+            TraceEventKind::Resumed { id },
+            TraceEventKind::DecodeGate { id, paused: false },
+            TraceEventKind::EvictStart { id, tokens: 99 },
+            TraceEventKind::EvictDone { id },
+            TraceEventKind::LoadStart { id, tokens: 100 },
+            TraceEventKind::LoadDone { id },
+            TraceEventKind::Reprice {
+                id,
+                before: -0.125,
+                after: 1.7816,
+            },
+            TraceEventKind::Swap {
+                evicted: id,
+                admitted: RequestId(10),
+                evicted_priority: -3.0,
+                admitted_priority: 123456.789,
+            },
+            TraceEventKind::Scale {
+                delta: -2,
+                applied: false,
+                active: 6,
+                terms: vec![("queued", 12.0), ("utilization", 0.875), ("slack", -0.5)],
+            },
+            TraceEventKind::HorizonArmed {
+                valid_until: SimTime::MAX,
+                gates_static: true,
+            },
+            TraceEventKind::HorizonEnded {
+                reason: HorizonEndReason::Expired,
+            },
+            TraceEventKind::ReplicaCrashed {
+                replica: 2,
+                lost: 5,
+            },
+            TraceEventKind::ReplicaDegraded {
+                replica: 1,
+                factor: 0.5,
+            },
+            TraceEventKind::BootFailed { replica: 30 },
+            TraceEventKind::LinkDegraded {
+                replica: 1,
+                factor: 1.0,
+            },
+            TraceEventKind::RequestLost { id, replica: 2 },
+            TraceEventKind::RetryScheduled { id, attempt: 1 },
+            TraceEventKind::RequestAbandoned { id, attempts: 3 },
+            TraceEventKind::AdmissionShed { id },
+        ];
+        let sources = [
+            TraceSource::Control,
+            TraceSource::Coordinator,
+            TraceSource::Replica(0),
+            TraceSource::Replica(9),
+            TraceSource::Replica(10),
+            TraceSource::Replica(4_294_967_295),
+        ];
+        let events = kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| TraceEvent {
+                time: SimTime::from_micros(10_000_000 * i as u64 + 99),
+                source: sources[i % sources.len()],
+                seq: [0, 9, 10, 999_999_999_999_999, 1_000_000_000_000_000][i % 5],
+                kind,
+            })
+            .collect();
+        TraceJournal { events }
+    }
+
+    /// The JSONL line of every kind, pinned byte for byte. The canonical
+    /// view must be the same lines without meta kinds and `seq`.
+    #[test]
+    fn every_kind_renders_its_pinned_line() {
+        const PINNED: [&str; 27] = [
+            r#"{"t_us":99,"src":"control","seq":0,"kind":"arrived","id":1000000000000000.0,"arrival_us":1000000000000007.0}"#,
+            r#"{"t_us":10000099,"src":"coordinator","seq":9,"kind":"dispatch","id":999999999999999,"replica":12,"scores":[0.25,2,-1.5,1e-9,1e21]}"#,
+            r#"{"t_us":20000099,"src":"replica-0","seq":10,"kind":"admitted","id":7,"recompute":true,"queued_behind_tokens":1.8446744073709552e19}"#,
+            r#"{"t_us":30000099,"src":"replica-9","seq":999999999999999,"kind":"prefill_chunk","id":7,"tokens":0,"completes":false}"#,
+            r#"{"t_us":40000099,"src":"replica-10","seq":1000000000000000.0,"kind":"first_token","id":7}"#,
+            r#"{"t_us":50000099,"src":"replica-4294967295","seq":0,"kind":"finished","id":7}"#,
+            r#"{"t_us":60000099,"src":"control","seq":9,"kind":"preempted","id":7,"discard":true,"cause":"planned"}"#,
+            r#"{"t_us":70000099,"src":"coordinator","seq":10,"kind":"shed","id":7}"#,
+            r#"{"t_us":80000099,"src":"replica-0","seq":999999999999999,"kind":"resumed","id":7}"#,
+            r#"{"t_us":90000099,"src":"replica-9","seq":1000000000000000.0,"kind":"decode_gate","id":7,"paused":false}"#,
+            r#"{"t_us":100000099,"src":"replica-10","seq":0,"kind":"evict_start","id":7,"tokens":99}"#,
+            r#"{"t_us":110000099,"src":"replica-4294967295","seq":9,"kind":"evict_done","id":7}"#,
+            r#"{"t_us":120000099,"src":"control","seq":10,"kind":"load_start","id":7,"tokens":100}"#,
+            r#"{"t_us":130000099,"src":"coordinator","seq":999999999999999,"kind":"load_done","id":7}"#,
+            r#"{"t_us":140000099,"src":"replica-0","seq":1000000000000000.0,"kind":"reprice","id":7,"before":-0.125,"after":1.7816}"#,
+            r#"{"t_us":150000099,"src":"replica-9","seq":0,"kind":"swap","evicted":7,"admitted":10,"evicted_priority":-3,"admitted_priority":123456.789}"#,
+            r#"{"t_us":160000099,"src":"replica-10","seq":9,"kind":"scale","delta":-2,"applied":false,"active":6,"terms":{"queued":12,"utilization":0.875,"slack":-0.5}}"#,
+            r#"{"t_us":170000099,"src":"replica-4294967295","seq":10,"kind":"horizon_armed","valid_until_us":null,"gates_static":true}"#,
+            r#"{"t_us":180000099,"src":"control","seq":999999999999999,"kind":"horizon_ended","reason":"expired"}"#,
+            r#"{"t_us":190000099,"src":"coordinator","seq":1000000000000000.0,"kind":"replica_crashed","replica":2,"lost":5}"#,
+            r#"{"t_us":200000099,"src":"replica-0","seq":0,"kind":"replica_degraded","replica":1,"factor":0.5}"#,
+            r#"{"t_us":210000099,"src":"replica-9","seq":9,"kind":"boot_failed","replica":30}"#,
+            r#"{"t_us":220000099,"src":"replica-10","seq":10,"kind":"link_degraded","replica":1,"factor":1}"#,
+            r#"{"t_us":230000099,"src":"replica-4294967295","seq":999999999999999,"kind":"request_lost","id":7,"replica":2}"#,
+            r#"{"t_us":240000099,"src":"control","seq":1000000000000000.0,"kind":"retry_scheduled","id":7,"attempt":1}"#,
+            r#"{"t_us":250000099,"src":"coordinator","seq":0,"kind":"request_abandoned","id":7,"attempts":3}"#,
+            r#"{"t_us":260000099,"src":"replica-0","seq":9,"kind":"admission_shed","id":7}"#,
+        ];
+        let journal = golden_kind_journal();
+        let text = trace_jsonl(&journal);
+        assert_eq!(text.lines().collect::<Vec<_>>(), PINNED);
+        assert!(text.ends_with("}\n"));
+        let stripped: Vec<String> = PINNED
+            .iter()
+            .filter(|line| !line.contains(r#""kind":"horizon_"#))
+            .map(|line| {
+                let from = line.find(r#","seq":"#).expect("every line has a seq");
+                let to = from + line[from + 1..].find(',').expect("kind follows seq") + 1;
+                format!("{}{}", &line[..from], &line[to..])
+            })
+            .collect();
+        let canonical = canonical_trace_jsonl(&journal);
+        assert_eq!(canonical.lines().collect::<Vec<_>>(), stripped);
+        assert_eq!(
+            trace_digest(&journal),
+            tokenflow_metrics::fnv1a64(canonical.as_bytes())
+        );
+    }
+
     #[test]
     fn streamed_digest_equals_the_digest_of_the_canonical_text() {
         for journal in [

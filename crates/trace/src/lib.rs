@@ -606,6 +606,22 @@ mod tests {
         );
     }
 
+    /// Every ordering of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(at, n - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
     #[test]
     fn merge_order_is_independent_of_part_order() {
         let a = vec![ev(10, TraceSource::Replica(0), 0, 1)];
@@ -615,7 +631,7 @@ mod tests {
         ];
         let c = vec![ev(10, TraceSource::Coordinator, 0, 4)];
         let fwd = TraceJournal::merge(vec![a.clone(), b.clone(), c.clone()]);
-        let rev = TraceJournal::merge(vec![c, b, a]);
+        let rev = TraceJournal::merge(vec![c.clone(), b.clone(), a.clone()]);
         assert_eq!(fwd, rev);
         // At t=10: coordinator before replicas, replica 0 before 1.
         let order: Vec<u64> = fwd
@@ -624,6 +640,32 @@ mod tests {
             .map(|e| e.kind.request().unwrap().0)
             .collect();
         assert_eq!(order, vec![2, 4, 1, 3]);
+
+        // A part out of (time, seq) order, one interleaving the others'
+        // instants, and an empty part: every permutation of the parts
+        // merges to the reference sort of their concatenation.
+        let unordered = vec![
+            ev(20, TraceSource::Replica(2), 2, 5),
+            ev(3, TraceSource::Replica(2), 0, 6),
+            ev(10, TraceSource::Replica(2), 4, 7),
+            ev(10, TraceSource::Replica(2), 3, 8),
+            ev(10, TraceSource::Replica(2), 1, 9),
+        ];
+        let interleaved = vec![
+            ev(0, TraceSource::Control, 0, 10),
+            ev(5, TraceSource::Control, 1, 11),
+            ev(10, TraceSource::Control, 2, 12),
+            ev(30, TraceSource::Control, 3, 13),
+        ];
+        let parts = [a, b, c, unordered, interleaved, Vec::new()];
+        let mut reference: Vec<TraceEvent> = parts.concat();
+        reference.sort_by_key(|e| (e.time, e.source, e.seq));
+        for perm in permutations(parts.len()) {
+            let merged = TraceJournal::merge(perm.iter().map(|&i| parts[i].clone()).collect());
+            assert_eq!(merged.events, reference, "part order {perm:?}");
+        }
+        assert!(TraceJournal::merge(Vec::new()).is_empty());
+        assert!(TraceJournal::merge(vec![Vec::new(), Vec::new()]).is_empty());
     }
 
     #[test]

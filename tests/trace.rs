@@ -10,10 +10,10 @@
 //!    and off, single-engine and clustered.
 //! 3. **Zero observer effect** — a traced run's report digest equals the
 //!    untraced run's: recording decisions never changes one.
-//! 4. **Pinned trace digests** — the committed quickstart and fleet
-//!    scenarios' canonical journals, and the full bytes of their JSONL
-//!    and Perfetto renderings, are golden-pinned like report digests;
-//!    the failing assertion prints the replacement value.
+//! 4. **Pinned trace digests** — the committed quickstart, fleet, fault
+//!    and autoscale scenarios' canonical journals, and the full bytes of
+//!    their JSONL and Perfetto renderings, are golden-pinned like report
+//!    digests; the failing assertion prints the replacement value.
 //! 5. **Explain arithmetic** — per-phase wait attributions sum *exactly*
 //!    to each request's recorded TTFT and latency, for every request of
 //!    three scenarios (single-engine, clustered, and clustered with a
@@ -23,6 +23,9 @@
 //!    scan behind `explain` does.
 //! 7. **Every journaled request is explainable** — including a request
 //!    shed at admission, which also gets its Perfetto lane.
+//! 8. **Two id spaces** — a cluster's per-replica journals keep their
+//!    local ids, and each event maps through the assignment table onto
+//!    the merged journal's event with the same `(source, seq)`.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +41,7 @@ use tokenflow_scenario::{
 };
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{RequestId, SimTime};
-use tokenflow_trace::{TraceEventKind, TraceJournal};
+use tokenflow_trace::{TraceEventKind, TraceJournal, TraceSource};
 use tokenflow_workload::Workload;
 
 /// The committed scenarios this suite drives (read from disk so the CI
@@ -47,6 +50,9 @@ const QUICKSTART: &str = "scenarios/quickstart_single.json";
 const FLEET: &str = "scenarios/cluster_fleet_burst.json";
 /// A crash on replica 2 at 35 s, a straggler, and retries.
 const FAULTY: &str = "scenarios/faulty_flash_crowd.json";
+/// An elastic fleet: scale decisions, provisioning, preemption and KV
+/// offload.
+const AUTOSCALE: &str = "scenarios/flash_crowd_autoscale.json";
 
 fn load_spec(path: &str) -> ScenarioSpec {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
@@ -152,12 +158,16 @@ fn tracing_never_changes_the_report() {
 // message.
 const QUICKSTART_TRACE_DIGEST: u64 = 0xfa7a1fecd6abd1a5;
 const FLEET_TRACE_DIGEST: u64 = 0xfa73e120f2f74848;
+const FAULTY_TRACE_DIGEST: u64 = 0x5009c6c4e08ae8cf;
+const AUTOSCALE_TRACE_DIGEST: u64 = 0x4d5aac0add87d864;
 
 #[test]
 fn committed_scenario_trace_digests_are_pinned() {
     for (path, pinned) in [
         (QUICKSTART, QUICKSTART_TRACE_DIGEST),
         (FLEET, FLEET_TRACE_DIGEST),
+        (FAULTY, FAULTY_TRACE_DIGEST),
+        (AUTOSCALE, AUTOSCALE_TRACE_DIGEST),
     ] {
         let (_, journal) = run_traced(load_spec(path));
         let measured = trace_digest(&journal);
@@ -174,12 +184,18 @@ const QUICKSTART_JSONL_FNV: u64 = 0xfc3987aab7c95df3;
 const QUICKSTART_PERFETTO_FNV: u64 = 0xbb48f0d344b58fb4;
 const FLEET_JSONL_FNV: u64 = 0x7df35d65ded12830;
 const FLEET_PERFETTO_FNV: u64 = 0xcf7922b61970ded9;
+const FAULTY_JSONL_FNV: u64 = 0x19283d9ed1cc023e;
+const FAULTY_PERFETTO_FNV: u64 = 0x770f49f267248038;
+const AUTOSCALE_JSONL_FNV: u64 = 0x4e5211510b20fc39;
+const AUTOSCALE_PERFETTO_FNV: u64 = 0x5b71be1b9f528536;
 
 #[test]
 fn committed_scenario_renderings_are_pinned_byte_for_byte() {
     for (path, jsonl_pin, perfetto_pin) in [
         (QUICKSTART, QUICKSTART_JSONL_FNV, QUICKSTART_PERFETTO_FNV),
         (FLEET, FLEET_JSONL_FNV, FLEET_PERFETTO_FNV),
+        (FAULTY, FAULTY_JSONL_FNV, FAULTY_PERFETTO_FNV),
+        (AUTOSCALE, AUTOSCALE_JSONL_FNV, AUTOSCALE_PERFETTO_FNV),
     ] {
         let (_, journal) = run_traced(load_spec(path));
         let jsonl = fnv1a64(trace_jsonl(&journal).as_bytes());
@@ -310,6 +326,60 @@ fn explain_attributions_sum_to_ttft_and_latency_cluster() {
         let record = &out.replicas[a.replica].records[a.local_id.0 as usize];
         assert_sums(&journal, RequestId(global as u64), record, "cluster");
     }
+}
+
+#[test]
+fn replica_journals_keep_local_ids_that_map_to_the_merged_journal() {
+    let w = bursty_workload();
+    let out = ClusterEngine::new(traced_config(), 3, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .run(&w);
+    assert!(out.complete, "cluster run incomplete");
+    let merged = out.trace.as_ref().expect("traced run yields a journal");
+    // The assignment table, inverted: (replica, local id) -> global id.
+    let mut globals: Vec<Vec<RequestId>> = vec![Vec::new(); out.replicas.len()];
+    for (global, a) in out.assignments.iter().enumerate() {
+        assert_eq!(a.local_id.0 as usize, globals[a.replica].len());
+        globals[a.replica].push(RequestId(global as u64));
+    }
+    let by_key: BTreeMap<_, _> = merged
+        .events
+        .iter()
+        .map(|e| ((e.source, e.seq), e))
+        .collect();
+    assert_eq!(by_key.len(), merged.len(), "(source, seq) is unique");
+    let (mut replica_events, mut renamed) = (0, 0);
+    for (r, replica) in out.replicas.iter().enumerate() {
+        let local = replica
+            .trace
+            .as_ref()
+            .expect("traced replicas keep a journal");
+        for e in &local.events {
+            assert_eq!(e.source, TraceSource::Replica(r as u32));
+            let mut expected = e.kind.clone();
+            expected.map_ids(|id| globals[r][id.0 as usize]);
+            let m = by_key[&(e.source, e.seq)];
+            assert_eq!(
+                (m.time, &m.kind),
+                (e.time, &expected),
+                "replica {r} seq {}",
+                e.seq
+            );
+            renamed += usize::from(m.kind != e.kind);
+        }
+        replica_events += local.len();
+    }
+    let merged_replica_events = merged
+        .events
+        .iter()
+        .filter(|e| matches!(e.source, TraceSource::Replica(_)))
+        .count();
+    assert_eq!(merged_replica_events, replica_events);
+    assert!(
+        renamed > 0,
+        "the replica journals must keep their local ids"
+    );
 }
 
 /// Runs the committed fault scenario traced, through the cluster engine
