@@ -1002,18 +1002,22 @@ impl ClusterEngine {
         }
         let parts = replicas.iter().map(|o| &o.report.runtime);
         merged.runtime = RuntimeCounters::merged(parts.chain([&self.runtime]));
-        // Merge the decision journals onto one timeline, rewriting each
-        // replica's dense local request ids to cluster-global ids (the
-        // ids the coordinator's dispatch events already speak). The
-        // `locals` tables are maintained at submission time, so a retried
-        // request's every incarnation maps back to its original id.
+        // Merge the decision journals onto one timeline, copying each
+        // replica event once with its dense local request ids rewritten
+        // to cluster-global ids (the ids the coordinator's dispatch
+        // events already speak); the replica journals keep their local
+        // ids. The `locals` tables are maintained at submission time, so
+        // a retried request's every incarnation maps back to its
+        // original id.
         let trace = if traced {
-            for (r, outcome) in replicas.iter().enumerate() {
+            for (outcome, table) in replicas.iter().zip(&self.locals) {
                 if let Some(journal) = &outcome.trace {
-                    let mut journal = journal.clone();
-                    let table = &self.locals[r];
-                    journal.map_ids(|_, id| table[id.0 as usize]);
-                    trace_parts.push(journal.events);
+                    let global = journal.events.iter().map(|e| {
+                        let mut e = e.clone();
+                        e.kind.map_ids(|id| table[id.0 as usize]);
+                        e
+                    });
+                    trace_parts.push(global.collect());
                 }
             }
             Some(TraceJournal::merge(trace_parts))

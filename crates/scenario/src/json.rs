@@ -178,28 +178,111 @@ pub(crate) fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
+        // Exact below 10^15; `-0.0` renders as `0`.
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_digits(out, n.abs() as u64);
     } else {
         let _ = write!(out, "{n:?}");
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// An integer, rendered exactly as [`write_num`] renders `v as f64`: its
+/// digits below 10^15, where that conversion is exact, and the float's
+/// rendering from there on.
+#[inline]
+pub(crate) fn write_int(out: &mut String, v: u64) {
+    if v < 1_000_000_000_000_000 {
+        write_digits(out, v);
+    } else {
+        write_num(out, v as f64);
+    }
+}
+
+/// `00` through `99`: the digit pairs [`write_digits`] copies.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// The decimal digits of `v`, two at a time from [`DIGIT_PAIRS`] into a
+/// stack buffer, then pushed one by one: for a number's few digits that
+/// costs less than validating them as UTF-8 and copying the slice.
+#[inline]
+fn write_digits(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    for slot in buf.rchunks_exact_mut(2) {
+        let pair = (v % 100) as usize * 2;
+        slot.copy_from_slice(DIGIT_PAIRS.get(pair..pair + 2).unwrap_or(b"00"));
+        start -= 2;
+        v /= 100;
+        if v == 0 {
+            break;
         }
     }
+    // The last pair written may start with a zero digit that is not the
+    // only digit.
+    if start + 1 < buf.len() && buf.get(start) == Some(&b'0') {
+        start += 1;
+    }
+    for &digit in buf.get(start..).unwrap_or_default() {
+        out.push(char::from(digit));
+    }
+}
+
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// A JSON string literal.
+#[inline(always)]
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    write_escaped(out, s);
+    out.push('"');
+}
+
+/// A JSON string's body. A string that needs no escaping is copied in
+/// one append. Always inlined: for a literal — every key and fixed value
+/// the trace writers pass — the escape check then folds away at compile
+/// time and the copy becomes a constant-length store.
+#[inline(always)]
+fn write_escaped(out: &mut String, s: &str) {
+    if s.bytes().any(needs_escape) {
+        write_escaped_runs(out, s);
+    } else {
+        out.push_str(s);
+    }
+}
+
+/// [`write_escaped`] for a string that needs escaping: each run of bytes
+/// between escapes is copied in one append. Every byte that needs an
+/// escape is ASCII, so a run never splits a character.
+#[cold]
+fn write_escaped_runs(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(needs_escape) {
+        let (clean, tail) = rest.split_at(at);
+        out.push_str(clean);
+        let mut chars = tail.chars();
+        match chars.next() {
+            Some('"') => out.push_str("\\\""),
+            Some('\\') => out.push_str("\\\\"),
+            Some('\n') => out.push_str("\\n"),
+            Some('\r') => out.push_str("\\r"),
+            Some('\t') => out.push_str("\\t"),
+            Some(c) => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            None => {}
+        }
+        rest = chars.as_str();
+    }
+    out.push_str(rest);
 }
 
 /// Streams one compact JSON array into a `String`, item by item — the
@@ -233,7 +316,9 @@ impl<'a> ArrWriter<'a> {
 /// Streams one compact JSON object into a `String`, member by member —
 /// the object syntax [`Json::emit`] itself writes through, so a caller
 /// that renders straight to text (the trace writers) produces the same
-/// bytes as building the tree and emitting it.
+/// bytes as building the tree and emitting it. Its member writers are
+/// always inlined, so a literal key costs three constant-length appends
+/// (see [`write_escaped`]).
 pub(crate) struct ObjWriter<'a> {
     out: &'a mut String,
     empty: bool,
@@ -246,31 +331,35 @@ impl<'a> ObjWriter<'a> {
     }
 
     /// Writes `key` and its separators; the caller writes the value.
+    #[inline(always)]
     pub(crate) fn key(&mut self, key: &str) -> &mut String {
-        if !self.empty {
-            self.out.push(',');
-        }
+        self.out.push_str(if self.empty { "\"" } else { ",\"" });
         self.empty = false;
-        write_str(self.out, key);
-        self.out.push(':');
+        write_escaped(self.out, key);
+        self.out.push_str("\":");
         self.out
     }
 
+    #[inline(always)]
     pub(crate) fn num(&mut self, key: &str, v: f64) -> &mut Self {
         write_num(self.key(key), v);
         self
     }
 
     /// An integer member, rendered as [`ni`] renders it.
+    #[inline(always)]
     pub(crate) fn int(&mut self, key: &str, v: u64) -> &mut Self {
-        self.num(key, v as f64)
+        write_int(self.key(key), v);
+        self
     }
 
+    #[inline(always)]
     pub(crate) fn str(&mut self, key: &str, v: &str) -> &mut Self {
         write_str(self.key(key), v);
         self
     }
 
+    #[inline(always)]
     pub(crate) fn bool(&mut self, key: &str, v: bool) -> &mut Self {
         self.key(key).push_str(if v { "true" } else { "false" });
         self
@@ -630,6 +719,101 @@ mod tests {
         assert_eq!(ni(120).emit(), "120");
         assert_eq!(n(0.5).emit(), "0.5");
         assert_eq!(n(-3.0).emit(), "-3");
+    }
+
+    /// The number rendering before integers had their own digit path:
+    /// every integral value below 10^15 through `i64`'s formatter,
+    /// everything else through `f64`'s.
+    fn reference_num(n: f64) -> String {
+        if !n.is_finite() {
+            "null".to_string()
+        } else if n.fract() == 0.0 && n.abs() < 1e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n:?}")
+        }
+    }
+
+    /// The string escaping before clean runs were copied whole: one
+    /// character at a time.
+    fn reference_str(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn integers_render_as_their_float_would() {
+        for v in [
+            0,
+            9,
+            10,
+            99,
+            100,
+            (1 << 53) - 1,
+            999_999_999_999_999,
+            1_000_000_000_000_000,
+            u64::MAX,
+        ] {
+            let (mut int, mut num) = (String::new(), String::new());
+            write_int(&mut int, v);
+            write_num(&mut num, v as f64);
+            assert_eq!(int, num, "{v}");
+            assert_eq!(int, reference_num(v as f64), "{v}");
+        }
+        for n in [
+            -0.0,
+            -1.0,
+            -99.0,
+            -999_999_999_999_999.0,
+            -1e15,
+            0.5,
+            -1.5,
+            1e-9,
+            1e21,
+            f64::NAN,
+        ] {
+            let mut out = String::new();
+            write_num(&mut out, n);
+            assert_eq!(out, reference_num(n), "{n:?}");
+        }
+    }
+
+    #[test]
+    fn strings_escape_as_the_char_by_char_escaper_does() {
+        for s in [
+            "",
+            "t_us",
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{1}",
+            "\u{1f}",
+            "\u{7f}",
+            "a \"quoted\" \\path\\\n",
+            "\t\r\n\"\\\u{1}\u{1f}",
+            "héllo wörld",
+            "日本語\n\"引用\"",
+            "😀\u{1}😀",
+        ] {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert_eq!(out, reference_str(s), "{s:?}");
+            assert_eq!(parse(&out), Ok(Json::Str(s.to_string())), "{s:?}");
+        }
     }
 
     #[test]

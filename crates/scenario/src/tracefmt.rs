@@ -22,24 +22,40 @@
 //! cut at the journal's own event boundaries.
 //!
 //! Rendering makes one pass over the journal and builds no JSON tree:
-//! the writers append straight to the output text, [`trace_digest`]
-//! hashes each canonical line as it is written, and [`perfetto_json`]
-//! reads every request's timeline from one sorted `(request, event)`
-//! index ([`request_timelines`]) instead of scanning the journal once
-//! per request.
+//! the writers append straight to the output text through the `json`
+//! module's object writer (literal keys, labels written in place,
+//! integers from a digit table), [`trace_digest`] hashes each canonical
+//! line as it is written, and [`perfetto_json`] reads every request's
+//! timeline from one sorted `(request, event)` index
+//! ([`request_timelines`]) instead of scanning the journal once per
+//! request, writing each request's lane as soon as its timeline is
+//! built.
+
+use std::collections::BTreeSet;
 
 use tokenflow_metrics::Fnv1a64;
 use tokenflow_sim::{RequestId, SimTime};
 use tokenflow_trace::{TraceEvent, TraceEventKind, TraceJournal, TraceSource};
 
-use crate::json::{write_num, ArrWriter, Json, ObjWriter};
+use crate::json::{write_int, write_num, ArrWriter, Json, ObjWriter};
+
+/// Writes `source`'s label as a JSON string, in place.
+fn write_source(out: &mut String, source: TraceSource) {
+    let (text, index) = source.label_parts();
+    out.push('"');
+    out.push_str(text);
+    if let Some(i) = index {
+        write_int(out, u64::from(i));
+    }
+    out.push('"');
+}
 
 /// Writes one event as its canonical JSON object: the `(t_us, src,
 /// seq, kind)` envelope followed by the kind's payload fields.
 fn write_event(out: &mut String, e: &TraceEvent, with_seq: bool) {
     let mut o = ObjWriter::open(out);
-    o.int("t_us", e.time.as_micros())
-        .str("src", &e.source.label());
+    o.int("t_us", e.time.as_micros());
+    write_source(o.key("src"), e.source);
     if with_seq {
         // Meta events (horizon arm/end) consume sequence numbers from
         // the same per-source counter as decisions, so canonical seq
@@ -171,9 +187,16 @@ fn write_event(out: &mut String, e: &TraceEvent, with_seq: bool) {
     o.close();
 }
 
+/// Bytes reserved per journal event before a render. On a 4-replica
+/// traced cluster run the JSONL averages 98 bytes per event and the
+/// Perfetto export 74, so either text is usually written into one
+/// allocation instead of growing through copies, each of which holds
+/// the old and the new buffer at once.
+const LINE_BYTES: usize = 128;
+
 /// One line per event, trailing newline.
 fn write_lines<'a>(events: impl Iterator<Item = &'a TraceEvent>, with_seq: bool) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(events.size_hint().1.unwrap_or(0) * LINE_BYTES);
     for e in events {
         write_event(&mut out, e, with_seq);
         out.push('\n');
@@ -465,6 +488,18 @@ pub fn request_timeline(journal: &TraceJournal, id: RequestId) -> Option<Request
 /// by request once, so the cost is O(E log E) rather than a journal scan
 /// per request.
 pub fn request_timelines(journal: &TraceJournal) -> Vec<RequestTimeline<'_>> {
+    let mut timelines = Vec::new();
+    each_request_timeline(journal, |timeline| timelines.push(timeline));
+    timelines
+}
+
+/// Builds [`request_timelines`] one at a time, handing each to `visit`
+/// as soon as it is built, while its scattered events are still in
+/// cache.
+fn each_request_timeline<'a>(
+    journal: &'a TraceJournal,
+    mut visit: impl FnMut(RequestTimeline<'a>),
+) {
     let mut index: Vec<(RequestId, &TraceEvent)> = Vec::with_capacity(journal.len());
     for e in &journal.events {
         if let Some(id) = e.kind.request() {
@@ -481,13 +516,14 @@ pub fn request_timelines(journal: &TraceJournal) -> Vec<RequestTimeline<'_>> {
         }
     }
     index.sort_by_key(|&(id, _)| id);
-    index
-        .chunk_by(|a, b| a.0 == b.0)
-        .filter_map(|group| {
-            let &(id, _) = group.first()?;
+    for group in index.chunk_by(|a, b| a.0 == b.0) {
+        let timeline = group.first().and_then(|&(id, _)| {
             RequestTimeline::from_events(id, group.iter().map(|&(_, e)| e).collect())
-        })
-        .collect()
+        });
+        if let Some(timeline) = timeline {
+            visit(timeline);
+        }
+    }
 }
 
 fn secs(t: SimTime) -> String {
@@ -673,19 +709,98 @@ fn flow(w: &mut ArrWriter<'_>, name: &str, ph: &str, id: u64, pid: u64, tid: u64
         .close();
 }
 
+/// One request's lane, on the replica that served it (a request shed
+/// at admission never reached one): its phase slices, its first-token,
+/// finish and shed markers, and the flow arrows that start or end on it.
+fn write_lane(w: &mut ArrWriter<'_>, timeline: &RequestTimeline<'_>, flow_id: &mut u64) {
+    let coordinator = pid_of(TraceSource::Coordinator);
+    let pid = timeline
+        .replica
+        .map_or(coordinator, |r| pid_of(TraceSource::Replica(r)));
+    let tid = timeline.id.0 + 1;
+    meta(w, "thread_name", pid, Some(tid), &timeline.id.to_string());
+    for p in &timeline.phases {
+        ObjWriter::open(w.item())
+            .str("name", p.label)
+            .str("cat", "request")
+            .str("ph", "X")
+            .int("pid", pid)
+            .int("tid", tid)
+            .int("ts", p.from.as_micros())
+            .int("dur", p.micros())
+            .close();
+    }
+    let events = &timeline.events;
+    for (at, e) in events.iter().enumerate() {
+        match &e.kind {
+            TraceEventKind::FirstToken { .. }
+            | TraceEventKind::Finished { .. }
+            | TraceEventKind::AdmissionShed { .. } => {
+                ObjWriter::open(w.item())
+                    .str("name", e.kind.name())
+                    .str("cat", "request")
+                    .str("ph", "i")
+                    .str("s", "t")
+                    .int("pid", pid)
+                    .int("tid", tid)
+                    .int("ts", e.time.as_micros())
+                    .close();
+            }
+            // Flow arrow: the coordinator's dispatch decision flows
+            // into the replica-side arrival it caused (the first one
+            // after it, so a crash retry's arrow ends at the retry).
+            TraceEventKind::Dispatch { .. } => {
+                *flow_id += 1;
+                flow(w, "dispatch", "s", *flow_id, coordinator, tid, e.time);
+                let arrived = events
+                    .iter()
+                    .skip(at)
+                    .find(|a| matches!(a.kind, TraceEventKind::Arrived { .. }));
+                if let Some(a) = arrived {
+                    flow(w, "dispatch", "f", *flow_id, pid, tid, a.time);
+                }
+            }
+            // Flow arrow: a preemption flows into the resumption (or
+            // recompute re-admission) that undoes it.
+            TraceEventKind::Preempted { .. } => {
+                let from = events.partition_point(|r| r.time < e.time);
+                let revival = events.iter().skip(from).find(|r| {
+                    matches!(
+                        r.kind,
+                        TraceEventKind::Resumed { .. }
+                            | TraceEventKind::Admitted {
+                                recompute: true,
+                                ..
+                            }
+                    )
+                });
+                if let Some(r) = revival {
+                    *flow_id += 1;
+                    flow(w, "preempt", "s", *flow_id, pid, tid, e.time);
+                    flow(w, "preempt", "f", *flow_id, pid, tid, r.time);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Renders the journal as Chrome trace-event JSON (Perfetto-loadable):
 /// one process per replica (plus control/coordinator tracks), one
 /// thread lane per request carrying its phase slices and markers, and
 /// flow arrows stitching dispatch → arrival and preempt → resume.
 pub fn perfetto_json(journal: &TraceJournal) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(journal.len() * LINE_BYTES);
     let mut doc = ObjWriter::open(&mut out);
     doc.str("displayTimeUnit", "ms");
     let mut w = ArrWriter::open(doc.key("traceEvents"));
     // Track naming: processes for every source seen, lanes per request.
-    let mut sources: Vec<TraceSource> = journal.events.iter().map(|e| e.source).collect();
-    sources.sort_unstable();
-    sources.dedup();
+    // A journal has a handful of sources, so each event costs one lookup
+    // in a set of that size.
+    let mut sources = BTreeSet::new();
+    for e in &journal.events {
+        sources.insert(e.source);
+    }
     for source in sources {
         meta(
             &mut w,
@@ -695,87 +810,11 @@ pub fn perfetto_json(journal: &TraceJournal) -> String {
             &source.label(),
         );
     }
-    // Requests, in id order, on the lane of the replica that served
-    // them (a request shed at admission never reached one).
-    let coordinator = pid_of(TraceSource::Coordinator);
+    // One lane per request, in id order.
     let mut flow_id = 0u64;
-    for timeline in request_timelines(journal) {
-        let pid = timeline
-            .replica
-            .map_or(coordinator, |r| pid_of(TraceSource::Replica(r)));
-        let tid = timeline.id.0 + 1;
-        meta(
-            &mut w,
-            "thread_name",
-            pid,
-            Some(tid),
-            &timeline.id.to_string(),
-        );
-        for p in &timeline.phases {
-            ObjWriter::open(w.item())
-                .str("name", p.label)
-                .str("cat", "request")
-                .str("ph", "X")
-                .int("pid", pid)
-                .int("tid", tid)
-                .int("ts", p.from.as_micros())
-                .int("dur", p.micros())
-                .close();
-        }
-        let events = &timeline.events;
-        for (at, e) in events.iter().enumerate() {
-            match &e.kind {
-                TraceEventKind::FirstToken { .. }
-                | TraceEventKind::Finished { .. }
-                | TraceEventKind::AdmissionShed { .. } => {
-                    ObjWriter::open(w.item())
-                        .str("name", e.kind.name())
-                        .str("cat", "request")
-                        .str("ph", "i")
-                        .str("s", "t")
-                        .int("pid", pid)
-                        .int("tid", tid)
-                        .int("ts", e.time.as_micros())
-                        .close();
-                }
-                // Flow arrow: the coordinator's dispatch decision flows
-                // into the replica-side arrival it caused (the first one
-                // after it, so a crash retry's arrow ends at the retry).
-                TraceEventKind::Dispatch { .. } => {
-                    flow_id += 1;
-                    flow(&mut w, "dispatch", "s", flow_id, coordinator, tid, e.time);
-                    let arrived = events
-                        .iter()
-                        .skip(at)
-                        .find(|a| matches!(a.kind, TraceEventKind::Arrived { .. }));
-                    if let Some(a) = arrived {
-                        flow(&mut w, "dispatch", "f", flow_id, pid, tid, a.time);
-                    }
-                }
-                // Flow arrow: a preemption flows into the resumption (or
-                // recompute re-admission) that undoes it.
-                TraceEventKind::Preempted { .. } => {
-                    let from = events.partition_point(|r| r.time < e.time);
-                    let revival = events.iter().skip(from).find(|r| {
-                        matches!(
-                            r.kind,
-                            TraceEventKind::Resumed { .. }
-                                | TraceEventKind::Admitted {
-                                    recompute: true,
-                                    ..
-                                }
-                        )
-                    });
-                    if let Some(r) = revival {
-                        flow_id += 1;
-                        flow(&mut w, "preempt", "s", flow_id, pid, tid, e.time);
-                        flow(&mut w, "preempt", "f", flow_id, pid, tid, r.time);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
+    each_request_timeline(journal, |timeline| {
+        write_lane(&mut w, &timeline, &mut flow_id);
+    });
     // Source-level events (scale decisions, horizon arms) as instants on
     // their own track's lane 0.
     for e in journal.events.iter().filter(|e| e.kind.request().is_none()) {

@@ -14,7 +14,9 @@
 //! [`TraceJournal::merge`] orders the union by `(time, source, seq)` — a
 //! total order independent of executor interleaving. The same scenario
 //! therefore produces the same journal under the sequential and pooled
-//! cluster executors.
+//! cluster executors. Each source's stream arrives in that order
+//! already, so the merge is a k-way merge of ordered streams, linear in
+//! the events for a fixed number of sources.
 //!
 //! Two determinism domains exist. *Meta* events (plan-horizon arm/end)
 //! describe the engine's internal fast-path machinery: they are
@@ -25,6 +27,9 @@
 
 // audit: tier(deterministic)
 #![forbid(unsafe_code)]
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use tokenflow_sim::{RequestId, SimTime};
 
@@ -44,10 +49,20 @@ pub enum TraceSource {
 impl TraceSource {
     /// Short stable label, used by the JSONL rendering.
     pub fn label(self) -> String {
+        match self.label_parts() {
+            (text, None) => text.to_string(),
+            (prefix, Some(i)) => format!("{prefix}{i}"),
+        }
+    }
+
+    /// The label's text and, for a replica, the index that follows it:
+    /// what [`TraceSource::label`] joins, for writers that render it in
+    /// place.
+    pub const fn label_parts(self) -> (&'static str, Option<u32>) {
         match self {
-            TraceSource::Control => "control".to_string(),
-            TraceSource::Coordinator => "coordinator".to_string(),
-            TraceSource::Replica(i) => format!("replica-{i}"),
+            TraceSource::Control => ("control", None),
+            TraceSource::Coordinator => ("coordinator", None),
+            TraceSource::Replica(i) => ("replica-", Some(i)),
         }
     }
 }
@@ -370,6 +385,15 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
+/// The journal's total order key, `(time, source, seq)`.
+type OrderKey = (SimTime, TraceSource, u64);
+
+impl TraceEvent {
+    fn order_key(&self) -> OrderKey {
+        (self.time, self.source, self.seq)
+    }
+}
+
 /// The recording handle threaded through the pipeline stages.
 ///
 /// Disabled (the default), every call is an inlined `Option` check on a
@@ -494,9 +518,49 @@ impl TraceJournal {
     /// seq)` order. The key is unique per event, so the result does not
     /// depend on the order of `parts` — which is what makes the merged
     /// journal executor-invariant.
-    pub fn merge(parts: Vec<Vec<TraceEvent>>) -> TraceJournal {
-        let mut events: Vec<TraceEvent> = parts.into_iter().flatten().collect();
-        events.sort_unstable_by_key(|e| (e.time, e.source, e.seq));
+    ///
+    /// Each part is put in order first, which takes one linear pass for
+    /// a part that already is (every stream a sink records is). A lone
+    /// non-empty part is then the journal as it stands; several are
+    /// merged through a min-heap of their next keys, a whole run of one
+    /// part at a time: the run ends where that part's next event would
+    /// sort after another part's head.
+    pub fn merge(mut parts: Vec<Vec<TraceEvent>>) -> TraceJournal {
+        parts.retain(|part| !part.is_empty());
+        for part in &mut parts {
+            part.sort_unstable_by_key(TraceEvent::order_key);
+        }
+        if parts.len() <= 1 {
+            return TraceJournal {
+                events: parts.pop().unwrap_or_default(),
+            };
+        }
+        let mut events = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+        // Ties on the key (never, for events from distinct sinks) fall
+        // to the part index, so the heap order is total.
+        let mut heads: BinaryHeap<Reverse<(OrderKey, usize)>> = parts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, part)| Some(Reverse((part.as_slice().first()?.order_key(), i))))
+            .collect();
+        while let Some(Reverse((_, i))) = heads.pop() {
+            let Some(part) = parts.get_mut(i) else {
+                continue;
+            };
+            let bound = heads.peek().map(|Reverse(head)| *head);
+            loop {
+                events.extend(part.next());
+                let Some(next) = part.as_slice().first() else {
+                    break;
+                };
+                let head = (next.order_key(), i);
+                if bound.is_some_and(|bound| head > bound) {
+                    heads.push(Reverse(head));
+                    break;
+                }
+            }
+        }
         TraceJournal { events }
     }
 
@@ -520,15 +584,6 @@ impl TraceJournal {
     /// Events mentioning `id` in any role, in journal order.
     pub fn for_request(&self, id: RequestId) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.kind.mentions(id))
-    }
-
-    /// Rewrites request ids through `f`, which receives the emitting
-    /// source so per-replica id spaces can be mapped independently.
-    pub fn map_ids(&mut self, mut f: impl FnMut(TraceSource, RequestId) -> RequestId) {
-        for e in &mut self.events {
-            let source = e.source;
-            e.kind.map_ids(|id| f(source, id));
-        }
     }
 }
 
@@ -695,26 +750,18 @@ mod tests {
 
     #[test]
     fn map_ids_rewrites_every_role() {
-        let mut journal = TraceJournal::merge(vec![vec![
-            TraceEvent {
-                time: SimTime::ZERO,
-                source: TraceSource::Replica(1),
-                seq: 0,
-                kind: TraceEventKind::Swap {
-                    evicted: RequestId(0),
-                    admitted: RequestId(1),
-                    evicted_priority: 1.0,
-                    admitted_priority: 2.0,
-                },
-            },
-            ev(1, TraceSource::Replica(1), 1, 0),
-        ]]);
-        journal.map_ids(|source, id| {
-            assert_eq!(source, TraceSource::Replica(1));
-            RequestId(id.0 + 10)
-        });
-        assert!(journal.events[0].kind.mentions(RequestId(10)));
-        assert!(journal.events[0].kind.mentions(RequestId(11)));
-        assert_eq!(journal.events[1].kind.request(), Some(RequestId(10)));
+        let mut swap = TraceEventKind::Swap {
+            evicted: RequestId(0),
+            admitted: RequestId(1),
+            evicted_priority: 1.0,
+            admitted_priority: 2.0,
+        };
+        let mut first = ev(1, TraceSource::Replica(1), 1, 0).kind;
+        for kind in [&mut swap, &mut first] {
+            kind.map_ids(|id| RequestId(id.0 + 10));
+        }
+        assert!(swap.mentions(RequestId(10)));
+        assert!(swap.mentions(RequestId(11)));
+        assert_eq!(first.request(), Some(RequestId(10)));
     }
 }
