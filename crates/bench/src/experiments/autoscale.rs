@@ -305,6 +305,34 @@ pub fn within_envelope(baseline: &AutoscaleRow, elastic: &AutoscaleRow) -> Resul
     Ok(())
 }
 
+/// The claims CI holds the headline run to: the static row plus at
+/// least two elastic rows, every row complete, and every elastic bill
+/// below the static one.
+fn headline_claims(rows: &[AutoscaleRow]) -> Result<(), String> {
+    let [baseline, elastic @ ..] = rows else {
+        return Err("no rows".to_string());
+    };
+    if elastic.len() < 2 {
+        return Err(format!(
+            "expected the static row and at least 2 elastic rows, got {}",
+            rows.len()
+        ));
+    }
+    if let Some(r) = rows.iter().find(|r| !r.complete) {
+        return Err(format!("{}: run incomplete", r.fleet));
+    }
+    match elastic
+        .iter()
+        .find(|r| r.replica_seconds >= baseline.replica_seconds)
+    {
+        Some(r) => Err(format!(
+            "{}: bill {:.0} replica-seconds is not below {}'s {:.0}",
+            r.fleet, r.replica_seconds, baseline.fleet, baseline.replica_seconds
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Renders the rows as machine-readable JSON (hand-rolled: the vendored
 /// serde stand-in has no serializer; the shape is one `rows` array of
 /// flat objects, stable across commits for trend tooling).
@@ -356,6 +384,12 @@ pub fn autoscale_json(setup: &AutoscaleSetup, rows: &[AutoscaleRow]) -> String {
 /// The autoscale experiment: static-32 vs reactive vs predictive on the
 /// diurnal + flash-crowd trace, JSON trajectory in
 /// `BENCH_autoscale.json`.
+///
+/// # Panics
+///
+/// Panics (failing the CI step) when the run breaks one of its
+/// `headline_claims`; the JSON is written first, so the failing
+/// trajectory can still be inspected.
 pub fn autoscale() -> String {
     let setup = AutoscaleSetup::headline();
     let workers = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
@@ -366,6 +400,7 @@ pub fn autoscale() -> String {
         Ok(()) => "JSON trajectory written to BENCH_autoscale.json".to_string(),
         Err(e) => format!("(could not write BENCH_autoscale.json: {e})"),
     };
+    assert_eq!(headline_claims(&rows), Ok(()), "autoscale headline claim");
 
     let baseline = rows[0].clone();
     let mut s = format!(
@@ -432,6 +467,7 @@ pub fn autoscale() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tokenflow_scenario::{json, Json};
 
     #[test]
     fn smoke_sweep_meets_the_envelope() {
@@ -497,14 +533,86 @@ mod tests {
                 complete: true,
             },
         ];
-        let json = autoscale_json(&AutoscaleSetup::smoke(), &rows);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"experiment\": \"autoscale\""));
-        assert!(json.contains("\"fleet\": \"reactive\""));
-        assert!(json.contains("\"replica_seconds\""));
-        assert!(json.contains("\"rows\": ["));
-        // Two rows, no trailing comma.
-        assert!(!json.contains("},\n  ]"));
+        let doc = json::parse(&autoscale_json(&AutoscaleSetup::smoke(), &rows))
+            .expect("the writer emits valid JSON");
+        assert_eq!(
+            doc.get("experiment").and_then(Json::as_str),
+            Some("autoscale")
+        );
+        for key in ["router", "scheduler", "workload", "fleet", "rows"] {
+            assert!(doc.get(key).is_some(), "missing {key}");
+        }
+        let workload = doc.get("workload").expect("workload block");
+        for key in [
+            "duration_secs",
+            "crowd",
+            "crowd_waves",
+            "base_peak_rate",
+            "seed",
+        ] {
+            assert!(workload.get(key).is_some(), "missing workload.{key}");
+        }
+        let fleet = doc.get("fleet").expect("fleet block");
+        for key in ["static", "bootstrap", "min", "max", "boot_delay_secs"] {
+            assert!(fleet.get(key).is_some(), "missing fleet.{key}");
+        }
+        let parsed = doc.get("rows").and_then(Json::as_arr).expect("rows array");
+        assert_eq!(parsed.len(), rows.len());
+        for (row, written) in rows.iter().zip(parsed) {
+            for key in [
+                "fleet",
+                "replica_seconds",
+                "peak_active",
+                "mean_active",
+                "p99_ttft",
+                "rebuffer_secs",
+                "qos",
+                "scale_events",
+                "complete",
+            ] {
+                assert!(written.get(key).is_some(), "missing rows[].{key}");
+            }
+            assert_eq!(
+                written.get("fleet").and_then(Json::as_str),
+                Some(row.fleet.as_str())
+            );
+            assert_eq!(
+                written.get("replica_seconds").and_then(Json::as_f64),
+                Some(row.replica_seconds)
+            );
+            assert_eq!(
+                written.get("complete").and_then(Json::as_bool),
+                Some(row.complete)
+            );
+        }
+    }
+
+    #[test]
+    fn headline_claims_reject_each_broken_row() {
+        let row = |fleet: &str, replica_seconds| AutoscaleRow {
+            fleet: fleet.into(),
+            replica_seconds,
+            peak_active: 8,
+            mean_active: 4.0,
+            p99_ttft: 1.0,
+            rebuffer_secs: 0.0,
+            qos: 100.0,
+            scale_events: 3,
+            complete: true,
+        };
+        let rows = vec![
+            row("static-8", 800.0),
+            row("reactive", 300.0),
+            row("predictive-ewma", 310.0),
+        ];
+        assert_eq!(headline_claims(&rows), Ok(()));
+        assert!(headline_claims(&rows[..2]).is_err(), "one elastic row");
+        let mut incomplete = rows.clone();
+        incomplete[0].complete = false;
+        assert!(headline_claims(&incomplete).is_err(), "incomplete static");
+        let mut expensive = rows;
+        expensive[2].replica_seconds = 800.0;
+        assert!(headline_claims(&expensive).is_err(), "bill at static");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! per-epoch overhead hurts most):
 //!
 //! * `sequential` — the reference loop on the coordinator thread.
-//! * `pooled` — the persistent condvar-parked worker pool plus
-//!   quiescent-target barrier batching (round-robin routing is
-//!   load-oblivious, so sparse stretches coalesce).
+//! * `pooled` — the persistent condvar-parked worker pool. Both
+//!   executors cross the same barriers, one epoch per arrival group, so
+//!   the pool can win only by advancing replicas in parallel.
 //!
 //! The sweep is *weak scaling* (a fixed per-replica share of the crowd,
 //! so the fleet serves a crowd that grows with it — the TokenScale
@@ -207,8 +207,7 @@ pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> S
              \"p99_ttft\": {:.4}, \"qos\": {:.3}, \"complete\": {}, \
              \"sequential_secs\": {:.4}, \"pooled_secs\": {:.4}, \
              \"speedup_vs_sequential\": {:.3}, \
-             \"pool_workers\": {}, \"pool_submissions\": {}, \"epochs\": {}, \
-             \"batched_barriers\": {}}}{}\n",
+             \"pool_workers\": {}, \"pool_submissions\": {}, \"epochs\": {}}}{}\n",
             r.replicas,
             r.requests,
             r.effective_throughput,
@@ -221,7 +220,6 @@ pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> S
             r.stats.pool_workers,
             r.stats.pool_submissions,
             r.stats.epochs,
-            r.stats.batched_barriers,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -262,7 +260,6 @@ pub fn fleet() -> String {
         "seq (s)",
         "pooled (s)",
         "×seq",
-        "batched",
     ]);
     for r in &rows {
         table.row(vec![
@@ -273,7 +270,6 @@ pub fn fleet() -> String {
             f(r.sequential_secs, 3),
             f(r.pooled_secs, 3),
             f(r.speedup_vs_sequential, 2),
-            r.stats.batched_barriers.to_string(),
         ]);
     }
     s.push_str(&table.render());

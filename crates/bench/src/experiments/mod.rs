@@ -16,7 +16,6 @@ pub mod hotpath;
 pub mod kvmem;
 pub mod micro;
 pub mod sched_behavior;
-pub mod sweep;
 
 /// A runnable experiment tied to a paper table or figure.
 pub struct Experiment {
@@ -145,11 +144,6 @@ pub fn all() -> Vec<Experiment> {
             id: "hotpath",
             title: "Engine hot path: steps/sec vs request population (O(live) gate)",
             run: hotpath::hotpath,
-        },
-        Experiment {
-            id: "sweep",
-            title: "Declarative grid: scenarios/sweep_policy_workload.json via the spec layer",
-            run: sweep::sweep,
         },
     ]
 }

@@ -6,10 +6,11 @@
 //! * [`runner`] — the standard four-system comparison machinery.
 //! * [`table`] — plain-text table rendering.
 //!
-//! Run everything with `cargo bench -p tokenflow-bench --bench experiments`
-//! or selectively via the `experiments` binary:
+//! Run experiments through the `experiments` binary, all of them or
+//! selectively by id:
 //!
 //! ```text
+//! cargo run --release -p tokenflow-bench --bin experiments -- all
 //! cargo run --release -p tokenflow-bench --bin experiments -- fig16
 //! ```
 

@@ -113,8 +113,9 @@ struct FaultRuntime {
 /// other, so each advances independently through
 /// [`Engine::step_until`]. [`ClusterEngine::with_execution`] chooses
 /// whether that independent work runs sequentially or on a persistent
-/// worker pool; the choice cannot affect any outcome byte
-/// (see [`Execution`]).
+/// worker pool. The coordinator reads the choice only to advance
+/// replicas, never to route, scale or inject a fault, so it cannot
+/// affect any outcome byte (see [`Execution`]).
 ///
 /// # Examples
 ///
@@ -165,13 +166,8 @@ pub struct ClusterEngine {
     /// created on the first parallel epoch and reused for the rest of
     /// the run.
     pool: Option<WorkerPool>,
-    /// Routing decisions consumed ahead of their dispatch barrier by a
-    /// batching span that had to stop (see
-    /// [`extend_span`](ClusterEngine::extend_span)); `dispatch_due`
-    /// drains these before consulting the router again.
-    held_routes: VecDeque<usize>,
-    /// Coordinator-owned runtime counters: epochs and batched barriers,
-    /// plus the pool's counts once the run is finalised.
+    /// Coordinator-owned runtime counters: epochs, plus the pool's
+    /// counts once the run is finalised.
     runtime: RuntimeCounters,
     /// Coordinator-side decision journal: one [`TraceEventKind::Dispatch`]
     /// per routed request, stamped at the request's arrival instant. A
@@ -229,7 +225,6 @@ impl ClusterEngine {
             assignments: Vec::new(),
             next_tick: None,
             pool: None,
-            held_routes: VecDeque::new(),
             runtime: RuntimeCounters::default(),
             trace: if config.trace {
                 TraceSink::enabled(TraceSource::Coordinator)
@@ -463,29 +458,16 @@ impl ClusterEngine {
                 !active.is_empty(),
                 "no active replica to dispatch to (fleet floor must be >= 1)"
             );
-            let pick = match self.held_routes.pop_front() {
-                // Routed ahead of its barrier by a batching span that
-                // had to stop before this group (see `extend_span`);
-                // the router's state already reflects the decision.
-                // Spans only run under load-oblivious routers, whose
-                // traced score vector is empty by contract.
-                Some(pick) => {
-                    self.score_buf.clear();
-                    pick
-                }
-                None => {
-                    if cached.is_none() || !oblivious {
-                        cached = Some(
-                            active
-                                .iter()
-                                .map(|&i| self.replicas[i].load_snapshot())
-                                .collect(),
-                        );
-                    }
-                    let loads = cached.as_ref().expect("just filled");
-                    self.route(&spec, loads)
-                }
-            };
+            if !oblivious {
+                cached = None;
+            }
+            let loads = cached.get_or_insert_with(|| {
+                active
+                    .iter()
+                    .map(|&i| self.replicas[i].load_snapshot())
+                    .collect()
+            });
+            let pick = self.route(&spec, loads);
             let replica = active[pick];
             debug_assert!(
                 self.plane
@@ -516,11 +498,10 @@ impl ClusterEngine {
     /// the dispatch at `at` with the router's traced `scores`, maps the
     /// new replica-local id back to `global`, and records it as the
     /// request's latest incarnation (a retry supersedes the lost one).
-    /// Every dispatch path — arrival groups, batched spans, retries —
-    /// goes through here, so their journals and bookkeeping cannot
-    /// drift apart. The journal speaks cluster submission order and is
-    /// stamped with the instant the barrier serves, so it is invariant
-    /// to *when* the coordinator ran the dispatch.
+    /// Both dispatch paths — arrival groups and retries — go through
+    /// here, so their journals and bookkeeping cannot drift apart. The
+    /// journal speaks cluster submission order and is stamped with the
+    /// instant the barrier serves.
     fn place(
         &mut self,
         replica: usize,
@@ -553,107 +534,6 @@ impl ClusterEngine {
         }
         self.done[replica] = false;
         local_id
-    }
-
-    /// Whether the running epoch may coalesce upcoming arrival barriers.
-    ///
-    /// Spans require a static fleet (no control plane observing barrier
-    /// instants), a load-oblivious router (decisions provably unchanged
-    /// by early routing), and pooled parallel execution — `Sequential`
-    /// stays the untouched reference semantics the equivalence suites
-    /// differentially test batching against.
-    fn spans_barriers(&self) -> bool {
-        // Fault runs never span: a coalesced barrier could jump past a
-        // scheduled fault or retry instant, and shed-mode admission reads
-        // live load snapshots the span would make stale.
-        self.plane.is_none()
-            && self.fault.is_none()
-            && matches!(self.execution, Execution::Parallel(_))
-            && self.router.load_oblivious()
-    }
-
-    /// Extends the running epoch across consecutive future arrival
-    /// barriers, submitting each barrier's whole group early, for as
-    /// long as every request in the group lands on a replica that is
-    /// **quiescent** (all submitted work finished, no queued KV
-    /// transfers) and stays untouched for the rest of the span. Each
-    /// coalesced barrier saves one full advance/wake cycle — the
-    /// dominant coordination cost on sparse traffic over wide fleets.
-    ///
-    /// # Why this exact rule is byte-invariant
-    ///
-    /// An engine's step trajectory is a pure function of its state and
-    /// its arrival queue; `step_until` deadlines only decide where the
-    /// coordinator pauses, never which steps run. Early submission is
-    /// therefore observable **only** through the arrival queue — and an
-    /// engine consults not-yet-due arrivals in exactly one place: the
-    /// idle fast-forward wake (`min` over next arrival, next transfer
-    /// completion, `now + idle_tick`). A *live* replica that goes idle
-    /// would wake earlier with an early-queued arrival than without, so
-    /// batching onto busy replicas is unsound. A quiescent replica takes
-    /// no steps at all until its early-submitted group exists in both
-    /// executions, its first wake is the group's own arrival instant
-    /// either way, and receiving at most one group per span means no
-    /// later early arrival can perturb its post-ingest idle wakes. The
-    /// equivalence and golden suites hold `Parallel` (spans on) to
-    /// byte-identity with `Sequential` (spans off) as a differential
-    /// check of this argument.
-    fn extend_span(&mut self, deadline: SimTime) {
-        debug_assert!(self.plane.is_none(), "spans never run on elastic fleets");
-        debug_assert!(self.held_routes.is_empty(), "held group not yet dispatched");
-        // One stale snapshot set for the whole span: the router never
-        // reads contents, and no replica steps while the coordinator is
-        // in this loop, so quiescence/transfer facts cannot go stale.
-        let loads: Vec<EngineLoad> = self.replicas.iter().map(|e| e.load_snapshot()).collect();
-        loop {
-            let Some(front) = self.pending.front() else {
-                return;
-            };
-            let t = front.arrival;
-            if t >= deadline {
-                // Post-deadline groups keep their own (unreachable)
-                // barriers so incomplete runs report identically.
-                return;
-            }
-            let group_len = self.pending.iter().take_while(|s| s.arrival == t).count();
-            let mut picks = Vec::with_capacity(group_len);
-            let mut eligible = true;
-            for i in 0..group_len {
-                let spec = self.pending[i];
-                let pick = self.router.route(&spec, &loads);
-                assert!(pick < loads.len(), "router index out of range");
-                // Same-instant requests may share a target (that is one
-                // barrier either way); a target busy from earlier work
-                // or an earlier span group ends the span.
-                eligible &= self.done[pick]
-                    && loads[pick].d2h_queue_len == 0
-                    && loads[pick].h2d_queue_len == 0;
-                picks.push(pick);
-            }
-            if !eligible {
-                // The router's state already advanced past this group;
-                // park the decisions for the dispatch that happens at
-                // the real barrier.
-                self.held_routes = picks.into();
-                return;
-            }
-            for pick in picks {
-                let spec = self.pending.pop_front().expect("group counted");
-                let global = self.next_global;
-                self.next_global += 1;
-                // The same event `dispatch_due` would emit at the real
-                // barrier: same arrival stamp, same empty score vector
-                // (spans require oblivious routers), same submission
-                // order — so journals are byte-identical with span
-                // batching on or off.
-                let local_id = self.place(pick, spec, global, spec.arrival, Vec::new());
-                self.assignments.push(Assignment {
-                    replica: pick,
-                    local_id,
-                });
-            }
-            self.runtime.batched_barriers += 1;
-        }
     }
 
     /// Applies every fault action due at or before `t`, on the
@@ -869,9 +749,6 @@ impl ClusterEngine {
             self.dispatch_retries(t, retries);
             if self.pending.front().is_some_and(|s| s.arrival == t) {
                 self.dispatch_due(t);
-                if self.spans_barriers() {
-                    self.extend_span(deadline);
-                }
             }
         }
         // Replicas never advance past the next barrier of any kind, so

@@ -31,13 +31,12 @@
 //! * [`executor`] / [`pool`] — how epochs run: [`Execution::Sequential`]
 //!   walks the replicas on the coordinator thread;
 //!   [`Execution::Parallel`] feeds busy replicas to a persistent,
-//!   condvar-parked [`WorkerPool`] spawned once per run. On top of the
-//!   pool, load-oblivious routers let the coordinator coalesce
-//!   consecutive arrival barriers whose dispatches land on quiescent
-//!   replicas. None of it can change a byte of any outcome (the
-//!   equivalence property tests in `tests/equivalence.rs` and
-//!   `tests/pool.rs` hold every shipped router and strategy to that),
-//!   so replica count is a *capability*, not a wall-clock cost.
+//!   condvar-parked [`WorkerPool`] spawned once per run. The choice
+//!   reaches only the replica advance between barriers; routing,
+//!   scaling and fault handling run identically under both, so it
+//!   cannot change a byte of any outcome (the equivalence property
+//!   tests in `tests/equivalence.rs` and `tests/pool.rs` hold every
+//!   shipped router and strategy to that).
 //!
 //! Routing decisions consume [`EngineLoad`](tokenflow_core::EngineLoad)
 //! snapshots only, so routers cannot reach into replica internals and the

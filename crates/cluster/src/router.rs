@@ -44,11 +44,12 @@ pub trait Router: Send {
     /// Whether this policy's decisions are independent of snapshot
     /// *contents* (it may still read `loads.len()`). A router returning
     /// `true` must produce the same pick sequence for any snapshot
-    /// values of a given length; the cluster exploits that to reuse one
-    /// snapshot set per dispatch group and to coalesce consecutive
-    /// arrival barriers whose dispatches land on quiescent replicas
-    /// (see `ClusterEngine::extend_span`). Defaults to `false` — the
-    /// conservative answer is always sound.
+    /// values of a given length, and leave [`route_scored`]'s `scores`
+    /// empty; the cluster exploits that to reuse one snapshot set per
+    /// dispatch group. Defaults to `false` — the conservative answer is
+    /// always sound.
+    ///
+    /// [`route_scored`]: Router::route_scored
     fn load_oblivious(&self) -> bool {
         false
     }
@@ -277,7 +278,7 @@ impl Router for RateAwareRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tokenflow_sim::{RequestId, SimTime};
+    use tokenflow_sim::{RequestId, SimRng, SimTime};
 
     fn load(live: usize, rate_sum: f64, free: u64) -> EngineLoad {
         EngineLoad {
@@ -387,5 +388,95 @@ mod tests {
         // Equal demand; replica 0's pool is nearly exhausted.
         let loads = vec![load(4, 100.0, 1_000), load(4, 100.0, 90_000)];
         assert_eq!(r.route(&spec(15.0), &loads), 1);
+    }
+
+    /// A fresh instance of every shipped router.
+    fn shipped() -> Vec<Box<dyn Router>> {
+        vec![
+            Box::new(RoundRobinRouter::new()),
+            Box::new(LeastLoadedRouter::new()),
+            Box::new(BacklogAwareRouter::new()),
+            Box::new(RateAwareRouter::new()),
+        ]
+    }
+
+    /// One routing input per entry of `widths`, with random snapshot
+    /// contents: input `i` has `widths[i]` snapshots, so two draws with
+    /// different seeds and the same `widths` differ in specs and
+    /// snapshot contents, never in snapshot counts.
+    fn inputs(seed: u64, widths: &[usize]) -> Vec<(RequestSpec, Vec<EngineLoad>)> {
+        let mut rng = SimRng::seed_from(seed);
+        widths
+            .iter()
+            .map(|&width| {
+                let loads = (0..width)
+                    .map(|_| {
+                        let mut l = load(
+                            rng.uniform_u64(0, 12) as usize,
+                            rng.uniform_range(0.0, 300.0),
+                            rng.uniform_u64(0, 100_000),
+                        );
+                        l.pending_prefill_tokens = rng.uniform_u64(0, 4) * 512;
+                        l.d2h_queue_len = rng.uniform_u64(0, 2) as usize;
+                        l.h2d_queue_len = rng.uniform_u64(0, 2) as usize;
+                        l
+                    })
+                    .collect();
+                (spec(rng.uniform_range(5.0, 30.0)), loads)
+            })
+            .collect()
+    }
+
+    /// Snapshot-set widths 1–5, in an order that revisits each width.
+    fn widths(steps: usize) -> Vec<usize> {
+        (0..steps).map(|i| 1 + (i * 7) % 5).collect()
+    }
+
+    #[test]
+    fn route_scored_picks_what_route_picks_for_every_router() {
+        let steps = inputs(7, &widths(200));
+        for (mut plain, mut scored) in shipped().into_iter().zip(shipped()) {
+            let mut scores = vec![f64::NAN; 9];
+            for (i, (spec, loads)) in steps.iter().enumerate() {
+                let pick = plain.route(spec, loads);
+                assert_eq!(
+                    scored.route_scored(spec, loads, &mut scores),
+                    pick,
+                    "{}: traced pick diverged at step {i}",
+                    plain.name()
+                );
+                assert!(
+                    scores.is_empty() || scores.len() == loads.len(),
+                    "{}: {} scores for {} snapshots",
+                    plain.name(),
+                    scores.len(),
+                    loads.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn load_oblivious_routers_ignore_snapshot_contents() {
+        let widths = widths(200);
+        let (a, b) = (inputs(11, &widths), inputs(12, &widths));
+        let mut oblivious = 0;
+        for (mut first, mut second) in shipped().into_iter().zip(shipped()) {
+            if !first.load_oblivious() {
+                continue;
+            }
+            oblivious += 1;
+            let mut scores = vec![f64::NAN];
+            for (i, ((spec, loads_a), (_, loads_b))) in a.iter().zip(&b).enumerate() {
+                assert_eq!(
+                    first.route(spec, loads_a),
+                    second.route_scored(spec, loads_b, &mut scores),
+                    "{}: pick depends on snapshot contents at step {i}",
+                    first.name()
+                );
+                assert!(scores.is_empty(), "{}: scored", first.name());
+            }
+        }
+        assert!(oblivious > 0, "no shipped router is load-oblivious");
     }
 }

@@ -71,9 +71,9 @@ fn run(w: &Workload, which: &str, execution: Execution) -> ClusterOutcome {
 }
 
 /// The merged report through the executor-invariance lens: the
-/// executor-mechanics runtime counters (epochs, barrier batching, pool
-/// stats) are the one intentionally executor-visible surface — every
-/// other byte must match.
+/// executor-mechanics runtime counters (pool stats) are the one
+/// intentionally executor-visible surface — every other byte must
+/// match.
 fn invariant_merged(o: &ClusterOutcome) -> tokenflow_metrics::RunReport {
     let mut merged = o.merged.clone();
     merged.runtime = merged.runtime.invariant();

@@ -21,9 +21,9 @@ use tokenflow_sched::{FcfsScheduler, Scheduler, TokenFlowScheduler};
 use tokenflow_workload::{ControlledSetup, RateDist, Workload};
 
 /// The merged report through the executor-invariance lens: the
-/// executor-mechanics runtime counters (epochs, barrier batching, pool
-/// stats) are the one intentionally executor-visible surface — every
-/// other byte must match.
+/// executor-mechanics runtime counters (pool stats) are the one
+/// intentionally executor-visible surface — every other byte must
+/// match.
 fn invariant_merged(o: &ClusterOutcome) -> RunReport {
     let mut merged = o.merged.clone();
     merged.runtime = merged.runtime.invariant();

@@ -100,9 +100,9 @@ proptest! {
         .with_execution(Execution::parallel(2))
         .run(&w);
         prop_assert_eq!(&out.assignments, &par.assignments);
-        // Executor-mechanics runtime counters (epochs, barrier batching,
-        // pool stats) are the one intentionally executor-visible
-        // surface; everything else must match byte-for-byte.
+        // Executor-mechanics runtime counters (pool stats) are the one
+        // intentionally executor-visible surface; everything else must
+        // match byte-for-byte.
         let mut seq_m = out.merged.clone();
         seq_m.runtime = seq_m.runtime.invariant();
         let mut par_m = par.merged.clone();

@@ -77,7 +77,9 @@ pub struct RuntimeCounters {
     pub horizons_expired: u64,
     /// Cluster arrival-barrier epochs executed.
     pub epochs: u64,
-    /// Arrival barriers coalesced into a running epoch by span batching.
+    /// Always 0: no cluster executor coalesces arrival barriers. Kept so
+    /// the `runtime` JSON keeps its key, which perfbench reports as
+    /// `cluster.batched_barriers`.
     pub batched_barriers: u64,
     /// Worker threads of the persistent executor pool (0 when
     /// sequential).
@@ -88,8 +90,8 @@ pub struct RuntimeCounters {
 
 /// Which contract a runtime counter falls under. Simulation semantics
 /// must not move between execution strategies; executor mechanics
-/// describe *how* a cluster run was executed — barrier batching and
-/// worker pools are exactly what `Sequential` vs `Parallel` changes.
+/// describe *how* a cluster run was executed — the worker pool is
+/// exactly what `Sequential` vs `Parallel` changes.
 #[derive(PartialEq)]
 enum Class {
     Semantic,

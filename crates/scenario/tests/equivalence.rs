@@ -259,8 +259,8 @@ fn parallel_execution_spec_matches_sequential_hand_built() {
         ..base_spec()
     };
     let built = spec.build().expect("buildable").run();
-    // Executor-mechanics runtime counters (pool stats, barrier batching)
-    // are the one intentionally executor-visible report surface; the
+    // Executor-mechanics runtime counters (pool stats) are the one
+    // intentionally executor-visible report surface; the
     // digests must match once those are normalized away.
     let mut built_report = built.report.clone();
     built_report.runtime = built_report.runtime.invariant();

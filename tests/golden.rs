@@ -78,9 +78,9 @@ fn scheduler_spec(which: &str) -> SchedulerSpec {
 /// iteration count.
 /// The canonical report JSON with the `runtime` telemetry object zeroed.
 /// Runtime counters describe how a run was executed — fast-path hits,
-/// epoch batching, worker-pool reuse: exactly the numbers the
-/// fastpath-off and Sequential-vs-Parallel differential runs below are
-/// *supposed* to change while every serving metric stays put. Digests
+/// worker-pool reuse: exactly the numbers the fastpath-off and
+/// Sequential-vs-Parallel differential runs below are *supposed* to
+/// change while every serving metric stays put. Digests
 /// therefore pin everything but them; the counters themselves are
 /// gated behaviorally (`tests/alloc.rs`, `crates/cluster/tests/pool.rs`).
 fn semantic_json(report: &RunReport) -> String {
