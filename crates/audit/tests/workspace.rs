@@ -1,10 +1,11 @@
 //! The live workspace must audit clean: zero findings, every crate at
-//! or under its committed panic-surface baseline, and a well-formed
-//! report. This is the same code path `cargo run -p audit` and the CI
-//! job execute.
+//! or under its committed panic-surface baseline, a baseline that only
+//! shrinks from one commit to the next, and a well-formed report. This
+//! is the same code path `cargo run -p audit` and the CI job execute.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use audit::tiers::{self, Tier};
 use audit::{ratchet_findings, report, run_audit};
@@ -69,6 +70,39 @@ fn panic_surface_is_within_the_committed_baseline() {
             "baseline entry `{name}` names a crate not in the tier map"
         );
     }
+}
+
+/// The ratchet's direction: against the parent commit's baseline, no
+/// crate's panic budget may grow. New crates may appear and counts may
+/// shrink; growth needs the finding fixed, not the baseline raised.
+/// Skips with a note where git or the parent commit is unavailable (a
+/// depth-1 checkout, an exported tree).
+#[test]
+fn panic_baseline_only_shrinks_against_the_parent_commit() {
+    let root = workspace_root();
+    let show = Command::new("git")
+        .arg("-C")
+        .arg(&root)
+        .args(["show", "HEAD~1:audit_baseline.json"])
+        .output();
+    let parent = match show {
+        Ok(out) if out.status.success() => String::from_utf8(out.stdout).unwrap(),
+        _ => {
+            eprintln!("no baseline in the parent commit; skipping the direction check");
+            return;
+        }
+    };
+    let prev = report::parse_baseline(&parent).unwrap();
+    let text = fs::read_to_string(root.join("audit_baseline.json")).unwrap();
+    let grew: Vec<String> = report::parse_baseline(&text)
+        .unwrap()
+        .into_iter()
+        .filter_map(|(name, now)| {
+            let before = *prev.get(&name)?;
+            (now > before).then(|| format!("{name} {before} -> {now}"))
+        })
+        .collect();
+    assert!(grew.is_empty(), "panic baseline grew: {}", grew.join(", "));
 }
 
 #[test]

@@ -14,7 +14,7 @@ use tokenflow_trace::{PreemptCause, TraceEventKind, TraceSink};
 
 use crate::config::EngineConfig;
 use crate::profiler::EngineProfilers;
-use crate::state::{EngineState, Phase};
+use crate::state::{EngineState, Phase, ReqState};
 
 /// Pops every arrival due by `now`, marking the requests live.
 pub(crate) fn ingest_arrivals(
@@ -88,25 +88,26 @@ pub(crate) fn build_ctx_into(
             0
         };
         let s = &mut st.requests[idx];
-        let snap = s.buffer.snapshot(now);
-        ctx.requests.push(ReqView {
+        let mut view = ReqView {
             id,
             phase: sched_phase,
             arrival: s.spec.arrival,
             rate: s.spec.rate,
             prompt_tokens: s.spec.prompt_tokens,
-            context_tokens: s.context_tokens(),
-            remaining_tokens: s.remaining_tokens(),
-            buffered_tokens: snap.buffered,
-            buffered_secs: snap.buffered_secs,
-            stalled: snap.stalled_now,
-            started: s.generated > 0,
+            context_tokens: 0,
+            remaining_tokens: 0,
+            buffered_tokens: 0,
+            buffered_secs: 0.0,
+            stalled: false,
+            started: false,
             evict_secs,
             load_secs,
             reserved_tokens: reserved,
             elastic: s.kind == tokenflow_workload::ClientKind::Agent,
             inbound: matches!(phase, Phase::Prefilling | Phase::Loading),
-        });
+        };
+        write_progress(&mut view, s, now);
+        ctx.requests.push(view);
     }
     st.live_ids.truncate(write);
 
@@ -136,6 +137,19 @@ pub(crate) fn build_ctx_into(
     ctx.max_batch = config.max_batch;
     ctx.recount_phases();
     ctx.debug_assert_id_ordered();
+}
+
+/// Writes a view's progress fields (buffered tokens and seconds, stalled,
+/// started, context, remaining) from its request at `now`; the context
+/// build and the plan-horizon fast path's re-gate share it.
+pub(crate) fn write_progress(view: &mut ReqView, s: &mut ReqState, now: SimTime) {
+    let snap = s.buffer.snapshot(now);
+    view.buffered_tokens = snap.buffered;
+    view.buffered_secs = snap.buffered_secs;
+    view.stalled = snap.stalled_now;
+    view.started = s.generated > 0;
+    view.context_tokens = s.context_tokens();
+    view.remaining_tokens = s.remaining_tokens();
 }
 
 /// Starts (or restarts, after a discard) a request's prefill.

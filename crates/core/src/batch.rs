@@ -7,7 +7,7 @@
 
 use tokenflow_kv::KvManager;
 use tokenflow_model::{CostModel, IterationSpec};
-use tokenflow_sched::{PrefillPolicy, SchedContext, Scheduler};
+use tokenflow_sched::{PrefillPolicy, ReqView, SchedContext, Scheduler};
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{TraceEventKind, TraceSink};
 
@@ -48,10 +48,37 @@ impl IterationBatch {
     }
 }
 
-/// Composes the iteration batch into a retained buffer (the engine
-/// reuses one `IterationBatch` across steps, so the steady-state path
-/// allocates nothing here). Pacing policies may gate over-buffered
-/// requests out of this round (their KV stays put).
+/// Clears `batch` and fills its decode half with the running members
+/// whose decode gate is open, journaling each verdict (pacing policies
+/// gate over-buffered requests out; their KV stays put). `view_of(i, id)`
+/// finds the view of `st.running[i]`; a member without one is never gated.
+pub(crate) fn gate_decode<'c>(
+    batch: &mut IterationBatch,
+    st: &EngineState,
+    scheduler: &dyn Scheduler,
+    ctx: &'c SchedContext,
+    trace: &mut TraceSink,
+    view_of: impl Fn(usize, RequestId) -> Option<&'c ReqView>,
+) {
+    batch.decode.clear();
+    batch.prefill.clear();
+    batch.decode.extend(
+        st.running
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, id)| st.state(id).phase == Phase::Running)
+            .filter(|&(i, id)| {
+                let open = view_of(i, id).is_none_or(|v| scheduler.decode_gate(v, ctx));
+                trace.gate(ctx.now, id, !open);
+                open
+            })
+            .map(|(_, id)| id),
+    );
+}
+
+/// Composes the iteration batch into a retained buffer (so the steady
+/// state allocates nothing): gated decode members, then prefill slices.
 pub(crate) fn compose_into(
     batch: &mut IterationBatch,
     st: &EngineState,
@@ -60,21 +87,7 @@ pub(crate) fn compose_into(
     config: &EngineConfig,
     trace: &mut TraceSink,
 ) {
-    batch.decode.clear();
-    batch.prefill.clear();
-    batch.decode.extend(
-        st.running
-            .iter()
-            .copied()
-            .filter(|&id| st.state(id).phase == Phase::Running)
-            .filter(|&id| {
-                let open = ctx
-                    .view_of(id)
-                    .is_none_or(|v| scheduler.decode_gate(v, ctx));
-                trace.gate(ctx.now, id, !open);
-                open
-            }),
-    );
+    gate_decode(batch, st, scheduler, ctx, trace, |_, id| ctx.view_of(id));
     let (decode, prefill) = (&mut batch.decode, &mut batch.prefill);
     match scheduler.prefill_policy() {
         PrefillPolicy::Full => {
@@ -132,11 +145,35 @@ pub(crate) fn compose_into(
 }
 
 /// Blocks newly required by appending one token to each decode member.
-pub(crate) fn decode_blocks_needed(kv: &KvManager, decode: &[RequestId], bt: u64) -> u64 {
+fn decode_blocks_needed(kv: &KvManager, decode: &[RequestId], bt: u64) -> u64 {
     decode
         .iter()
         .filter(|&&id| kv.context_tokens(id).is_multiple_of(bt))
         .count() as u64
+}
+
+/// Blocks `batch` newly requires: its decode appends plus the whole
+/// allocation of every completing prefill.
+fn blocks_needed(batch: &IterationBatch, st: &EngineState, kv: &KvManager, bt: u64) -> u64 {
+    let completing: u64 = batch
+        .prefill
+        .iter()
+        .filter(|p| p.completes)
+        .map(|p| st.state(p.id).prefill_target.div_ceil(bt))
+        .sum();
+    decode_blocks_needed(kv, &batch.decode, bt) + completing
+}
+
+/// The clean-fit test: `batch` fits free GPU memory as composed, with no
+/// reclaim, deferral or shedding. The fast path's pre-check applies it too.
+pub(crate) fn fits_clean(
+    batch: &IterationBatch,
+    st: &EngineState,
+    kv: &KvManager,
+    config: &EngineConfig,
+) -> bool {
+    let bt = config.block_tokens as u64;
+    kv.gpu_free_tokens() / bt >= blocks_needed(batch, st, kv, bt)
 }
 
 /// Memory pre-check: makes room for decode appends plus completing
@@ -165,20 +202,14 @@ pub(crate) fn fit_memory(
     now: SimTime,
     trace: &mut TraceSink,
 ) -> bool {
+    if fits_clean(batch, st, kv, config) {
+        return true;
+    }
     let bt = config.block_tokens as u64;
-    let completing_blocks: u64 = batch
-        .prefill
-        .iter()
-        .filter(|p| p.completes)
-        .map(|p| st.state(p.id).prefill_target.div_ceil(bt))
-        .sum();
-    let mut needed = decode_blocks_needed(kv, &batch.decode, bt) + completing_blocks;
-    let fits_clean = kv.gpu_free_tokens() / bt >= needed;
-    if !fits_clean
-        && !admission::emergency_reclaim(
-            st, kv, scheduler, cost, config, profs, scratch, needed, now, trace,
-        )
-    {
+    let needed = blocks_needed(batch, st, kv, bt);
+    if !admission::emergency_reclaim(
+        st, kv, scheduler, cost, config, profs, scratch, needed, now, trace,
+    ) {
         // A failed reclaim may still have preempted members (phases left
         // Running, KV gone — their context reads 0, a block-size
         // multiple) and freed memory before running out of victims:
@@ -187,11 +218,12 @@ pub(crate) fn fit_memory(
         batch
             .decode
             .retain(|&id| st.state(id).phase == Phase::Running);
-        needed = decode_blocks_needed(kv, &batch.decode, bt) + completing_blocks;
+        let decode_needed = decode_blocks_needed(kv, &batch.decode, bt);
+        let mut needed = blocks_needed(batch, st, kv, bt);
         // Defer completing prefills next (when they still do not fit).
-        if completing_blocks > 0 && kv.gpu_free_tokens() / bt < needed {
+        if needed > decode_needed && kv.gpu_free_tokens() / bt < needed {
             batch.prefill.clear();
-            needed = decode_blocks_needed(kv, &batch.decode, bt);
+            needed = decode_needed;
         }
         // Then shed block-boundary decode members (largest buffer first)
         // until the remainder fits; mid-block members need no new memory
@@ -224,7 +256,7 @@ pub(crate) fn fit_memory(
     batch
         .decode
         .retain(|&id| st.state(id).phase == Phase::Running);
-    fits_clean
+    false
 }
 
 /// Prices the iteration with the analytical cost model.

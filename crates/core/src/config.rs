@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use tokenflow_metrics::QosParams;
-use tokenflow_model::{CostModel, CostOverheads, HardwareProfile, ModelProfile};
+use tokenflow_model::{CostModel, HardwareProfile, ModelProfile};
 use tokenflow_sim::SimDuration;
 
 /// Complete configuration of a serving engine instance.
@@ -11,20 +11,12 @@ pub struct EngineConfig {
     pub model: ModelProfile,
     /// Accelerator profile.
     pub hardware: HardwareProfile,
-    /// Cost-model efficiency factors.
-    pub overheads: CostOverheads,
     /// Fraction of device memory the engine may use (SGLang `mem-frac`).
     pub mem_frac: f64,
     /// Tokens per KV block.
     pub block_tokens: u32,
-    /// Host pool capacity as a multiple of the GPU pool.
-    pub cpu_pool_factor: f64,
-    /// Transfer chunk granularity in tokens.
-    pub chunk_tokens: u64,
     /// Enable write-through background sync (§5.1).
     pub write_through: bool,
-    /// Priority (vs FIFO) ordering of write-through flushes (§5.2).
-    pub priority_writes: bool,
     /// Enable KV offload entirely; `false` is the w/o-offload ablation.
     pub offload_enabled: bool,
     /// Enable load-evict overlap (§5.3).
@@ -65,13 +57,9 @@ impl EngineConfig {
         EngineConfig {
             model,
             hardware,
-            overheads: CostOverheads::default(),
             mem_frac: 0.9,
             block_tokens: 16,
-            cpu_pool_factor: 8.0,
-            chunk_tokens: 256,
             write_through: true,
-            priority_writes: true,
             offload_enabled: true,
             load_evict_overlap: true,
             max_batch: 256,
@@ -119,9 +107,10 @@ impl EngineConfig {
         self
     }
 
-    /// Builds the cost model for this configuration.
+    /// Builds the cost model for this configuration, with the default
+    /// overheads.
     pub fn cost_model(&self) -> CostModel {
-        CostModel::with_overheads(self.model.clone(), self.hardware.clone(), self.overheads)
+        CostModel::new(self.model.clone(), self.hardware.clone())
     }
 
     /// GPU KV capacity in tokens under this configuration.

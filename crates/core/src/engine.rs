@@ -123,11 +123,11 @@ pub struct Engine {
     /// member per step. Cleared at every full step; rebuilt by one merge
     /// pass when its length no longer matches the running set.
     running_ctx_idx: Vec<u32>,
-    /// Retained completion-event buffer for transfer application — the
-    /// engine applies transfers up to three times per step, so the
-    /// steady state reuses one allocation.
+    /// Retained completion-event buffer for [`Engine::apply_transfers`],
+    /// which runs twice per step, so the steady state reuses one
+    /// allocation.
     kv_events: Vec<tokenflow_kv::KvEvent>,
-    /// Fast-path counters; the executor-mechanics ones stay zero.
+    /// Fast-path counters; the coordinator and executor ones stay zero.
     runtime: RuntimeCounters,
     /// Compute slowdown multiplier on iteration times (`1.0` = healthy).
     /// Fault injection sets it over a straggler window; while it is not
@@ -167,11 +167,14 @@ impl Engine {
         let kv = KvManager::new(KvConfig {
             block_tokens: config.block_tokens,
             gpu_blocks,
-            cpu_blocks: (gpu_blocks as f64 * config.cpu_pool_factor) as u64,
+            // The host pool holds eight GPU pools; transfers move
+            // 256-token chunks; write-through flushes fuller buffers
+            // first (§5.2).
+            cpu_blocks: gpu_blocks * 8,
             kv_bytes_per_token: config.model.kv_bytes_per_token(),
-            chunk_tokens: config.chunk_tokens,
+            chunk_tokens: 256,
             write_through: config.write_through,
-            priority_writes: config.priority_writes,
+            priority_writes: true,
             offload_enabled: config.offload_enabled,
             load_evict_overlap: config.load_evict_overlap,
             pcie_bandwidth: config.hardware.pcie_bw,
@@ -333,30 +336,23 @@ impl Engine {
         // run *before* the horizon check — an arrival or a transfer
         // completion lands in a full pipeline step.
         admission::ingest_arrivals(&mut self.arrivals, &mut self.st, now, &mut self.trace);
-        let mut kv_events = std::mem::take(&mut self.kv_events);
-        kv_orchestrator::apply_transfers(
-            &mut self.st,
-            &mut self.kv,
-            now,
-            &mut kv_events,
-            &mut self.trace,
-        );
-        self.kv_events = kv_events;
+        self.apply_transfers(now);
 
         // Plan-horizon fast path: inside an armed, unexpired certificate
         // the scheduler's decisions are provably unchanged, so the step
-        // replays the retained batch and pays only pricing + delivery +
-        // telemetry — O(batch) instead of O(live).
+        // executes the retained (possibly re-gated) batch through the
+        // full step's own tail — O(batch) instead of O(live).
         if self.fast_step_applies(now) {
-            return self.fast_step(now, outcome);
+            self.execute(now, outcome);
+            self.runtime.fast_steps += 1;
+        } else {
+            self.full_step(now, outcome);
         }
-
-        self.full_step(now, outcome)
     }
 
-    /// The full pipeline step: context build, plan, compose, fit, price,
-    /// deliver — and, on a clean quiescent iteration, arming the next
-    /// plan horizon.
+    /// The full pipeline step: context build, plan, compose, fit, then
+    /// [`Engine::execute`] — and, on a clean quiescent iteration, arming
+    /// the next plan horizon.
     fn full_step(&mut self, now: SimTime, outcome: &mut StepOutcome) {
         // Any decision event between here and the end of the step
         // (admission, preemption, prefill completion, finish) moves the
@@ -462,64 +458,8 @@ impl Engine {
         if self.iter_batch.is_idle() {
             return self.idle_step(outcome);
         }
-
-        // Price the iteration; a straggler window stretches it.
-        let (spec, mut iter_time) = batch::price(&self.iter_batch, &self.st, &self.cost);
-        if self.slowdown != 1.0 {
-            iter_time = iter_time.mul_f64(self.slowdown);
-        }
-
-        // Stage 2 (in-compute): pump a compute-window's worth of
-        // write-through sync, then advance time — transfers progress
-        // during compute.
-        kv_orchestrator::pump_write_through(
-            &mut self.st,
-            &mut self.kv,
-            &self.iter_batch.decode,
-            now,
-            iter_time,
-        );
-        let end = self.clock.advance(iter_time);
-        let mut kv_events = std::mem::take(&mut self.kv_events);
-        kv_orchestrator::apply_transfers(
-            &mut self.st,
-            &mut self.kv,
-            end,
-            &mut kv_events,
-            &mut self.trace,
-        );
-        self.kv_events = kv_events;
-
-        // Stage 4: deliveries and telemetry.
-        let qos = self.config.qos;
-        delivery::apply_prefill_progress(
-            &mut self.st,
-            &mut self.kv,
-            &self.iter_batch,
-            end,
-            &qos,
-            outcome,
-            &mut self.trace,
-        );
-        let decode_delivered = delivery::deliver_decode(
-            &mut self.st,
-            &mut self.kv,
-            &self.iter_batch,
-            now,
-            end,
-            &qos,
-            outcome,
-            &mut self.trace,
-        );
-        if spec.prefill_tokens > 0 {
-            self.profs.prefill.record(spec.prefill_tokens, iter_time);
-        }
-        self.profs.prefill_rate.record(end, spec.prefill_tokens);
-        self.profs.decode.record(end, decode_delivered);
-        self.telemetry.sample(&self.st, &self.kv, end);
-        self.iterations += 1;
-        outcome.now = end;
-        outcome.done = self.st.all_finished() && self.arrivals.is_empty();
+        self.execute(now, outcome);
+        let end = outcome.now;
 
         // The ctx-index cache derives from this step's rebuilt context
         // and running set; any new horizon starts from a fresh merge.
@@ -531,8 +471,8 @@ impl Engine {
         // still matches, so `ctx_batch` and `iter_batch` describe the
         // state the next step starts from, modulo journaled transfer
         // flips the fast path reconciles on entry). The scheduler then
-        // certifies how long its plan stays a no-op.
-        self.horizon = None;
+        // certifies how long its plan stays a no-op. (No horizon is
+        // armed here: a full step runs only once the last one ended.)
         if self.config.plan_horizon
             && self.slowdown == 1.0
             && fits_clean
@@ -562,144 +502,89 @@ impl Engine {
     }
 
     /// Checks whether the current step may run on the fast path, keeping
-    /// the armed horizon's bookkeeping honest: a failed check disarms it
+    /// the armed horizon's bookkeeping honest: a failed check ends it
     /// (the full pipeline re-arms at its next clean quiescent step).
     fn fast_step_applies(&mut self, now: SimTime) -> bool {
         let Some(h) = self.horizon else {
             return false;
         };
-        if self.st.decision_epoch != h.epoch {
-            self.horizon = None;
-            self.runtime.horizons_invalidated += 1;
-            self.trace.emit(
-                now,
-                TraceEventKind::HorizonEnded {
-                    reason: HorizonEndReason::Invalidated,
-                },
-            );
-            return false;
-        }
-        if now >= h.valid_until {
-            self.horizon = None;
-            self.runtime.horizons_expired += 1;
-            self.trace.emit(
-                now,
-                TraceEventKind::HorizonEnded {
-                    reason: HorizonEndReason::Expired,
-                },
-            );
-            return false;
-        }
-        // Mirror the KV transfer completions that landed since the last
-        // reconcile into the retained context: an in-flight transfer
-        // finishing flips one request's phase (`Evicting → OnCpu` or
-        // `Loading → Running`) without any scheduler decision, and the
-        // horizon's certificate is required to survive it. Phases and
-        // counts first, so gates read the truth below.
-        let flipped = !self.st.transfer_flips.is_empty();
-        if flipped {
-            for i in 0..self.st.transfer_flips.len() {
-                let id = self.st.transfer_flips[i];
-                // Finished requests have no scheduler phase, but a finish
-                // inside the horizon bumps the epoch and never reaches
-                // here — this is belt-and-braces for stale journal rows.
+        let reason = if self.st.decision_epoch != h.epoch {
+            HorizonEndReason::Invalidated
+        } else if now >= h.valid_until {
+            HorizonEndReason::Expired
+        } else {
+            // Mirror the KV transfer completions that landed since the
+            // last reconcile into the retained context: an in-flight
+            // transfer finishing flips one request's phase (`Evicting →
+            // OnCpu` or `Loading → Running`) without any scheduler
+            // decision, and the horizon's certificate is required to
+            // survive it. Phases and counts first, so gates read the
+            // truth below. (A finish inside the horizon bumps the epoch,
+            // so every journaled request still has a scheduler phase.)
+            let flipped = !self.st.transfer_flips.is_empty();
+            for &id in &self.st.transfer_flips {
                 if let Some(phase) = self.st.requests[id.0 as usize].phase.sched_phase() {
                     self.ctx_batch.update_phase(id, phase);
                 }
             }
             self.st.transfer_flips.clear();
-        }
-        // Pacing gates may flip with buffer levels inside the horizon,
-        // and a completed load adds a decode member a frozen replay
-        // would miss: refresh the gate-read view fields and recompose
-        // the decode batch in place. An empty recompose is an idle
-        // iteration, which the full pipeline owns.
-        if (flipped || !h.gates_static) && !self.refresh_and_regate(now) {
-            self.horizon = None;
-            self.runtime.horizons_invalidated += 1;
-            self.trace.emit(
-                now,
-                TraceEventKind::HorizonEnded {
-                    reason: HorizonEndReason::Invalidated,
-                },
-            );
-            return false;
-        }
-        // Per-step memory pre-check, exactly the full path's (there is
-        // no prefill inside a horizon): if this step's decode appends
-        // need reclamation or shedding, the full pipeline handles them.
-        let bt = self.config.block_tokens as u64;
-        if batch::decode_blocks_needed(&self.kv, &self.iter_batch.decode, bt)
-            > self.kv.gpu_free_tokens() / bt
-        {
-            self.horizon = None;
-            self.runtime.horizons_invalidated += 1;
-            self.trace.emit(
-                now,
-                TraceEventKind::HorizonEnded {
-                    reason: HorizonEndReason::Invalidated,
-                },
-            );
-            return false;
-        }
-        true
+            // Pacing gates may flip with buffer levels inside the
+            // horizon, and a completed load adds a decode member a frozen
+            // replay would miss: re-gate the decode batch. An empty one
+            // is an idle iteration, which the full pipeline owns. Then
+            // the full step's own clean-fit test: decode appends that
+            // need reclamation or shedding go to the full pipeline.
+            let regate = flipped || !h.gates_static;
+            if (!regate || self.refresh_and_regate(now))
+                && batch::fits_clean(&self.iter_batch, &self.st, &self.kv, &self.config)
+            {
+                return true;
+            }
+            HorizonEndReason::Invalidated
+        };
+        self.end_horizon(now, reason);
+        false
     }
 
-    /// Refreshes the gate-read fields (buffer occupancy, context and
-    /// remaining counts, started flag) of every running member's view in
-    /// the retained post-plan context, then recomposes the decode batch
-    /// exactly as [`batch::compose_into`] would against a fresh context.
-    /// The running set is current at this point: decision events tore
-    /// the horizon down via the epoch, and transfer flips were already
-    /// mirrored into the context (including members a completed load
-    /// just added), so only per-request progress needs refreshing.
-    /// Returns `false` when the recomposed batch is empty.
+    /// Ends the armed horizon: clears it, counts why, and journals it.
+    fn end_horizon(&mut self, now: SimTime, reason: HorizonEndReason) {
+        self.horizon = None;
+        match reason {
+            HorizonEndReason::Invalidated => self.runtime.horizons_invalidated += 1,
+            HorizonEndReason::Expired => self.runtime.horizons_expired += 1,
+        }
+        self.trace
+            .emit(now, TraceEventKind::HorizonEnded { reason });
+    }
+
+    /// Refreshes the progress fields of every running member's view in
+    /// the retained post-plan context, then re-gates the decode batch
+    /// through [`batch::gate_decode`], reaching each view through the
+    /// horizon's cached index. The running set is current at this point:
+    /// decision events tore the horizon down via the epoch, and transfer
+    /// flips were already mirrored into the context (including members a
+    /// completed load just added), so only per-request progress needs
+    /// refreshing. Returns `false` when the re-gated batch is empty.
     fn refresh_and_regate(&mut self, now: SimTime) -> bool {
         self.ctx_batch.set_now(now);
         if self.running_ctx_idx.len() != self.st.running.len() {
             self.rebuild_running_ctx_idx();
         }
-        for i in 0..self.st.running.len() {
-            let id = self.st.running[i];
-            let s = &mut self.st.requests[id.0 as usize];
-            debug_assert_eq!(s.phase, Phase::Running);
-            let snap = s.buffer.snapshot(now);
-            let started = s.generated > 0;
-            let context = s.context_tokens();
-            let remaining = s.remaining_tokens();
-            let ci = self.running_ctx_idx[i] as usize;
-            if let Some(v) = self.ctx_batch.requests.get_mut(ci) {
+        let idx = &self.running_ctx_idx;
+        for (i, &id) in self.st.running.iter().enumerate() {
+            if let Some(v) = self.ctx_batch.requests.get_mut(idx[i] as usize) {
                 debug_assert_eq!(v.id, id);
-                v.buffered_tokens = snap.buffered;
-                v.buffered_secs = snap.buffered_secs;
-                v.stalled = snap.stalled_now;
-                v.started = started;
-                v.context_tokens = context;
-                v.remaining_tokens = remaining;
+                admission::write_progress(v, &mut self.st.requests[id.0 as usize], now);
             }
         }
-        let st = &self.st;
-        let ctx = &self.ctx_batch;
-        let idx = &self.running_ctx_idx;
-        let scheduler = self.scheduler.as_ref();
-        let sink = &mut self.trace;
-        self.iter_batch.decode.clear();
-        self.iter_batch.prefill.clear();
-        self.iter_batch.decode.extend(
-            st.running
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, id)| st.state(id).phase == Phase::Running)
-                .filter(|&(i, id)| {
-                    let open = ctx
-                        .requests
-                        .get(idx[i] as usize)
-                        .is_none_or(|v| scheduler.decode_gate(v, ctx));
-                    sink.gate(now, id, !open);
-                    open
-                })
-                .map(|(_, id)| id),
+        let views = &self.ctx_batch.requests;
+        batch::gate_decode(
+            &mut self.iter_batch,
+            &self.st,
+            self.scheduler.as_ref(),
+            &self.ctx_batch,
+            &mut self.trace,
+            |i, _| views.get(idx[i] as usize),
         );
         !self.iter_batch.decode.is_empty()
     }
@@ -724,17 +609,19 @@ impl Engine {
         }
     }
 
-    /// The certified step: replay the (possibly re-gated) retained batch
-    /// and run only the per-step stages — pricing, write-through pump,
-    /// transfer advance, decode delivery, profiler and telemetry feeds.
-    /// Byte-identical to the full pipeline under the horizon's
-    /// certificate, just without re-deriving the identical decisions.
-    fn fast_step(&mut self, now: SimTime, outcome: &mut StepOutcome) {
+    /// Runs the composed batch: prices it (a straggler window stretches
+    /// it), pumps a compute window's worth of write-through sync, advances
+    /// the clock and the transfers in flight, delivers prefill progress
+    /// and decode tokens, and feeds the profilers and telemetry. The full
+    /// step and the certified fast step both end here, so the fast step
+    /// is the full step minus planning.
+    fn execute(&mut self, now: SimTime, outcome: &mut StepOutcome) {
         let (spec, mut iter_time) = batch::price(&self.iter_batch, &self.st, &self.cost);
         if self.slowdown != 1.0 {
             iter_time = iter_time.mul_f64(self.slowdown);
         }
-        debug_assert_eq!(spec.prefill_tokens, 0);
+
+        // Stage 2 (in-compute): transfers progress during compute.
         kv_orchestrator::pump_write_through(
             &mut self.st,
             &mut self.kv,
@@ -743,36 +630,51 @@ impl Engine {
             iter_time,
         );
         let end = self.clock.advance(iter_time);
-        let mut kv_events = std::mem::take(&mut self.kv_events);
-        kv_orchestrator::apply_transfers(
+        self.apply_transfers(end);
+
+        // Stage 4: deliveries and telemetry.
+        let qos = &self.config.qos;
+        delivery::apply_prefill_progress(
             &mut self.st,
             &mut self.kv,
+            &self.iter_batch,
             end,
-            &mut kv_events,
+            qos,
+            outcome,
             &mut self.trace,
         );
-        self.kv_events = kv_events;
-        let qos = self.config.qos;
         let decode_delivered = delivery::deliver_decode(
             &mut self.st,
             &mut self.kv,
             &self.iter_batch,
             now,
             end,
-            &qos,
+            qos,
             outcome,
             &mut self.trace,
         );
-        // Feed the profilers the same samples the full path would (the
-        // prefill EMA skips zero-token records there too), so Γ reads
-        // identically at the next full step.
-        self.profs.prefill_rate.record(end, 0);
+        if spec.prefill_tokens > 0 {
+            self.profs.prefill.record(spec.prefill_tokens, iter_time);
+        }
+        self.profs.prefill_rate.record(end, spec.prefill_tokens);
         self.profs.decode.record(end, decode_delivered);
         self.telemetry.sample(&self.st, &self.kv, end);
         self.iterations += 1;
-        self.runtime.fast_steps += 1;
         outcome.now = end;
         outcome.done = self.st.all_finished() && self.arrivals.is_empty();
+    }
+
+    /// Advances the transfer engine to `to` and applies its completions
+    /// (see [`kv_orchestrator::apply_transfers`]) through the retained
+    /// event buffer.
+    fn apply_transfers(&mut self, to: SimTime) {
+        kv_orchestrator::apply_transfers(
+            &mut self.st,
+            &mut self.kv,
+            to,
+            &mut self.kv_events,
+            &mut self.trace,
+        );
     }
 
     /// Fast-forwards an idle iteration to the next wake-up: an arrival, a

@@ -14,7 +14,8 @@
 //!   leak across idleness into the second wave).
 //!
 //! Each case also asserts the fast path actually engaged — a vacuous
-//! pass (zero fast steps) would prove nothing.
+//! pass (zero fast steps) would prove nothing. A last test checks that
+//! the horizon counters agree with the journal's horizon events.
 
 use tokenflow_core::{Engine, EngineConfig, StepOutcome};
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -22,6 +23,7 @@ use tokenflow_sched::{
     AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowScheduler,
 };
 use tokenflow_sim::{RequestId, SimTime};
+use tokenflow_trace::{HorizonEndReason, TraceEventKind};
 use tokenflow_workload::RequestSpec;
 
 fn config() -> EngineConfig {
@@ -139,6 +141,38 @@ fn arrival_exactly_at_horizon_step_boundary() {
     }
 }
 
+/// The memory-pressure workload: a ~8.9k-token GPU pool. Headroom-costing
+/// schedulers admit all three requests up front, after which they grow
+/// toward 3 × (384 + 4000) ≈ 13.2k tokens — overflowing mid-decode, long
+/// after a quiescent horizon armed. (Conservative costing instead
+/// serialises them into waves that each fit.)
+fn pressure_case() -> (EngineConfig, Vec<RequestSpec>) {
+    let cfg = config().with_mem_frac(0.128).with_max_batch(8);
+    (
+        cfg,
+        (0..3).map(|i| spec(i * 300, 384, 4_000, 30.0)).collect(),
+    )
+}
+
+/// The two-burst workload: four requests, then four more after about a
+/// minute of dead air once the first wave has drained.
+fn idle_gap_case() -> (EngineConfig, Vec<RequestSpec>) {
+    let first = (0..4).map(|i| spec(i * 400, 256, 250, 25.0));
+    let second = (0..4).map(|i| spec(90_000_000 + i * 400, 256, 250, 25.0));
+    (config(), first.chain(second).collect())
+}
+
+/// A fastpath-on and a fastpath-off engine, both fed `specs`.
+fn pair(cfg: EngineConfig, specs: &[RequestSpec], name: &str) -> (Engine, Engine) {
+    let mut on = Engine::from_boxed(cfg.clone(), make(name));
+    let mut off = Engine::from_boxed(cfg.with_plan_horizon(false), make(name));
+    for &s in specs {
+        on.submit(s);
+        off.submit(s);
+    }
+    (on, off)
+}
+
 /// Memory pressure forced mid-horizon: a tiny GPU pool and long outputs
 /// make the decode batch outgrow free blocks while a horizon is armed.
 /// The fast step's fit pre-check must detect the pressure and fall back
@@ -147,19 +181,8 @@ fn arrival_exactly_at_horizon_step_boundary() {
 #[test]
 fn shed_mid_horizon_under_memory_pressure() {
     for name in SCHEDULERS {
-        // ~8.9k-token GPU pool. Headroom-costing schedulers admit all
-        // three requests up front, after which they grow toward
-        // 3 × (384 + 4000) ≈ 13.2k tokens — overflowing mid-decode,
-        // long after a quiescent horizon armed. (Conservative costing
-        // instead serialises them into waves that each fit.)
-        let cfg = || config().with_mem_frac(0.128).with_max_batch(8);
-        let mut e_on = Engine::from_boxed(cfg(), make(name));
-        let mut e_off = Engine::from_boxed(cfg().with_plan_horizon(false), make(name));
-        for i in 0..3 {
-            let s = spec(i * 300, 384, 4_000, 30.0);
-            e_on.submit(s);
-            e_off.submit(s);
-        }
+        let (cfg, specs) = pressure_case();
+        let (mut e_on, mut e_off) = pair(cfg, &specs, name);
         run_lockstep(name, &mut e_on, &mut e_off, 400_000);
 
         let stats = e_on.fast_path_stats();
@@ -191,19 +214,8 @@ fn shed_mid_horizon_under_memory_pressure() {
 #[test]
 fn idle_fast_forward_between_horizons() {
     for name in SCHEDULERS {
-        let mut e_on = Engine::from_boxed(config(), make(name));
-        let mut e_off = Engine::from_boxed(config().with_plan_horizon(false), make(name));
-        for i in 0..4 {
-            let s = spec(i * 400, 256, 250, 25.0);
-            e_on.submit(s);
-            e_off.submit(s);
-        }
-        // Second wave, ~ a minute of dead air after the first drains.
-        for i in 0..4 {
-            let s = spec(90_000_000 + i * 400, 256, 250, 25.0);
-            e_on.submit(s);
-            e_off.submit(s);
-        }
+        let (cfg, specs) = idle_gap_case();
+        let (mut e_on, mut e_off) = pair(cfg, &specs, name);
         run_lockstep(name, &mut e_on, &mut e_off, 400_000);
 
         let stats = e_on.fast_path_stats();
@@ -219,4 +231,57 @@ fn idle_fast_forward_between_horizons() {
             "{name}: expected horizons in both bursts ({stats:?})"
         );
     }
+}
+
+/// The horizon counters and the journal tell one story: every armed
+/// horizon is one `horizon_armed` event, and every horizon the engine
+/// ends is one `horizon_ended` event carrying the counter's reason. Runs
+/// every scheduler, traced, over the pressure and two-burst workloads.
+#[test]
+fn horizon_counters_match_the_journal() {
+    let mut totals = [0u64; 3];
+    for (case, build) in [
+        ("pressure", pressure_case as fn() -> _),
+        ("idle gap", idle_gap_case),
+    ] {
+        for name in SCHEDULERS {
+            let (mut cfg, specs) = build();
+            cfg.trace = true;
+            let mut engine = Engine::from_boxed(cfg, make(name));
+            for s in specs {
+                engine.submit(s);
+            }
+            assert!(engine.run_to_completion().is_finished(), "{case}/{name}");
+            let mut journal = [0u64; 3];
+            for event in engine.take_trace_events() {
+                match event.kind {
+                    TraceEventKind::HorizonArmed { .. } => journal[0] += 1,
+                    TraceEventKind::HorizonEnded {
+                        reason: HorizonEndReason::Invalidated,
+                    } => journal[1] += 1,
+                    TraceEventKind::HorizonEnded {
+                        reason: HorizonEndReason::Expired,
+                    } => journal[2] += 1,
+                    _ => {}
+                }
+            }
+            let stats = engine.fast_path_stats();
+            let counters = [
+                stats.horizons_issued,
+                stats.horizons_invalidated,
+                stats.horizons_expired,
+            ];
+            assert_eq!(
+                journal, counters,
+                "{case}/{name}: journal [armed, invalidated, expired] vs counters"
+            );
+            for (total, n) in totals.iter_mut().zip(counters) {
+                *total += n;
+            }
+        }
+    }
+    assert!(
+        totals.iter().all(|&n| n > 0),
+        "issued/invalidated/expired totals {totals:?}: every kind must occur"
+    );
 }

@@ -61,10 +61,11 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Execution-machinery counters surfaced alongside the serving metrics:
-/// the engine's plan-horizon fast-path statistics and the cluster
-/// executor's barrier/pool statistics. Zero for layers that don't apply
-/// (a single-engine run has no epochs; a replica report inside a cluster
-/// merge has no pool). Each counter is declared once, in `COUNTERS`.
+/// the engine's plan-horizon fast-path statistics, the coordinator's
+/// epoch count and the cluster executor's pool statistics. Zero for
+/// layers that don't apply (a single-engine run has no epochs; a replica
+/// report inside a cluster merge has no pool). Each counter is declared
+/// once, in `COUNTERS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RuntimeCounters {
     /// Engine steps served by the plan-horizon fast path.
@@ -75,7 +76,8 @@ pub struct RuntimeCounters {
     pub horizons_invalidated: u64,
     /// Horizons that ran their full certified window.
     pub horizons_expired: u64,
-    /// Cluster arrival-barrier epochs executed.
+    /// Cluster barrier epochs executed. Every executor runs the same
+    /// epochs, so this is a semantic counter.
     pub epochs: u64,
     /// Always 0: no cluster executor coalesces arrival barriers. Kept so
     /// the `runtime` JSON keeps its key, which perfbench reports as
@@ -122,7 +124,7 @@ const COUNTERS: [Counter; 8] = [
     Class::Semantic.sum("horizons_issued", |c| &mut c.horizons_issued),
     Class::Semantic.sum("horizons_invalidated", |c| &mut c.horizons_invalidated),
     Class::Semantic.sum("horizons_expired", |c| &mut c.horizons_expired),
-    Class::Mechanics.sum("epochs", |c| &mut c.epochs),
+    Class::Semantic.sum("epochs", |c| &mut c.epochs),
     Class::Mechanics.sum("batched_barriers", |c| &mut c.batched_barriers),
     Class::Mechanics.max("pool_workers", |c| &mut c.pool_workers),
     Class::Mechanics.sum("pool_submissions", |c| &mut c.pool_submissions),
@@ -398,13 +400,14 @@ mod tests {
         assert_eq!(RuntimeCounters::merged([&a, &b]), sum);
         assert_eq!(RuntimeCounters::merged([&b, &a]), sum);
         assert_eq!(RuntimeCounters::merged([]), RuntimeCounters::default());
-        // The invariant view zeroes exactly the four executor-mechanics
+        // The invariant view zeroes exactly the three executor-mechanics
         // counters.
         let semantic = RuntimeCounters {
             fast_steps: 1,
             horizons_issued: 2,
             horizons_invalidated: 3,
             horizons_expired: 4,
+            epochs: 5,
             ..RuntimeCounters::default()
         };
         assert_eq!(a.invariant(), semantic);

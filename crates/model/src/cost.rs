@@ -102,19 +102,6 @@ impl CostModel {
         }
     }
 
-    /// Creates a cost model with explicit overheads.
-    pub fn with_overheads(
-        model: ModelProfile,
-        hardware: HardwareProfile,
-        overheads: CostOverheads,
-    ) -> Self {
-        CostModel {
-            model,
-            hardware,
-            overheads,
-        }
-    }
-
     /// The model profile in use.
     pub fn model(&self) -> &ModelProfile {
         &self.model
