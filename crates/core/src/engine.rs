@@ -123,9 +123,9 @@ pub struct Engine {
     /// member per step. Cleared at every full step; rebuilt by one merge
     /// pass when its length no longer matches the running set.
     running_ctx_idx: Vec<u32>,
-    /// Retained completion-event buffer for [`Engine::apply_transfers`],
-    /// which runs twice per step, so the steady state reuses one
-    /// allocation.
+    /// Retained completion-event buffer for [`Engine::apply_transfers`]
+    /// and the compute window's transfer advance, so the steady state
+    /// reuses one allocation.
     kv_events: Vec<tokenflow_kv::KvEvent>,
     /// Fast-path counters; the coordinator and executor ones stay zero.
     runtime: RuntimeCounters,
@@ -610,8 +610,8 @@ impl Engine {
     }
 
     /// Runs the composed batch: prices it (a straggler window stretches
-    /// it), pumps a compute window's worth of write-through sync, advances
-    /// the clock and the transfers in flight, delivers prefill progress
+    /// it), advances the clock, runs the compute window's write-through
+    /// sync and transfers in flight, delivers prefill progress
     /// and decode tokens, and feeds the profilers and telemetry. The full
     /// step and the certified fast step both end here, so the fast step
     /// is the full step minus planning.
@@ -621,16 +621,18 @@ impl Engine {
             iter_time = iter_time.mul_f64(self.slowdown);
         }
 
-        // Stage 2 (in-compute): transfers progress during compute.
-        kv_orchestrator::pump_write_through(
+        // Stage 2 (in-compute): write-through syncs and transfers
+        // progress during compute.
+        let end = self.clock.advance(iter_time);
+        kv_orchestrator::run_window(
             &mut self.st,
             &mut self.kv,
             &self.iter_batch.decode,
             now,
             iter_time,
+            &mut self.kv_events,
+            &mut self.trace,
         );
-        let end = self.clock.advance(iter_time);
-        self.apply_transfers(end);
 
         // Stage 4: deliveries and telemetry.
         let qos = &self.config.qos;

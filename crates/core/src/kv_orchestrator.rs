@@ -1,5 +1,6 @@
 //! Pipeline stage 2 — KV orchestration: applying finished transfers and
-//! pumping write-through sync against the [`KvManager`].
+//! running each compute window's write-through sync against the
+//! [`KvManager`].
 //!
 //! The memory hierarchy runs "in the background" of compute: evictions and
 //! loads progress while iterations execute, and their completions flip
@@ -13,14 +14,9 @@ use tokenflow_trace::{TraceEventKind, TraceSink};
 use crate::state::{EngineState, Phase};
 
 /// Advances the transfer engine to `to` and applies every completion to
-/// the request table: finished evictions park requests on the CPU,
-/// finished loads rejoin the decode batch. Each phase flip is journaled
-/// in [`EngineState::transfer_flips`] — completions are the mechanical
-/// tail of an already-counted decision, not decision-epoch events, and
-/// the plan-horizon fast path mirrors the flips into its retained
-/// context instead of tearing the horizon down.
-/// `events` is a caller-retained scratch buffer (cleared and refilled
-/// here) so the per-step path reuses one allocation across calls.
+/// the request table (see [`apply_events`]). `events` is a
+/// caller-retained scratch buffer (cleared and refilled here) so the
+/// per-step path reuses one allocation across calls.
 pub(crate) fn apply_transfers(
     st: &mut EngineState,
     kv: &mut KvManager,
@@ -29,7 +25,56 @@ pub(crate) fn apply_transfers(
     trace: &mut TraceSink,
 ) {
     kv.advance_into(to, events);
-    for &event in events.iter() {
+    apply_events(st, events, trace);
+}
+
+/// One compute window of background I/O (§5.1–5.2): syncs a window's
+/// worth of write-through, advances the transfers to `now + window` and
+/// applies their completions (see [`apply_events`]), in one
+/// [`KvManager::run_window`] call.
+///
+/// When the window cannot sync everything queued, or flush order could
+/// change what it syncs, flush priorities track each decode member's
+/// buffer occupancy (fuller buffers flush first — their owners are the
+/// likeliest preemption victims): one pass over the pending write queue
+/// looks each queued request up in the id-sorted batch, O(queue·log
+/// batch), and the pump orders the queue once, O(queue·log queue).
+/// Otherwise the queue settles in one O(queue) pass and nothing is
+/// re-priced. Skipping the buffer advance for members that are not
+/// re-priced is invisible: a reader's time-advance is Markov in `t`
+/// (stalls anchor to the scheduled read instant, not the call instant),
+/// so the next advance produces the same state either way. The
+/// per-token pushes that refill the queue during delivery are O(1) each
+/// (see [`tokenflow_kv::write_queue`]).
+pub(crate) fn run_window(
+    st: &mut EngineState,
+    kv: &mut KvManager,
+    decode: &[RequestId],
+    now: SimTime,
+    window: SimDuration,
+    events: &mut Vec<KvEvent>,
+    trace: &mut TraceSink,
+) {
+    debug_assert!(decode.is_sorted());
+    let reprice = |req| {
+        decode
+            .binary_search(&req)
+            .ok()
+            .map(|_| st.state_mut(req).buffer.buffered(now) as f64)
+    };
+    kv.run_window(now, window, reprice, events);
+    apply_events(st, events, trace);
+}
+
+/// Applies transfer completions to the request table: finished
+/// evictions park requests on the CPU, finished loads rejoin the decode
+/// batch. Each phase flip is journaled in
+/// [`EngineState::transfer_flips`] — completions are the mechanical tail
+/// of an already-counted decision, not decision-epoch events, and the
+/// plan-horizon fast path mirrors the flips into its retained context
+/// instead of tearing the horizon down.
+fn apply_events(st: &mut EngineState, events: &[KvEvent], trace: &mut TraceSink) {
+    for &event in events {
         match event {
             KvEvent::EvictDone { req, at } => {
                 let s = st.state_mut(req);
@@ -50,37 +95,6 @@ pub(crate) fn apply_transfers(
             }
         }
     }
-}
-
-/// Synchronous chunked writing (§5.2): pumps a compute-window's worth of
-/// background sync, with flush priorities tracking each decode member's
-/// buffer occupancy (fuller buffers flush first — their owners are the
-/// likeliest preemption victims).
-///
-/// Priorities are re-priced with one pass over the pending write queue,
-/// looking each queued request up in the id-sorted batch: O(queue·log
-/// batch). Skipping the buffer advance for members with nothing queued
-/// is invisible: a reader's time-advance is Markov in `t` (stalls anchor
-/// to the scheduled read instant, not the call instant), so the next
-/// advance produces the same state either way. The pump itself orders
-/// the queue once, O(queue·log queue), and drains it in that order; the
-/// per-token pushes that refill it during delivery are O(1) each (see
-/// [`tokenflow_kv::write_queue`]).
-pub(crate) fn pump_write_through(
-    st: &mut EngineState,
-    kv: &mut KvManager,
-    decode: &[RequestId],
-    now: SimTime,
-    window: SimDuration,
-) {
-    debug_assert!(decode.is_sorted());
-    kv.retune_write_priorities(|req| {
-        decode
-            .binary_search(&req)
-            .ok()
-            .map(|_| st.state_mut(req).buffer.buffered(now) as f64)
-    });
-    kv.pump_writes(now, window);
 }
 
 /// The next instant background I/O completes, if any — the KV wake-up

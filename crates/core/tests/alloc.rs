@@ -9,11 +9,14 @@
 //!
 //! Scope notes: the window is measured twice, first with write-through
 //! off (the engine loop alone) and then with the paper-default KV
-//! features, where every step also re-prices and pulls the write-through
-//! queue, enqueues the pulled chunks on the host link and applies the
-//! previous chunks' completions — all through retained buffers, so the
-//! background sync is pinned allocation-free too. The file holds
-//! exactly one `#[test]` so no concurrent test pollutes the counter.
+//! features, where every step also syncs its compute window's
+//! write-through. Each measured window covers the whole queue, so it
+//! settles in one pass; the ordered path (re-pricing and pulling the
+//! queue, enqueuing chunks on the host link, applying their completions)
+//! runs in the warm-up, at the prefill step, and in the memory-pressure
+//! tests. Both go through retained buffers, so the background sync is
+//! pinned allocation-free too. The file holds exactly one `#[test]` so
+//! no concurrent test pollutes the counter.
 //!
 //! The disabled [`TraceSink`] is threaded through every stage of the
 //! measured window (admission, planning, batch, KV, gates), so the

@@ -12,8 +12,10 @@
 //!   buffer occupancy (§5.2 "priority-based write ordering").
 //! * [`manager`] — the [`KvManager`](manager::KvManager) tying them
 //!   together: write-through sync pumped in compute-sized chunks
-//!   (synchronous chunked writing), near-instant preemption of synced
-//!   requests, chunked resume loads, and load-evict overlap (§5.3).
+//!   (synchronous chunked writing), settled in one pass per compute
+//!   window when flush order cannot matter, near-instant preemption of
+//!   synced requests, chunked resume loads, and load-evict overlap
+//!   (§5.3).
 //!
 //! Every policy the paper describes is a real decision procedure here; only
 //! the byte movement itself is simulated (a bandwidth/latency model instead
@@ -27,7 +29,7 @@ pub mod pcie;
 pub mod pool;
 pub mod write_queue;
 
-pub use manager::{EvictStart, KvConfig, KvError, KvEvent, KvManager, Residency};
+pub use manager::{EvictStart, KvConfig, KvError, KvEvent, KvManager, Residency, WindowSync};
 pub use pcie::{Direction, PcieEngine, TransferCompletion, TransferTag};
 pub use pool::BlockPool;
 pub use write_queue::WriteQueue;

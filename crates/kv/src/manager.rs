@@ -11,7 +11,8 @@
 //! * **Synchronous chunked writing** (§5.2): each engine iteration the
 //!   manager pulls a byte budget matching the iteration's estimated compute
 //!   time from the write queue, so sync I/O completes inside compute
-//!   windows and never stalls the scheduler.
+//!   windows and never stalls the scheduler. When the whole queue fits
+//!   the window, [`KvManager::run_window`] settles it in one pass.
 //! * **Load-evict overlap** (§5.3): resume loads (H2D) run concurrently
 //!   with eviction flushes (D2H) on the independent duplex streams, and
 //!   chunk-granular block recycling lets a load begin before its victim has
@@ -62,6 +63,17 @@ pub enum KvEvent {
         /// Completion time.
         at: SimTime,
     },
+}
+
+/// How [`KvManager::run_window`] synced the write queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowSync {
+    /// Nothing was queued.
+    Idle,
+    /// The whole queue settled in one pass, with no chunk on the stream.
+    Settled,
+    /// Re-priced, then pulled and enqueued chunk by chunk.
+    Ordered,
 }
 
 /// Errors from KV operations.
@@ -169,6 +181,18 @@ impl ReqState {
             3 => Residency::Cpu,
             4 => Residency::Loading,
             _ => unreachable!("corrupt residency tag"),
+        }
+    }
+
+    /// Blocks the host hold grows by when it takes `tokens` more: the
+    /// tokens that overflow its last block's free slots, rounded up to
+    /// whole blocks.
+    fn extra_cpu_blocks(&self, tokens: u64, block_tokens: u64) -> u64 {
+        let slack = self.cpu_blocks * block_tokens - self.cpu_hold;
+        if tokens <= slack {
+            0
+        } else {
+            (tokens - slack).div_ceil(block_tokens)
         }
     }
 
@@ -586,14 +610,20 @@ impl KvManager {
         self.loading_order.retain(|&r| r != req);
     }
 
+    /// Write-through tokens a compute window of `window` may sync: its
+    /// length at the link's nominal bandwidth (§5.2).
+    fn write_budget_tokens(&self, window: SimDuration) -> u64 {
+        let budget_bytes = window.as_secs_f64() * self.pcie.bandwidth();
+        (budget_bytes / self.config.kv_bytes_per_token as f64) as u64
+    }
+
     /// Pumps the background write-through sync with a byte budget matching
     /// the next compute window (synchronous chunked writing, §5.2).
     pub fn pump_writes(&mut self, now: SimTime, window: SimDuration) {
         if !self.config.write_through {
             return;
         }
-        let budget_bytes = window.as_secs_f64() * self.pcie.bandwidth();
-        let budget_tokens = (budget_bytes / self.config.kv_bytes_per_token as f64) as u64;
+        let budget_tokens = self.write_budget_tokens(window);
         if budget_tokens == 0 {
             return;
         }
@@ -627,6 +657,103 @@ impl KvManager {
             s.wt_inflight += chunk.tokens;
         }
         self.chunk_scratch = chunks;
+    }
+
+    /// Runs one compute window of background I/O: syncs the write queue
+    /// for a window of `window` from `now`, then advances the transfers
+    /// to `now + window` into `events` (cleared first). This is
+    /// [`KvManager::retune_write_priorities`] with `reprice`,
+    /// [`KvManager::pump_writes`] and [`KvManager::advance_into`] in one
+    /// call, so nothing can observe the manager inside the window.
+    ///
+    /// The queue settles in one pass, without re-pricing and without
+    /// putting a chunk on the stream, when flush order cannot change the
+    /// window's outcome — that is, when:
+    ///
+    /// * (a) the window's budget covers every queued token, so the pull
+    ///   would drain the queue, cutting each entry into the same chunks
+    ///   in any order;
+    /// * (b) the host pool can hold all of them, so no chunk is requeued;
+    /// * (c) the D2H stream, after its queued work (on a half-duplex
+    ///   link, both streams'), would finish the back-to-back run of
+    ///   those chunks by `now + window`, so the advance completes every
+    ///   one. The run's length is a sum over the chunks, whatever their
+    ///   order.
+    ///
+    /// Each completion would then only add to its request's `synced`:
+    /// queued requests are GPU-resident (evicting and dropping cancel
+    /// their entries), so none fires an event or frees a GPU block, and a
+    /// re-prefilled id's stale chunks sit ahead of the run and are
+    /// absorbed as before. Settling books exactly that: per request the
+    /// host hold and `synced` grow, and the stream is busy until the
+    /// run's end. Otherwise the queue is re-priced and pumped chunk by
+    /// chunk, as those calls do.
+    pub fn run_window<F: FnMut(RequestId) -> Option<f64>>(
+        &mut self,
+        now: SimTime,
+        window: SimDuration,
+        reprice: F,
+        events: &mut Vec<KvEvent>,
+    ) -> WindowSync {
+        let sync = if self.write_queue.is_empty() {
+            WindowSync::Idle
+        } else if self.settle_writes(now, window) {
+            WindowSync::Settled
+        } else {
+            self.write_queue.retune(reprice);
+            self.pump_writes(now, window);
+            WindowSync::Ordered
+        };
+        self.advance_into(now + window, events);
+        sync
+    }
+
+    /// The settle path of [`KvManager::run_window`]: returns `false`,
+    /// changing nothing, unless conditions (a)–(c) hold.
+    fn settle_writes(&mut self, now: SimTime, window: SimDuration) -> bool {
+        if self.write_budget_tokens(window) < self.write_queue.pending_tokens() {
+            return false;
+        }
+        let block_tokens = self.config.block_tokens as u64;
+        let chunk_tokens = self.config.chunk_tokens;
+        let bytes_per_token = self.config.kv_bytes_per_token;
+        // Most entries hold one decoded token.
+        let one_token = self.pcie.transfer_time(bytes_per_token);
+        let full_chunk = self.pcie.transfer_time(chunk_tokens * bytes_per_token);
+        let mut blocks = 0;
+        let mut run = SimDuration::ZERO;
+        for (req, tokens) in self.write_queue.entries() {
+            let Some(s) = self.req_state(req) else {
+                continue;
+            };
+            blocks += s.extra_cpu_blocks(tokens, block_tokens);
+            if tokens == 1 {
+                run += one_token;
+                continue;
+            }
+            run += full_chunk * (tokens / chunk_tokens);
+            let rest = tokens % chunk_tokens;
+            if rest > 0 {
+                run += self.pcie.transfer_time(rest * bytes_per_token);
+            }
+        }
+        let done = self.pcie.start_at(Direction::D2H, now) + run;
+        if done > now + window || !self.cpu.try_alloc(blocks) {
+            return false;
+        }
+        let states = &mut self.states;
+        let mut bytes = 0;
+        self.write_queue.drain(|req, tokens| {
+            let Some(s) = states.get_mut(req.0 as usize).and_then(Option::as_mut) else {
+                return;
+            };
+            s.cpu_blocks += s.extra_cpu_blocks(tokens, block_tokens);
+            s.cpu_hold += tokens;
+            s.synced += tokens;
+            bytes += tokens * bytes_per_token;
+        });
+        self.pcie.settle(Direction::D2H, done, bytes);
+        true
     }
 
     fn pump_loads(&mut self, now: SimTime) {

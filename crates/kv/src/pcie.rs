@@ -207,6 +207,20 @@ impl PcieEngine {
         self.bandwidth
     }
 
+    /// When a transfer enqueued in `dir` at `now` starts: once the
+    /// stream (on a half-duplex link, both streams) has drained its
+    /// queued work, and not before `now`.
+    pub(crate) fn start_at(&self, dir: Direction, now: SimTime) -> SimTime {
+        let floor = if self.half_duplex {
+            // One shared channel: a transfer starts only after *both*
+            // directions drain.
+            self.h2d.free_at.max(self.d2h.free_at)
+        } else {
+            self.stream(dir).free_at
+        };
+        floor.max(now)
+    }
+
     /// Enqueues a transfer; returns its completion time.
     pub fn enqueue(
         &mut self,
@@ -215,21 +229,24 @@ impl PcieEngine {
         tag: TransferTag,
         now: SimTime,
     ) -> SimTime {
-        let t = self.transfer_time(bytes);
-        let floor = if self.half_duplex {
-            // One shared channel: a transfer starts only after *both*
-            // directions drain.
-            self.h2d.free_at.max(self.d2h.free_at)
-        } else {
-            self.stream(dir).free_at
-        };
+        let done = self.start_at(dir, now) + self.transfer_time(bytes);
         let stream = self.stream_mut(dir);
-        let start = floor.max(stream.free_at).max(now);
-        let done = start + t;
         stream.free_at = done;
         stream.enqueued_bytes += bytes;
         stream.queue.push_back((done, bytes, tag));
         done
+    }
+
+    /// Books a back-to-back run of transfers in `dir`, `bytes` in all,
+    /// that ends at `done` and has completed by the caller's next
+    /// advance: the stream is busy until `done` and both byte counters
+    /// grow, but nothing is queued and no completion is reported. The
+    /// caller owns what the completions would have done.
+    pub(crate) fn settle(&mut self, dir: Direction, done: SimTime, bytes: u64) {
+        let stream = self.stream_mut(dir);
+        stream.free_at = done;
+        stream.enqueued_bytes += bytes;
+        stream.completed_bytes += bytes;
     }
 
     /// Advances both streams to `t`, returning completions in time order.

@@ -19,6 +19,13 @@
 //! the queue once per pump — one O(Q log Q) sort of `(priority key,
 //! position)` pairs in priority mode, none in FIFO mode — drains entries
 //! in that order, and compacts the drained ones away in one O(Q) pass.
+//!
+//! Order matters only when a compute window cannot sync everything
+//! queued. When it can, [`KvManager::run_window`] does not pull: it
+//! reads the entries once and drains the whole queue in arrival order,
+//! O(Q) with no sort and no re-pricing.
+//!
+//! [`KvManager::run_window`]: crate::KvManager::run_window
 
 use tokenflow_sim::RequestId;
 
@@ -257,6 +264,29 @@ impl WriteQueue {
                 *slot = pos;
             }
         }
+    }
+
+    /// Every request with pending tokens and its count, in arrival order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (RequestId, u64)> + '_ {
+        self.items
+            .iter()
+            .filter(|item| item.tokens > 0)
+            .map(|item| (item.req, item.tokens))
+    }
+
+    /// Empties the queue, handing each request with pending tokens and
+    /// its count to `f` in arrival order: for a caller that syncs every
+    /// pending token at once. O(Q), and the storage is retained.
+    pub(crate) fn drain<F: FnMut(RequestId, u64)>(&mut self, mut f: F) {
+        for item in self.items.drain(..) {
+            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
+                *slot = VACANT;
+            }
+            if item.tokens > 0 {
+                f(item.req, item.tokens);
+            }
+        }
+        self.pending = 0;
     }
 
     /// Total pending tokens.

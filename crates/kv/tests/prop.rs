@@ -1,10 +1,13 @@
 //! Property tests: the KV manager's block accounting survives arbitrary
-//! operation sequences without leaking or double-freeing, and the
-//! write-through queue flushes in exactly the order its rules define.
+//! operation sequences without leaking or double-freeing, the
+//! write-through queue flushes in exactly the order its rules define, and
+//! a compute window that settles the queue in one pass leaves the manager
+//! exactly as the ordered pump and advance do.
 
 use proptest::prelude::*;
+use proptest::{seed_from_name, TestRng};
 use tokenflow_kv::write_queue::WriteChunk;
-use tokenflow_kv::{KvConfig, KvManager, Residency, WriteQueue};
+use tokenflow_kv::{Direction, KvConfig, KvManager, Residency, WindowSync, WriteQueue};
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 
 #[derive(Debug, Clone)]
@@ -327,4 +330,272 @@ proptest! {
             }
         }
     }
+}
+
+/// The requests the window ops draw from.
+const WINDOW_REQS: u64 = 6;
+
+#[derive(Debug, Clone)]
+enum WindowOp {
+    Prefill {
+        req: u64,
+        tokens: u64,
+    },
+    Append {
+        req: u64,
+        tokens: u64,
+        priority: usize,
+    },
+    Evict {
+        req: u64,
+    },
+    Load {
+        req: u64,
+    },
+    Drop {
+        req: u64,
+    },
+    LinkSlowdown {
+        factor: f64,
+    },
+    Advance {
+        us: u64,
+    },
+    /// One compute window; `prices` holds one `PRIORITIES` index per
+    /// request id, `PRIORITIES.len()` meaning "keep its priority".
+    Window {
+        us: u64,
+        prices: Vec<usize>,
+    },
+}
+
+/// A duration from `lo` to `hi` microseconds, log-uniform, so short and
+/// long windows are drawn alike.
+fn log_micros(lo: f64, hi: f64) -> impl Strategy<Value = u64> {
+    (0.0f64..1.0).prop_map(move |u| (lo * (hi / lo).powf(u)) as u64)
+}
+
+fn arb_window_op() -> impl Strategy<Value = WindowOp> {
+    let n = PRIORITIES.len();
+    // Appends and windows are listed twice: the queue needs entries of
+    // several requests for flush order to matter, and windows are what
+    // the property is about.
+    prop_oneof![
+        (0..WINDOW_REQS, 1u64..512).prop_map(|(req, tokens)| WindowOp::Prefill { req, tokens }),
+        (0..WINDOW_REQS, 1u64..40, 0..n).prop_map(|(req, tokens, priority)| WindowOp::Append {
+            req,
+            tokens,
+            priority
+        }),
+        (0..WINDOW_REQS, 1u64..4, 0..n).prop_map(|(req, tokens, priority)| WindowOp::Append {
+            req,
+            tokens,
+            priority
+        }),
+        (0..WINDOW_REQS).prop_map(|req| WindowOp::Evict { req }),
+        (0..WINDOW_REQS).prop_map(|req| WindowOp::Load { req }),
+        (0..WINDOW_REQS).prop_map(|req| WindowOp::Drop { req }),
+        prop_oneof![Just(1.0), 1.0f64..50.0].prop_map(|factor| WindowOp::LinkSlowdown { factor }),
+        log_micros(1.0, 20_000.0).prop_map(|us| WindowOp::Advance { us }),
+        (
+            log_micros(10.0, 50_000.0),
+            prop::collection::vec(0..n + 1, WINDOW_REQS as usize..WINDOW_REQS as usize + 1)
+        )
+            .prop_map(|(us, prices)| WindowOp::Window { us, prices }),
+        (
+            log_micros(10.0, 50_000.0),
+            prop::collection::vec(0..n + 1, WINDOW_REQS as usize..WINDOW_REQS as usize + 1)
+        )
+            .prop_map(|(us, prices)| WindowOp::Window { us, prices }),
+    ]
+}
+
+/// A small hierarchy: a host pool of 4–160 blocks (often too small for
+/// every queued token), both load-evict overlap settings (off is the
+/// half-duplex link), both write orders, one-token to 64-token chunks,
+/// and a zero or 15 µs setup latency with 4 KiB or 128 KiB tokens — the
+/// zero-latency 4 KiB chunks round to zero-length transfers, so a run
+/// can fit a window whose byte budget it overdraws.
+fn arb_window_config() -> impl Strategy<Value = KvConfig> {
+    (
+        4u64..160,
+        0u8..2,
+        0u8..2,
+        prop_oneof![Just(1u64), Just(16), Just(64)],
+        prop_oneof![Just(0u64), Just(15)],
+        prop_oneof![Just(4_096u64), Just(1 << 17)],
+    )
+        .prop_map(
+            |(cpu_blocks, overlap, priority, chunk_tokens, latency_us, bytes)| KvConfig {
+                gpu_blocks: 256,
+                cpu_blocks,
+                load_evict_overlap: overlap == 1,
+                priority_writes: priority == 1,
+                chunk_tokens,
+                pcie_latency_us: latency_us,
+                kv_bytes_per_token: bytes,
+                ..KvConfig::test_config()
+            },
+        )
+}
+
+/// Everything a caller can read off a manager at `now`.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Per request: residency, context, dirty tokens, evict and load
+    /// estimates.
+    requests: Vec<(Residency, u64, u64, SimDuration, SimDuration)>,
+    gpu_used: u64,
+    cpu_used: u64,
+    /// Per direction: queue length, queued bytes, ETA, completed bytes.
+    links: Vec<(usize, u64, SimDuration, u64)>,
+    next_completion: Option<SimTime>,
+    backlog: u64,
+    conserved: bool,
+}
+
+fn observe(kv: &KvManager, now: SimTime) -> Observed {
+    Observed {
+        requests: (0..WINDOW_REQS)
+            .map(RequestId)
+            .map(|r| {
+                (
+                    kv.residency(r),
+                    kv.context_tokens(r),
+                    kv.dirty_tokens(r),
+                    kv.estimated_evict_time(r, now),
+                    kv.estimated_load_time(r, now),
+                )
+            })
+            .collect(),
+        gpu_used: kv.gpu_pool().used_blocks(),
+        cpu_used: kv.cpu_pool().used_blocks(),
+        links: [Direction::H2D, Direction::D2H]
+            .into_iter()
+            .map(|dir| {
+                (
+                    kv.io_queue_len(dir),
+                    kv.pcie().queue_bytes(dir),
+                    kv.io_eta(dir, now),
+                    kv.pcie().completed_bytes(dir),
+                )
+            })
+            .collect(),
+        next_completion: kv.next_io_completion(),
+        backlog: kv.write_backlog_tokens(),
+        conserved: kv.check_conservation(),
+    }
+}
+
+/// Feeds one op sequence to two managers: `fused` runs each window as
+/// one [`KvManager::run_window`] call, `ordered` as re-pricing, the
+/// ordered pump and the advance. Requires equal results, events and
+/// observables after every op, and counts `fused`'s window paths into
+/// `paths` (idle, settled, ordered).
+fn window_case(config: KvConfig, ops: &[WindowOp], paths: &mut [u64; 3]) -> Result<(), String> {
+    let mut fused = KvManager::new(config.clone());
+    let mut ordered = KvManager::new(config);
+    let (mut fused_events, mut ordered_events) = (Vec::new(), Vec::new());
+    let mut now = SimTime::ZERO;
+    for (step, op) in ops.iter().enumerate() {
+        fused_events.clear();
+        ordered_events.clear();
+        match op {
+            WindowOp::Prefill { req, tokens } => {
+                let r = RequestId(*req);
+                prop_assert_eq!(
+                    fused.on_prefill(r, *tokens, now),
+                    ordered.on_prefill(r, *tokens, now)
+                );
+            }
+            WindowOp::Append {
+                req,
+                tokens,
+                priority,
+            } => {
+                for _ in 0..*tokens {
+                    let r = RequestId(*req);
+                    let p = PRIORITIES[*priority];
+                    prop_assert_eq!(fused.append_token(r, p), ordered.append_token(r, p));
+                }
+            }
+            WindowOp::Evict { req } => {
+                let r = RequestId(*req);
+                prop_assert_eq!(fused.begin_evict(r, now), ordered.begin_evict(r, now));
+            }
+            WindowOp::Load { req } => {
+                let r = RequestId(*req);
+                prop_assert_eq!(fused.begin_load(r, now), ordered.begin_load(r, now));
+            }
+            WindowOp::Drop { req } => {
+                fused.drop_kv(RequestId(*req));
+                ordered.drop_kv(RequestId(*req));
+            }
+            WindowOp::LinkSlowdown { factor } => {
+                fused.set_link_slowdown(*factor);
+                ordered.set_link_slowdown(*factor);
+            }
+            WindowOp::Advance { us } => {
+                now += SimDuration::from_micros(*us);
+                fused.advance_into(now, &mut fused_events);
+                ordered.advance_into(now, &mut ordered_events);
+            }
+            WindowOp::Window { us, prices } => {
+                let window = SimDuration::from_micros(*us);
+                let price = |req: RequestId| PRIORITIES.get(prices[req.0 as usize]).copied();
+                let path = fused.run_window(now, window, price, &mut fused_events);
+                ordered.retune_write_priorities(price);
+                ordered.pump_writes(now, window);
+                now += window;
+                ordered.advance_into(now, &mut ordered_events);
+                paths[match path {
+                    WindowSync::Idle => 0,
+                    WindowSync::Settled => 1,
+                    WindowSync::Ordered => 2,
+                }] += 1;
+            }
+        }
+        prop_assert_eq!(
+            &fused_events,
+            &ordered_events,
+            "events after step {} ({:?})",
+            step,
+            op
+        );
+        prop_assert_eq!(
+            observe(&fused, now),
+            observe(&ordered, now),
+            "state after step {} ({:?})",
+            step,
+            op
+        );
+        prop_assert!(fused.check_conservation(), "after step {} ({:?})", step, op);
+    }
+    Ok(())
+}
+
+/// The fused window call is exact: whether it settles the write queue in
+/// one pass or falls back to the ordered pump, every caller-visible
+/// figure matches re-pricing, pumping and advancing separately. Both
+/// paths must occur across the cases, or the property proves nothing
+/// about one of them.
+#[test]
+fn window_settle_matches_the_ordered_pump() {
+    let cases = (
+        arb_window_config(),
+        prop::collection::vec(arb_window_op(), 1..160),
+    );
+    let mut rng = TestRng::new(seed_from_name("window_settle_matches_the_ordered_pump"));
+    let mut paths = [0u64; 3];
+    for case in 0..256 {
+        let (config, ops) = cases.generate(&mut rng);
+        if let Err(msg) = window_case(config, &ops, &mut paths) {
+            panic!("case {case} failed: {msg}");
+        }
+    }
+    let [_, settled, ordered] = paths;
+    assert!(
+        settled > 0 && ordered > 0,
+        "windows by path [idle, settled, ordered]: {paths:?}"
+    );
 }
