@@ -756,9 +756,10 @@ impl Engine {
 
     /// Sets the compute slowdown multiplier (`1.0` restores full speed).
     /// Iteration times are stretched by the factor from the next step on.
-    /// Any armed plan horizon is dropped and re-arming is suppressed
-    /// while degraded, so straggler windows run the full pipeline and the
-    /// fast path stays exclusive to healthy replicas.
+    /// Any armed plan horizon ends as invalidated (counted and journaled
+    /// like every other teardown) and re-arming is suppressed while
+    /// degraded, so straggler windows run the full pipeline and the fast
+    /// path stays exclusive to healthy replicas.
     ///
     /// # Panics
     ///
@@ -768,8 +769,8 @@ impl Engine {
             slowdown.is_finite() && slowdown >= 1.0,
             "compute slowdown must be finite and >= 1.0"
         );
-        if slowdown != 1.0 {
-            self.horizon = None;
+        if slowdown != 1.0 && self.horizon.is_some() {
+            self.end_horizon(self.clock.now(), HorizonEndReason::Invalidated);
         }
         self.slowdown = slowdown;
     }

@@ -15,7 +15,8 @@
 //!
 //! Each case also asserts the fast path actually engaged — a vacuous
 //! pass (zero fast steps) would prove nothing. A last test checks that
-//! the horizon counters agree with the journal's horizon events.
+//! the horizon counters agree with the journal's horizon events, also
+//! when a straggler slowdown ends a horizon.
 
 use tokenflow_core::{Engine, EngineConfig, StepOutcome};
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -233,16 +234,51 @@ fn idle_fast_forward_between_horizons() {
     }
 }
 
+/// Horizons armed and not yet ended.
+fn armed_horizons(engine: &Engine) -> u64 {
+    let s = engine.fast_path_stats();
+    s.horizons_issued - s.horizons_invalidated - s.horizons_expired
+}
+
+/// Steps `engine` until a plan horizon is armed, then runs fifty steps
+/// at a 3× compute slowdown (a straggler window) and restores full
+/// speed. Setting the slowdown must end the armed horizon right away,
+/// counted as invalidated.
+fn straggle_mid_horizon(engine: &mut Engine, label: &str) {
+    let mut out = StepOutcome::default();
+    while armed_horizons(engine) == 0 {
+        engine.step_into(&mut out);
+        assert!(!out.done, "{label}: finished before a horizon armed");
+    }
+    let invalidated = engine.fast_path_stats().horizons_invalidated;
+    engine.set_compute_slowdown(3.0);
+    assert_eq!(
+        (
+            armed_horizons(engine),
+            engine.fast_path_stats().horizons_invalidated
+        ),
+        (0, invalidated + 1),
+        "{label}: the slowdown must end the armed horizon as invalidated"
+    );
+    for _ in 0..50 {
+        engine.step_into(&mut out);
+    }
+    engine.set_compute_slowdown(1.0);
+}
+
 /// The horizon counters and the journal tell one story: every armed
 /// horizon is one `horizon_armed` event, and every horizon the engine
 /// ends is one `horizon_ended` event carrying the counter's reason. Runs
-/// every scheduler, traced, over the pressure and two-burst workloads.
+/// every scheduler, traced, over the pressure and two-burst workloads,
+/// and over the pressure workload with a straggler window set between
+/// two steps of an armed horizon.
 #[test]
 fn horizon_counters_match_the_journal() {
     let mut totals = [0u64; 3];
-    for (case, build) in [
-        ("pressure", pressure_case as fn() -> _),
-        ("idle gap", idle_gap_case),
+    for (case, build, straggle) in [
+        ("pressure", pressure_case as fn() -> _, false),
+        ("idle gap", idle_gap_case, false),
+        ("straggler", pressure_case, true),
     ] {
         for name in SCHEDULERS {
             let (mut cfg, specs) = build();
@@ -250,6 +286,9 @@ fn horizon_counters_match_the_journal() {
             let mut engine = Engine::from_boxed(cfg, make(name));
             for s in specs {
                 engine.submit(s);
+            }
+            if straggle {
+                straggle_mid_horizon(&mut engine, &format!("{case}/{name}"));
             }
             assert!(engine.run_to_completion().is_finished(), "{case}/{name}");
             let mut journal = [0u64; 3];

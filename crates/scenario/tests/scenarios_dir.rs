@@ -98,7 +98,7 @@ fn faulty_flash_crowd_recovers_fully_and_digest_is_pinned() {
     assert_eq!(faults.abandoned, 0);
     assert_eq!(faults.shed, 0);
     assert_eq!(out.report.completed, out.report.submitted);
-    const PINNED: u64 = 0x29b8_47a6_773a_9837;
+    const PINNED: u64 = 0x34c6_b381_1d46_2bee;
     assert_eq!(
         out.digest(),
         PINNED,

@@ -204,7 +204,7 @@ fn fault_run_matches_its_plan_in_trace_and_report() {
     assert_eq!(doc.get("complete").and_then(Json::as_bool), Some(true));
     assert_eq!(
         doc.get("digest").and_then(Json::as_str),
-        Some("29b847a6773a9837")
+        Some("34c6b3811d462bee")
     );
     let body = doc.get("report").expect("report block");
     let faults = body.get("faults").expect("faults block");

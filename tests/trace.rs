@@ -184,8 +184,8 @@ const QUICKSTART_JSONL_FNV: u64 = 0xfc3987aab7c95df3;
 const QUICKSTART_PERFETTO_FNV: u64 = 0xbb48f0d344b58fb4;
 const FLEET_JSONL_FNV: u64 = 0x7df35d65ded12830;
 const FLEET_PERFETTO_FNV: u64 = 0xcf7922b61970ded9;
-const FAULTY_JSONL_FNV: u64 = 0x19283d9ed1cc023e;
-const FAULTY_PERFETTO_FNV: u64 = 0x770f49f267248038;
+const FAULTY_JSONL_FNV: u64 = 0x2dcdcad9b86de855;
+const FAULTY_PERFETTO_FNV: u64 = 0x56a3c0b1982ceb3a;
 const AUTOSCALE_JSONL_FNV: u64 = 0x4e5211510b20fc39;
 const AUTOSCALE_PERFETTO_FNV: u64 = 0x5b71be1b9f528536;
 
