@@ -333,9 +333,9 @@ fn headline_claims(rows: &[AutoscaleRow]) -> Result<(), String> {
     }
 }
 
-/// Renders the rows as machine-readable JSON (hand-rolled: the vendored
-/// serde stand-in has no serializer; the shape is one `rows` array of
-/// flat objects, stable across commits for trend tooling).
+/// Renders the rows as machine-readable JSON, written field by field so
+/// the shape stays byte-stable across commits for trend tooling: one
+/// `rows` array of flat objects.
 pub fn autoscale_json(setup: &AutoscaleSetup, rows: &[AutoscaleRow]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"experiment\": \"autoscale\",\n");

@@ -256,9 +256,9 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
     rows
 }
 
-/// Renders the rows as machine-readable JSON (hand-rolled: the vendored
-/// serde stand-in has no serializer; one flat `rows` array, stable
-/// across commits for trend tooling).
+/// Renders the rows as machine-readable JSON, written field by field so
+/// the committed file stays diff-stable: one flat `rows` array, stable
+/// across commits for trend tooling.
 pub fn fault_json(setup: &FaultSetup, rows: &[FaultRow]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"experiment\": \"fault\",\n");

@@ -185,10 +185,10 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
         .collect()
 }
 
-/// Renders the rows as machine-readable JSON (hand-rolled: the vendored
-/// serde stand-in has no serializer; the shape is one `rows` array of
-/// flat objects, stable across commits for trend tooling and the CI
-/// `fleet-speedup` gate).
+/// Renders the rows as machine-readable JSON, written field by field so
+/// the committed file stays diff-stable: one `rows` array of flat
+/// objects, stable across commits for trend tooling and the CI
+/// `fleet-speedup` gate.
 pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"experiment\": \"fleet\",\n");

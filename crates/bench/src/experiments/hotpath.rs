@@ -263,9 +263,9 @@ fn window_json(w: &HotpathWindow) -> String {
     )
 }
 
-/// Renders the rows as machine-readable JSON (hand-rolled: the vendored
-/// serde stand-in has no serializer). The committed `BENCH_hotpath.json`
-/// extends this shape with a `before` block and a `comparison` block
+/// Renders the rows as machine-readable JSON, written field by field so
+/// the shape stays byte-stable against the committed `BENCH_hotpath.json`,
+/// which extends it with a `before` block and a `comparison` block
 /// recording the pre-refactor numbers.
 pub fn hotpath_json(rows: &[HotpathRow]) -> String {
     let mut s = String::from("{\n");

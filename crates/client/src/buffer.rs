@@ -7,7 +7,6 @@
 //! time is charged as rebuffering, and the read cadence restarts from the
 //! arrival instant.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::{SimDuration, SimTime};
 
 /// Reader state of a [`TokenBuffer`].
@@ -22,7 +21,7 @@ enum ReaderState {
 }
 
 /// A point-in-time summary of a buffer, for schedulers and metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BufferSnapshot {
     /// Tokens delivered so far.
     pub delivered: u64,

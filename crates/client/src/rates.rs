@@ -8,10 +8,8 @@
 //! more tokens per unit of meaning, so its token rates run higher; Japanese
 //! runs slightly below English for reading.
 
-use serde::{Deserialize, Serialize};
-
 /// Reader/listener age brackets used in Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AgeGroup {
     /// Under 12.
     Under12,
@@ -73,7 +71,7 @@ impl AgeGroup {
 }
 
 /// Languages covered by Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Language {
     /// English.
     English,
@@ -98,7 +96,7 @@ impl Language {
 }
 
 /// How the user consumes tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConsumptionMode {
     /// Reading on screen.
     Reading,

@@ -14,11 +14,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 
 /// Transfer direction over the host link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Host (CPU) to device (GPU): resume loads.
     H2D,

@@ -8,10 +8,10 @@
 //! Any refactor that alters scheduling, accounting, or aggregation —
 //! however slightly — moves the digest.
 //!
-//! The vendored `serde` stand-in has no serializer, so the canonical form
-//! is hand-rolled here and is itself part of the pinned contract: do not
-//! reorder fields or change float formatting without updating every
-//! golden digest.
+//! The canonical form is written field by field here because its bytes
+//! are the pinned contract, not a serializer's choice: do not reorder
+//! fields or change float formatting without updating every golden
+//! digest.
 
 use std::fmt::Write;
 

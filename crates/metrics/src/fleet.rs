@@ -8,13 +8,12 @@
 //! experiments can report *replica-seconds at matched QoS* instead of
 //! static fleet sizes.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::SimTime;
 
 use crate::timeseries::TimeSeries;
 
 /// Fleet-size timeline and cost accounting of one elastic cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
     /// Active replica count over time, sampled at every control-plane
     /// barrier (plus the bootstrap instant and the run end).

@@ -1,10 +1,9 @@
 //! Per-request measurement, accumulated live by the serving engine.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 
 /// Everything measured about one request over its lifetime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestMetrics {
     /// The request.
     pub id: RequestId,

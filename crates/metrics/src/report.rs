@@ -1,13 +1,12 @@
 //! Run-level aggregation and percentile summaries.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::SimDuration;
 
 use crate::record::RequestMetrics;
 use crate::weights::QosParams;
 
 /// Percentile summary of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,
@@ -66,7 +65,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// layers that don't apply (a single-engine run has no epochs; a replica
 /// report inside a cluster merge has no pool). Each counter is declared
 /// once, in `COUNTERS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeCounters {
     /// Engine steps served by the plan-horizon fast path.
     pub fast_steps: u64,
@@ -167,7 +166,7 @@ impl RuntimeCounters {
 /// (`None` on [`RunReport::faults`]) for runs without an active fault
 /// plan, which keeps fault-free canonical JSON — and therefore every
 /// pinned golden digest — byte-identical.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultStats {
     /// Replica crashes applied.
     pub crashes: u64,
@@ -189,7 +188,7 @@ pub struct FaultStats {
 }
 
 /// Aggregated results of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Number of submitted requests.
     pub submitted: usize,

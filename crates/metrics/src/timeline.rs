@@ -4,11 +4,10 @@
 //! generation instant. Plateaus in the curve are preemption intervals; the
 //! slope between plateaus is the instantaneous generation rate.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::{RequestId, SimTime};
 
 /// Cumulative token-generation timeline of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenTimeline {
     /// The request.
     pub id: RequestId,

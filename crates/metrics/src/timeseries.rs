@@ -1,10 +1,9 @@
 //! Sampled time series for temporal plots (Figures 14/15).
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::SimTime;
 
 /// A time-ordered sequence of `(time, value)` samples.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     name: String,
     samples: Vec<(SimTime, f64)>,

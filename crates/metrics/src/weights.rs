@@ -1,9 +1,7 @@
 //! Per-token utility weights.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the QoS metric (Eq. 1–2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosParams {
     /// Buffer threshold `τ` as a fraction of the request's total output
     /// length; beyond it token usability starts to decay (Eq. 1).

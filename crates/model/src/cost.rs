@@ -13,14 +13,13 @@
 //! calls out: large batches saturate memory bandwidth (decode slows as total
 //! context grows), while small batches waste compute.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::SimDuration;
 
 use crate::hardware::HardwareProfile;
 use crate::model::ModelProfile;
 
 /// Empirical efficiency factors and fixed overheads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostOverheads {
     /// Fixed per-iteration overhead in microseconds (kernel launches,
     /// scheduler bookkeeping, sampler).

@@ -1,14 +1,12 @@
 //! Accelerator hardware profiles.
 
-use serde::{Deserialize, Serialize};
-
 const GIB: u64 = 1 << 30;
 
 /// Capability description of one accelerator.
 ///
 /// The numbers are the published spec-sheet values; the cost model applies
 /// efficiency factors on top, so these should stay at their nominal values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareProfile {
     /// Human-readable name, e.g. `"H200"`.
     pub name: String,

@@ -1,9 +1,7 @@
 //! Transformer model profiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric precision of weights and KV cache entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 16-bit IEEE float.
     Fp16,
@@ -30,7 +28,7 @@ impl DType {
 /// Only the quantities that drive memory footprint and arithmetic intensity
 /// are retained; everything the scheduler or KV manager needs derives from
 /// these.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Human-readable name, e.g. `"Llama3-8B"`.
     pub name: String,

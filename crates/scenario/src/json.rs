@@ -1,8 +1,9 @@
 //! A minimal JSON value model, parser, and canonical emitter.
 //!
-//! The workspace's `serde` is an offline no-op stand-in (see `DESIGN.md`,
-//! "Dependency policy"), so the scenario layer carries its own JSON
-//! machinery: a strict recursive-descent parser with line/column errors
+//! Specs, run outcomes and traces are written and read here, and the
+//! committed report and trace digests are taken over these bytes, so the
+//! scenario layer owns its JSON format instead of leaving it to a
+//! serializer: a strict recursive-descent parser with line/column errors
 //! and an emitter whose output is *canonical* — object keys keep their
 //! authored order, floats render in Rust's shortest-round-trip form —
 //! so `parse(emit(v)) == v` and `emit(parse(s)) == s` for emitted `s`.

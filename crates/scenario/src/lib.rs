@@ -2,8 +2,8 @@
 //!
 //! Every axis the workspace exposes — scheduler, router, scale policy,
 //! execution strategy, workload, model, hardware, engine knobs, topology
-//! — has a serde-style spec type here, composed into one
-//! [`ScenarioSpec`] with a single entry point:
+//! — has a spec type here, composed into one [`ScenarioSpec`] with a
+//! single entry point:
 //!
 //! ```
 //! use tokenflow_scenario::parse_scenario;
@@ -42,9 +42,8 @@
 //! * [`sweep`] — cartesian grids over spec fields ([`SweepSpec`]):
 //!   `{scheduler: [...], workload: [...]}` is the paper's evaluation
 //!   grid as data.
-//! * [`json`] — the self-contained JSON model (the vendored `serde` is a
-//!   no-op stand-in, so the scenario layer carries its own parser and
-//!   canonical emitter).
+//! * [`json`] — the self-contained JSON model: a strict parser and a
+//!   canonical emitter whose bytes the committed digests pin.
 
 // audit: tier(deterministic)
 #![forbid(unsafe_code)]

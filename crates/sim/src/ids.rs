@@ -2,16 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Unique identifier of a serving request.
 ///
 /// Identifiers are dense (assigned 0, 1, 2, ... in arrival order by the
 /// workload layer), so they double as stable tie-breakers in scheduling
 /// decisions.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(pub u64);
 
 impl RequestId {

@@ -1,13 +1,12 @@
 //! Arrival processes and the workload generator.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::{SimDuration, SimRng, SimTime};
 
 use crate::dist::{LengthDist, RateDist};
 use crate::request::{RequestSpec, Workload};
 
 /// How requests arrive over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalSpec {
     /// `size` requests submitted simultaneously at `at` — the flash-crowd
     /// scenario of §7.3.
@@ -149,7 +148,7 @@ impl ArrivalSpec {
 }
 
 /// A complete workload generator: arrivals × lengths × rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadGen {
     /// Arrival process.
     pub arrivals: ArrivalSpec,

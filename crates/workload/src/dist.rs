@@ -1,10 +1,9 @@
 //! Length and rate distributions for workload generation.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::SimRng;
 
 /// Distribution of prompt or output lengths in tokens.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LengthDist {
     /// Every request gets exactly this many tokens.
     Fixed(u64),
@@ -100,7 +99,7 @@ impl LengthDist {
 }
 
 /// Distribution of required streaming rates in tokens/second.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RateDist {
     /// Every client consumes at the same rate.
     Fixed(f64),

@@ -13,7 +13,6 @@
 //!   adult reading speed, the reference line drawn in Figure 2. The
 //!   micro-experiments override this where the paper names explicit rates.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::{SimDuration, SimTime};
 
 use crate::arrivals::{ArrivalSpec, WorkloadGen};
@@ -25,7 +24,7 @@ use crate::request::Workload;
 pub const DEFAULT_RATE: f64 = 12.0;
 
 /// Sequence-length class of a controlled setup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LengthClass {
     /// Short: 512-token prompts, 1024-token outputs (4090 scale).
     Short,
@@ -34,7 +33,7 @@ pub enum LengthClass {
 }
 
 /// One row of Table 1: a controlled request-distribution configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlledSetup {
     /// Label as printed in the paper, e.g. `"H200 (a)"`.
     pub label: String,

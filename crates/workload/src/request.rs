@@ -1,6 +1,5 @@
 //! Request specifications and workloads.
 
-use serde::{Deserialize, Serialize};
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 
 /// Who consumes the stream (paper §8, "Handles Different Client Types").
@@ -9,7 +8,7 @@ use tokenflow_sim::{RequestId, SimDuration, SimTime};
 /// must match; agent clients (tool pipelines, LLM-to-LLM calls) declare a
 /// *reference* rate that acts as a scheduling priority — they accelerate
 /// when resources permit and are throttled first under load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ClientKind {
     /// A human reader/listener with a firm consumption rate.
     #[default]
@@ -19,7 +18,7 @@ pub enum ClientKind {
 }
 
 /// Everything the serving engine needs to know about one request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestSpec {
     /// Dense identifier, assigned in arrival order.
     pub id: RequestId,
@@ -92,7 +91,7 @@ pub struct WorkloadStats {
 /// ]);
 /// assert_eq!(w.get(RequestId(0)).arrival, SimTime::from_secs(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     specs: Vec<RequestSpec>,
 }

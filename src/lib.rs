@@ -30,8 +30,8 @@
 //!   `Provisioning → Active → Draining → Retired` replica lifecycle at
 //!   arrival barriers, with replica-seconds cost accounting.
 //! * [`scenario`] — the declarative layer and **canonical construction
-//!   path**: every axis above as a serde-style spec type, composed into
-//!   one `ScenarioSpec` that builds a single engine, a fixed cluster, or
+//!   path**: every axis above as a spec type, composed into one
+//!   `ScenarioSpec` that builds a single engine, a fixed cluster, or
 //!   an autoscaled fleet from a JSON file, plus cartesian sweeps over
 //!   spec fields. The `tokenflow` CLI (`tokenflow run`, `tokenflow
 //!   sweep`, `tokenflow list-policies`) drives it without writing Rust.
