@@ -32,9 +32,10 @@ use crate::pool::{tokens_to_blocks, BlockPool};
 use crate::write_queue::{WriteChunk, WriteQueue};
 
 /// Where a request's KV cache currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Residency {
     /// No KV exists (never prefilled, or discarded for recompute).
+    #[default]
     None,
     /// Fully resident on the GPU (a host copy may also exist).
     Gpu,
@@ -159,7 +160,7 @@ struct ReqState {
     cpu_hold: u64,
     gpu_blocks: u64,
     cpu_blocks: u64,
-    residency_tag: u8,
+    residency: Residency,
     /// Write-through tokens in flight on the D2H stream.
     wt_inflight: u64,
     /// Tokens still to complete before an eviction finishes.
@@ -173,17 +174,6 @@ struct ReqState {
 }
 
 impl ReqState {
-    fn residency(&self) -> Residency {
-        match self.residency_tag {
-            0 => Residency::None,
-            1 => Residency::Gpu,
-            2 => Residency::Evicting,
-            3 => Residency::Cpu,
-            4 => Residency::Loading,
-            _ => unreachable!("corrupt residency tag"),
-        }
-    }
-
     /// Blocks the host hold grows by when it takes `tokens` more: the
     /// tokens that overflow its last block's free slots, rounded up to
     /// whole blocks.
@@ -194,16 +184,6 @@ impl ReqState {
         } else {
             (tokens - slack).div_ceil(block_tokens)
         }
-    }
-
-    fn set_residency(&mut self, r: Residency) {
-        self.residency_tag = match r {
-            Residency::None => 0,
-            Residency::Gpu => 1,
-            Residency::Evicting => 2,
-            Residency::Cpu => 3,
-            Residency::Loading => 4,
-        };
     }
 }
 
@@ -334,8 +314,7 @@ impl KvManager {
 
     /// Where `req`'s KV currently lives.
     pub fn residency(&self, req: RequestId) -> Residency {
-        self.req_state(req)
-            .map_or(Residency::None, |s| s.residency())
+        self.req_state(req).map_or(Residency::None, |s| s.residency)
     }
 
     /// Context length tracked for `req`.
@@ -465,14 +444,14 @@ impl KvManager {
         _now: SimTime,
     ) -> Result<(), KvError> {
         let state = self.slot_mut(req).get_or_insert_with(ReqState::default);
-        if state.residency() != Residency::None {
+        if state.residency != Residency::None {
             return Err(KvError::BadState("prefill requires no existing KV"));
         }
         self.set_gpu_hold(req, tokens)?;
         let s = self.req_state_mut(req).expect("request state");
         s.total = tokens;
         s.synced = 0;
-        s.set_residency(Residency::Gpu);
+        s.residency = Residency::Gpu;
         if self.config.write_through {
             self.write_queue.push(req, tokens, 0.0);
         }
@@ -484,7 +463,7 @@ impl KvManager {
         let s = self
             .req_state_mut(req)
             .ok_or(KvError::BadState("unknown request"))?;
-        if s.residency() != Residency::Gpu {
+        if s.residency != Residency::Gpu {
             return Err(KvError::BadState("append requires GPU residency"));
         }
         let new_total = s.total + 1;
@@ -506,7 +485,7 @@ impl KvManager {
         let s = self
             .req_state(req)
             .ok_or(KvError::BadState("unknown request"))?;
-        if s.residency() != Residency::Gpu {
+        if s.residency != Residency::Gpu {
             return Err(KvError::BadState("evict requires GPU residency"));
         }
         let (total, synced, wt_inflight, cpu_hold) = (s.total, s.synced, s.wt_inflight, s.cpu_hold);
@@ -534,7 +513,7 @@ impl KvManager {
         if pending == 0 {
             self.set_gpu_hold(req, 0)?;
             let s = self.req_state_mut(req).expect("request state");
-            s.set_residency(Residency::Cpu);
+            s.residency = Residency::Cpu;
             return Ok(EvictStart::Instant);
         }
 
@@ -557,7 +536,7 @@ impl KvManager {
         let s = self.req_state_mut(req).expect("request state");
         s.evict_pending = pending;
         s.evict_inflight = dirty;
-        s.set_residency(Residency::Evicting);
+        s.residency = Residency::Evicting;
         self.evicting_count += 1;
         Ok(EvictStart::InFlight)
     }
@@ -569,10 +548,10 @@ impl KvManager {
         let s = self
             .req_state_mut(req)
             .ok_or(KvError::BadState("unknown request"))?;
-        if s.residency() != Residency::Cpu {
+        if s.residency != Residency::Cpu {
             return Err(KvError::BadState("load requires CPU residency"));
         }
-        s.set_residency(Residency::Loading);
+        s.residency = Residency::Loading;
         s.load_enqueued = 0;
         s.load_done = 0;
         self.loading_order.push_back(req);
@@ -591,10 +570,10 @@ impl KvManager {
         let Some(s) = self.states.get_mut(req.0 as usize).and_then(Option::take) else {
             return;
         };
-        if s.residency() == Residency::Evicting {
+        if s.residency == Residency::Evicting {
             self.evicting_count -= 1;
         }
-        if s.residency() == Residency::Loading {
+        if s.residency == Residency::Loading {
             self.loading_count -= 1;
         }
         let idx = req.0 as usize;
@@ -779,7 +758,7 @@ impl KvManager {
                 self.loading_order.pop_front();
                 continue;
             };
-            if s.residency() != Residency::Loading {
+            if s.residency != Residency::Loading {
                 self.loading_order.pop_front();
                 continue;
             }
@@ -891,7 +870,7 @@ impl KvManager {
         } else {
             s.wt_inflight -= tokens;
         }
-        if s.residency() == Residency::Evicting {
+        if s.residency == Residency::Evicting {
             s.evict_pending -= tokens;
             let done = s.evict_pending == 0;
             let new_hold = s.gpu_hold - tokens.min(s.gpu_hold);
@@ -900,7 +879,7 @@ impl KvManager {
             if done {
                 let s = self.req_state_mut(req).expect("request state");
                 debug_assert_eq!(s.synced, s.total, "eviction must sync everything");
-                s.set_residency(Residency::Cpu);
+                s.residency = Residency::Cpu;
                 self.evicting_count -= 1;
                 events.push(KvEvent::EvictDone { req, at });
             }
@@ -919,7 +898,7 @@ impl KvManager {
         };
         s.load_done += tokens;
         if s.load_done == s.total {
-            s.set_residency(Residency::Gpu);
+            s.residency = Residency::Gpu;
             self.loading_count -= 1;
             events.push(KvEvent::LoadDone { req, at });
         }
