@@ -22,12 +22,11 @@ use std::num::NonZeroUsize;
 
 use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution};
 use tokenflow_control::{ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy};
-use tokenflow_core::EngineConfig;
-use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
 
+use crate::runner::{assert_executor_invariant, fleet_config};
 use crate::table::{f, Table};
 
 /// One fleet configuration's results on the stress trace.
@@ -151,12 +150,8 @@ impl AutoscaleSetup {
     }
 }
 
-fn config() -> EngineConfig {
-    EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090()).with_max_batch(64)
-}
-
 fn control(setup: &AutoscaleSetup) -> ControlConfig {
-    ControlConfig::for_engine(&config())
+    ControlConfig::for_engine(&fleet_config())
         .with_min_replicas(setup.min_fleet)
         .with_max_replicas(setup.max_fleet)
         .with_boot_delay(setup.boot_delay)
@@ -188,32 +183,6 @@ fn row_from(fleet: &str, out: &ClusterOutcome, static_size: Option<usize>) -> Au
     }
 }
 
-fn assert_executor_invariant(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
-    assert_eq!(
-        seq.assignments, par.assignments,
-        "{label}: assignment divergence across executors"
-    );
-    assert_eq!(
-        seq.scale_events, par.scale_events,
-        "{label}: scale-decision divergence across executors"
-    );
-    // Executor-mechanics counters (pool size, submissions) are the one
-    // intentionally executor-visible report surface; compare the
-    // invariant projection.
-    let mut seq_merged = seq.merged.clone();
-    seq_merged.runtime = seq_merged.runtime.invariant();
-    let mut par_merged = par.merged.clone();
-    par_merged.runtime = par_merged.runtime.invariant();
-    assert_eq!(
-        seq_merged, par_merged,
-        "{label}: merged-report divergence across executors"
-    );
-    assert_eq!(
-        seq.fleet, par.fleet,
-        "{label}: fleet-accounting divergence across executors"
-    );
-}
-
 /// Runs the sweep: the static baseline plus one autoscaled fleet per
 /// shipped policy, each under both executors (asserted byte-identical —
 /// an autoscale number from a broken determinism contract is worse than
@@ -228,7 +197,7 @@ pub fn autoscale_sweep(setup: &AutoscaleSetup, workers: NonZeroUsize) -> Vec<Aut
 
     let static_run = |execution: Execution| {
         ClusterEngine::new(
-            config(),
+            fleet_config(),
             setup.static_fleet,
             BacklogAwareRouter::new(),
             || Box::new(TokenFlowScheduler::new()),
@@ -260,9 +229,12 @@ pub fn autoscale_sweep(setup: &AutoscaleSetup, workers: NonZeroUsize) -> Vec<Aut
     ];
     for (name, make) in policies {
         let elastic_run = |execution: Execution| {
-            ClusterEngine::new(config(), setup.bootstrap, BacklogAwareRouter::new(), || {
-                Box::new(TokenFlowScheduler::new())
-            })
+            ClusterEngine::new(
+                fleet_config(),
+                setup.bootstrap,
+                BacklogAwareRouter::new(),
+                || Box::new(TokenFlowScheduler::new()),
+            )
             .with_autoscaler(make(), control(setup))
             .with_execution(execution)
             .run(&workload)

@@ -19,13 +19,12 @@
 use std::num::NonZeroUsize;
 
 use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution};
-use tokenflow_core::EngineConfig;
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy};
-use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
 
+use crate::runner::{assert_executor_invariant, fleet_config};
 use crate::table::{f, Table};
 
 /// One configuration's results on the crash trace.
@@ -154,10 +153,6 @@ impl FaultSetup {
     }
 }
 
-fn config() -> EngineConfig {
-    EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090()).with_max_batch(64)
-}
-
 fn row_from(config: &str, out: &ClusterOutcome) -> FaultRow {
     let faults = out.merged.faults.clone().unwrap_or_default();
     FaultRow {
@@ -179,33 +174,6 @@ fn row_from(config: &str, out: &ClusterOutcome) -> FaultRow {
     }
 }
 
-fn assert_executor_invariant(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
-    assert_eq!(
-        seq.assignments, par.assignments,
-        "{label}: assignment divergence across executors"
-    );
-    assert_eq!(
-        seq.scale_events, par.scale_events,
-        "{label}: scale-decision divergence across executors"
-    );
-    // Executor-mechanics counters (pool size, submissions) are the one
-    // intentionally executor-visible report surface; compare the
-    // invariant projection. `faults` rides inside the report, so fault
-    // and recovery accounting is covered by this equality.
-    let mut seq_merged = seq.merged.clone();
-    seq_merged.runtime = seq_merged.runtime.invariant();
-    let mut par_merged = par.merged.clone();
-    par_merged.runtime = par_merged.runtime.invariant();
-    assert_eq!(
-        seq_merged, par_merged,
-        "{label}: merged-report divergence across executors"
-    );
-    assert_eq!(
-        seq.fleet, par.fleet,
-        "{label}: fleet-accounting divergence across executors"
-    );
-}
-
 /// Runs the three-way comparison — healthy, crash-with-recovery,
 /// crash-without-retries — each under both executors (asserted
 /// byte-identical, fault accounting included).
@@ -218,9 +186,12 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
     let mut rows = Vec::new();
 
     let healthy = |execution: Execution| {
-        ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
-            Box::new(TokenFlowScheduler::new())
-        })
+        ClusterEngine::new(
+            fleet_config(),
+            setup.fleet,
+            BacklogAwareRouter::new(),
+            || Box::new(TokenFlowScheduler::new()),
+        )
         .with_execution(execution)
         .run(&workload)
     };
@@ -241,9 +212,12 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
     ];
     for (name, retry) in plans {
         let faulted = |execution: Execution| {
-            ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
-                Box::new(TokenFlowScheduler::new())
-            })
+            ClusterEngine::new(
+                fleet_config(),
+                setup.fleet,
+                BacklogAwareRouter::new(),
+                || Box::new(TokenFlowScheduler::new()),
+            )
             .with_fault_plan(setup.plan(retry))
             .with_execution(execution)
             .run(&workload)

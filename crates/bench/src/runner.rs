@@ -1,6 +1,8 @@
 //! Shared experiment-running utilities.
 
+use tokenflow_cluster::ClusterOutcome;
 use tokenflow_core::{run_simulation_boxed, EngineConfig, SimOutcome};
+use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{from_json, json::Json, SchedulerSpec};
 use tokenflow_sched::Scheduler;
 use tokenflow_workload::Workload;
@@ -60,10 +62,44 @@ pub fn compare_systems(config: &EngineConfig, workload: &Workload) -> (Table, Ve
     (table, outcomes)
 }
 
+/// The replica engine of the fleet experiments (`autoscale`, `fault`):
+/// Llama3-8B on an RTX 4090 with a 64-request batch.
+pub(crate) fn fleet_config() -> EngineConfig {
+    EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090()).with_max_batch(64)
+}
+
+/// Asserts that a sequential and a pooled run of the same fleet agree on
+/// everything the simulation decides.
+pub(crate) fn assert_executor_invariant(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
+    assert_eq!(
+        seq.assignments, par.assignments,
+        "{label}: assignment divergence across executors"
+    );
+    assert_eq!(
+        seq.scale_events, par.scale_events,
+        "{label}: scale-decision divergence across executors"
+    );
+    // Executor-mechanics counters (pool size, submissions) are the one
+    // intentionally executor-visible report surface; compare the
+    // invariant projection. `faults` rides inside the report, so fault
+    // and recovery accounting is covered by this equality.
+    let mut seq_merged = seq.merged.clone();
+    seq_merged.runtime = seq_merged.runtime.invariant();
+    let mut par_merged = par.merged.clone();
+    par_merged.runtime = par_merged.runtime.invariant();
+    assert_eq!(
+        seq_merged, par_merged,
+        "{label}: merged-report divergence across executors"
+    );
+    assert_eq!(
+        seq.fleet, par.fleet,
+        "{label}: fleet-accounting divergence across executors"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tokenflow_model::{HardwareProfile, ModelProfile};
     use tokenflow_sim::{RequestId, SimTime};
     use tokenflow_workload::RequestSpec;
 
