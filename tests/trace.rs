@@ -7,7 +7,8 @@
 //!    and pooled execution, for every shipped router.
 //! 2. **Fast-path invariance** — the *canonical* journal (meta-filtered,
 //!    seq-stripped) is byte-identical with the plan-horizon fast path on
-//!    and off, single-engine and clustered.
+//!    and off, single-engine and clustered, with and without faults (a
+//!    crash, a straggler, and KV-link windows that horizons run through).
 //! 3. **Zero observer effect** — a traced run's report digest equals the
 //!    untraced run's: recording decisions never changes one.
 //! 4. **Pinned trace digests** — the committed quickstart, fleet, fault
@@ -31,13 +32,13 @@ use std::collections::BTreeMap;
 
 use tokenflow_cluster::{ClusterEngine, ClusterOutcome, LeastLoadedRouter};
 use tokenflow_core::run_simulation_boxed;
-use tokenflow_metrics::{fnv1a64, RequestMetrics};
+use tokenflow_metrics::{fnv1a64, RequestMetrics, RuntimeCounters};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
     canonical_trace_jsonl, explain, from_json, json, parse_scenario, perfetto_json,
     request_timeline, request_timelines, trace_digest, trace_jsonl, validate_trace_jsonl,
     EngineSpec, ExecutionSpec, Json, RateDistSpec, RouterSpec, RunOutcome, ScenarioSpec,
-    TopologySpec, WorkloadSpec,
+    TopologySpec, WindowFaultSpec, WorkloadSpec,
 };
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{RequestId, SimTime};
@@ -121,17 +122,64 @@ fn canonical_journal_is_invariant_under_the_fast_path_single_engine() {
     assert_ne!(trace_jsonl(&on), trace_jsonl(&off));
 }
 
-#[test]
-fn canonical_journal_is_invariant_under_the_fast_path_cluster() {
-    let spec = load_spec(FLEET);
-    let (_, on) = run_traced(spec.clone());
+/// Runs `spec` traced with the fast path on and off, asserts equal
+/// canonical journals and equal reports (runtime counters aside, since
+/// they count fast-path mechanics), and returns the fast-path-on journal.
+fn assert_fast_path_invariant(label: &str, spec: ScenarioSpec) -> TraceJournal {
+    let (on_out, on) = run_traced(spec.clone());
     let mut off_spec = spec;
     off_spec.engine.plan_horizon = false;
-    let (_, off) = run_traced(off_spec);
+    let (off_out, off) = run_traced(off_spec);
     assert_eq!(
         canonical_trace_jsonl(&on),
         canonical_trace_jsonl(&off),
-        "fast path changed the cluster decision record"
+        "{label}: fast path changed the cluster decision record"
+    );
+    let (mut on_report, mut off_report) = (on_out.report, off_out.report);
+    on_report.runtime = RuntimeCounters::default();
+    off_report.runtime = RuntimeCounters::default();
+    assert_eq!(
+        on_report, off_report,
+        "{label}: fast path changed the report"
+    );
+    on
+}
+
+#[test]
+fn canonical_journal_is_invariant_under_the_fast_path_cluster() {
+    assert_fast_path_invariant("fleet", load_spec(FLEET));
+    assert_fast_path_invariant("faulty", load_spec(FAULTY));
+
+    // A KV-link window leaves horizons armed (only a compute slowdown
+    // ends them), so horizons certified on a degraded link must still
+    // replay exactly.
+    let (from, until) = (SimTime::from_secs(25), SimTime::from_secs(60));
+    let mut spec = load_spec(FAULTY);
+    let fault = spec
+        .fault
+        .as_mut()
+        .expect("fault scenario has a fault block");
+    for replica in [0, 1] {
+        fault.kv_link.push(WindowFaultSpec {
+            replica,
+            from_secs: 25.0,
+            until_secs: 60.0,
+            factor: 0.2,
+        });
+    }
+    let on = assert_fast_path_invariant("faulty+kv_link", spec);
+    let armed_on_degraded_links = on
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(e.kind, TraceEventKind::HorizonArmed { .. })
+                && matches!(e.source, TraceSource::Replica(0 | 1))
+                && (from..until).contains(&e.time)
+        })
+        .count();
+    assert!(
+        armed_on_degraded_links > 0,
+        "no horizon armed on a degraded link: the link case is vacuous"
     );
 }
 
