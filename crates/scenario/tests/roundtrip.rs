@@ -1,4 +1,4 @@
-//! Serde round-trip properties for every spec variant.
+//! JSON round-trip properties for every spec variant.
 //!
 //! The canonical contract: for any spec value, `parse(emit(spec)) ==
 //! spec`, and emission is a fixed point (`emit(parse(text)) == text` for

@@ -153,7 +153,7 @@ fn canonical_journal_is_invariant_under_the_fast_path_cluster() {
     // A KV-link window leaves horizons armed (only a compute slowdown
     // ends them), so horizons certified on a degraded link must still
     // replay exactly.
-    let (from, until) = (SimTime::from_secs(25), SimTime::from_secs(60));
+    let (from_secs, until_secs) = (25.0, 60.0);
     let mut spec = load_spec(FAULTY);
     let fault = spec
         .fault
@@ -162,11 +162,12 @@ fn canonical_journal_is_invariant_under_the_fast_path_cluster() {
     for replica in [0, 1] {
         fault.kv_link.push(WindowFaultSpec {
             replica,
-            from_secs: 25.0,
-            until_secs: 60.0,
+            from_secs,
+            until_secs,
             factor: 0.2,
         });
     }
+    let window = SimTime::from_secs_f64(from_secs)..SimTime::from_secs_f64(until_secs);
     let on = assert_fast_path_invariant("faulty+kv_link", spec);
     let armed_on_degraded_links = on
         .events
@@ -174,7 +175,7 @@ fn canonical_journal_is_invariant_under_the_fast_path_cluster() {
         .filter(|e| {
             matches!(e.kind, TraceEventKind::HorizonArmed { .. })
                 && matches!(e.source, TraceSource::Replica(0 | 1))
-                && (from..until).contains(&e.time)
+                && window.contains(&e.time)
         })
         .count();
     assert!(
