@@ -1,7 +1,7 @@
 //! Pipeline stage 1 — admission: arrival ingest, scheduler context
 //! construction, and plan application.
 //!
-//! The stage turns the outside world (arrival events) and the scheduler's
+//! The stage turns the outside world (pending arrivals) and the scheduler's
 //! decisions ([`Action`]s) into request-phase transitions, routing KV
 //! work through the [`KvManager`]. It owns no state: everything operates
 //! on `&mut` views of [`EngineState`].
@@ -9,38 +9,31 @@
 use tokenflow_kv::{Direction, EvictStart, KvManager};
 use tokenflow_model::CostModel;
 use tokenflow_sched::{Action, PreemptMode, ReqView, SchedContext, Scheduler};
-use tokenflow_sim::{EventQueue, RequestId, SimTime};
+use tokenflow_sim::{RequestId, SimTime};
 use tokenflow_trace::{PreemptCause, TraceEventKind, TraceSink};
 
 use crate::config::EngineConfig;
 use crate::profiler::EngineProfilers;
 use crate::state::{EngineState, Phase, ReqState};
 
-/// Pops every arrival due by `now`, marking the requests live.
-pub(crate) fn ingest_arrivals(
-    arrivals: &mut EventQueue<RequestId>,
-    st: &mut EngineState,
-    now: SimTime,
-    trace: &mut TraceSink,
-) {
-    while let Some(entry) = arrivals.pop_due(now) {
+/// Pops every arrival due by `now` off the front of the pending queue,
+/// marking the requests live.
+pub(crate) fn ingest_arrivals(st: &mut EngineState, now: SimTime, trace: &mut TraceSink) {
+    while let Some(&(arrival, id)) = st.arrivals.front() {
+        if arrival > now {
+            break;
+        }
+        st.arrivals.pop_front();
         st.decision_epoch += 1;
-        st.live_count += 1;
         // Requests cannot leave WaitingNew before they arrive (the
         // scheduler only ever sees arrived requests), so each arrival
         // joins the waiting pool and its whole prompt joins the prefill
         // backlog.
-        debug_assert_eq!(st.state(entry.event).phase, Phase::WaitingNew);
+        debug_assert_eq!(st.state(id).phase, Phase::WaitingNew);
         st.waiting_count += 1;
-        st.prefill_backlog_tokens += st.state(entry.event).context_tokens();
-        st.insert_live(entry.event);
-        trace.emit(
-            now,
-            TraceEventKind::Arrived {
-                id: entry.event,
-                arrival: st.state(entry.event).spec.arrival,
-            },
-        );
+        st.prefill_backlog_tokens += st.state(id).context_tokens();
+        st.insert_live(id);
+        trace.emit(now, TraceEventKind::Arrived { id, arrival });
     }
 }
 

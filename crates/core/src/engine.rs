@@ -12,7 +12,7 @@
 //! 4. [`delivery`](crate::delivery) — advance prefills, deliver decode
 //!    tokens into client buffers, finish requests, sample telemetry.
 //!
-//! The engine itself only owns the components and the clock; all stage
+//! The engine itself only owns the components and the time; all stage
 //! logic lives in the stage modules, which is what lets the cluster crate
 //! drive many replicas of this loop on one simulated timeline.
 
@@ -21,7 +21,7 @@ use tokenflow_kv::{Direction, KvConfig, KvManager};
 use tokenflow_metrics::{RequestMetrics, RunReport, RuntimeCounters, TokenTimeline};
 use tokenflow_model::CostModel;
 use tokenflow_sched::{PlanNote, SchedContext, SchedContextBuilder, Scheduler};
-use tokenflow_sim::{Clock, EventQueue, RequestId, SimDuration, SimTime};
+use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{HorizonEndReason, TraceEventKind, TraceSink, TraceSource};
 use tokenflow_workload::{ClientKind, RequestSpec};
 
@@ -91,11 +91,12 @@ pub struct StepOutcome {
 pub struct Engine {
     config: EngineConfig,
     cost: CostModel,
-    clock: Clock,
+    /// Current simulation time: advanced by each iteration's priced
+    /// duration, or fast-forwarded to the idle wake-up.
+    now: SimTime,
     scheduler: Box<dyn Scheduler>,
     kv: KvManager,
     st: EngineState,
-    arrivals: EventQueue<RequestId>,
     profs: EngineProfilers,
     telemetry: Telemetry,
     iterations: u64,
@@ -184,11 +185,10 @@ impl Engine {
         let thpt_init = cost.batch_throughput(config.max_batch.min(64), 1_024);
         Engine {
             cost,
-            clock: Clock::new(),
+            now: SimTime::ZERO,
             scheduler,
             kv,
             st: EngineState::new(),
-            arrivals: EventQueue::new(),
             profs: EngineProfilers::new(prefill_init, thpt_init),
             telemetry: Telemetry::new(config.sample_interval, config.deadline),
             iterations: 0,
@@ -270,14 +270,13 @@ impl Engine {
             spec,
         });
         self.st.active_rate_sum += spec.rate;
-        self.st.insert_arrival_time(spec.arrival);
-        self.arrivals.push(spec.arrival, id);
+        self.st.push_arrival(spec.arrival, id);
         id
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.now
     }
 
     /// The scheduling policy's name.
@@ -292,10 +291,10 @@ impl Engine {
     /// without rescanning request tables.
     pub fn load_snapshot(&self) -> EngineLoad {
         EngineLoad {
-            now: self.clock.now(),
+            now: self.now,
             submitted: self.st.requests.len(),
             live: self.st.requests.len() - self.st.finished_count,
-            arrived: self.st.live_count,
+            arrived: self.st.ingested(),
             waiting: self.st.waiting_count,
             running: self.st.running.len(),
             transitioning: self.kv.evicting_requests() + self.kv.loading_requests(),
@@ -324,7 +323,7 @@ impl Engine {
     /// whole steady-state step allocation-free (the engine's contexts and
     /// batch are retained too).
     pub fn step_into(&mut self, outcome: &mut StepOutcome) {
-        let now = self.clock.now();
+        let now = self.now;
         outcome.now = now;
         outcome.delivered.clear();
         outcome.finished.clear();
@@ -335,7 +334,7 @@ impl Engine {
         // transfers. Both bump the decision epoch when they act, so they
         // run *before* the horizon check — an arrival or a transfer
         // completion lands in a full pipeline step.
-        admission::ingest_arrivals(&mut self.arrivals, &mut self.st, now, &mut self.trace);
+        admission::ingest_arrivals(&mut self.st, now, &mut self.trace);
         self.apply_transfers(now);
 
         // Plan-horizon fast path: inside an armed, unexpired certificate
@@ -623,7 +622,8 @@ impl Engine {
 
         // Stage 2 (in-compute): write-through syncs and transfers
         // progress during compute.
-        let end = self.clock.advance(iter_time);
+        self.now += iter_time;
+        let end = self.now;
         kv_orchestrator::run_window(
             &mut self.st,
             &mut self.kv,
@@ -663,7 +663,7 @@ impl Engine {
         self.telemetry.sample(&self.st, &self.kv, end);
         self.iterations += 1;
         outcome.now = end;
-        outcome.done = self.st.all_finished() && self.arrivals.is_empty();
+        outcome.done = self.st.all_finished() && self.st.arrivals.is_empty();
     }
 
     /// Advances the transfer engine to `to` and applies its completions
@@ -685,13 +685,13 @@ impl Engine {
         let now = outcome.now;
         outcome.idle = true;
         let mut wake = SimTime::MAX;
-        if let Some(t) = self.arrivals.peek_time() {
+        if let Some(&(t, _)) = self.st.arrivals.front() {
             wake = wake.min(t);
         }
         if let Some(t) = kv_orchestrator::next_transfer_completion(&self.kv) {
             wake = wake.min(t);
         }
-        let any_live = self.st.live_count > self.st.finished_count;
+        let any_live = self.st.ingested() > self.st.finished_count;
         if any_live {
             wake = wake.min(now + self.idle_tick);
         }
@@ -700,7 +700,7 @@ impl Engine {
             return;
         }
         let wake = wake.max(now + SimDuration::from_micros(1));
-        self.clock.advance_to(wake);
+        self.now = wake;
         outcome.now = wake;
     }
 
@@ -718,10 +718,10 @@ impl Engine {
     pub fn step_until(&mut self, deadline: SimTime) -> bool {
         let mut out = StepOutcome::default();
         loop {
-            if self.st.all_finished() && self.arrivals.is_empty() {
+            if self.st.all_finished() && self.st.arrivals.is_empty() {
                 return true;
             }
-            if self.clock.now() >= deadline {
+            if self.now >= deadline {
                 return false;
             }
             // Every non-done step advances the clock (idle steps
@@ -770,7 +770,7 @@ impl Engine {
             "compute slowdown must be finite and >= 1.0"
         );
         if slowdown != 1.0 && self.horizon.is_some() {
-            self.end_horizon(self.clock.now(), HorizonEndReason::Invalidated);
+            self.end_horizon(self.now, HorizonEndReason::Invalidated);
         }
         self.slowdown = slowdown;
     }
@@ -819,7 +819,7 @@ impl Engine {
 
     /// Finalises metrics and returns the outcome, consuming the engine.
     pub fn into_outcome(mut self) -> SimOutcome {
-        let run_end = self.clock.now();
+        let run_end = self.now;
         // Let every reader drain its buffer so rebuffering is fully
         // accounted; unfinished requests are measured to run end.
         let complete = self.st.all_finished();

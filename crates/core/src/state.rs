@@ -86,22 +86,21 @@ pub(crate) struct EngineState {
     /// of O(live) per completion. Consumers must skip
     /// [`Phase::Finished`] entries.
     pub live_ids: Vec<RequestId>,
-    /// Every submitted request's arrival time, kept sorted ascending.
-    /// With [`EngineState::live_count`] (arrivals ingested so far) this
-    /// answers "how many due arrivals are still un-ingested at time t"
-    /// in O(log n) — telemetry samples instants *inside* an iteration,
-    /// after ingestion ran at the iteration's start, and those requests
-    /// are queued at the sample instant even though they are not in the
-    /// live index yet.
-    pub arrival_times: Vec<SimTime>,
+    /// Submitted requests not ingested yet, as `(arrival, id)` in
+    /// arrival order with ties in submission order. Arrival ingest pops
+    /// the due front; everything ingested has left, so the length is the
+    /// un-ingested population and a binary search answers "how many due
+    /// arrivals are still un-ingested at time t" — telemetry samples
+    /// instants *inside* an iteration, after ingestion ran at the
+    /// iteration's start, and those requests are queued at the sample
+    /// instant even though they are not in the live index yet.
+    pub arrivals: VecDeque<(SimTime, RequestId)>,
     /// Members of the decode batch, kept sorted by id.
     pub running: Vec<RequestId>,
     /// Admitted requests whose prefill is in progress, FIFO.
     pub prefill_queue: VecDeque<RequestId>,
     /// Requests that have generated all their tokens.
     pub finished_count: usize,
-    /// Requests whose arrival time has passed.
-    pub live_count: usize,
     /// Arrived requests currently in [`Phase::WaitingNew`], maintained
     /// incrementally by the admission and delivery stages so
     /// load snapshots stay O(1).
@@ -155,28 +154,31 @@ impl EngineState {
         &mut self.requests[id.0 as usize]
     }
 
-    /// Records a submission's arrival time, preserving ascending order
-    /// (submissions almost always come arrival-sorted, so the common
-    /// case is a push).
-    pub(crate) fn insert_arrival_time(&mut self, at: SimTime) {
-        match self.arrival_times.last() {
-            Some(&last) if last > at => {
-                let pos = self.arrival_times.partition_point(|&x| x <= at);
-                self.arrival_times.insert(pos, at);
+    /// Queues a submission for ingest after every pending entry arriving
+    /// at or before it (submissions almost always come arrival-sorted, so
+    /// the common case is a push; a fault retry keeps its original, past
+    /// arrival and is inserted).
+    pub(crate) fn push_arrival(&mut self, at: SimTime, id: RequestId) {
+        match self.arrivals.back() {
+            Some(&(last, _)) if last > at => {
+                let pos = self.arrivals.partition_point(|&(a, _)| a <= at);
+                self.arrivals.insert(pos, (at, id));
             }
-            _ => self.arrival_times.push(at),
+            _ => self.arrivals.push_back((at, id)),
         }
     }
 
     /// Due-but-uningested arrivals at `t`: submitted requests whose
     /// arrival has passed `t` but which the admission stage has not
     /// ingested yet (ingestion runs at iteration starts; `t` may lie
-    /// inside an iteration). Requires `t` at or after the latest
-    /// ingested arrival, which holds for telemetry's sample instants.
+    /// inside an iteration).
     pub(crate) fn pending_due_arrivals(&self, t: SimTime) -> usize {
-        self.arrival_times
-            .partition_point(|&a| a <= t)
-            .saturating_sub(self.live_count)
+        self.arrivals.partition_point(|&(a, _)| a <= t)
+    }
+
+    /// Submitted requests the admission stage has ingested.
+    pub(crate) fn ingested(&self) -> usize {
+        self.requests.len() - self.arrivals.len()
     }
 
     /// Records an arrival in the live-id index, preserving ascending-id
@@ -224,8 +226,9 @@ pub struct EngineLoad {
     pub submitted: usize,
     /// Requests that have not finished yet (including not-yet-arrived).
     pub live: usize,
-    /// Requests whose arrival time has passed. `arrived − (submitted −
-    /// live)` is the *arrived live* population — the set one engine step
+    /// Requests the engine has ingested: submitted minus those still
+    /// pending arrival. `arrived − (submitted − live)` is the *arrived
+    /// live* population — the set one engine step
     /// actually iterates, and the denominator any O(live)-per-step claim
     /// is measured against.
     pub arrived: usize,

@@ -11,6 +11,7 @@ use tokenflow_sched::{
     AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowScheduler,
 };
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
+use tokenflow_trace::TraceEventKind;
 use tokenflow_workload::RequestSpec;
 
 fn config() -> EngineConfig {
@@ -360,4 +361,36 @@ fn queued_series_counts_mid_iteration_arrivals() {
         .samples()
         .iter()
         .all(|&(t, v)| v == 0.0 || t >= SimTime::from_millis(13)));
+}
+
+/// Arrival ingest follows arrival time, then submission order, however
+/// the submissions interleave with stepping: a request submitted with an
+/// arrival already past (a fault retry keeps its original arrival) is
+/// ingested before later pending arrivals, and a tie with a pending
+/// arrival ingests after it. The last request keeps a later arrival
+/// pending, so the tie is placed by the sorted insert, not a push.
+#[test]
+fn late_and_tied_submissions_ingest_in_arrival_then_submission_order() {
+    let mut cfg = config();
+    cfg.trace = true;
+    let mut e = Engine::new(cfg, FcfsScheduler::new());
+    let a = e.submit(spec(10, 64, 5, 20.0));
+    let b = e.submit(spec(20, 64, 5, 20.0));
+    let last = e.submit(spec(30, 64, 5, 20.0));
+    assert!(!e.step_until(SimTime::from_millis(12)));
+    let c = e.submit(spec(5, 64, 5, 20.0));
+    let d = e.submit(spec(20, 64, 5, 20.0));
+    let late = e.submit(spec(15, 64, 5, 20.0));
+    assert_eq!(e.load_snapshot().arrived, 1);
+    assert!(e.run_to_completion().is_finished());
+    assert_eq!(e.load_snapshot().arrived, 6);
+    let ingested: Vec<RequestId> = e
+        .take_trace_events()
+        .into_iter()
+        .filter_map(|event| match event.kind {
+            TraceEventKind::Arrived { id, .. } => Some(id),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ingested, vec![a, c, late, b, d, last]);
 }

@@ -4,28 +4,24 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond time, so simulation
 //!   runs are bit-reproducible across platforms and optimisation levels.
-//! * [`EventQueue`] — a stable priority queue of timestamped events with
-//!   FIFO tie-breaking.
-//! * [`Clock`] — a monotonic simulation clock.
+//! * [`RequestId`] — the dense request identifier every layer shares.
 //! * [`SimRng`] — a seeded, deterministic random number generator.
 //!
 //! The simulation is *discrete-time* rather than wall-clock driven: the
-//! serving engine advances the clock by exactly the duration the analytical
+//! serving engine advances its time by exactly the duration the analytical
 //! cost model assigns to each iteration, which mirrors how a real
 //! continuous-batching engine experiences time (scheduling decisions happen
-//! at iteration boundaries).
+//! at iteration boundaries). The engine needs no general event queue:
+//! request arrivals are its only external timed input, and it keeps them
+//! in one arrival-ordered queue of pending submissions.
 
 // audit: tier(deterministic)
 #![forbid(unsafe_code)]
 
-pub mod clock;
-pub mod events;
 pub mod ids;
 pub mod rng;
 pub mod time;
 
-pub use clock::Clock;
-pub use events::{EventQueue, TimedEntry};
 pub use ids::RequestId;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
