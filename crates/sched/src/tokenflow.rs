@@ -75,9 +75,9 @@ pub struct TokenFlowParams {
     /// The §4.2.2 local search is the full pass's last super-linear
     /// corner: each round scans every unselected candidate against the
     /// weakest selected member, so thousands of simultaneous candidates
-    /// cost O(n²) per pass. Candidates are already held in priority
-    /// order (the pass's cached sort permutation), so the top-k swap
-    /// candidates are a prefix — no separate heap selection needed —
+    /// cost O(n²) per pass. The pass sorts its candidates into priority
+    /// order before selection, so the top-k swap candidates are a
+    /// prefix — no separate heap selection needed —
     /// and a bound of `k` caps a round at O(n + k·|selected|). The cap
     /// is an *approximation*: swap acceptance also requires memory
     /// feasibility, which is not monotone in priority rank, so a
@@ -142,18 +142,13 @@ struct Candidate {
 /// once the buffers reach the candidate population's high-water mark.
 #[derive(Debug, Clone, Default)]
 struct PassScratch {
-    /// Candidates in context (id) order.
+    /// The pass's candidates: built in context (id) order, then sorted in
+    /// place into priority order — the working list of the pass.
     candidates: Vec<Candidate>,
-    /// Candidates in priority order — the working list of the pass.
-    sorted: Vec<Candidate>,
-    /// The priority-order permutation over `candidates`.
-    order: Vec<u32>,
-    /// Sort keys of the current pass, in `candidates` order.
-    keys: Vec<(f64, SimTime, RequestId)>,
-    /// Sort keys the cached `order` was computed from: when a pass sees
-    /// the identical candidate set and key inputs, the comparison sort
-    /// is skipped and the cached permutation reapplied.
-    last_keys: Vec<(f64, SimTime, RequestId)>,
+    /// The previous traced pass's priorities in id order, which repricing
+    /// notes compare against. Refilled only while the context asks for
+    /// notes; untraced runs never touch it.
+    last_priorities: Vec<(RequestId, f64)>,
     /// `WaitingNew` candidate indices in arrival order.
     new_by_arrival: Vec<usize>,
     /// Candidates denied service by the Σrᵢ ≤ Γ cap this pass.
@@ -311,59 +306,39 @@ impl TokenFlowScheduler {
                     safe_to_preempt: r.phase == ReqPhase::Running && self.safe_to_preempt(r),
                 }),
         );
-        // Priority order, via a cached permutation: when the candidate
-        // set and every sort-key input match the previous pass exactly,
-        // re-sorting must produce the identical permutation (the
-        // comparator is a total order over the keys), so the sort is
-        // skipped and the cached order reapplied.
-        sc.keys.clear();
-        sc.keys
-            .extend(sc.candidates.iter().map(|c| (c.priority, c.arrival, c.id)));
-        if sc.keys != sc.last_keys {
-            if ctx.trace_notes {
-                // Repricing notes: both key lists are in ascending-id
-                // order (candidates follow the id-ordered context), so a
-                // merge walk pairs each request's previous-pass priority
-                // with its new one. Runs only on distinct passes — the
-                // cached-permutation fast path implies nothing repriced.
-                let (mut a, mut b) = (0usize, 0usize);
-                while a < sc.last_keys.len() && b < sc.keys.len() {
-                    let (before, _, prev_id) = sc.last_keys[a];
-                    let (after, _, cur_id) = sc.keys[b];
-                    match prev_id.cmp(&cur_id) {
-                        std::cmp::Ordering::Less => a += 1,
-                        std::cmp::Ordering::Greater => b += 1,
-                        std::cmp::Ordering::Equal => {
-                            if before != after {
-                                notes.push(PlanNote::Reprice {
-                                    id: cur_id,
-                                    before,
-                                    after,
-                                });
-                            }
-                            a += 1;
-                            b += 1;
-                        }
+        if ctx.trace_notes {
+            // Repricing notes: the previous traced pass's priorities and
+            // the candidates are both in ascending-id order (candidates
+            // follow the id-ordered context), so a merge walk pairs each
+            // request's previous-pass priority with its new one.
+            let mut last = sc.last_priorities.iter().peekable();
+            for c in &sc.candidates {
+                while last.next_if(|&&(id, _)| id < c.id).is_some() {}
+                if let Some(&(_, before)) = last.next_if(|&&(id, _)| id == c.id) {
+                    if before != c.priority {
+                        notes.push(PlanNote::Reprice {
+                            id: c.id,
+                            before,
+                            after: c.priority,
+                        });
                     }
                 }
             }
-            sc.order.clear();
-            sc.order.extend(0..sc.candidates.len() as u32);
-            let cand = &sc.candidates;
-            sc.order.sort_unstable_by(|&x, &y| {
-                let (a, b) = (&cand[x as usize], &cand[y as usize]);
-                b.priority
-                    .partial_cmp(&a.priority)
-                    .expect("priorities are finite")
-                    .then(a.arrival.cmp(&b.arrival))
-                    .then(a.id.cmp(&b.id))
-            });
-            std::mem::swap(&mut sc.last_keys, &mut sc.keys);
+            sc.last_priorities.clear();
+            sc.last_priorities
+                .extend(sc.candidates.iter().map(|c| (c.id, c.priority)));
         }
-        sc.sorted.clear();
-        sc.sorted
-            .extend(sc.order.iter().map(|&i| sc.candidates[i as usize].clone()));
-        let candidates = &sc.sorted;
+        // Priority order: highest first, ties by arrival, then id. The
+        // comparator is a total order (ids are unique), so the unstable
+        // in-place sort is deterministic.
+        sc.candidates.sort_unstable_by(|a, b| {
+            b.priority
+                .partial_cmp(&a.priority)
+                .expect("priorities are finite")
+                .then(a.arrival.cmp(&b.arrival))
+                .then(a.id.cmp(&b.id))
+        });
+        let candidates = &sc.candidates;
 
         // §4.3 schedulability: the *service set* — every request being
         // actively multiplexed, resident or offloaded — may not demand more
