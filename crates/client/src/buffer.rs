@@ -202,12 +202,6 @@ impl TokenBuffer {
         }
     }
 
-    /// Whether the reader is stalled at time `t`.
-    pub fn is_stalled(&mut self, t: SimTime) -> bool {
-        self.advance_to(t);
-        matches!(self.state, ReaderState::Stalled { .. })
-    }
-
     /// Instant at which the buffer fully drains assuming no further
     /// deliveries, or `None` if the reader never started.
     pub fn drain_end(&self) -> Option<SimTime> {
@@ -278,7 +272,7 @@ mod tests {
         let mut b = TokenBuffer::new(10.0);
         b.on_tokens(t(0), 2); // consumed at 0 and 100; empty at 200
         assert_eq!(b.snapshot(t(50)).buffered, 1);
-        assert!(b.is_stalled(t(200)));
+        assert!(b.snapshot(t(200)).stalled_now);
         // Token arrives 250 ms after the stalled read.
         b.on_tokens(t(450), 1);
         let s = b.snapshot(t(450));

@@ -131,22 +131,6 @@ pub fn consumption_rate(mode: ConsumptionMode, language: Language, age: AgeGroup
     table[row][age.index()]
 }
 
-/// Mean adult (18–45) English reading rate; the paper's reference "average
-/// reading speed".
-pub fn average_reading_rate() -> f64 {
-    let a = consumption_rate(
-        ConsumptionMode::Reading,
-        Language::English,
-        AgeGroup::From18To25,
-    );
-    let b = consumption_rate(
-        ConsumptionMode::Reading,
-        Language::English,
-        AgeGroup::From26To45,
-    );
-    (a + b) / 2.0
-}
-
 /// The empirical fluency threshold: generation below 12 tokens/s is
 /// perceived as interrupted reading (§2.2).
 pub const READING_FLUENCY_THRESHOLD: f64 = 12.0;
@@ -205,12 +189,6 @@ mod tests {
             let zh = consumption_rate(ConsumptionMode::Reading, Language::Chinese, age);
             assert!(zh > en);
         }
-    }
-
-    #[test]
-    fn average_reading_rate_is_adult_mean() {
-        let avg = average_reading_rate();
-        assert!((6.0..7.0).contains(&avg), "avg {avg}");
     }
 
     #[test]

@@ -399,11 +399,6 @@ impl FaultDriver {
         self.retries.drain(..n).collect()
     }
 
-    /// Total retry attempts charged to `global` so far.
-    pub fn attempts_of(&self, global: u64) -> u32 {
-        self.attempts.get(&global).copied().unwrap_or(0)
-    }
-
     /// When `global` was first lost, if it ever was.
     pub fn first_lost_at(&self, global: u64) -> Option<SimTime> {
         self.first_lost.get(&global).copied()
@@ -567,7 +562,6 @@ mod tests {
         assert_eq!(v3, RetryVerdict::Abandon { attempts: 2 });
         assert_eq!(d.tally.lost_events, 3);
         assert_eq!(d.tally.abandoned, 1);
-        assert_eq!(d.attempts_of(7), 3);
         assert_eq!(d.first_lost_at(7), Some(t0));
         assert_eq!(d.lost_requests(), vec![(7, 3, t0)]);
     }

@@ -86,11 +86,6 @@ impl BlockPool {
     }
 }
 
-/// Number of tokens that fit in `blocks` blocks of `block_tokens` each.
-pub fn blocks_to_tokens(blocks: u64, block_tokens: u32) -> u64 {
-    blocks * block_tokens as u64
-}
-
 /// Number of blocks needed to hold `tokens` tokens (ceiling division).
 pub fn tokens_to_blocks(tokens: u64, block_tokens: u32) -> u64 {
     tokens.div_ceil(block_tokens as u64)
@@ -150,6 +145,5 @@ mod tests {
         assert_eq!(tokens_to_blocks(1, 16), 1);
         assert_eq!(tokens_to_blocks(16, 16), 1);
         assert_eq!(tokens_to_blocks(17, 16), 2);
-        assert_eq!(blocks_to_tokens(3, 16), 48);
     }
 }

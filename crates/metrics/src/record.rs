@@ -64,11 +64,6 @@ impl RequestMetrics {
         self.finished_at.is_some()
     }
 
-    /// End-to-end latency for completed requests.
-    pub fn total_latency(&self) -> Option<SimDuration> {
-        self.finished_at.map(|t| t.saturating_since(self.arrival))
-    }
-
     /// Average generation speed over the request's active lifetime,
     /// tokens/second, if measurable.
     pub fn mean_generation_rate(&self) -> Option<f64> {
@@ -108,11 +103,6 @@ mod tests {
         assert_eq!(sample().ttft(), Some(SimDuration::from_secs(2)));
         let empty = RequestMetrics::new(RequestId(0), SimTime::ZERO, 10.0, 10);
         assert_eq!(empty.ttft(), None);
-    }
-
-    #[test]
-    fn total_latency_spans_arrival_to_finish() {
-        assert_eq!(sample().total_latency(), Some(SimDuration::from_secs(12)));
     }
 
     #[test]

@@ -88,15 +88,6 @@ impl TokenTimeline {
         }
         Some((last.1 - first.1) as f64 / span)
     }
-
-    /// Instantaneous rate over a trailing window ending at `t`,
-    /// tokens/second.
-    pub fn rate_in_window(&self, t: SimTime, window_secs: f64) -> f64 {
-        let start = SimTime::from_secs_f64((t.as_secs_f64() - window_secs).max(0.0));
-        let n_end = self.tokens_at(t);
-        let n_start = self.tokens_at(start);
-        (n_end - n_start) as f64 / window_secs
-    }
 }
 
 #[cfg(test)]
@@ -139,12 +130,5 @@ mod tests {
         let tl = timeline(&[(0, 1), (1_000, 21)]);
         assert_eq!(tl.mean_rate(), Some(20.0));
         assert_eq!(TokenTimeline::new(RequestId(0)).mean_rate(), None);
-    }
-
-    #[test]
-    fn windowed_rate() {
-        let tl = timeline(&[(0, 1), (500, 11), (1_000, 21)]);
-        let r = tl.rate_in_window(SimTime::from_millis(1_000), 0.5);
-        assert_eq!(r, 20.0);
     }
 }

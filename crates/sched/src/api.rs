@@ -204,12 +204,6 @@ impl SchedContext {
         self.phase_counts = counts;
     }
 
-    /// Estimated time to transfer one request's full context over the host
-    /// link.
-    pub fn transfer_secs(&self, context_tokens: u64) -> f64 {
-        (context_tokens * self.kv_bytes_per_token) as f64 / self.pcie_bandwidth
-    }
-
     /// Estimated time to recompute a context from scratch (prefill).
     pub fn recompute_secs(&self, context_tokens: u64) -> f64 {
         context_tokens as f64 * self.prefill_secs_per_token
@@ -492,12 +486,6 @@ impl SchedContextBuilder {
         self
     }
 
-    /// Adds one request view.
-    pub fn push_request(mut self, view: ReqView) -> Self {
-        self.ctx.requests.push(view);
-        self
-    }
-
     /// Sets GPU KV capacity (free and total, in tokens).
     pub fn memory(mut self, free_tokens: u64, total_tokens: u64) -> Self {
         self.ctx.gpu_free_tokens = free_tokens;
@@ -597,10 +585,8 @@ mod tests {
     }
 
     #[test]
-    fn transfer_and_recompute_estimates() {
+    fn recompute_estimate() {
         let c = ctx(vec![]);
-        // 1000 tokens × 131072 B / 25 GB/s ≈ 5.24 ms.
-        assert!((c.transfer_secs(1000) - 0.00524).abs() < 1e-4);
         // 1000 tokens × 0.1 ms = 0.1 s.
         assert!((c.recompute_secs(1000) - 0.1).abs() < 1e-9);
     }
@@ -641,7 +627,7 @@ mod tests {
     #[test]
     fn builder_sets_all_field_groups() {
         let c = SchedContextBuilder::new(SimTime::ZERO)
-            .push_request(view(0, ReqPhase::Running))
+            .requests(vec![view(0, ReqPhase::Running)])
             .memory(1_000, 2_000)
             .io_state(
                 3,

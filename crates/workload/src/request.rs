@@ -34,18 +34,6 @@ pub struct RequestSpec {
     pub rate: f64,
 }
 
-impl RequestSpec {
-    /// Total context length at completion (prompt + all generated tokens).
-    pub fn final_context(&self) -> u64 {
-        self.prompt_tokens + self.output_tokens
-    }
-
-    /// Time needed to stream the whole response at the required rate.
-    pub fn playback_secs(&self) -> f64 {
-        self.output_tokens as f64 / self.rate
-    }
-}
-
 /// Summary statistics of a workload, used to validate generators and to
 /// print the Figure 11 distribution table.
 #[derive(Debug, Clone, PartialEq)]
@@ -326,13 +314,6 @@ mod tests {
         let s = Workload::new(vec![]).stats();
         assert_eq!(s.count, 0);
         assert_eq!(s.peak_arrivals_per_sec, 0);
-    }
-
-    #[test]
-    fn playback_and_context_helpers() {
-        let s = spec(0, 128, 512, 16.0);
-        assert_eq!(s.final_context(), 640);
-        assert_eq!(s.playback_secs(), 32.0);
     }
 
     #[test]
