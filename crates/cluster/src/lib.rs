@@ -43,9 +43,8 @@
 //! whole cluster stays deterministic — cluster runs reproduce
 //! bit-for-bit, like single-engine runs, regardless of executor.
 //!
-//! See the `cluster_burst` example and the bench suite's `cluster` and
-//! `fleet` experiments for replica-scaling comparisons under the paper's
-//! burst workload.
+//! See the bench suite's `cluster` and `fleet` experiments for
+//! replica-scaling comparisons under the paper's burst workload.
 
 // audit: tier(deterministic)
 

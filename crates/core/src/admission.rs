@@ -38,8 +38,8 @@ pub(crate) fn ingest_arrivals(st: &mut EngineState, now: SimTime, trace: &mut Tr
 }
 
 /// Rebuilds the read-only scheduling context the policy plans against
-/// into a retained buffer — the engine double-buffers two contexts, so
-/// the steady-state step allocates no `Vec<ReqView>` at all.
+/// into the engine's one retained buffer, so the steady-state step
+/// allocates no `Vec<ReqView>` at all.
 ///
 /// The request walk covers exactly the live-id index (arrived,
 /// unfinished requests in ascending id order) and compacts lazily-dead
@@ -282,7 +282,7 @@ pub(crate) fn apply_plan(
 /// Emergency memory reclamation: ask the scheduler for victims until
 /// `needed_blocks` fit or no victims remain. Returns whether it fits.
 /// `scratch` is a retained context buffer rebuilt per victim round (the
-/// engine lends its plan-phase context, which is dead by this stage).
+/// engine lends its one context, which composition is done with).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn emergency_reclaim(
     st: &mut EngineState,

@@ -102,14 +102,13 @@ pub struct Engine {
     iterations: u64,
     /// Minimum idle fast-forward so time-sliced schedulers get woken.
     idle_tick: SimDuration,
-    /// Retained scheduler-context buffers, double-buffered: `ctx_plan`
-    /// carries the pre-plan context (and is later lent to the memory-fit
-    /// stage as reclaim scratch, once the plan no longer needs it);
-    /// `ctx_batch` carries the post-plan context batch composition reads.
-    /// Reusing them eliminates the two-to-three full `Vec<ReqView>`
-    /// allocations every step used to pay.
-    ctx_plan: SchedContext,
-    ctx_batch: SchedContext,
+    /// The retained scheduler context: built for the plan, rebuilt for
+    /// batch composition only when the plan acted, and rebuilt per
+    /// victim round as the memory-fit stage's reclaim scratch (a reclaim
+    /// arms no horizon, so the next step rebuilds it before any reader).
+    /// An armed horizon keeps it current through transfer flips and
+    /// progress refreshes.
+    ctx: SchedContext,
     /// Retained iteration-batch buffer, cleared and refilled per step.
     iter_batch: IterationBatch,
     /// The active plan-horizon certificate, when armed: across certified
@@ -117,7 +116,7 @@ pub struct Engine {
     /// instead of re-running admission, planning, and composition.
     horizon: Option<ArmedHorizon>,
     /// Per-horizon cache mapping `st.running[i]` to its index in
-    /// `ctx_batch.requests` (`u32::MAX` = no view). Both lists are
+    /// `ctx.requests` (`u32::MAX` = no view). Both lists are
     /// id-sorted and the context's membership is frozen inside a horizon
     /// (flips edit views in place, never insert or remove), so the gate
     /// refresh can use direct indexing instead of a binary search per
@@ -193,8 +192,12 @@ impl Engine {
             telemetry: Telemetry::new(config.sample_interval, config.deadline),
             iterations: 0,
             idle_tick: SimDuration::from_millis(10),
-            ctx_plan: SchedContextBuilder::new(SimTime::ZERO).build(),
-            ctx_batch: SchedContextBuilder::new(SimTime::ZERO).build(),
+            ctx: {
+                // Only `plan` reads the flag, and no rebuild writes it.
+                let mut ctx = SchedContextBuilder::new(SimTime::ZERO).build();
+                ctx.trace_notes = config.trace;
+                ctx
+            },
             iter_batch: IterationBatch::default(),
             horizon: None,
             running_ctx_idx: Vec::new(),
@@ -368,7 +371,7 @@ impl Engine {
 
         // Let the scheduler plan against fresh state.
         admission::build_ctx_into(
-            &mut self.ctx_plan,
+            &mut self.ctx,
             &mut self.st,
             &self.kv,
             &self.cost,
@@ -376,8 +379,7 @@ impl Engine {
             &self.profs,
             now,
         );
-        self.ctx_plan.trace_notes = self.trace.is_enabled();
-        let plan = self.scheduler.plan(&self.ctx_plan);
+        let plan = self.scheduler.plan(&self.ctx);
         for note in &plan.notes {
             match *note {
                 PlanNote::Reprice { id, before, after } => {
@@ -415,13 +417,10 @@ impl Engine {
         // still matches its snapshot — stale actions are ignored without
         // bumping it), post-plan state IS pre-plan state and the context
         // just built for planning is byte-for-byte what a rebuild would
-        // produce; swap it into the batch slot instead of paying the
-        // O(live) walk twice.
-        if self.st.decision_epoch == epoch_at_plan {
-            std::mem::swap(&mut self.ctx_plan, &mut self.ctx_batch);
-        } else {
+        // produce, so only an acting plan pays the O(live) walk twice.
+        if self.st.decision_epoch != epoch_at_plan {
             admission::build_ctx_into(
-                &mut self.ctx_batch,
+                &mut self.ctx,
                 &mut self.st,
                 &self.kv,
                 &self.cost,
@@ -434,7 +433,7 @@ impl Engine {
             &mut self.iter_batch,
             &self.st,
             self.scheduler.as_ref(),
-            &self.ctx_batch,
+            &self.ctx,
             &self.config,
             &mut self.trace,
         );
@@ -446,9 +445,9 @@ impl Engine {
             &self.cost,
             &self.config,
             &self.profs,
-            // The plan-phase context is dead here; lend it to the
-            // emergency-reclaim loop as scratch.
-            &mut self.ctx_plan,
+            // Composition is done with the context; an emergency reclaim
+            // rebuilds it per victim round and leaves the step unarmed.
+            &mut self.ctx,
             now,
             &mut self.trace,
         );
@@ -467,7 +466,7 @@ impl Engine {
         // Arm the next plan horizon over clean, decode-only iterations:
         // the batch fit as composed, nothing prefill-shaped is pending,
         // and no decision event happened during the step (the epoch
-        // still matches, so `ctx_batch` and `iter_batch` describe the
+        // still matches, so `ctx` and `iter_batch` describe the
         // state the next step starts from, modulo journaled transfer
         // flips the fast path reconciles on entry). The scheduler then
         // certifies how long its plan stays a no-op. (No horizon is
@@ -480,7 +479,7 @@ impl Engine {
             && self.iter_batch.prefill.is_empty()
             && !self.iter_batch.decode.is_empty()
         {
-            if let Some(h) = self.scheduler.plan_horizon(&self.ctx_batch) {
+            if let Some(h) = self.scheduler.plan_horizon(&self.ctx) {
                 if h.valid_until > end {
                     self.horizon = Some(ArmedHorizon {
                         valid_until: h.valid_until,
@@ -523,7 +522,7 @@ impl Engine {
             let flipped = !self.st.transfer_flips.is_empty();
             for &id in &self.st.transfer_flips {
                 if let Some(phase) = self.st.requests[id.0 as usize].phase.sched_phase() {
-                    self.ctx_batch.update_phase(id, phase);
+                    self.ctx.update_phase(id, phase);
                 }
             }
             self.st.transfer_flips.clear();
@@ -565,23 +564,23 @@ impl Engine {
     /// completed load just added), so only per-request progress needs
     /// refreshing. Returns `false` when the re-gated batch is empty.
     fn refresh_and_regate(&mut self, now: SimTime) -> bool {
-        self.ctx_batch.set_now(now);
+        self.ctx.set_now(now);
         if self.running_ctx_idx.len() != self.st.running.len() {
             self.rebuild_running_ctx_idx();
         }
         let idx = &self.running_ctx_idx;
         for (i, &id) in self.st.running.iter().enumerate() {
-            if let Some(v) = self.ctx_batch.requests.get_mut(idx[i] as usize) {
+            if let Some(v) = self.ctx.requests.get_mut(idx[i] as usize) {
                 debug_assert_eq!(v.id, id);
                 admission::write_progress(v, &mut self.st.requests[id.0 as usize], now);
             }
         }
-        let views = &self.ctx_batch.requests;
+        let views = &self.ctx.requests;
         batch::gate_decode(
             &mut self.iter_batch,
             &self.st,
             self.scheduler.as_ref(),
-            &self.ctx_batch,
+            &self.ctx,
             &mut self.trace,
             |i, _| views.get(idx[i] as usize),
         );
@@ -593,7 +592,7 @@ impl Engine {
     /// first re-gated step and after a transfer flip grows the running
     /// set — not per step.
     fn rebuild_running_ctx_idx(&mut self) {
-        let reqs = &self.ctx_batch.requests;
+        let reqs = &self.ctx.requests;
         self.running_ctx_idx.clear();
         let mut j = 0usize;
         for &id in &self.st.running {

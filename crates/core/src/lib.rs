@@ -28,8 +28,7 @@
 //! exactly the controlled comparison the paper's evaluation performs.
 //!
 //! Use [`run_simulation`] for one-call experiment runs, or drive an
-//! [`Engine`] step by step for interactive use (see the `quickstart`
-//! example).
+//! [`Engine`] step by step with [`Engine::step`] for interactive use.
 
 // audit: tier(deterministic)
 #![forbid(unsafe_code)]

@@ -38,7 +38,7 @@ use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::RequestSpec;
 
 /// A fail-stop replica crash at a fixed simulation time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CrashFault {
     /// Replica index (cluster submission order / provisioning ordinal).
     pub replica: usize,
@@ -48,7 +48,7 @@ pub struct CrashFault {
 
 /// A degradation window: the replica (or its host link) runs at
 /// `factor` of its healthy throughput between `from` and `until`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WindowFault {
     /// Replica index.
     pub replica: usize,
@@ -130,29 +130,14 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// True when the plan can never perturb a run: no faults and no shed
     /// threshold. The cluster treats an empty plan exactly like no plan
-    /// at all, which is what keeps a fault-free `FaultSpec` from moving
-    /// any pinned golden digest.
+    /// at all, which is what keeps a fault-free `fault` block in a
+    /// scenario from moving any pinned golden digest.
     pub fn is_empty(&self) -> bool {
         self.crashes.is_empty()
             && self.stragglers.is_empty()
             && self.kv_link.is_empty()
             && self.boot_failures.is_empty()
             && self.shed_utilization.is_none()
-    }
-
-    /// Largest replica index the plan references, if any.
-    pub fn max_replica(&self) -> Option<usize> {
-        let windows = self
-            .stragglers
-            .iter()
-            .chain(&self.kv_link)
-            .map(|w| w.replica);
-        self.crashes
-            .iter()
-            .map(|c| c.replica)
-            .chain(windows)
-            .chain(self.boot_failures.iter().copied())
-            .max()
     }
 }
 
@@ -459,24 +444,6 @@ mod tests {
             at: SimTime::from_secs(1),
         });
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn max_replica_spans_all_fault_kinds() {
-        let mut p = FaultPlan::default();
-        assert_eq!(p.max_replica(), None);
-        p.crashes.push(CrashFault {
-            replica: 1,
-            at: SimTime::ZERO,
-        });
-        p.kv_link.push(WindowFault {
-            replica: 4,
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(1),
-            factor: 0.5,
-        });
-        p.boot_failures.push(2);
-        assert_eq!(p.max_replica(), Some(4));
     }
 
     #[test]

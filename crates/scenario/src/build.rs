@@ -16,18 +16,16 @@ use tokenflow_control::{
     ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy, ScriptedPolicy,
 };
 use tokenflow_core::{run_simulation_boxed, Completion, EngineConfig};
-use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy, WindowFault};
+use tokenflow_fault::FaultPlan;
 use tokenflow_metrics::RunReport;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::{
-    AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowParams,
-    TokenFlowScheduler,
+    AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowScheduler,
 };
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::TraceJournal;
 use tokenflow_workload::{
-    diurnal_flash_crowd, trace, ArrivalSpec, ControlledSetup, LengthDist, RateDist, RequestSpec,
-    Workload, WorkloadGen,
+    diurnal_flash_crowd, trace, ControlledSetup, LengthDist, RequestSpec, Workload, WorkloadGen,
 };
 
 use crate::codec::SpecError;
@@ -53,21 +51,8 @@ impl SchedulerSpec {
             SchedulerSpec::Andes { interval_ms } => Box::new(
                 AndesScheduler::new().with_interval(SimDuration::from_millis(*interval_ms)),
             ),
-            SchedulerSpec::TokenFlow(t) => {
-                Box::new(TokenFlowScheduler::with_params(TokenFlowParams {
-                    schedule_interval: SimDuration::from_millis(t.schedule_interval_ms),
-                    buffer_conservativeness: t.buffer_conservativeness,
-                    ws_adjust_rate: t.ws_adjust_rate,
-                    gamma: t.gamma,
-                    critical_buffer_secs: t.critical_buffer_secs,
-                    headroom_tokens: t.headroom_tokens,
-                    util_target: t.util_target,
-                    max_transitions: t.max_transitions as usize,
-                    io_backpressure: t.io_backpressure,
-                    capacity_safety: t.capacity_safety,
-                    prefill_chunk: t.prefill_chunk,
-                    swap_candidates: t.swap_candidates as usize,
-                }))
+            SchedulerSpec::TokenFlow(params) => {
+                Box::new(TokenFlowScheduler::with_params(params.clone()))
             }
         }
     }
@@ -150,50 +135,6 @@ impl ExecutionSpec {
     }
 }
 
-impl ArrivalSpecSpec {
-    fn build_arrivals(&self) -> ArrivalSpec {
-        match *self {
-            ArrivalSpecSpec::Burst { size, at_secs } => ArrivalSpec::Burst {
-                // The codec rejects >u32 sizes; saturate rather than wrap
-                // for specs constructed programmatically.
-                size: u32::try_from(size).unwrap_or(u32::MAX),
-                at: SimTime::from_secs_f64(at_secs),
-            },
-            ArrivalSpecSpec::Poisson {
-                rate,
-                duration_secs,
-            } => ArrivalSpec::Poisson {
-                rate,
-                duration: SimDuration::from_secs_f64(duration_secs),
-            },
-            ArrivalSpecSpec::Mmpp {
-                base_rate,
-                burst_rate,
-                mean_calm_secs,
-                mean_burst_secs,
-                duration_secs,
-            } => ArrivalSpec::Mmpp {
-                base_rate,
-                burst_rate,
-                mean_calm: SimDuration::from_secs_f64(mean_calm_secs),
-                mean_burst: SimDuration::from_secs_f64(mean_burst_secs),
-                duration: SimDuration::from_secs_f64(duration_secs),
-            },
-            ArrivalSpecSpec::Diurnal {
-                trough_rate,
-                peak_rate,
-                period_secs,
-                duration_secs,
-            } => ArrivalSpec::Diurnal {
-                trough_rate,
-                peak_rate,
-                period: SimDuration::from_secs_f64(period_secs),
-                duration: SimDuration::from_secs_f64(duration_secs),
-            },
-        }
-    }
-}
-
 impl LengthDistSpec {
     fn build_dist(&self) -> LengthDist {
         match *self {
@@ -227,16 +168,6 @@ impl LengthDistSpec {
     }
 }
 
-impl RateDistSpec {
-    fn build_dist(&self) -> RateDist {
-        match self {
-            RateDistSpec::Fixed(rate) => RateDist::Fixed(*rate),
-            RateDistSpec::Uniform { lo, hi } => RateDist::Uniform { lo: *lo, hi: *hi },
-            RateDistSpec::Mix(entries) => RateDist::Mix(entries.clone()),
-        }
-    }
-}
-
 impl WorkloadSpec {
     /// Generates (or loads) the workload this spec describes.
     pub fn build_workload(&self) -> Result<Workload, SpecError> {
@@ -256,7 +187,7 @@ impl WorkloadSpec {
                 SimDuration::from_secs_f64(*duration_secs),
                 u32::try_from(*crowd_size).unwrap_or(u32::MAX),
                 SimTime::from_secs_f64(*crowd_at_secs),
-                rate.build_dist(),
+                rate.clone(),
                 *seed,
             )),
             WorkloadSpec::Synthetic {
@@ -266,10 +197,10 @@ impl WorkloadSpec {
                 rate,
                 seed,
             } => Ok(WorkloadGen {
-                arrivals: arrivals.build_arrivals(),
+                arrivals: arrivals.clone(),
                 prompt: prompt.build_dist(),
                 output: output.build_dist(),
-                rate: rate.build_dist(),
+                rate: rate.clone(),
             }
             .generate(*seed)),
             WorkloadSpec::TraceCsv { path } => {
@@ -312,50 +243,6 @@ impl EngineSpec {
     }
 }
 
-impl RetrySpec {
-    /// Constructs the retry policy this spec describes. `max_attempts`
-    /// saturates at `u32::MAX` (the codec rejects larger values; this
-    /// covers programmatic construction).
-    pub fn build_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: u32::try_from(self.max_attempts).unwrap_or(u32::MAX),
-            base_backoff: SimDuration::from_millis(self.base_backoff_ms),
-            multiplier: self.multiplier,
-            max_backoff: SimDuration::from_millis(self.max_backoff_ms),
-        }
-    }
-}
-
-impl FaultSpec {
-    /// Constructs the fault plan this spec describes.
-    pub fn build_plan(&self) -> FaultPlan {
-        FaultPlan {
-            crashes: self
-                .crashes
-                .iter()
-                .map(|c| CrashFault {
-                    replica: c.replica as usize,
-                    at: SimTime::from_secs_f64(c.at_secs),
-                })
-                .collect(),
-            stragglers: self.stragglers.iter().map(build_window).collect(),
-            kv_link: self.kv_link.iter().map(build_window).collect(),
-            boot_failures: self.boot_failures.iter().map(|&b| b as usize).collect(),
-            retry: self.retry.build_policy(),
-            shed_utilization: self.shed_utilization,
-        }
-    }
-}
-
-fn build_window(w: &WindowFaultSpec) -> WindowFault {
-    WindowFault {
-        replica: w.replica as usize,
-        from: SimTime::from_secs_f64(w.from_secs),
-        until: SimTime::from_secs_f64(w.until_secs),
-        factor: w.factor,
-    }
-}
-
 impl ScenarioSpec {
     /// Assembles the runnable stack this spec describes.
     ///
@@ -378,7 +265,7 @@ impl ScenarioSpec {
             topology: self.topology.clone(),
             config,
             workload,
-            fault: self.fault.as_ref().map(FaultSpec::build_plan),
+            fault: self.fault.clone(),
         })
     }
 }
@@ -575,6 +462,8 @@ impl RunOutcome {
 mod tests {
     use super::*;
     use crate::codec::parse_scenario;
+    use tokenflow_fault::CrashFault;
+    use tokenflow_workload::{ArrivalSpec, RateDist};
 
     #[test]
     fn default_spec_builds_and_runs() {
@@ -625,13 +514,13 @@ mod tests {
         ] {
             let spec = ScenarioSpec {
                 workload: WorkloadSpec::Synthetic {
-                    arrivals: ArrivalSpecSpec::Burst {
+                    arrivals: ArrivalSpec::Burst {
                         size: 8,
-                        at_secs: 0.0,
+                        at: SimTime::ZERO,
                     },
                     prompt: LengthDistSpec::Fixed(128),
                     output: LengthDistSpec::Fixed(64),
-                    rate: RateDistSpec::Fixed(15.0),
+                    rate: RateDist::Fixed(15.0),
                     seed: 7,
                 },
                 topology: TopologySpec::Cluster {
@@ -652,13 +541,13 @@ mod tests {
     fn faulty_cluster_recovers_and_reports_fault_stats() {
         let spec = ScenarioSpec {
             workload: WorkloadSpec::Synthetic {
-                arrivals: ArrivalSpecSpec::Burst {
+                arrivals: ArrivalSpec::Burst {
                     size: 12,
-                    at_secs: 0.0,
+                    at: SimTime::ZERO,
                 },
                 prompt: LengthDistSpec::Fixed(128),
                 output: LengthDistSpec::Fixed(200),
-                rate: RateDistSpec::Fixed(10.0),
+                rate: RateDist::Fixed(10.0),
                 seed: 7,
             },
             topology: TopologySpec::Cluster {
@@ -666,12 +555,12 @@ mod tests {
                 router: RouterSpec::LeastLoaded,
                 execution: ExecutionSpec::Sequential,
             },
-            fault: Some(FaultSpec {
-                crashes: vec![CrashSpec {
+            fault: Some(FaultPlan {
+                crashes: vec![CrashFault {
                     replica: 0,
-                    at_secs: 2.0,
+                    at: SimTime::from_secs(2),
                 }],
-                ..FaultSpec::default()
+                ..FaultPlan::default()
             }),
             ..ScenarioSpec::default()
         };
@@ -692,12 +581,12 @@ mod tests {
                 router: RouterSpec::default(),
                 execution: ExecutionSpec::Sequential,
             },
-            fault: Some(FaultSpec {
-                crashes: vec![CrashSpec {
+            fault: Some(FaultPlan {
+                crashes: vec![CrashFault {
                     replica: 7,
-                    at_secs: 1.0,
+                    at: SimTime::from_secs(1),
                 }],
-                ..FaultSpec::default()
+                ..FaultPlan::default()
             }),
             ..ScenarioSpec::default()
         };
@@ -722,7 +611,7 @@ mod tests {
         };
         let empty = ScenarioSpec {
             topology,
-            fault: Some(FaultSpec::default()),
+            fault: Some(FaultPlan::default()),
             ..ScenarioSpec::default()
         };
         let a = clean.build().unwrap().run();

@@ -17,6 +17,11 @@
 //! fields are typo-guarded, and every value the runtime would assert on is
 //! range-checked, so a spec that parses also builds and runs.
 
+use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy, WindowFault};
+use tokenflow_model::{HardwareProfile, ModelProfile};
+use tokenflow_sim::{SimDuration, SimTime};
+use tokenflow_workload::{ArrivalSpec, RateDist};
+
 use crate::json::{self, Json, JsonError};
 use crate::spec::*;
 use Rule::*;
@@ -122,7 +127,8 @@ pub enum Rule {
     Unit,
     /// Fits the engine's 32-bit fields (batch caps, burst sizes).
     U32,
-    /// A millisecond interval that survives `SimDuration::from_millis`.
+    /// A duration written in whole milliseconds (at most `u32::MAX`);
+    /// every other time field is written in seconds.
     Millis,
     /// One of these names, matched case-insensitively and stored in its
     /// canonical spelling.
@@ -155,12 +161,13 @@ impl Rule {
 pub trait Value: Sized {
     /// Reads a value the document spells out and applies `rule`.
     fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError>;
-    /// The value's canonical JSON.
-    fn emit(&self) -> Json;
+    /// The value's canonical JSON under the field's `rule` (which picks
+    /// the unit a time is written in).
+    fn emit(&self, rule: Rule) -> Json;
     /// Re-applies `rule` to a typed value (by default, by parsing its
     /// emission).
     fn check(&self, rule: Rule, at: At) -> Walk {
-        Self::parse(&self.emit(), rule, at).map(drop)
+        Self::parse(&self.emit(rule), rule, at).map(drop)
     }
 }
 
@@ -172,7 +179,7 @@ impl Value for f64 {
         }
     }
 
-    fn emit(&self) -> Json {
+    fn emit(&self, _: Rule) -> Json {
         Json::Num(*self)
     }
 }
@@ -185,8 +192,80 @@ impl Value for u64 {
         rule.check(x as f64, at).map(|()| x)
     }
 
-    fn emit(&self) -> Json {
+    fn emit(&self, _: Rule) -> Json {
         json::ni(*self)
+    }
+}
+
+/// Always within 32 bits, whatever the field's rule.
+impl Value for u32 {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        let x = u64::parse(j, rule, at)?;
+        U32.check(x as f64, at).map(|()| x as u32)
+    }
+
+    fn emit(&self, _: Rule) -> Json {
+        json::ni(u64::from(*self))
+    }
+}
+
+impl Value for usize {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        let x = u64::parse(j, rule, at)?;
+        usize::try_from(x).map_err(|_| invalid(at, "too large for this platform"))
+    }
+
+    fn emit(&self, _: Rule) -> Json {
+        json::ni(*self as u64)
+    }
+}
+
+/// The longest time a seconds field takes: below it, writing microseconds
+/// as `f64` seconds and reading them back is exact.
+const MAX_SECS: f64 = 1e9;
+
+/// Parsed once into whole microseconds: whole milliseconds under
+/// [`Rule::Millis`], seconds rounded to the microsecond under any other
+/// rule, which then applies to the rounded value too (a positive
+/// duration must not round to zero). Emission writes the microseconds
+/// back in the same unit, exactly.
+impl Value for SimDuration {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        if rule == Millis {
+            return u64::parse(j, rule, at).map(SimDuration::from_millis);
+        }
+        let secs = f64::parse(j, rule, at)?;
+        NonNeg.check(secs, at)?;
+        if secs > MAX_SECS {
+            return Err(invalid(at, "too large (at most 1000000000 s)"));
+        }
+        let d = SimDuration::from_secs_f64(secs);
+        rule.check(d.as_secs_f64(), at).map(|()| d)
+    }
+
+    fn emit(&self, rule: Rule) -> Json {
+        match rule {
+            Millis => json::ni(self.as_micros() / 1_000),
+            _ => Json::Num(self.as_secs_f64()),
+        }
+    }
+
+    fn check(&self, rule: Rule, at: At) -> Walk {
+        if rule == Millis && !self.as_micros().is_multiple_of(1_000) {
+            return Err(invalid(at, "must be a whole number of milliseconds"));
+        }
+        Self::parse(&self.emit(rule), rule, at).map(drop)
+    }
+}
+
+/// An instant: the duration since time zero.
+impl Value for SimTime {
+    fn parse(j: &Json, rule: Rule, at: At) -> Result<Self, SpecError> {
+        SimDuration::parse(j, rule, at).map(|d| SimTime::ZERO + d)
+    }
+
+    fn emit(&self, rule: Rule) -> Json {
+        self.saturating_since(SimTime::ZERO).emit(rule)
     }
 }
 
@@ -196,7 +275,7 @@ impl Value for bool {
             .ok_or_else(|| invalid(at, "expected true or false"))
     }
 
-    fn emit(&self) -> Json {
+    fn emit(&self, _: Rule) -> Json {
         Json::Bool(*self)
     }
 }
@@ -214,7 +293,7 @@ impl Value for String {
         }
     }
 
-    fn emit(&self) -> Json {
+    fn emit(&self, _: Rule) -> Json {
         json::s(self)
     }
 }
@@ -225,7 +304,7 @@ impl Value for Json {
         Ok(j.clone())
     }
 
-    fn emit(&self) -> Json {
+    fn emit(&self, _: Rule) -> Json {
         self.clone()
     }
 }
@@ -239,8 +318,8 @@ impl<V: Value> Value for Option<V> {
         }
     }
 
-    fn emit(&self) -> Json {
-        self.as_ref().map_or(Json::Null, Value::emit)
+    fn emit(&self, rule: Rule) -> Json {
+        self.as_ref().map_or(Json::Null, |v| v.emit(rule))
     }
 
     fn check(&self, rule: Rule, at: At) -> Walk {
@@ -259,8 +338,8 @@ impl<V: Value> Value for Vec<V> {
             .collect()
     }
 
-    fn emit(&self) -> Json {
-        Json::Arr(self.iter().map(Value::emit).collect())
+    fn emit(&self, rule: Rule) -> Json {
+        Json::Arr(self.iter().map(|v| v.emit(rule)).collect())
     }
 
     fn check(&self, rule: Rule, at: At) -> Walk {
@@ -282,8 +361,8 @@ impl<A: Value, B: Value> Value for (A, B) {
         ))
     }
 
-    fn emit(&self) -> Json {
-        Json::Arr(vec![self.0.emit(), self.1.emit()])
+    fn emit(&self, rule: Rule) -> Json {
+        Json::Arr(vec![self.0.emit(rule), self.1.emit(rule)])
     }
 }
 
@@ -362,8 +441,8 @@ impl Fields for Parse<'_> {
 struct Emit(Vec<(String, Json)>);
 
 impl Fields for Emit {
-    fn field<V: Value>(&mut self, key: &str, value: &mut V, _: Rule) -> Walk {
-        self.0.push((key.to_string(), value.emit()));
+    fn field<V: Value>(&mut self, key: &str, value: &mut V, rule: Rule) -> Walk {
+        self.0.push((key.to_string(), value.emit(rule)));
         Ok(())
     }
 
@@ -421,7 +500,7 @@ impl<T: Spec> Value for T {
         parse_object(spec, obj, tagged, at)
     }
 
-    fn emit(&self) -> Json {
+    fn emit(&self, _: Rule) -> Json {
         let mut members = Emit(Vec::new());
         // The emit walker never fails.
         let _ = self.clone().fields(&mut members);
@@ -495,7 +574,7 @@ pub fn from_json<T: Value>(v: &Json, path: &str) -> Result<T, SpecError> {
 
 /// Emits the canonical JSON of a value.
 pub fn to_json<T: Value>(value: &T) -> Json {
-    value.emit()
+    value.emit(Rule::Any)
 }
 
 /// Re-applies every parse rule to a typed value; `path` names it in
@@ -519,12 +598,31 @@ impl Spec for ScenarioSpec {
         f.field("model", &mut self.model, Name(MODEL_NAMES))?;
         f.field("hardware", &mut self.hardware, Name(HARDWARE_NAMES))?;
         f.field("engine", &mut self.engine, Any)?;
+        f.ensure(
+            "engine.mem_frac",
+            fits(self),
+            "leaves no room for one KV block after the model's weights on this hardware",
+        )?;
         f.field("scheduler", &mut self.scheduler, Any)?;
         f.field("workload", &mut self.workload, Any)?;
         f.field("topology", &mut self.topology, Any)?;
         f.field("fault", &mut self.fault, Any)?;
         f.rule(|at| check_fault_topology(self, at))
     }
+}
+
+/// Cross-field rule: the memory budget `mem_frac` leaves on the hardware
+/// after the model's weights holds at least one KV block, the engine's
+/// construction assert. Unknown names are left to their own rules.
+fn fits(spec: &ScenarioSpec) -> bool {
+    let (Some(model), Some(hardware)) = (
+        ModelProfile::by_name(&spec.model),
+        HardwareProfile::by_name(&spec.hardware),
+    ) else {
+        return true;
+    };
+    let config = spec.engine.build_config(model, hardware);
+    config.gpu_kv_tokens() >= u64::from(config.block_tokens)
 }
 
 /// Cross-field rule: a fault schedule needs a multi-replica topology,
@@ -544,7 +642,7 @@ fn check_fault_topology(spec: &ScenarioSpec, at: At) -> Walk {
         TopologySpec::Cluster { replicas, .. } => *replicas,
         TopologySpec::Autoscaled { control, .. } => control.max_replicas,
     };
-    let lists: [(&str, &mut dyn Iterator<Item = u64>); 4] = [
+    let lists: [(&str, &mut dyn Iterator<Item = usize>); 4] = [
         ("crashes", &mut fault.crashes.iter().map(|c| c.replica)),
         (
             "stragglers",
@@ -554,7 +652,7 @@ fn check_fault_topology(spec: &ScenarioSpec, at: At) -> Walk {
         ("boot_failures", &mut fault.boot_failures.iter().copied()),
     ];
     for (list, replicas) in lists {
-        if let Some((i, replica)) = replicas.enumerate().find(|&(_, r)| r >= bound) {
+        if let Some((i, replica)) = replicas.enumerate().find(|&(_, r)| r as u64 >= bound) {
             let field = match list {
                 "boot_failures" => format!("{}.fault.{list}[{i}]", at()),
                 _ => format!("{}.fault.{list}[{i}].replica", at()),
@@ -589,7 +687,7 @@ impl Spec for SchedulerSpec {
             SchedulerSpec::Chunked { chunk } => f.field("chunk", chunk, Pos),
             SchedulerSpec::Andes { interval_ms } => f.field("interval_ms", interval_ms, Millis),
             SchedulerSpec::TokenFlow(t) => {
-                f.field("schedule_interval_ms", &mut t.schedule_interval_ms, Millis)?;
+                f.field("schedule_interval_ms", &mut t.schedule_interval, Millis)?;
                 f.field(
                     "buffer_conservativeness",
                     &mut t.buffer_conservativeness,
@@ -749,38 +847,35 @@ impl Spec for InlineRequest {
     }
 }
 
-impl Spec for ArrivalSpecSpec {
+impl Spec for ArrivalSpec {
     fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
         match self {
-            ArrivalSpecSpec::Burst { size, at_secs } => {
+            ArrivalSpec::Burst { size, at } => {
                 f.field("size", size, U32)?;
-                f.field("at_secs", at_secs, NonNeg)
+                f.field("at_secs", at, NonNeg)
             }
-            ArrivalSpecSpec::Poisson {
-                rate,
-                duration_secs,
-            } => {
+            ArrivalSpec::Poisson { rate, duration } => {
                 f.field("rate", rate, Pos)?;
-                f.field("duration_secs", duration_secs, NonNeg)
+                f.field("duration_secs", duration, NonNeg)
             }
-            ArrivalSpecSpec::Mmpp {
+            ArrivalSpec::Mmpp {
                 base_rate,
                 burst_rate,
-                mean_calm_secs,
-                mean_burst_secs,
-                duration_secs,
+                mean_calm,
+                mean_burst,
+                duration,
             } => {
                 f.field("base_rate", base_rate, Pos)?;
                 f.field("burst_rate", burst_rate, Pos)?;
-                f.field("mean_calm_secs", mean_calm_secs, Pos)?;
-                f.field("mean_burst_secs", mean_burst_secs, Pos)?;
-                f.field("duration_secs", duration_secs, NonNeg)
+                f.field("mean_calm_secs", mean_calm, Pos)?;
+                f.field("mean_burst_secs", mean_burst, Pos)?;
+                f.field("duration_secs", duration, NonNeg)
             }
-            ArrivalSpecSpec::Diurnal {
+            ArrivalSpec::Diurnal {
                 trough_rate,
                 peak_rate,
-                period_secs,
-                duration_secs,
+                period,
+                duration,
             } => {
                 f.field("trough_rate", trough_rate, NonNeg)?;
                 f.field("peak_rate", peak_rate, Pos)?;
@@ -789,10 +884,14 @@ impl Spec for ArrivalSpecSpec {
                     peak_rate >= trough_rate,
                     "must be ≥ trough_rate",
                 )?;
-                f.field("period_secs", period_secs, Any)?;
-                f.field("duration_secs", duration_secs, NonNeg)?;
-                f.derive("period_secs", period_secs, *duration_secs);
-                f.ensure("period_secs", *period_secs > 0.0, "must be positive")
+                f.field("period_secs", period, Pos)?;
+                f.field("duration_secs", duration, NonNeg)?;
+                f.derive("period_secs", period, *duration);
+                f.ensure(
+                    "period_secs",
+                    *period > SimDuration::ZERO,
+                    "must be positive",
+                )
             }
         }
     }
@@ -842,16 +941,16 @@ impl Spec for LengthDistSpec {
     }
 }
 
-impl Spec for RateDistSpec {
+impl Spec for RateDist {
     fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
         match self {
-            RateDistSpec::Fixed(rate) => f.field("rate", rate, Pos),
-            RateDistSpec::Uniform { lo, hi } => {
+            RateDist::Fixed(rate) => f.field("rate", rate, Pos),
+            RateDist::Uniform { lo, hi } => {
                 f.field("lo", lo, Pos)?;
                 f.field("hi", hi, Pos)?;
                 f.ensure("hi", hi >= lo, "must be ≥ lo")
             }
-            RateDistSpec::Mix(entries) => {
+            RateDist::Mix(entries) => {
                 f.required("entries", entries, Pos)?;
                 f.ensure("entries", !entries.is_empty(), "must be non-empty")
             }
@@ -859,7 +958,7 @@ impl Spec for RateDistSpec {
     }
 }
 
-impl Spec for FaultSpec {
+impl Spec for FaultPlan {
     fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
         f.field("crashes", &mut self.crashes, Any)?;
         f.field("stragglers", &mut self.stragglers, Any)?;
@@ -870,33 +969,33 @@ impl Spec for FaultSpec {
     }
 }
 
-impl Spec for CrashSpec {
+impl Spec for CrashFault {
     fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
         f.required("replica", &mut self.replica, Any)?;
-        f.required("at_secs", &mut self.at_secs, NonNeg)
+        f.required("at_secs", &mut self.at, NonNeg)
     }
 }
 
-impl Spec for WindowFaultSpec {
+impl Spec for WindowFault {
     fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
         f.required("replica", &mut self.replica, Any)?;
-        f.required("from_secs", &mut self.from_secs, NonNeg)?;
-        f.required("until_secs", &mut self.until_secs, NonNeg)?;
+        f.required("from_secs", &mut self.from, NonNeg)?;
+        f.required("until_secs", &mut self.until, NonNeg)?;
         f.ensure(
             "until_secs",
-            self.until_secs > self.from_secs,
+            self.until > self.from,
             "must be greater than from_secs",
         )?;
         f.required("factor", &mut self.factor, Unit)
     }
 }
 
-impl Spec for RetrySpec {
+impl Spec for RetryPolicy {
     fn fields<F: Fields>(&mut self, f: &mut F) -> Walk {
         f.field("max_attempts", &mut self.max_attempts, U32)?;
-        f.field("base_backoff_ms", &mut self.base_backoff_ms, Millis)?;
+        f.field("base_backoff_ms", &mut self.base_backoff, Millis)?;
         f.field("multiplier", &mut self.multiplier, AtLeast1)?;
-        f.field("max_backoff_ms", &mut self.max_backoff_ms, Millis)
+        f.field("max_backoff_ms", &mut self.max_backoff, Millis)
     }
 }
 
@@ -1003,8 +1102,7 @@ mod tests {
         )
         .unwrap();
         let fault = spec.fault.as_ref().unwrap();
-        assert_eq!(fault.retry, RetrySpec::default());
-        assert_eq!(fault.max_replica(), Some(2));
+        assert_eq!(fault.retry, RetryPolicy::default());
         let text = to_json(&spec).emit();
         let parsed = parse_scenario(&text).unwrap();
         assert_eq!(parsed, spec);
@@ -1044,5 +1142,67 @@ mod tests {
         assert_eq!(spec.hardware, "H200");
         let err = parse_scenario(r#"{"hardware": "tpu-v9"}"#).unwrap_err();
         assert!(matches!(err, SpecError::UnknownName { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn times_parse_once_into_the_microseconds_that_run() {
+        let parse = |doc: &str| json::parse(doc).unwrap();
+        // Sub-microsecond digits round away, and emission writes back the
+        // microsecond that runs.
+        let burst: ArrivalSpec =
+            from_json(&parse(r#"{"type": "burst", "at_secs": 1.0000004}"#), "a").unwrap();
+        assert_eq!(
+            burst,
+            ArrivalSpec::Burst {
+                size: 60,
+                at: SimTime::from_secs(1)
+            }
+        );
+        assert_eq!(
+            to_json(&burst).emit(),
+            r#"{"type":"burst","size":60,"at_secs":1}"#
+        );
+        // Window bounds that round to one microsecond are an empty window.
+        let window = from_json::<WindowFault>(
+            &parse(r#"{"replica": 0, "from_secs": 1, "until_secs": 1.0000004, "factor": 0.5}"#),
+            "w",
+        );
+        assert!(matches!(window, Err(SpecError::Invalid { ref field, .. })
+            if field == "w.until_secs"));
+        // A positive duration must not round to zero.
+        let mmpp =
+            from_json::<ArrivalSpec>(&parse(r#"{"type": "mmpp", "mean_calm_secs": 1e-7}"#), "a");
+        assert!(matches!(mmpp, Err(SpecError::Invalid { ref field, .. })
+            if field == "a.mean_calm_secs"));
+        // A millisecond field holds whole milliseconds.
+        let retry = RetryPolicy {
+            base_backoff: SimDuration::from_micros(1_500),
+            ..RetryPolicy::default()
+        };
+        assert!(
+            matches!(check(&retry, "r"), Err(SpecError::Invalid { ref field, ref msg })
+            if field == "r.base_backoff_ms" && msg.contains("whole number"))
+        );
+        // Every time `check` accepts survives the JSON hop exactly, up to
+        // the largest one it accepts.
+        for us in [
+            1,
+            999_999,
+            1_000_001,
+            123_456_789_012,
+            1_000_000_000_000_000,
+        ] {
+            let crash = CrashFault {
+                replica: 0,
+                at: SimTime::from_micros(us),
+            };
+            assert_eq!(check(&crash, "c"), Ok(()));
+            assert_eq!(from_json::<CrashFault>(&to_json(&crash), "c"), Ok(crash));
+        }
+        let too_late = CrashFault {
+            replica: 0,
+            at: SimTime::from_micros(1_000_000_000_000_001),
+        };
+        assert!(check(&too_late, "c").is_err());
     }
 }

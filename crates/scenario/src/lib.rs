@@ -59,9 +59,8 @@ pub use build::{Harness, RunOutcome};
 pub use codec::{from_json, parse_scenario, to_json, SpecError};
 pub use json::Json;
 pub use spec::{
-    ArrivalSpecSpec, ControlSpec, CrashSpec, EngineSpec, ExecutionSpec, FaultSpec, InlineRequest,
-    LengthDistSpec, RateDistSpec, RetrySpec, RouterSpec, ScalePolicySpec, ScenarioSpec,
-    SchedulerSpec, TokenFlowSpec, TopologySpec, Variants, WindowFaultSpec, WorkloadSpec,
+    ControlSpec, EngineSpec, ExecutionSpec, InlineRequest, LengthDistSpec, RouterSpec,
+    ScalePolicySpec, ScenarioSpec, SchedulerSpec, TopologySpec, Variants, WorkloadSpec,
     ARRIVAL_NAMES, EXECUTION_NAMES, HARDWARE_NAMES, LENGTH_DIST_NAMES, MODEL_NAMES, PRESET_NAMES,
     RATE_DIST_NAMES, ROUTER_NAMES, SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES,
     WORKLOAD_TYPE_NAMES,

@@ -6,15 +6,21 @@
 //! the same defaults as the hand-built constructors, so an empty object
 //! `{}` on any axis means "what `::new()` would give you" and a spec-built
 //! stack is byte-identical to the equivalent hand-built one (the
-//! `equivalence` test suite pins that per shipped combination). Each
-//! type's [`Variants`] table lists its `type` names (the `*_NAMES`
-//! constants) and the default of each variant.
+//! `equivalence` test suite pins that per shipped combination). Where the
+//! runtime already has a plain parameter type — `TokenFlowParams`,
+//! `ArrivalSpec`, `RateDist`, `FaultPlan` and its parts — the spec holds
+//! it directly. Each type's [`Variants`] table lists its `type` names
+//! (the `*_NAMES` constants) and the default of each variant.
 //!
 //! Specs are parsed from and emitted to JSON by [`crate::codec`]; the
 //! emitted form is canonical (every field explicit, fixed order), so
 //! `parse(emit(spec)) == spec` and emission is a fixed point.
 
+use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy, WindowFault};
+use tokenflow_sched::TokenFlowParams;
+use tokenflow_sim::SimDuration;
 use tokenflow_workload::presets::DEFAULT_RATE;
+use tokenflow_workload::{ArrivalSpec, RateDist};
 
 /// Valid `scheduler.type` names.
 pub const SCHEDULER_NAMES: &[&str] = &["fcfs", "chunked", "andes", "tokenflow"];
@@ -109,12 +115,12 @@ pub enum SchedulerSpec {
         interval_ms: u64,
     },
     /// The paper's buffer-aware two-step scheduler.
-    TokenFlow(TokenFlowSpec),
+    TokenFlow(TokenFlowParams),
 }
 
 impl Default for SchedulerSpec {
     fn default() -> Self {
-        SchedulerSpec::TokenFlow(TokenFlowSpec::default())
+        SchedulerSpec::TokenFlow(TokenFlowParams::default())
     }
 }
 
@@ -129,57 +135,6 @@ impl Variants for SchedulerSpec {
             "tokenflow" => SchedulerSpec::default(),
             _ => return None,
         })
-    }
-}
-
-/// Knobs of [`SchedulerSpec::TokenFlow`], mirroring
-/// `tokenflow_sched::TokenFlowParams` field for field (times in
-/// spec-friendly units). Defaults equal `TokenFlowParams::default()`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TokenFlowSpec {
-    /// Rescheduling interval Δt, milliseconds.
-    pub schedule_interval_ms: u64,
-    /// Buffer conservativeness μ.
-    pub buffer_conservativeness: f64,
-    /// Working-set shrink rate λ (Eq. 5).
-    pub ws_adjust_rate: f64,
-    /// Utility weight γ on the empty-buffer boost.
-    pub gamma: f64,
-    /// Off-interval trigger threshold, seconds of buffer.
-    pub critical_buffer_secs: f64,
-    /// Decode-growth reserve per admission, tokens.
-    pub headroom_tokens: u64,
-    /// Memory fill target as a fraction of KV capacity.
-    pub util_target: f64,
-    /// Cap on preempt/resume transitions per pass.
-    pub max_transitions: u64,
-    /// D2H backpressure threshold as a fraction of the interval.
-    pub io_backpressure: f64,
-    /// Fraction of Γ that service admission may commit.
-    pub capacity_safety: f64,
-    /// Prefill chunk size mixed into decode iterations, tokens.
-    pub prefill_chunk: u64,
-    /// Cap on swap candidates examined per local-search round
-    /// (0 = unbounded, the historical behavior).
-    pub swap_candidates: u64,
-}
-
-impl Default for TokenFlowSpec {
-    fn default() -> Self {
-        TokenFlowSpec {
-            schedule_interval_ms: 500,
-            buffer_conservativeness: 2.0,
-            ws_adjust_rate: 0.5,
-            gamma: 1.0,
-            critical_buffer_secs: 1.0,
-            headroom_tokens: 64,
-            util_target: 0.92,
-            max_transitions: 256,
-            io_backpressure: 1.0,
-            capacity_safety: 0.8,
-            prefill_chunk: 2_048,
-            swap_candidates: 0,
-        }
     }
 }
 
@@ -358,20 +313,20 @@ pub enum WorkloadSpec {
         /// Flash-crowd instant, seconds.
         crowd_at_secs: f64,
         /// Streaming-rate distribution.
-        rate: RateDistSpec,
+        rate: RateDist,
         /// Generation seed.
         seed: u64,
     },
     /// A fully synthetic workload: arrival process × length × rate dists.
     Synthetic {
         /// Arrival process.
-        arrivals: ArrivalSpecSpec,
+        arrivals: ArrivalSpec,
         /// Prompt-length distribution.
         prompt: LengthDistSpec,
         /// Output-length distribution.
         output: LengthDistSpec,
         /// Streaming-rate distribution.
-        rate: RateDistSpec,
+        rate: RateDist,
         /// Generation seed.
         seed: u64,
     },
@@ -396,7 +351,7 @@ impl Default for WorkloadSpec {
             duration_secs: 120.0,
             crowd_size: 30,
             crowd_at_secs: 30.0,
-            rate: RateDistSpec::Uniform { lo: 8.0, hi: 24.0 },
+            rate: RateDist::Uniform { lo: 8.0, hi: 24.0 },
             seed: 42,
         }
     }
@@ -427,10 +382,10 @@ impl Variants for WorkloadSpec {
             },
             "diurnal-flash-crowd" => WorkloadSpec::default(),
             "synthetic" => WorkloadSpec::Synthetic {
-                arrivals: ArrivalSpecSpec::default(),
+                arrivals: ArrivalSpec::default(),
                 prompt: LengthDistSpec::default(),
                 output: LengthDistSpec::SharegptOutput,
-                rate: RateDistSpec::default(),
+                rate: RateDist::default(),
                 seed: 42,
             },
             "trace-csv" => WorkloadSpec::TraceCsv {
@@ -470,82 +425,29 @@ impl Default for InlineRequest {
     }
 }
 
-/// An arrival process (times in seconds; mirrors
-/// `tokenflow_workload::ArrivalSpec`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalSpecSpec {
-    /// `size` simultaneous requests at `at_secs`.
-    Burst {
-        /// Burst size.
-        size: u64,
-        /// Burst instant, seconds.
-        at_secs: f64,
-    },
-    /// Homogeneous Poisson arrivals.
-    Poisson {
-        /// Arrival rate λ, requests/second.
-        rate: f64,
-        /// Horizon, seconds.
-        duration_secs: f64,
-    },
-    /// Markov-modulated Poisson (BurstGPT-style calm/burst phases).
-    Mmpp {
-        /// Calm-state rate, requests/second.
-        base_rate: f64,
-        /// Burst-state rate, requests/second.
-        burst_rate: f64,
-        /// Mean calm dwell, seconds.
-        mean_calm_secs: f64,
-        /// Mean burst dwell, seconds.
-        mean_burst_secs: f64,
-        /// Horizon, seconds.
-        duration_secs: f64,
-    },
-    /// Diurnal non-homogeneous Poisson (raised-cosine intensity).
-    Diurnal {
-        /// Trough rate, requests/second.
-        trough_rate: f64,
-        /// Peak rate, requests/second.
-        peak_rate: f64,
-        /// Modulation period, seconds.
-        period_secs: f64,
-        /// Horizon, seconds.
-        duration_secs: f64,
-    },
-}
-
-impl Default for ArrivalSpecSpec {
-    fn default() -> Self {
-        ArrivalSpecSpec::Burst {
-            size: 60,
-            at_secs: 0.0,
-        }
-    }
-}
-
-impl Variants for ArrivalSpecSpec {
+impl Variants for ArrivalSpec {
     const NAMES: &'static [&'static str] = ARRIVAL_NAMES;
 
     fn variant(name: &str) -> Option<Self> {
         Some(match name {
-            "burst" => ArrivalSpecSpec::default(),
-            "poisson" => ArrivalSpecSpec::Poisson {
+            "burst" => ArrivalSpec::default(),
+            "poisson" => ArrivalSpec::Poisson {
                 rate: 2.0,
-                duration_secs: 60.0,
+                duration: SimDuration::from_secs(60),
             },
-            "mmpp" => ArrivalSpecSpec::Mmpp {
+            "mmpp" => ArrivalSpec::Mmpp {
                 base_rate: 1.0,
                 burst_rate: 20.0,
-                mean_calm_secs: 25.0,
-                mean_burst_secs: 6.0,
-                duration_secs: 300.0,
+                mean_calm: SimDuration::from_secs(25),
+                mean_burst: SimDuration::from_secs(6),
+                duration: SimDuration::from_secs(300),
             },
-            // `period_secs` defaults to the horizon (the codec derives it).
-            "diurnal" => ArrivalSpecSpec::Diurnal {
+            // `period` defaults to the horizon (the codec derives it).
+            "diurnal" => ArrivalSpec::Diurnal {
                 trough_rate: 0.5,
                 peak_rate: 5.0,
-                period_secs: 0.0,
-                duration_secs: 600.0,
+                period: SimDuration::ZERO,
+                duration: SimDuration::from_secs(600),
             },
             _ => return None,
         })
@@ -622,36 +524,14 @@ impl Variants for LengthDistSpec {
     }
 }
 
-/// A streaming-rate distribution (mirrors `tokenflow_workload::RateDist`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RateDistSpec {
-    /// Every client at the same rate.
-    Fixed(f64),
-    /// Uniform over `[lo, hi)`.
-    Uniform {
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-    },
-    /// A discrete `(weight, rate)` mix.
-    Mix(Vec<(f64, f64)>),
-}
-
-impl Default for RateDistSpec {
-    fn default() -> Self {
-        RateDistSpec::Fixed(DEFAULT_RATE)
-    }
-}
-
-impl Variants for RateDistSpec {
+impl Variants for RateDist {
     const NAMES: &'static [&'static str] = RATE_DIST_NAMES;
 
     fn variant(name: &str) -> Option<Self> {
         Some(match name {
-            "fixed" => RateDistSpec::default(),
-            "uniform" => RateDistSpec::Uniform { lo: 8.0, hi: 24.0 },
-            "mix" => RateDistSpec::Mix(Vec::new()),
+            "fixed" => RateDist::default(),
+            "uniform" => RateDist::Uniform { lo: 8.0, hi: 24.0 },
+            "mix" => RateDist::Mix(Vec::new()),
             _ => return None,
         })
     }
@@ -753,98 +633,13 @@ impl Variants for TopologySpec {
     }
 }
 
-/// One scheduled fail-stop replica crash.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CrashSpec {
-    /// Replica index, 0-based in provisioning order.
-    pub replica: u64,
-    /// Crash instant, seconds.
-    pub at_secs: f64,
-}
+impl Variants for CrashFault {}
 
-impl Variants for CrashSpec {}
+impl Variants for WindowFault {}
 
-/// One degradation window: the replica (straggler) or its KV link runs
-/// at `factor` of healthy throughput over `[from_secs, until_secs)`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WindowFaultSpec {
-    /// Replica index, 0-based in provisioning order.
-    pub replica: u64,
-    /// Window start, seconds (inclusive).
-    pub from_secs: f64,
-    /// Window end, seconds (exclusive; must exceed `from_secs`).
-    pub until_secs: f64,
-    /// Throughput multiplier in `(0, 1]`.
-    pub factor: f64,
-}
+impl Variants for RetryPolicy {}
 
-impl Variants for WindowFaultSpec {}
-
-/// Crash-recovery retry/backoff knobs, mirroring
-/// `tokenflow_fault::RetryPolicy` field for field (times in
-/// spec-friendly milliseconds). Defaults equal `RetryPolicy::default()`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetrySpec {
-    /// Re-dispatch attempts granted per request before it is abandoned.
-    pub max_attempts: u64,
-    /// Backoff before the first retry, milliseconds.
-    pub base_backoff_ms: u64,
-    /// Exponential growth factor (≥ 1) between consecutive retries.
-    pub multiplier: f64,
-    /// Ceiling on any single backoff, milliseconds.
-    pub max_backoff_ms: u64,
-}
-
-impl Variants for RetrySpec {}
-
-impl Default for RetrySpec {
-    fn default() -> Self {
-        RetrySpec {
-            max_attempts: 3,
-            base_backoff_ms: 500,
-            multiplier: 2.0,
-            max_backoff_ms: 8_000,
-        }
-    }
-}
-
-/// A deterministic fault schedule, mirroring
-/// `tokenflow_fault::FaultPlan`. Only cluster and autoscaled topologies
-/// accept one, and every replica index it names must lie inside the
-/// topology (`replicas` for a fixed cluster, `control.max_replicas` for
-/// an elastic fleet) — the codec and `ScenarioSpec::build` both enforce
-/// this.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultSpec {
-    /// Fail-stop replica crashes.
-    pub crashes: Vec<CrashSpec>,
-    /// Compute-degradation (straggler) windows.
-    pub stragglers: Vec<WindowFaultSpec>,
-    /// KV-link (PCIe) degradation windows.
-    pub kv_link: Vec<WindowFaultSpec>,
-    /// Provisioning ordinals that fail to boot (elastic fleets).
-    pub boot_failures: Vec<u64>,
-    /// Crash-recovery retry/backoff policy.
-    pub retry: RetrySpec,
-    /// Admission-shed threshold on fleet utilization `Σ rᵢ / (n·Γ)`;
-    /// `None` disables shedding.
-    pub shed_utilization: Option<f64>,
-}
-
-impl Variants for FaultSpec {}
-
-impl FaultSpec {
-    /// The largest replica index the spec references, if it names any.
-    pub fn max_replica(&self) -> Option<u64> {
-        self.crashes
-            .iter()
-            .map(|c| c.replica)
-            .chain(self.stragglers.iter().map(|w| w.replica))
-            .chain(self.kv_link.iter().map(|w| w.replica))
-            .chain(self.boot_failures.iter().copied())
-            .max()
-    }
-}
+impl Variants for FaultPlan {}
 
 /// One complete scenario: the whole serving surface as data.
 #[derive(Debug, Clone, PartialEq)]
@@ -863,8 +658,11 @@ pub struct ScenarioSpec {
     pub workload: WorkloadSpec,
     /// Serving topology.
     pub topology: TopologySpec,
-    /// Deterministic fault schedule (`None` = fault-free).
-    pub fault: Option<FaultSpec>,
+    /// Deterministic fault schedule (`None` = fault-free). Only cluster
+    /// and autoscaled topologies accept one, and every replica index it
+    /// names must lie inside the topology (`replicas` for a fixed
+    /// cluster, `control.max_replicas` for an elastic fleet).
+    pub fault: Option<FaultPlan>,
 }
 
 impl Variants for ScenarioSpec {}

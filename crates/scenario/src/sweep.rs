@@ -23,7 +23,7 @@
 //! instead of silently ignoring the axis.
 
 use crate::build::RunOutcome;
-use crate::codec::{from_json, unknown_name, Fields, Rule, Spec, SpecError, Value, Walk};
+use crate::codec::{check, from_json, unknown_name, Fields, Rule, Spec, SpecError, Value, Walk};
 use crate::json::{self, obj, s, Json};
 use crate::spec::{
     RouterSpec, ScalePolicySpec, ScenarioSpec, SchedulerSpec, TopologySpec, Variants, WorkloadSpec,
@@ -136,7 +136,9 @@ impl SweepSpec {
         self.axes.iter().map(Axis::len).product()
     }
 
-    /// Expands the cartesian product into `(label, scenario)` cells.
+    /// Expands the cartesian product into `(label, scenario)` cells, each
+    /// checked as the scenario it is: an axis value can break a rule
+    /// across fields, such as a model too large for the base's hardware.
     pub fn expand(&self) -> Result<Vec<(String, ScenarioSpec)>, SpecError> {
         let mut cells = vec![(Vec::<String>::new(), self.base.clone())];
         for axis in &self.axes {
@@ -152,7 +154,7 @@ impl SweepSpec {
             }
             cells = next;
         }
-        Ok(cells
+        cells
             .into_iter()
             .map(|(labels, mut spec)| {
                 let label = if labels.is_empty() {
@@ -161,9 +163,10 @@ impl SweepSpec {
                     labels.join(" × ")
                 };
                 spec.name = format!("{}/{label}", self.name);
-                (label, spec)
+                check(&spec, &format!("sweep cell {label:?}"))?;
+                Ok((label, spec))
             })
-            .collect())
+            .collect()
     }
 
     /// Rebases relative file paths in the base scenario (see
@@ -486,6 +489,18 @@ mod tests {
         let err = parse_sweep(doc).unwrap().expand().unwrap_err();
         assert!(matches!(err, SpecError::Invalid { ref field, .. }
             if field == "axes.router"));
+    }
+
+    #[test]
+    fn every_cell_is_checked_as_a_scenario() {
+        // The base fits; the model axis's second value does not.
+        let doc = r#"{"axes": {"model": ["Llama3-8B", "Qwen2.5-32B"]}}"#;
+        let err = parse_sweep(doc).unwrap().expand().unwrap_err();
+        assert!(
+            matches!(err, SpecError::Invalid { ref field, .. }
+            if field == "sweep cell \"Qwen2.5-32B\".engine.mem_frac"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -18,11 +18,12 @@ use tokenflow_control::{
 use tokenflow_core::{run_simulation_boxed, EngineConfig};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
-    ControlSpec, ExecutionSpec, RateDistSpec, RouterSpec, ScalePolicySpec, ScenarioSpec,
-    SchedulerSpec, TokenFlowSpec, TopologySpec, WorkloadSpec,
+    ControlSpec, ExecutionSpec, RouterSpec, ScalePolicySpec, ScenarioSpec, SchedulerSpec,
+    TopologySpec, WorkloadSpec,
 };
 use tokenflow_sched::{
-    AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowScheduler,
+    AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowParams,
+    TokenFlowScheduler,
 };
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
@@ -47,7 +48,7 @@ fn workload_spec() -> WorkloadSpec {
         duration_secs: 40.0,
         crowd_size: 10,
         crowd_at_secs: 10.0,
-        rate: RateDistSpec::Uniform { lo: 8.0, hi: 24.0 },
+        rate: RateDist::Uniform { lo: 8.0, hi: 24.0 },
         seed: 7,
     }
 }
@@ -82,7 +83,7 @@ fn spec_scheduler(which: &str) -> SchedulerSpec {
         "fcfs" => SchedulerSpec::Fcfs { headroom: None },
         "chunked" => SchedulerSpec::Chunked { chunk: 512 },
         "andes" => SchedulerSpec::Andes { interval_ms: 500 },
-        "tokenflow" => SchedulerSpec::TokenFlow(TokenFlowSpec::default()),
+        "tokenflow" => SchedulerSpec::TokenFlow(TokenFlowParams::default()),
         other => panic!("unknown scheduler {other}"),
     }
 }

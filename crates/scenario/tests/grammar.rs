@@ -12,12 +12,15 @@
 //! and the run then panicked on. `build` applies the same rules to a spec
 //! built in code.
 
+use tokenflow_fault::FaultPlan;
 use tokenflow_scenario::{
-    codec, json::Json, parse_scenario, ArrivalSpecSpec, ControlSpec, EngineSpec, ExecutionSpec,
-    FaultSpec, LengthDistSpec, RateDistSpec, RouterSpec, ScalePolicySpec, ScenarioSpec, SpecError,
-    TopologySpec, WorkloadSpec, ARRIVAL_NAMES, EXECUTION_NAMES, LENGTH_DIST_NAMES, RATE_DIST_NAMES,
-    ROUTER_NAMES, SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES, WORKLOAD_TYPE_NAMES,
+    codec, json::Json, parse_scenario, ControlSpec, EngineSpec, ExecutionSpec, LengthDistSpec,
+    RouterSpec, ScalePolicySpec, ScenarioSpec, SpecError, TopologySpec, WorkloadSpec,
+    ARRIVAL_NAMES, EXECUTION_NAMES, LENGTH_DIST_NAMES, RATE_DIST_NAMES, ROUTER_NAMES,
+    SCALE_POLICY_NAMES, SCHEDULER_NAMES, TOPOLOGY_NAMES, WORKLOAD_TYPE_NAMES,
 };
+use tokenflow_sim::SimTime;
+use tokenflow_workload::{ArrivalSpec, RateDist};
 
 /// The canonical JSON of a whole scenario.
 fn emit(spec: &ScenarioSpec) -> Json {
@@ -876,6 +879,16 @@ fn run_time_panics() -> Vec<(String, &'static str)> {
             topology(r#"{"type": "autoscaled", "bootstrap": 1, "control": {"min_replicas": 2}}"#),
             "Invalid scenario.topology.bootstrap",
         ),
+        // `Engine::from_boxed`: the model's weights leave no KV block,
+        // under the default `mem_frac` and under a small one.
+        (
+            r#"{"model": "Qwen2.5-32B"}"#.to_string(),
+            "Invalid scenario.engine.mem_frac",
+        ),
+        (
+            r#"{"hardware": "H200", "engine": {"mem_frac": 0.05}}"#.to_string(),
+            "Invalid scenario.engine.mem_frac",
+        ),
     ]
 }
 
@@ -897,13 +910,13 @@ fn every_single_mistake_is_pinned_to_its_variant_and_field() {
 fn build_rejects_in_code_what_the_parser_rejects_in_json() {
     let synthetic = |prompt| ScenarioSpec {
         workload: WorkloadSpec::Synthetic {
-            arrivals: ArrivalSpecSpec::Burst {
+            arrivals: ArrivalSpec::Burst {
                 size: 2,
-                at_secs: 0.0,
+                at: SimTime::ZERO,
             },
             prompt,
             output: LengthDistSpec::Fixed(8),
-            rate: RateDistSpec::Fixed(10.0),
+            rate: RateDist::Fixed(10.0),
             seed: 1,
         },
         ..ScenarioSpec::default()
@@ -954,10 +967,17 @@ fn build_rejects_in_code_what_the_parser_rejects_in_json() {
         ),
         (
             ScenarioSpec {
-                fault: Some(FaultSpec::default()),
+                fault: Some(FaultPlan::default()),
                 ..ScenarioSpec::default()
             },
             r#"{"fault": {}}"#.to_string(),
+        ),
+        (
+            ScenarioSpec {
+                model: "Qwen2.5-32B".to_string(),
+                ..ScenarioSpec::default()
+            },
+            r#"{"model": "Qwen2.5-32B"}"#.to_string(),
         ),
     ];
     for (spec, doc) in cases {

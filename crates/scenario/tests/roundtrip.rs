@@ -7,12 +7,26 @@
 //! alternatives, never as panics.
 
 use proptest::prelude::*;
+use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy, WindowFault};
+use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
-    codec, json, ArrivalSpecSpec, ControlSpec, CrashSpec, EngineSpec, ExecutionSpec, FaultSpec,
-    InlineRequest, LengthDistSpec, RateDistSpec, RetrySpec, RouterSpec, ScalePolicySpec,
-    ScenarioSpec, SchedulerSpec, SpecError, TokenFlowSpec, TopologySpec, WindowFaultSpec,
-    WorkloadSpec, PRESET_NAMES, ROUTER_NAMES, SCALE_POLICY_NAMES, SCHEDULER_NAMES,
+    codec, json, ControlSpec, EngineSpec, ExecutionSpec, InlineRequest, LengthDistSpec, RouterSpec,
+    ScalePolicySpec, ScenarioSpec, SchedulerSpec, SpecError, TopologySpec, WorkloadSpec,
+    HARDWARE_NAMES, MODEL_NAMES, PRESET_NAMES, ROUTER_NAMES, SCALE_POLICY_NAMES, SCHEDULER_NAMES,
 };
+use tokenflow_sched::TokenFlowParams;
+use tokenflow_sim::{SimDuration, SimTime};
+use tokenflow_workload::{ArrivalSpec, RateDist};
+
+/// An instant drawn in whole microseconds below `secs` seconds.
+fn arb_time(secs: u64) -> impl Strategy<Value = SimTime> {
+    (0..secs * 1_000_000).prop_map(SimTime::from_micros)
+}
+
+/// A duration drawn in whole microseconds over `[lo, hi)` seconds.
+fn arb_duration(lo: u64, hi: u64) -> impl Strategy<Value = SimDuration> {
+    (lo * 1_000_000..hi * 1_000_000).prop_map(SimDuration::from_micros)
+}
 
 /// Strings exercising the emitter's escaping: spaces, quotes, newlines,
 /// non-ASCII, path separators.
@@ -53,19 +67,19 @@ fn arb_scheduler() -> impl Strategy<Value = SchedulerSpec> {
                         prefill_chunk,
                         swap_candidates,
                     ),
-                )| SchedulerSpec::TokenFlow(TokenFlowSpec {
-                    schedule_interval_ms,
+                )| SchedulerSpec::TokenFlow(TokenFlowParams {
+                    schedule_interval: SimDuration::from_millis(schedule_interval_ms),
                     buffer_conservativeness,
                     ws_adjust_rate,
                     gamma,
                     critical_buffer_secs,
                     headroom_tokens,
                     util_target,
-                    max_transitions,
+                    max_transitions: max_transitions as usize,
                     io_backpressure,
                     capacity_safety,
                     prefill_chunk,
-                    swap_candidates,
+                    swap_candidates: swap_candidates as usize,
                 })
             ),
     ]
@@ -132,42 +146,41 @@ fn arb_execution() -> impl Strategy<Value = ExecutionSpec> {
     ]
 }
 
-fn arb_arrivals() -> impl Strategy<Value = ArrivalSpecSpec> {
+fn arb_arrivals() -> impl Strategy<Value = ArrivalSpec> {
     prop_oneof![
-        (1u64..500, 0.0f64..600.0)
-            .prop_map(|(size, at_secs)| ArrivalSpecSpec::Burst { size, at_secs }),
-        (0.1f64..50.0, 1.0f64..600.0).prop_map(|(rate, duration_secs)| {
-            ArrivalSpecSpec::Poisson {
-                rate,
-                duration_secs,
-            }
-        }),
+        (1u32..500, arb_time(600)).prop_map(|(size, at)| ArrivalSpec::Burst { size, at }),
+        (0.1f64..50.0, arb_duration(1, 600))
+            .prop_map(|(rate, duration)| ArrivalSpec::Poisson { rate, duration }),
         (
             0.1f64..10.0,
             1.0f64..100.0,
-            1.0f64..60.0,
-            1.0f64..30.0,
-            1.0f64..600.0
+            arb_duration(1, 60),
+            arb_duration(1, 30),
+            arb_duration(1, 600)
+        )
+            .prop_map(|(base_rate, burst_rate, mean_calm, mean_burst, duration)| {
+                ArrivalSpec::Mmpp {
+                    base_rate,
+                    burst_rate,
+                    mean_calm,
+                    mean_burst,
+                    duration,
+                }
+            }),
+        (
+            0.01f64..5.0,
+            1.0f64..50.0,
+            arb_duration(10, 600),
+            arb_duration(10, 600)
         )
             .prop_map(
-                |(base_rate, burst_rate, mean_calm_secs, mean_burst_secs, duration_secs)| {
-                    ArrivalSpecSpec::Mmpp {
-                        base_rate,
-                        burst_rate,
-                        mean_calm_secs,
-                        mean_burst_secs,
-                        duration_secs,
-                    }
+                |(trough_rate, peak_rate, period, duration)| ArrivalSpec::Diurnal {
+                    trough_rate: trough_rate.min(peak_rate),
+                    peak_rate,
+                    period,
+                    duration,
                 }
             ),
-        (0.01f64..5.0, 1.0f64..50.0, 10.0f64..600.0, 10.0f64..600.0).prop_map(
-            |(trough_rate, peak_rate, period_secs, duration_secs)| ArrivalSpecSpec::Diurnal {
-                trough_rate: trough_rate.min(peak_rate),
-                peak_rate,
-                period_secs,
-                duration_secs,
-            }
-        ),
     ]
 }
 
@@ -196,11 +209,11 @@ fn arb_length_dist() -> impl Strategy<Value = LengthDistSpec> {
     ]
 }
 
-fn arb_rate_dist() -> impl Strategy<Value = RateDistSpec> {
+fn arb_rate_dist() -> impl Strategy<Value = RateDist> {
     prop_oneof![
-        (1.0f64..50.0).prop_map(RateDistSpec::Fixed),
-        (1.0f64..10.0, 10.0f64..50.0).prop_map(|(lo, hi)| RateDistSpec::Uniform { lo, hi }),
-        collection::vec((0.01f64..1.0, 1.0f64..50.0), 1usize..5).prop_map(RateDistSpec::Mix),
+        (1.0f64..50.0).prop_map(RateDist::Fixed),
+        (1.0f64..10.0, 10.0f64..50.0).prop_map(|(lo, hi)| RateDist::Uniform { lo, hi }),
+        collection::vec((0.01f64..1.0, 1.0f64..50.0), 1usize..5).prop_map(RateDist::Mix),
     ]
 }
 
@@ -310,12 +323,13 @@ fn arb_topology() -> impl Strategy<Value = TopologySpec> {
     ]
 }
 
-fn arb_window_fault(bound: u64) -> impl Strategy<Value = WindowFaultSpec> {
-    (0..bound, 0.0f64..300.0, 0.1f64..200.0, 0.05f64..1.0).prop_map(
-        |(replica, from_secs, width, factor)| WindowFaultSpec {
+fn arb_window_fault(bound: usize) -> impl Strategy<Value = WindowFault> {
+    (0..bound, arb_time(300), arb_duration(0, 200), 0.05f64..1.0).prop_map(
+        |(replica, from, width, factor)| WindowFault {
             replica,
-            from_secs,
-            until_secs: from_secs + width,
+            from,
+            // A window holds at least one microsecond.
+            until: from + width.max(SimDuration::from_micros(1)),
             factor,
         },
     )
@@ -324,30 +338,31 @@ fn arb_window_fault(bound: u64) -> impl Strategy<Value = WindowFaultSpec> {
 /// A fault schedule whose replica indices all lie inside `bound` — the
 /// cross-field topology check would reject anything larger, so the
 /// round-trip property generates only specs that parse back.
-fn arb_fault(bound: u64) -> impl Strategy<Value = Option<FaultSpec>> {
+fn arb_fault(bound: u64) -> impl Strategy<Value = Option<FaultPlan>> {
+    let bound = bound as usize;
     let full = (
         collection::vec(
-            (0..bound, 0.0f64..600.0).prop_map(|(replica, at_secs)| CrashSpec { replica, at_secs }),
+            (0..bound, arb_time(600)).prop_map(|(replica, at)| CrashFault { replica, at }),
             0usize..3,
         ),
         collection::vec(arb_window_fault(bound), 0usize..3),
         collection::vec(arb_window_fault(bound), 0usize..3),
         collection::vec(0..bound, 0usize..3),
-        (1u64..8, 1u64..5_000, 1.0f64..4.0, 1u64..60_000),
+        (1u32..8, 1u64..5_000, 1.0f64..4.0, 1u64..60_000),
         (0u64..2, 0.5f64..8.0),
     )
         .prop_map(
             |(crashes, stragglers, kv_link, boot_failures, retry, (has_shed, shed))| {
-                Some(FaultSpec {
+                Some(FaultPlan {
                     crashes,
                     stragglers,
                     kv_link,
                     boot_failures,
-                    retry: RetrySpec {
+                    retry: RetryPolicy {
                         max_attempts: retry.0,
-                        base_backoff_ms: retry.1,
+                        base_backoff: SimDuration::from_millis(retry.1),
                         multiplier: retry.2,
-                        max_backoff_ms: retry.3,
+                        max_backoff: SimDuration::from_millis(retry.3),
                     },
                     shed_utilization: (has_shed == 1).then_some(shed),
                 })
@@ -384,8 +399,8 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
         .prop_map(
             |((name, model_i, hw_i), engine, scheduler, workload, topology, fault)| ScenarioSpec {
                 name,
-                model: tokenflow_scenario::MODEL_NAMES[model_i].to_string(),
-                hardware: tokenflow_scenario::HARDWARE_NAMES[hw_i].to_string(),
+                model: MODEL_NAMES[model_i].to_string(),
+                hardware: HARDWARE_NAMES[hw_i].to_string(),
                 engine,
                 scheduler,
                 workload,
@@ -395,10 +410,31 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
         )
 }
 
+/// Whether the spec's memory budget holds one KV block once the model's
+/// weights are loaded (what the engine asserts at construction).
+fn fits(spec: &ScenarioSpec) -> bool {
+    let config = spec.engine.build_config(
+        ModelProfile::by_name(&spec.model).expect("drawn from MODEL_NAMES"),
+        HardwareProfile::by_name(&spec.hardware).expect("drawn from HARDWARE_NAMES"),
+    );
+    config.gpu_kv_tokens() >= u64::from(config.block_tokens)
+}
+
 proptest! {
     #[test]
     fn scenario_json_roundtrip_is_identity(spec in arb_scenario()) {
         let text = codec::to_json(&spec).emit();
+        // Every model × hardware × mem_frac is drawn; one that leaves no
+        // KV block is the typed `mem_frac` error, not a spec.
+        if !fits(&spec) {
+            match codec::parse_scenario(&text) {
+                Err(SpecError::Invalid { field, .. }) => {
+                    prop_assert_eq!(field, "scenario.engine.mem_frac");
+                }
+                other => prop_assert!(false, "expected the mem_frac error, got {:?}", other),
+            }
+            return Ok(());
+        }
         let parsed = codec::parse_scenario(&text)
             .map_err(|e| format!("emitted spec failed to parse: {e}\n{text}"))?;
         prop_assert_eq!(&parsed, &spec);
@@ -696,13 +732,94 @@ fn arb_small_arrivals() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A fault schedule over a fleet of at most 6 replicas: crash replicas
+/// and times, straggler and KV-link windows (swapped and equal bounds
+/// included), a retry budget with its backoffs, and a shed threshold.
+/// Each value is mostly valid and otherwise drawn over a range through
+/// zero and out of bounds, so that whole schedules still parse often.
+fn arb_small_fault() -> impl Strategy<Value = String> {
+    let replica = || prop_oneof![0.0f64..2.4, -1.0f64..8.0].prop_map(|r| num(r, true));
+    // Half-second steps, so equal window bounds come up often.
+    let step = |lo: u32, hi: u32| (lo..hi).prop_map(|k| f64::from(k) * 0.5);
+    let window = || {
+        (
+            replica(),
+            step(0, 8),
+            prop_oneof![step(1, 8).prop_map(Some), Just(None)],
+            step(0, 8),
+            prop_oneof![0.05f64..1.0, -0.2f64..1.4],
+        )
+            .prop_map(|(replica, from, width, until, factor)| {
+                // `until` is `from` plus a positive width, or drawn on its
+                // own (so swapped or equal to `from`).
+                let until = width.map_or(until, |w| from + w);
+                format!(
+                    r#"{{"replica": {replica}, "from_secs": {from}, "until_secs": {until}, "factor": {factor}}}"#
+                )
+            })
+    };
+    let crash = (replica(), prop_oneof![0.0f64..10.0, -1.0f64..10.0])
+        .prop_map(|(replica, at)| format!(r#"{{"replica": {replica}, "at_secs": {at}}}"#));
+    let retry = (
+        prop_oneof![0.0f64..5.0, -1.0f64..5.0],
+        prop_oneof![0.0f64..2_000.0, -10.0f64..2_000.0],
+        prop_oneof![1.0f64..4.0, 0.0f64..4.0],
+        0.0f64..5_000.0,
+    )
+        .prop_map(|(attempts, base, multiplier, max)| {
+            format!(
+                r#"{{"max_attempts": {}, "base_backoff_ms": {}, "multiplier": {multiplier},
+                    "max_backoff_ms": {}}}"#,
+                num(attempts, true),
+                num(base, true),
+                num(max, true)
+            )
+        });
+    let list = |item: BoxedStrategy<String>| {
+        collection::vec(item, 0usize..3).prop_map(|items| format!("[{}]", items.join(", ")))
+    };
+    (
+        list(crash.boxed()),
+        list(window().boxed()),
+        list(window().boxed()),
+        list(replica().boxed()),
+        retry,
+        prop_oneof![0.1f64..3.0, -0.5f64..3.0],
+        0u32..64,
+    )
+        .prop_map(
+            |(crashes, stragglers, kv_link, boot_failures, retry, shed, keep)| {
+                let body = members(
+                    &[
+                        ("crashes", crashes),
+                        ("stragglers", stragglers),
+                        ("kv_link", kv_link),
+                        ("boot_failures", boot_failures),
+                        ("retry", retry),
+                        ("shed_utilization", format!("{shed}")),
+                    ],
+                    keep,
+                );
+                format!("{{{body}}}")
+            },
+        )
+}
+
 /// A single engine, or an autoscaled fleet whose bootstrap size and
-/// replica bounds are drawn independently (including zero and negatives).
+/// replica bounds are drawn independently (including zero and negatives)
+/// under an optional fault schedule.
 fn arb_small_topology() -> impl Strategy<Value = String> {
     prop_oneof![
-        Just(r#""single""#.to_string()),
-        (-1.0f64..5.0, -1.0f64..4.0, -1.0f64..6.0, 0u32..8).prop_map(
-            |(bootstrap, min, max, keep)| {
+        Just(r#""topology": "single""#.to_string()),
+        (
+            -1.0f64..5.0,
+            -1.0f64..4.0,
+            -1.0f64..6.0,
+            0u32..8,
+            0u32..4,
+            arb_small_fault()
+        )
+            .prop_map(|(bootstrap, min, max, keep, faulty, fault)| {
                 let control = members(
                     &[
                         ("min_replicas", num(min, true)),
@@ -712,52 +829,85 @@ fn arb_small_topology() -> impl Strategy<Value = String> {
                     keep | 4,
                 );
                 let bootstrap = members(&[("bootstrap", num(bootstrap, true))], keep >> 2);
+                let fault = if faulty > 0 {
+                    format!(r#", "fault": {fault}"#)
+                } else {
+                    String::new()
+                };
                 format!(
-                    r#"{{"type": "autoscaled", {bootstrap}{sep}"control": {{{control}}}}}"#,
+                    r#""topology": {{"type": "autoscaled", {bootstrap}{sep}"control": {{{control}}}}}{fault}"#,
                     sep = if bootstrap.is_empty() { "" } else { ", " }
                 )
-            }
-        ),
+            }),
     ]
+}
+
+/// Every model, hardware and scheduler by name, a memory fraction over
+/// a range past both ends of `(0, 1]` (so that many draws leave no KV
+/// block, or less than one prompt), and a short deadline that ends a run
+/// whose prompts never fit.
+fn arb_small_stack() -> impl Strategy<Value = String> {
+    (
+        0usize..MODEL_NAMES.len(),
+        0usize..HARDWARE_NAMES.len(),
+        0usize..SCHEDULER_NAMES.len(),
+        // Mostly near the default, where most pairs fit; a third of the
+        // draws span both ends of `(0, 1]`.
+        prop_oneof![0.65f64..1.0, 0.8f64..1.0, -0.1f64..1.1],
+        0.5f64..20.0,
+    )
+        .prop_map(|(model, hardware, scheduler, mem_frac, deadline)| {
+            format!(
+                r#""model": "{}", "hardware": "{}", "scheduler": "{}",
+                   "engine": {{"max_batch": 16, "mem_frac": {mem_frac}, "deadline_secs": {deadline}}}"#,
+                MODEL_NAMES[model], HARDWARE_NAMES[hardware], SCHEDULER_NAMES[scheduler]
+            )
+        })
 }
 
 fn arb_small_doc() -> impl Strategy<Value = String> {
     (
+        arb_small_stack(),
         arb_small_arrivals(),
         arb_small_length(),
         arb_small_length(),
         arb_small_topology(),
     )
-        .prop_map(|(arrivals, prompt, output, topology)| {
+        .prop_map(|(stack, arrivals, prompt, output, topology)| {
             format!(
-                r#"{{"engine": {{"max_batch": 16}},
+                r#"{{{stack},
                     "workload": {{"type": "synthetic", "arrivals": {arrivals},
                                   "prompt": {prompt}, "output": {output},
                                   "rate": {{"type": "fixed", "rate": 15}}, "seed": 7}},
-                    "topology": {topology}}}"#
+                    {topology}}}"#
             )
         })
 }
 
 /// ROADMAP item 4: every spec the parser accepts builds and runs to the
 /// end without panicking, and every one it rejects is a typed error.
-/// The knobs the runtime asserts on — length bounds and moments, arrival
-/// rates, the fleet's bootstrap size and bounds — are drawn
-/// independently over ranges that include zero, negatives and swapped
-/// bounds, on workloads small enough to run in milliseconds.
+/// The knobs the runtime asserts on — the model, hardware and memory
+/// fraction, length bounds and moments, arrival rates, the fleet's
+/// bootstrap size and bounds, and a fault schedule's replicas, windows,
+/// retries and shed threshold — are drawn independently over ranges that
+/// include zero, negatives and swapped bounds, on workloads small enough
+/// to run in milliseconds.
 #[test]
 fn every_accepted_spec_builds_and_runs_without_panicking() {
     let strategy = arb_small_doc();
     let mut rng = proptest::TestRng::new(proptest::seed_from_name("accepted-specs-run"));
-    let (mut accepted, mut rejected) = (0, 0);
-    for case in 0..400 {
+    let (mut accepted, mut faulted, mut rejected) = (0, 0, 0);
+    for case in 0..2_000 {
         let doc = strategy.generate(&mut rng);
         let outcome = std::panic::catch_unwind(|| {
             codec::parse_scenario(&doc).map(|spec| spec.build().map(|h| h.run().complete))
         });
         match outcome {
             Err(_) => panic!("case {case} panicked:\n{doc}"),
-            Ok(Ok(Ok(_))) => accepted += 1,
+            Ok(Ok(Ok(_))) => {
+                accepted += 1;
+                faulted += usize::from(doc.contains(r#""fault""#));
+            }
             Ok(Ok(Err(e))) => panic!("case {case} parsed but failed to build: {e}\n{doc}"),
             Ok(Err(SpecError::Json(e))) => {
                 panic!("case {case}: generator wrote bad JSON: {e}\n{doc}")
@@ -765,9 +915,10 @@ fn every_accepted_spec_builds_and_runs_without_panicking() {
             Ok(Err(_)) => rejected += 1,
         }
     }
-    // Both sides of the grammar are exercised, not just one.
+    // Both sides of the grammar are exercised, not just one, and fault
+    // schedules run too.
     assert!(
-        accepted >= 20 && rejected >= 20,
-        "{accepted} accepted, {rejected} rejected"
+        accepted >= 20 && faulted >= 20 && rejected >= 20,
+        "{accepted} accepted ({faulted} with a fault block), {rejected} rejected"
     );
 }

@@ -56,6 +56,16 @@ pub enum ArrivalSpec {
     },
 }
 
+/// A 60-request burst at time zero.
+impl Default for ArrivalSpec {
+    fn default() -> Self {
+        ArrivalSpec::Burst {
+            size: 60,
+            at: SimTime::ZERO,
+        }
+    }
+}
+
 impl ArrivalSpec {
     /// Samples arrival instants for this process.
     pub fn sample(&self, rng: &mut SimRng) -> Vec<SimTime> {

@@ -115,6 +115,13 @@ pub enum RateDist {
     },
 }
 
+/// Every client at [`DEFAULT_RATE`](crate::presets::DEFAULT_RATE).
+impl Default for RateDist {
+    fn default() -> Self {
+        RateDist::Fixed(crate::presets::DEFAULT_RATE)
+    }
+}
+
 impl RateDist {
     /// Draws one rate.
     ///

@@ -27,6 +27,8 @@ fn main() {
         .with_max_batch(16)
         .with_timelines(30);
     let outcome = run_simulation(config, TokenFlowScheduler::new(), &workload);
+    assert!(outcome.complete, "the burst must run to completion");
+    assert_eq!(outcome.report.completed, 30);
 
     println!("mixed-rate burst of {} requests under TokenFlow\n", 30);
     for target in [15.0, 20.0] {

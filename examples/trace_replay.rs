@@ -8,9 +8,9 @@
 //! ```
 
 use tokenflow::scenario::{
-    run_sweep, sweep_table, Axis, ScenarioSpec, SchedulerSpec, SweepSpec, TokenFlowSpec,
-    WorkloadSpec,
+    run_sweep, sweep_table, Axis, ScenarioSpec, SchedulerSpec, SweepSpec, WorkloadSpec,
 };
+use tokenflow::sched::TokenFlowParams;
 use tokenflow::sim::SimDuration;
 use tokenflow::workload::{presets, trace, RateDist};
 
@@ -54,9 +54,15 @@ fn main() {
         base,
         axes: vec![Axis::Scheduler(vec![
             SchedulerSpec::Fcfs { headroom: None },
-            SchedulerSpec::TokenFlow(TokenFlowSpec::default()),
+            SchedulerSpec::TokenFlow(TokenFlowParams::default()),
         ])],
     };
     let cells = run_sweep(&sweep).expect("trace replays");
     println!("{}", sweep_table(&cells));
+    for cell in &cells {
+        let report = &cell.outcome.report;
+        assert!(cell.outcome.complete, "{}: incomplete", cell.label);
+        assert_eq!(report.completed, report.submitted, "{}", cell.label);
+        assert_eq!(report.submitted, stats.count, "{}", cell.label);
+    }
 }

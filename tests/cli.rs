@@ -373,22 +373,37 @@ fn validate_accepts_every_committed_spec() {
 
 #[test]
 fn validate_rejects_a_spec_that_would_panic_at_run_time_and_names_the_field() {
-    // A bootstrap fleet above the fleet ceiling: the control plane would
-    // refuse it with a panic at the first run step.
-    let path = temp_path("bootstrap-outside-bounds.json");
-    std::fs::write(
-        &path,
-        r#"{"topology": {"type": "autoscaled", "bootstrap": 8, "control": {"max_replicas": 2}}}"#,
-    )
-    .expect("temp spec written");
-    let out = run(&["validate", path.to_str().unwrap()]);
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        stderr_of(&out).contains("scenario.topology.bootstrap"),
-        "stderr must name the field: {}",
-        stderr_of(&out)
-    );
+    let cases = [
+        // A bootstrap fleet above the fleet ceiling: the control plane
+        // would refuse it with a panic at the first run step.
+        (
+            "bootstrap-outside-bounds.json",
+            r#"{"topology": {"type": "autoscaled", "bootstrap": 8, "control": {"max_replicas": 2}}}"#,
+            "scenario.topology.bootstrap",
+        ),
+        // A model whose weights leave no KV block on the default RTX4090:
+        // the engine would refuse it with a panic at construction.
+        (
+            "model-does-not-fit.json",
+            r#"{"model": "Qwen2.5-32B"}"#,
+            "scenario.engine.mem_frac",
+        ),
+    ];
+    for (file, spec, field) in cases {
+        let path = temp_path(file);
+        std::fs::write(&path, spec).expect("temp spec written");
+        let validate = run(&["validate", path.to_str().unwrap()]);
+        let run_out = run(&["run", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        for out in [&validate, &run_out] {
+            assert_eq!(out.status.code(), Some(1), "{spec}");
+            assert!(
+                stderr_of(out).contains(field),
+                "stderr must name the field: {}",
+                stderr_of(out)
+            );
+        }
+    }
 }
 
 /// The report contract of one run outcome (a `run --out` document or one

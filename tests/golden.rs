@@ -28,12 +28,12 @@ use tokenflow_core::{run_simulation_boxed, EngineConfig, SimOutcome};
 use tokenflow_metrics::{fnv1a64, RunReport, RuntimeCounters};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
-    from_json, json::Json, ControlSpec, EngineSpec, RateDistSpec, RouterSpec, ScalePolicySpec,
-    SchedulerSpec, WorkloadSpec,
+    from_json, json::Json, ControlSpec, EngineSpec, RouterSpec, ScalePolicySpec, SchedulerSpec,
+    WorkloadSpec,
 };
 use tokenflow_sched::Scheduler;
 use tokenflow_sim::SimDuration;
-use tokenflow_workload::Workload;
+use tokenflow_workload::{RateDist, Workload};
 
 fn config() -> EngineConfig {
     EngineSpec {
@@ -52,7 +52,7 @@ fn trace() -> Workload {
         duration_secs: 120.0,
         crowd_size: 30,
         crowd_at_secs: 30.0,
-        rate: RateDistSpec::Uniform { lo: 8.0, hi: 24.0 },
+        rate: RateDist::Uniform { lo: 8.0, hi: 24.0 },
         seed: 42,
     }
     .build_workload()

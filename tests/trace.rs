@@ -32,18 +32,19 @@ use std::collections::BTreeMap;
 
 use tokenflow_cluster::{ClusterEngine, ClusterOutcome, LeastLoadedRouter};
 use tokenflow_core::run_simulation_boxed;
+use tokenflow_fault::WindowFault;
 use tokenflow_metrics::{fnv1a64, RequestMetrics, RuntimeCounters};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
     canonical_trace_jsonl, explain, from_json, json, parse_scenario, perfetto_json,
     request_timeline, request_timelines, trace_digest, trace_jsonl, validate_trace_jsonl,
-    EngineSpec, ExecutionSpec, Json, RateDistSpec, RouterSpec, RunOutcome, ScenarioSpec,
-    TopologySpec, WindowFaultSpec, WorkloadSpec,
+    EngineSpec, ExecutionSpec, Json, RouterSpec, RunOutcome, ScenarioSpec, TopologySpec,
+    WorkloadSpec,
 };
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{RequestId, SimTime};
 use tokenflow_trace::{TraceEventKind, TraceJournal, TraceSource};
-use tokenflow_workload::Workload;
+use tokenflow_workload::{RateDist, Workload};
 
 /// The committed scenarios this suite drives (read from disk so the CI
 /// trace job and this suite pin the same artifacts).
@@ -153,21 +154,20 @@ fn canonical_journal_is_invariant_under_the_fast_path_cluster() {
     // A KV-link window leaves horizons armed (only a compute slowdown
     // ends them), so horizons certified on a degraded link must still
     // replay exactly.
-    let (from_secs, until_secs) = (25.0, 60.0);
+    let window = SimTime::from_secs(25)..SimTime::from_secs(60);
     let mut spec = load_spec(FAULTY);
     let fault = spec
         .fault
         .as_mut()
         .expect("fault scenario has a fault block");
     for replica in [0, 1] {
-        fault.kv_link.push(WindowFaultSpec {
+        fault.kv_link.push(WindowFault {
             replica,
-            from_secs,
-            until_secs,
+            from: window.start,
+            until: window.end,
             factor: 0.2,
         });
     }
-    let window = SimTime::from_secs_f64(from_secs)..SimTime::from_secs_f64(until_secs);
     let on = assert_fast_path_invariant("faulty+kv_link", spec);
     let armed_on_degraded_links = on
         .events
@@ -293,7 +293,7 @@ fn bursty_workload() -> Workload {
         duration_secs: 120.0,
         crowd_size: 30,
         crowd_at_secs: 30.0,
-        rate: RateDistSpec::Uniform { lo: 8.0, hi: 24.0 },
+        rate: RateDist::Uniform { lo: 8.0, hi: 24.0 },
         seed: 42,
     }
     .build_workload()
