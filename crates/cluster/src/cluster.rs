@@ -100,7 +100,7 @@ struct FaultRuntime {
 
 /// Drives a dynamic set of engine replicas on one simulated clock behind
 /// a pluggable [`Router`], optionally resized by a
-/// [`ControlPlane`](tokenflow_control::ControlPlane).
+/// [`tokenflow_control::ControlPlane`].
 ///
 /// Execution is a sequence of **arrival-barrier epochs**. At each barrier
 /// the coordinator first lets the control plane act (bill, promote

@@ -15,7 +15,7 @@
 //!   differentially tested against.
 //! * [`Execution::Parallel`] — busy replicas are claimed one at a time
 //!   from a batch by a persistent, condvar-parked
-//!   [`WorkerPool`](crate::WorkerPool) that the cluster spawns once and
+//!   [`crate::WorkerPool`] that the cluster spawns once and
 //!   reuses for every epoch of the run.
 //!
 //! Because an epoch's per-replica work is closed over the replica's own

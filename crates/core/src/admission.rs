@@ -1,23 +1,25 @@
-//! Pipeline stage 1 — admission: arrival ingest, scheduler context
-//! construction, and plan application.
+//! Pipeline stage 1 — admission: arrival ingest, the maintained
+//! scheduler context, and plan application.
 //!
 //! The stage turns the outside world (pending arrivals) and the scheduler's
 //! decisions ([`Action`]s) into request-phase transitions, routing KV
 //! work through the [`KvManager`]. It owns no state: everything operates
 //! on `&mut` views of [`EngineState`].
 
+use tokenflow_client::BufferSnapshot;
 use tokenflow_kv::{Direction, EvictStart, KvManager};
 use tokenflow_model::CostModel;
-use tokenflow_sched::{Action, PreemptMode, ReqView, SchedContext, Scheduler};
-use tokenflow_sim::{RequestId, SimTime};
+use tokenflow_sched::{Action, PreemptMode, ReqPhase, ReqView, SchedContext, Scheduler};
+use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{PreemptCause, TraceEventKind, TraceSink};
+use tokenflow_workload::ClientKind;
 
 use crate::config::EngineConfig;
 use crate::profiler::EngineProfilers;
 use crate::state::{EngineState, Phase, ReqState};
 
 /// Pops every arrival due by `now` off the front of the pending queue,
-/// marking the requests live.
+/// journaling each so the next context build gives it a view.
 pub(crate) fn ingest_arrivals(st: &mut EngineState, now: SimTime, trace: &mut TraceSink) {
     while let Some(&(arrival, id)) = st.arrivals.front() {
         if arrival > now {
@@ -32,19 +34,28 @@ pub(crate) fn ingest_arrivals(st: &mut EngineState, now: SimTime, trace: &mut Tr
         debug_assert_eq!(st.state(id).phase, Phase::WaitingNew);
         st.waiting_count += 1;
         st.prefill_backlog_tokens += st.state(id).context_tokens();
-        st.insert_live(id);
+        st.journal_view(id);
         trace.emit(now, TraceEventKind::Arrived { id, arrival });
     }
 }
 
-/// Rebuilds the read-only scheduling context the policy plans against
-/// into the engine's one retained buffer, so the steady-state step
-/// allocates no `Vec<ReqView>` at all.
+/// Brings the engine's one retained scheduling context current at `now`.
+/// It is the engine's only index of live requests (arrived, unfinished,
+/// in ascending id order), and the steady-state step allocates no
+/// `Vec<ReqView>` at all.
 ///
-/// The request walk covers exactly the live-id index (arrived,
-/// unfinished requests in ascending id order) and compacts lazily-dead
-/// entries out of the index in passing, which keeps one step O(live)
-/// instead of O(every request ever submitted).
+/// The context is maintained, not rebuilt. The build first applies the
+/// view journal ([`apply_journal`]): arrivals get a view at their id
+/// position, re-phased requests their new phase, and finished requests
+/// are queued for dropping. One pass over the views then drops those and
+/// refreshes every field that moves with time. A request that waits
+/// without ever having started ([`ReqPhase::WaitingNew`], `started`
+/// unset) costs two stores: it holds no KV, so its KV estimates are the
+/// per-build constants of an empty request (the stream ETAs, plus one
+/// empty transfer on the load side), and nothing else in its view
+/// changes until an event journals it. Every other view is refreshed
+/// from its request, its buffer and the KV slab, as a fresh build would
+/// ([`fresh_view`]); debug builds check that after every build.
 ///
 /// Γ — the decode capacity estimate — is the capacity the hardware could
 /// sustain at the live requests' context sizes (the largest memory-feasible
@@ -60,52 +71,41 @@ pub(crate) fn build_ctx_into(
     profs: &EngineProfilers,
     now: SimTime,
 ) {
-    ctx.requests.clear();
-    let mut write = 0usize;
-    for read in 0..st.live_ids.len() {
-        let id = st.live_ids[read];
-        let idx = id.0 as usize;
-        let phase = st.requests[idx].phase;
-        let Some(sched_phase) = phase.sched_phase() else {
-            // Finished since the last build: compact the entry away.
-            continue;
-        };
-        st.live_ids[write] = id;
-        write += 1;
-        debug_assert!(st.requests[idx].spec.arrival <= now, "live implies arrived");
-        let evict_secs = kv.estimated_evict_time(id, now).as_secs_f64();
-        let load_secs = kv.estimated_load_time(id, now).as_secs_f64();
-        let reserved = if phase == Phase::Prefilling {
-            st.requests[idx].prefill_target
-        } else {
-            0
-        };
-        let s = &mut st.requests[idx];
-        let mut view = ReqView {
-            id,
-            phase: sched_phase,
-            arrival: s.spec.arrival,
-            rate: s.spec.rate,
-            prompt_tokens: s.spec.prompt_tokens,
-            context_tokens: 0,
-            remaining_tokens: 0,
-            buffered_tokens: 0,
-            buffered_secs: 0.0,
-            stalled: false,
-            started: false,
-            evict_secs,
-            load_secs,
-            reserved_tokens: reserved,
-            elastic: s.kind == tokenflow_workload::ClientKind::Agent,
-            inbound: matches!(phase, Phase::Prefilling | Phase::Loading),
-        };
-        write_progress(&mut view, s, now);
-        ctx.requests.push(view);
-    }
-    st.live_ids.truncate(write);
+    apply_journal(ctx, st, kv, now);
+    ctx.d2h_eta = kv.io_eta(Direction::D2H, now);
+    ctx.h2d_eta = kv.io_eta(Direction::H2D, now);
+    // `KvManager`'s estimates for a request with no KV: nothing dirty to
+    // flush, and a zero-byte load.
+    let evict_empty = (ctx.d2h_eta + SimDuration::ZERO).as_secs_f64();
+    let load_empty = (ctx.h2d_eta + kv.pcie().transfer_time(0)).as_secs_f64();
+    let EngineState {
+        requests,
+        finished_views,
+        ..
+    } = st;
+    finished_views.sort_unstable();
+    finished_views.dedup();
+    let mut finished = finished_views.iter().copied().peekable();
+    let mut context_sum = 0u64;
+    ctx.retain_views(|v| {
+        if finished.next_if_eq(&v.id).is_some() {
+            return false;
+        }
+        if v.phase == ReqPhase::WaitingNew && !v.started {
+            v.evict_secs = evict_empty;
+            v.load_secs = load_empty;
+        } else if let Some(s) = requests.get_mut(v.id.0 as usize) {
+            let snap = s.buffer.snapshot(now);
+            refresh_view(v, s, &snap, kv, now);
+        }
+        context_sum += v.context_tokens;
+        true
+    });
+    debug_assert!(finished.next().is_none(), "a finished view was missed");
+    finished_views.clear();
 
     let live_n = ctx.requests.len().max(1) as u64;
-    let avg_ctx = (ctx.requests.iter().map(|v| v.context_tokens).sum::<u64>() / live_n).max(128);
+    let avg_ctx = (context_sum / live_n).max(128);
     let n_fit = (kv.gpu_total_tokens() / avg_ctx).clamp(1, config.max_batch as u64) as u32;
     let theoretical = cost.batch_throughput(n_fit, avg_ctx);
     // Prefill work steals compute from decode: discount capacity by the
@@ -121,15 +121,116 @@ pub(crate) fn build_ctx_into(
     ctx.gpu_total_tokens = kv.gpu_total_tokens();
     ctx.d2h_queue_len = kv.io_queue_len(Direction::D2H);
     ctx.h2d_queue_len = kv.io_queue_len(Direction::H2D);
-    ctx.d2h_eta = kv.io_eta(Direction::D2H, now);
-    ctx.h2d_eta = kv.io_eta(Direction::H2D, now);
     ctx.prefill_secs_per_token = profs.prefill.secs_per_token();
     ctx.decode_throughput = gamma;
     ctx.pcie_bandwidth = config.hardware.pcie_bw;
     ctx.kv_bytes_per_token = config.model.kv_bytes_per_token();
     ctx.max_batch = config.max_batch;
-    ctx.recount_phases();
-    ctx.debug_assert_id_ordered();
+    #[cfg(any(test, debug_assertions))]
+    check_maintained(ctx, st, kv, now);
+}
+
+/// Applies the view journal to `ctx` and empties it; returns whether it
+/// held anything. A journaled request without a view gets a fresh one at
+/// its id position (an arrival, almost always at the end). A finished
+/// one is queued in [`EngineState::finished_views`] for the build's pass
+/// to drop. Every other one takes its request's current phase (keeping
+/// the cached phase counts), `inbound` flag and `started` flag.
+///
+/// Inside a plan horizon only transfer completions are journaled (every
+/// other event moves the decision epoch, which ends the horizon first),
+/// so the fast path drains the journal through this too, and the
+/// context's membership stays as the last build left it.
+pub(crate) fn apply_journal(
+    ctx: &mut SchedContext,
+    st: &mut EngineState,
+    kv: &KvManager,
+    now: SimTime,
+) -> bool {
+    let EngineState {
+        requests,
+        view_journal,
+        finished_views,
+        ..
+    } = st;
+    if view_journal.is_empty() {
+        return false;
+    }
+    for id in view_journal.drain(..) {
+        let Some(s) = requests.get_mut(id.0 as usize) else {
+            continue;
+        };
+        let at = ctx.requests.binary_search_by(|v| v.id.cmp(&id));
+        match (at, s.phase.sched_phase()) {
+            (Ok(i), Some(phase)) => {
+                ctx.update_phase(id, phase);
+                if let Some(v) = ctx.requests.get_mut(i) {
+                    v.inbound = s.phase.inbound();
+                    v.started = s.generated > 0;
+                }
+            }
+            (Ok(_), None) => finished_views.push(id),
+            (Err(i), Some(phase)) => {
+                let snap = s.buffer.snapshot(now);
+                ctx.requests
+                    .insert(i, fresh_view(id, phase, s, &snap, kv, now));
+            }
+            (Err(_), None) => {}
+        }
+    }
+    true
+}
+
+/// Request `id`'s view at `now`, computed from scratch from its request,
+/// its buffer snapshot at `now` and the KV slab: the definition the
+/// maintained context keeps.
+fn fresh_view(
+    id: RequestId,
+    phase: ReqPhase,
+    s: &ReqState,
+    snap: &BufferSnapshot,
+    kv: &KvManager,
+    now: SimTime,
+) -> ReqView {
+    let mut view = ReqView {
+        id,
+        phase,
+        arrival: s.spec.arrival,
+        rate: s.spec.rate,
+        prompt_tokens: s.spec.prompt_tokens,
+        context_tokens: 0,
+        remaining_tokens: 0,
+        buffered_tokens: 0,
+        buffered_secs: 0.0,
+        stalled: false,
+        started: false,
+        evict_secs: 0.0,
+        load_secs: 0.0,
+        reserved_tokens: 0,
+        elastic: s.kind == ClientKind::Agent,
+        inbound: s.phase.inbound(),
+    };
+    refresh_view(&mut view, s, snap, kv, now);
+    view
+}
+
+/// Writes every view field that moves with time: the KV estimates, the
+/// prefill reservation and the progress fields.
+fn refresh_view(
+    view: &mut ReqView,
+    s: &ReqState,
+    snap: &BufferSnapshot,
+    kv: &KvManager,
+    now: SimTime,
+) {
+    view.evict_secs = kv.estimated_evict_time(view.id, now).as_secs_f64();
+    view.load_secs = kv.estimated_load_time(view.id, now).as_secs_f64();
+    view.reserved_tokens = if s.phase == Phase::Prefilling {
+        s.prefill_target
+    } else {
+        0
+    };
+    set_progress(view, s, snap);
 }
 
 /// Writes a view's progress fields (buffered tokens and seconds, stalled,
@@ -137,12 +238,74 @@ pub(crate) fn build_ctx_into(
 /// build and the plan-horizon fast path's re-gate share it.
 pub(crate) fn write_progress(view: &mut ReqView, s: &mut ReqState, now: SimTime) {
     let snap = s.buffer.snapshot(now);
+    set_progress(view, s, &snap);
+}
+
+fn set_progress(view: &mut ReqView, s: &ReqState, snap: &BufferSnapshot) {
     view.buffered_tokens = snap.buffered;
     view.buffered_secs = snap.buffered_secs;
     view.stalled = snap.stalled_now;
     view.started = s.generated > 0;
     view.context_tokens = s.context_tokens();
     view.remaining_tokens = s.remaining_tokens();
+}
+
+/// The maintained context's oracle, compiled into debug builds and tests
+/// only. It recomputes every view with [`fresh_view`] (on a copy of the
+/// buffer, so it changes no state) and requires it field for field, with
+/// floats compared bitwise; checks membership by count (one view per
+/// ingested, unfinished request, in strictly ascending id order); and
+/// checks the running counters against their definitions.
+#[cfg(any(test, debug_assertions))]
+fn check_maintained(ctx: &SchedContext, st: &EngineState, kv: &KvManager, now: SimTime) {
+    assert_eq!(
+        ctx.requests.len(),
+        st.ingested() - st.finished_count,
+        "the context must hold one view per ingested, unfinished request"
+    );
+    ctx.debug_assert_id_ordered();
+    let mut waiting = 0usize;
+    let mut backlog = 0u64;
+    for v in &ctx.requests {
+        let s = st.state(v.id);
+        let Some(phase) = s.phase.sched_phase().filter(|_| s.spec.arrival <= now) else {
+            panic!("{:?} has a view but has not arrived or has finished", v.id);
+        };
+        let snap = s.buffer.clone().snapshot(now);
+        let want = fresh_view(v.id, phase, s, &snap, kv, now);
+        assert!(
+            bitwise_eq(v, &want),
+            "maintained view drifted at {now:?}:\n  kept  {v:?}\n  fresh {want:?}"
+        );
+        if s.phase == Phase::WaitingNew {
+            waiting += 1;
+            backlog += s.context_tokens();
+        } else if s.phase == Phase::Prefilling {
+            backlog += s.prefill_target - s.prefill_done;
+        }
+    }
+    for phase in [
+        ReqPhase::WaitingNew,
+        ReqPhase::WaitingCpu,
+        ReqPhase::Transitioning,
+        ReqPhase::Running,
+    ] {
+        assert_eq!(ctx.count_phase(phase), ctx.in_phase(phase).count());
+    }
+    assert_eq!(st.waiting_count, waiting, "waiting_count drifted");
+    assert_eq!(
+        st.prefill_backlog_tokens, backlog,
+        "prefill_backlog_tokens drifted"
+    );
+}
+
+/// Field-for-field view equality: the derived `PartialEq`, with the
+/// floats also compared bitwise so that a changed sign of zero shows.
+#[cfg(any(test, debug_assertions))]
+fn bitwise_eq(a: &ReqView, b: &ReqView) -> bool {
+    let floats =
+        |v: &ReqView| [v.rate, v.buffered_secs, v.evict_secs, v.load_secs].map(f64::to_bits);
+    a == b && floats(a) == floats(b)
 }
 
 /// Starts (or restarts, after a discard) a request's prefill.
@@ -177,6 +340,7 @@ fn admit_prefill(
     s.prefill_done = 0;
     s.phase = Phase::Prefilling;
     st.prefill_queue.push_back(id);
+    st.journal_view(id);
     trace.emit(
         now,
         TraceEventKind::Admitted {
@@ -237,6 +401,7 @@ pub(crate) fn apply_preempt(
             }
         },
     };
+    st.journal_view(id);
     trace.emit(
         now,
         TraceEventKind::Preempted {
@@ -262,6 +427,7 @@ pub(crate) fn apply_plan(
                 if st.state(id).phase == Phase::OnCpu && kv.begin_load(id, now).is_ok() {
                     st.decision_epoch += 1;
                     st.state_mut(id).phase = Phase::Loading;
+                    st.journal_view(id);
                     trace.emit(now, TraceEventKind::Resumed { id });
                     trace.emit(
                         now,
@@ -281,8 +447,8 @@ pub(crate) fn apply_plan(
 
 /// Emergency memory reclamation: ask the scheduler for victims until
 /// `needed_blocks` fit or no victims remain. Returns whether it fits.
-/// `scratch` is a retained context buffer rebuilt per victim round (the
-/// engine lends its one context, which composition is done with).
+/// `ctx` is the engine's maintained context (composition is done with
+/// it), brought current by the same build before every victim round.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn emergency_reclaim(
     st: &mut EngineState,
@@ -291,7 +457,7 @@ pub(crate) fn emergency_reclaim(
     cost: &CostModel,
     config: &EngineConfig,
     profs: &EngineProfilers,
-    scratch: &mut SchedContext,
+    ctx: &mut SchedContext,
     needed_blocks: u64,
     now: SimTime,
     trace: &mut TraceSink,
@@ -302,8 +468,8 @@ pub(crate) fn emergency_reclaim(
         if kv.gpu_free_tokens() / bt >= needed_blocks {
             return true;
         }
-        build_ctx_into(scratch, st, kv, cost, config, profs, now);
-        let Some(victim) = scheduler.emergency_victim(scratch) else {
+        build_ctx_into(ctx, st, kv, cost, config, profs, now);
+        let Some(victim) = scheduler.emergency_victim(ctx) else {
             return false;
         };
         if st.state(victim).phase != Phase::Running {

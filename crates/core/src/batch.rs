@@ -198,7 +198,7 @@ pub(crate) fn fit_memory(
     cost: &CostModel,
     config: &EngineConfig,
     profs: &EngineProfilers,
-    scratch: &mut SchedContext,
+    ctx: &mut SchedContext,
     now: SimTime,
     trace: &mut TraceSink,
 ) -> bool {
@@ -208,7 +208,7 @@ pub(crate) fn fit_memory(
     let bt = config.block_tokens as u64;
     let needed = blocks_needed(batch, st, kv, bt);
     if !admission::emergency_reclaim(
-        st, kv, scheduler, cost, config, profs, scratch, needed, now, trace,
+        st, kv, scheduler, cost, config, profs, ctx, needed, now, trace,
     ) {
         // A failed reclaim may still have preempted members (phases left
         // Running, KV gone — their context reads 0, a block-size
@@ -228,11 +228,12 @@ pub(crate) fn fit_memory(
         // Then shed block-boundary decode members (largest buffer first)
         // until the remainder fits; mid-block members need no new memory
         // and keep decoding. Occupancies are stable across shed rounds, so
-        // snapshot them once. (Buffers were already advanced to `now` by
-        // the admission stage's context snapshots, so this mutating read
-        // changes no state.) Every shed candidate accounts for exactly one
-        // needed block, so `needed` decrements with each shed and the loop
-        // ends with either a fit or zero boundary members left.
+        // snapshot them once. (Decode members have started, so the
+        // context build's refresh pass already advanced their buffers to
+        // `now`, and this mutating read changes no state.) Every shed
+        // candidate accounts for exactly one needed block, so `needed`
+        // decrements with each shed and the loop ends with either a fit
+        // or zero boundary members left.
         let mut candidates: Vec<(RequestId, u64)> = batch
             .decode
             .iter()
@@ -340,13 +341,14 @@ mod tests {
             prefill_target: context,
             timeline: None,
         });
-        st.insert_live(id);
+        st.journal_view(id);
         st.push_running(id);
         kv.on_prefill(id, context, SimTime::ZERO).expect("fits");
         id
     }
 
-    /// A fresh scratch context for `fit_memory`'s reclaim path.
+    /// A fresh context for `fit_memory`'s reclaim path; its first build
+    /// applies the journal that `running` fills.
     fn scratch() -> SchedContext {
         SchedContextBuilder::new(SimTime::ZERO).build()
     }

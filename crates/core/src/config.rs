@@ -34,9 +34,10 @@ pub struct EngineConfig {
     /// Simulation safety deadline: runs longer than this are cut off and
     /// reported incomplete.
     pub deadline: SimDuration,
-    /// Iteration-count safety cap for [`run_to_completion`]
-    /// (`Engine::run_to_completion`): a backstop against non-terminating
-    /// configurations (e.g. a required rate no hardware satisfies).
+    /// Iteration-count safety cap for
+    /// [`Engine::run_to_completion`](crate::Engine::run_to_completion): a
+    /// backstop against non-terminating configurations (e.g. a required
+    /// rate no hardware satisfies).
     pub max_iterations: u64,
     /// Honor scheduler plan horizons: replay the composed batch across
     /// certified-quiescent decode steps instead of re-running admission,

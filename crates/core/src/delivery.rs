@@ -8,6 +8,7 @@
 
 use tokenflow_kv::KvManager;
 use tokenflow_metrics::{effective_weight, qos_token_weight, QosParams, TimeSeries};
+use tokenflow_sched::ReqView;
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{TraceEventKind, TraceSink};
 
@@ -40,6 +41,7 @@ pub(crate) fn apply_prefill_progress(
                     st.state_mut(slice.id).phase = Phase::Running;
                     st.decision_epoch += 1;
                     st.push_running(slice.id);
+                    st.journal_view(slice.id);
                     trace.emit(
                         end,
                         TraceEventKind::PrefillChunk {
@@ -148,6 +150,7 @@ pub(crate) fn deliver_token(
         st.active_rate_sum = (st.active_rate_sum - rate).max(0.0);
         st.remove_running(id);
         st.prefill_queue.retain(|&r| r != id);
+        st.journal_view(id);
         kv.drop_kv(id);
         outcome.finished.push(id);
         trace.emit(at, TraceEventKind::Finished { id });
@@ -187,20 +190,30 @@ impl Telemetry {
     /// everything else alive: the running batch, transitions, and rotation
     /// members whose KV is parked on the host.
     ///
-    /// Counting walks only the live-id index plus an O(log n) lookup for
-    /// arrivals due at `t` but not ingested yet (ingestion runs at the
-    /// iteration's *start* while sample instants lie inside the
-    /// iteration; such requests are untouched `WaitingNew` submissions,
-    /// so they belong in the queued count exactly as the old full-table
-    /// scan counted them). Everything else outside the live index is
-    /// finished (excluded from both counts) or arrives after `t`.
-    pub(crate) fn sample(&mut self, st: &EngineState, kv: &KvManager, now: SimTime) {
+    /// Counting walks only the engine context's views, whose ids are
+    /// every ingested request that was unfinished at the step's last
+    /// context build (any ingest makes the step a full one, which builds
+    /// before it executes), plus an O(log n) lookup for arrivals due at
+    /// `t` but not ingested yet (ingestion runs at the iteration's
+    /// *start* while sample instants lie inside the iteration; such
+    /// requests are untouched `WaitingNew` submissions, so they belong in
+    /// the queued count exactly as the old full-table scan counted them).
+    /// Everything else is finished (excluded from both counts) or arrives
+    /// after `t`. Phases are read from the request table, since a view's
+    /// may be older than the step's deliveries.
+    pub(crate) fn sample(
+        &mut self,
+        st: &EngineState,
+        views: &[ReqView],
+        kv: &KvManager,
+        now: SimTime,
+    ) {
         while self.next_sample <= now {
             let t = self.next_sample;
             let mut queued = st.pending_due_arrivals(t);
             let mut running = 0usize;
-            for &id in &st.live_ids {
-                let s = st.state(id);
+            for v in views {
+                let s = st.state(v.id);
                 // Arrivals between a stale sample instant and `now` are
                 // live already but not visible at `t` yet.
                 if s.spec.arrival > t {

@@ -3,14 +3,14 @@
 //! [`Engine::step`] runs one continuous-batching iteration by driving the
 //! four pipeline stages in order:
 //!
-//! 1. [`admission`](crate::admission) — ingest due arrivals, build the
-//!    scheduler's context, apply its plan;
-//! 2. [`kv_orchestrator`](crate::kv_orchestrator) — apply finished KV
-//!    transfers and pump write-through sync;
-//! 3. [`batch`](crate::batch) — compose the prefill+decode batch, fit it
-//!    into memory, price it with the cost model;
-//! 4. [`delivery`](crate::delivery) — advance prefills, deliver decode
-//!    tokens into client buffers, finish requests, sample telemetry.
+//! 1. `admission` — ingest due arrivals, bring the scheduler's context
+//!    current, apply its plan;
+//! 2. `kv_orchestrator` — apply finished KV transfers and pump
+//!    write-through sync;
+//! 3. `batch` — compose the prefill+decode batch, fit it into memory,
+//!    price it with the cost model;
+//! 4. `delivery` — advance prefills, deliver decode tokens into client
+//!    buffers, finish requests, sample telemetry.
 //!
 //! The engine itself only owns the components and the time; all stage
 //! logic lives in the stage modules, which is what lets the cluster crate
@@ -102,12 +102,15 @@ pub struct Engine {
     iterations: u64,
     /// Minimum idle fast-forward so time-sliced schedulers get woken.
     idle_tick: SimDuration,
-    /// The retained scheduler context: built for the plan, rebuilt for
-    /// batch composition only when the plan acted, and rebuilt per
-    /// victim round as the memory-fit stage's reclaim scratch (a reclaim
-    /// arms no horizon, so the next step rebuilds it before any reader).
-    /// An armed horizon keeps it current through transfer flips and
-    /// progress refreshes.
+    /// The one scheduler context, and the engine's only index of live
+    /// requests. It is maintained, not rebuilt: every build applies the
+    /// view journal (`EngineState::view_journal`) and refreshes the
+    /// views whose fields move with time. A full step builds it for the
+    /// plan, again for batch composition only when the plan acted, and
+    /// once per victim round of the memory fit's emergency reclaim. An
+    /// armed horizon keeps it current by applying the journal's transfer
+    /// flips and refreshing the running members' progress; telemetry
+    /// walks its ids.
     ctx: SchedContext,
     /// Retained iteration-batch buffer, cleared and refilled per step.
     iter_batch: IterationBatch,
@@ -116,12 +119,13 @@ pub struct Engine {
     /// instead of re-running admission, planning, and composition.
     horizon: Option<ArmedHorizon>,
     /// Per-horizon cache mapping `st.running[i]` to its index in
-    /// `ctx.requests` (`u32::MAX` = no view). Both lists are
-    /// id-sorted and the context's membership is frozen inside a horizon
-    /// (flips edit views in place, never insert or remove), so the gate
-    /// refresh can use direct indexing instead of a binary search per
-    /// member per step. Cleared at every full step; rebuilt by one merge
-    /// pass when its length no longer matches the running set.
+    /// `ctx.requests` (`u32::MAX` = no view). Both lists are id-sorted
+    /// and the context's membership is frozen inside a horizon (its
+    /// journal holds only transfer flips, which edit views in place and
+    /// never insert or remove), so the gate refresh can use direct
+    /// indexing instead of a binary search per member per step. Cleared
+    /// at every full step; rebuilt by one merge pass when its length no
+    /// longer matches the running set.
     running_ctx_idx: Vec<u32>,
     /// Retained completion-event buffer for [`Engine::apply_transfers`]
     /// and the compute window's transfer advance, so the steady state
@@ -362,14 +366,7 @@ impl Engine {
         // and context would be stale.
         let epoch_at_plan = self.st.decision_epoch;
 
-        // The flip journal only matters to an armed horizon's retained
-        // context; this step rebuilds its contexts from true phases, so
-        // everything journaled up to now is already reflected. Flips
-        // landing later in this step (the in-compute transfer advance)
-        // stay journaled for the fast path to reconcile.
-        self.st.transfer_flips.clear();
-
-        // Let the scheduler plan against fresh state.
+        // Let the scheduler plan against current state.
         admission::build_ctx_into(
             &mut self.ctx,
             &mut self.st,
@@ -416,8 +413,8 @@ impl Engine {
         // fit it into GPU memory. When the plan did not act (the epoch
         // still matches its snapshot — stale actions are ignored without
         // bumping it), post-plan state IS pre-plan state and the context
-        // just built for planning is byte-for-byte what a rebuild would
-        // produce, so only an acting plan pays the O(live) walk twice.
+        // just built for planning is byte-for-byte what a second build
+        // would produce, so only an acting plan pays the pass twice.
         if self.st.decision_epoch != epoch_at_plan {
             admission::build_ctx_into(
                 &mut self.ctx,
@@ -446,7 +443,7 @@ impl Engine {
             &self.config,
             &self.profs,
             // Composition is done with the context; an emergency reclaim
-            // rebuilds it per victim round and leaves the step unarmed.
+            // builds it again per victim round and leaves the step unarmed.
             &mut self.ctx,
             now,
             &mut self.trace,
@@ -459,8 +456,8 @@ impl Engine {
         self.execute(now, outcome);
         let end = outcome.now;
 
-        // The ctx-index cache derives from this step's rebuilt context
-        // and running set; any new horizon starts from a fresh merge.
+        // The ctx-index cache derives from this step's context and
+        // running set; any new horizon starts from a fresh merge.
         self.running_ctx_idx.clear();
 
         // Arm the next plan horizon over clean, decode-only iterations:
@@ -468,7 +465,7 @@ impl Engine {
         // and no decision event happened during the step (the epoch
         // still matches, so `ctx` and `iter_batch` describe the
         // state the next step starts from, modulo journaled transfer
-        // flips the fast path reconciles on entry). The scheduler then
+        // flips the fast path applies on entry). The scheduler then
         // certifies how long its plan stays a no-op. (No horizon is
         // armed here: a full step runs only once the last one ended.)
         if self.config.plan_horizon
@@ -511,21 +508,20 @@ impl Engine {
         } else if now >= h.valid_until {
             HorizonEndReason::Expired
         } else {
-            // Mirror the KV transfer completions that landed since the
-            // last reconcile into the retained context: an in-flight
-            // transfer finishing flips one request's phase (`Evicting →
-            // OnCpu` or `Loading → Running`) without any scheduler
-            // decision, and the horizon's certificate is required to
-            // survive it. Phases and counts first, so gates read the
-            // truth below. (A finish inside the horizon bumps the epoch,
-            // so every journaled request still has a scheduler phase.)
-            let flipped = !self.st.transfer_flips.is_empty();
-            for &id in &self.st.transfer_flips {
-                if let Some(phase) = self.st.requests[id.0 as usize].phase.sched_phase() {
-                    self.ctx.update_phase(id, phase);
-                }
-            }
-            self.st.transfer_flips.clear();
+            // Apply the journal to the retained context. With the epoch
+            // unchanged it holds only KV transfer completions since the
+            // last build or fast step: an in-flight transfer finishing
+            // flips one request's phase (`Evicting → OnCpu` or `Loading →
+            // Running`) without any scheduler decision, and the horizon's
+            // certificate is required to survive it. Phases and counts
+            // first, so gates read the truth below. (Arrivals and
+            // finishes move the epoch, so membership stays frozen.)
+            let members = self.ctx.requests.len();
+            let flipped = admission::apply_journal(&mut self.ctx, &mut self.st, &self.kv, now);
+            debug_assert!(
+                self.ctx.requests.len() == members && self.st.finished_views.is_empty(),
+                "a horizon's journal holds only transfer flips"
+            );
             // Pacing gates may flip with buffer levels inside the
             // horizon, and a completed load adds a decode member a frozen
             // replay would miss: re-gate the decode batch. An empty one
@@ -560,7 +556,7 @@ impl Engine {
     /// through [`batch::gate_decode`], reaching each view through the
     /// horizon's cached index. The running set is current at this point:
     /// decision events tore the horizon down via the epoch, and transfer
-    /// flips were already mirrored into the context (including members a
+    /// flips were already applied to the context (including members a
     /// completed load just added), so only per-request progress needs
     /// refreshing. Returns `false` when the re-gated batch is empty.
     fn refresh_and_regate(&mut self, now: SimTime) -> bool {
@@ -659,7 +655,8 @@ impl Engine {
         }
         self.profs.prefill_rate.record(end, spec.prefill_tokens);
         self.profs.decode.record(end, decode_delivered);
-        self.telemetry.sample(&self.st, &self.kv, end);
+        self.telemetry
+            .sample(&self.st, &self.ctx.requests, &self.kv, end);
         self.iterations += 1;
         outcome.now = end;
         outcome.done = self.st.all_finished() && self.st.arrivals.is_empty();

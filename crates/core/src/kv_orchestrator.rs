@@ -68,11 +68,11 @@ pub(crate) fn run_window(
 
 /// Applies transfer completions to the request table: finished
 /// evictions park requests on the CPU, finished loads rejoin the decode
-/// batch. Each phase flip is journaled in
-/// [`EngineState::transfer_flips`] — completions are the mechanical tail
-/// of an already-counted decision, not decision-epoch events, and the
-/// plan-horizon fast path mirrors the flips into its retained context
-/// instead of tearing the horizon down.
+/// batch. Each phase flip goes into the view journal
+/// ([`EngineState::journal_view`]) but does not move the decision epoch:
+/// completions are the mechanical tail of an already-counted decision,
+/// so inside a plan horizon the fast path applies the journal to its
+/// retained context instead of tearing the horizon down.
 fn apply_events(st: &mut EngineState, events: &[KvEvent], trace: &mut TraceSink) {
     for &event in events {
         match event {
@@ -80,7 +80,7 @@ fn apply_events(st: &mut EngineState, events: &[KvEvent], trace: &mut TraceSink)
                 let s = st.state_mut(req);
                 if s.phase == Phase::Evicting {
                     s.phase = Phase::OnCpu;
-                    st.transfer_flips.push(req);
+                    st.journal_view(req);
                     trace.emit(at, TraceEventKind::EvictDone { id: req });
                 }
             }
@@ -89,7 +89,7 @@ fn apply_events(st: &mut EngineState, events: &[KvEvent], trace: &mut TraceSink)
                 if s.phase == Phase::Loading {
                     s.phase = Phase::Running;
                     st.push_running(req);
-                    st.transfer_flips.push(req);
+                    st.journal_view(req);
                     trace.emit(at, TraceEventKind::LoadDone { id: req });
                 }
             }

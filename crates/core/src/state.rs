@@ -1,10 +1,9 @@
 //! Shared request state threaded through the pipeline stages.
 //!
-//! Every stage of the serving pipeline ([`admission`](crate::admission),
-//! [`kv_orchestrator`](crate::kv_orchestrator), [`batch`](crate::batch),
-//! [`delivery`](crate::delivery)) operates on `&mut` views of the state
-//! defined here rather than owning the world — that is what makes the
-//! stages separately testable and reusable (the cluster crate drives many
+//! Every stage of the serving pipeline (`admission`, `kv_orchestrator`,
+//! `batch`, `delivery`) operates on `&mut` views of the state defined
+//! here rather than owning the world — that is what makes the stages
+//! separately testable and reusable (the cluster crate drives many
 //! engines whose stages all share this shape).
 
 use std::collections::VecDeque;
@@ -45,6 +44,12 @@ impl Phase {
             Phase::Finished => None,
         }
     }
+
+    /// Whether a [`ReqPhase::Transitioning`] request is headed into the
+    /// decode batch (prefilling or loading) — a view's `inbound` flag.
+    pub(crate) fn inbound(self) -> bool {
+        matches!(self, Phase::Prefilling | Phase::Loading)
+    }
 }
 
 /// Everything the pipeline tracks for one request.
@@ -79,13 +84,6 @@ impl ReqState {
 pub(crate) struct EngineState {
     /// All requests, indexed by dense `RequestId`.
     pub requests: Vec<ReqState>,
-    /// Arrived requests in ascending-id order — the population one engine
-    /// step iterates. Ids enter at arrival ingest and leave *lazily*: a
-    /// finished request stays until the next context build compacts it
-    /// out in place, so maintenance is amortized O(1) per request instead
-    /// of O(live) per completion. Consumers must skip
-    /// [`Phase::Finished`] entries.
-    pub live_ids: Vec<RequestId>,
     /// Submitted requests not ingested yet, as `(arrival, id)` in
     /// arrival order with ties in submission order. Arrival ingest pops
     /// the due front; everything ingested has left, so the length is the
@@ -128,17 +126,24 @@ pub(crate) struct EngineState {
     /// they are the mechanical tail of a decision already counted (the
     /// preempt or resume that started the transfer), and horizon
     /// certificates are required to survive them (see
-    /// `Scheduler::plan_horizon`). They are journaled in
-    /// [`EngineState::transfer_flips`] instead, so the fast path can
-    /// mirror the phase flips into its retained context.
+    /// `Scheduler::plan_horizon`). Like every decision event they are
+    /// recorded in [`EngineState::view_journal`], which is how the fast
+    /// path mirrors their phase flips into its retained context.
     pub decision_epoch: u64,
-    /// Requests whose phase was flipped by a KV transfer completion
-    /// (`Evicting → OnCpu` or `Loading → Running`) since the fast path
-    /// last reconciled its retained context. Drained by the fast path's
-    /// entry check each step; cleared wholesale by the full pipeline,
-    /// whose context rebuild starts from true phases anyway. The buffer
-    /// is retained across steps, so steady-state pushes never allocate.
-    pub transfer_flips: Vec<RequestId>,
+    /// Requests whose scheduler view changed since the engine's context
+    /// last applied the journal: arrival ingest, admission, every
+    /// preemption outcome (in-flight evict, instant offload, discard),
+    /// resume, prefill completion, finish, evict done and load done each
+    /// push the request once through [`EngineState::journal_view`]. The
+    /// context build drains it into the one retained context (inserting,
+    /// re-phasing and dropping views); inside a plan horizon, where only
+    /// transfer completions can land, the fast path drains it instead.
+    /// Retained across steps, so steady-state pushes never allocate.
+    pub view_journal: Vec<RequestId>,
+    /// Scratch for the context build: journaled requests that finished,
+    /// whose views the build's refresh pass drops. Empty between builds;
+    /// retained so the steady state never allocates.
+    pub finished_views: Vec<RequestId>,
 }
 
 impl EngineState {
@@ -181,19 +186,12 @@ impl EngineState {
         self.requests.len() - self.arrivals.len()
     }
 
-    /// Records an arrival in the live-id index, preserving ascending-id
-    /// order (the context build iterates this index, and scheduler
-    /// contexts list requests in id order). Arrivals almost always come
-    /// in id order — ids are assigned in submission order and workloads
-    /// are arrival-sorted — so the common case is a push.
-    pub(crate) fn insert_live(&mut self, id: RequestId) {
-        match self.live_ids.last() {
-            Some(&last) if last >= id => {
-                let pos = self.live_ids.partition_point(|&x| x < id);
-                self.live_ids.insert(pos, id);
-            }
-            _ => self.live_ids.push(id),
-        }
+    /// Journals a change to `id`'s scheduler view (see
+    /// [`EngineState::view_journal`]). Arrival ingest enters a request
+    /// into the context through this, so anything that puts a request
+    /// in the live set, tests included, calls it.
+    pub(crate) fn journal_view(&mut self, id: RequestId) {
+        self.view_journal.push(id);
     }
 
     /// Adds a request to the decode batch, preserving the sorted order the

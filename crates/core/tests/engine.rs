@@ -201,13 +201,22 @@ fn memory_pressure_causes_queueing_under_fcfs() {
 fn tokenflow_survives_memory_pressure_via_offload() {
     let mut cfg = config();
     cfg.mem_frac = 0.126;
-    let mut e = Engine::new(cfg, TokenFlowScheduler::new());
-    for _ in 0..8 {
-        e.submit(spec(0, 512, 512, 20.0));
+    // A host link 20x slower makes reloading a victim's KV cost more than
+    // re-prefilling it, so the same burst also resumes through §4.2.3's
+    // recompute path.
+    for link_slowdown in [1.0, 20.0] {
+        let mut e = Engine::new(cfg.clone(), TokenFlowScheduler::new());
+        e.set_link_slowdown(link_slowdown);
+        for _ in 0..8 {
+            e.submit(spec(0, 512, 512, 20.0));
+        }
+        assert!(e.run_to_completion().is_finished());
+        let out = e.into_outcome();
+        assert_eq!(out.report.completed, 8);
+        if link_slowdown > 1.0 {
+            assert!(out.report.recomputes > 0, "no victim was recomputed");
+        }
     }
-    assert!(e.run_to_completion().is_finished());
-    let out = e.into_outcome();
-    assert_eq!(out.report.completed, 8);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! * [`write_queue`] — the write-through buffer: dirty (GPU-only) token
 //!   ranges queued for background D2H sync, priority-ordered by the owner's
 //!   buffer occupancy (§5.2 "priority-based write ordering").
-//! * [`manager`] — the [`KvManager`](manager::KvManager) tying them
+//! * [`manager`] — the [`manager::KvManager`] tying them
 //!   together: write-through sync pumped in compute-sized chunks
 //!   (synchronous chunked writing), settled in one pass per compute
 //!   window when flush order cannot matter, near-instant preemption of

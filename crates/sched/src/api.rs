@@ -72,7 +72,11 @@ pub struct ReqView {
 pub struct SchedContext {
     /// Current time.
     pub now: SimTime,
-    /// All live requests (arrived, not finished), in arrival order.
+    /// All live requests (arrived, not finished), in ascending id order.
+    /// Ids follow submission order, which is not arrival order where a
+    /// request is submitted late (a fault retry keeps its original
+    /// arrival), so policies that serve in arrival order sort by
+    /// `(arrival, id)`.
     pub requests: Vec<ReqView>,
     /// Free GPU KV capacity in tokens.
     pub gpu_free_tokens: u64,
@@ -106,9 +110,9 @@ pub struct SchedContext {
     /// [`SchedContext::count_phase`] is O(1) on the engine's hot path
     /// (pacing gates query it per batch member per iteration). Private:
     /// contexts are built through [`SchedContextBuilder`] (or the
-    /// engine's in-place rebuild), both of which keep it consistent;
-    /// code that mutates `requests` directly afterwards must call
-    /// [`SchedContext::recount_phases`].
+    /// engine's maintained build, through [`SchedContext::retain_views`]),
+    /// both of which keep it consistent; code that mutates `requests`
+    /// directly afterwards must call [`SchedContext::recount_phases`].
     phase_counts: [usize; 4],
 }
 
@@ -131,13 +135,12 @@ impl SchedContext {
     /// request list.
     ///
     /// Engine-built contexts list requests in ascending id order (ids are
-    /// dense and the engine walks its live-id index), which is what makes
-    /// per-member lookups on the batch-composition hot path O(log live)
-    /// instead of a linear scan. The ordering is asserted once per
-    /// context build (see [`SchedContext::debug_assert_id_ordered`]), not
-    /// here — this lookup runs per batch member per step. Hand-built
-    /// contexts that violate the ordering get unspecified (but
-    /// memory-safe) results.
+    /// dense and the engine inserts each view at its id position), which
+    /// is what makes per-member lookups on the batch-composition hot path
+    /// O(log live) instead of a linear scan. The engine's debug builds
+    /// check the ordering after every context build, not here — this
+    /// lookup runs per batch member per step. Hand-built contexts that
+    /// violate the ordering get unspecified (but memory-safe) results.
     pub fn view_of(&self, id: RequestId) -> Option<&ReqView> {
         self.requests
             .binary_search_by(|r| r.id.cmp(&id))
@@ -146,8 +149,9 @@ impl SchedContext {
     }
 
     /// Debug-build check that `requests` is in strictly ascending id
-    /// order — the invariant [`SchedContext::view_of`] relies on. Called
-    /// once per context (re)build; a no-op in release builds.
+    /// order — the invariant [`SchedContext::view_of`] relies on. The
+    /// engine's context oracle calls it after every build; a no-op in
+    /// release builds.
     pub fn debug_assert_id_ordered(&self) {
         debug_assert!(
             self.requests.windows(2).all(|w| w[0].id < w[1].id),
@@ -171,11 +175,10 @@ impl SchedContext {
     /// counts consistent. Returns `false` (and changes nothing) when the
     /// request has no view here.
     ///
-    /// This exists for the engine's plan-horizon fast path: a KV
-    /// transfer completing inside a horizon flips a request
-    /// `Transitioning → Running` (load done) or `Transitioning →
-    /// WaitingCpu` (evict done), and the retained context must mirror
-    /// the flip before gates read it again.
+    /// The engine applies its journal of phase changes through this, so
+    /// that inside a plan horizon a KV transfer completion (`Transitioning
+    /// → Running` on load done, `Transitioning → WaitingCpu` on evict
+    /// done) reaches the retained context before gates read it again.
     pub fn update_phase(&mut self, id: RequestId, phase: ReqPhase) -> bool {
         let Ok(i) = self.requests.binary_search_by(|r| r.id.cmp(&id)) else {
             return false;
@@ -193,15 +196,27 @@ impl SchedContext {
         true
     }
 
+    /// Keeps the views for which `f` returns `true`, in order, after `f`
+    /// has rewritten each one in place, and recounts the cached phase
+    /// counts in the same pass. The engine refreshes its maintained
+    /// context through this.
+    pub fn retain_views(&mut self, mut f: impl FnMut(&mut ReqView) -> bool) {
+        let mut counts = [0usize; 4];
+        self.requests.retain_mut(|v| {
+            let keep = f(v);
+            if keep {
+                counts[phase_index(v.phase)] += 1;
+            }
+            keep
+        });
+        self.phase_counts = counts;
+    }
+
     /// Recomputes the cached per-phase counts from `requests`. Call after
     /// mutating the request list in place; the builder and the engine's
-    /// context rebuild do this for you.
+    /// context build do this for you.
     pub fn recount_phases(&mut self) {
-        let mut counts = [0usize; 4];
-        for r in &self.requests {
-            counts[phase_index(r.phase)] += 1;
-        }
-        self.phase_counts = counts;
+        self.retain_views(|_| true);
     }
 
     /// Estimated time to recompute a context from scratch (prefill).
@@ -480,7 +495,8 @@ impl SchedContextBuilder {
         }
     }
 
-    /// Sets the live request views (arrival order).
+    /// Sets the live request views (ascending id order, as
+    /// [`SchedContext::view_of`] requires).
     pub fn requests(mut self, views: Vec<ReqView>) -> Self {
         self.ctx.requests = views;
         self

@@ -2,16 +2,16 @@
 //!
 //! Four schedulers share one engine-facing interface ([`Scheduler`]):
 //!
-//! * [`FcfsScheduler`](fcfs::FcfsScheduler) — SGLang's conservative
-//!   first-come-first-served, prefill-prioritised policy with reactive
-//!   recompute-on-OOM preemption. The paper's primary baseline.
-//! * [`ChunkedPrefillScheduler`](chunked::ChunkedPrefillScheduler) — SGLang
-//!   with chunked prefill mixed into decode iterations.
-//! * [`AndesScheduler`](andes::AndesScheduler) — a QoE-aware preemptive
-//!   scheduler in the style of Andes: urgency-ranked slot allocation with
-//!   recompute-based preemption and no memory-manager co-design.
-//! * [`TokenFlowScheduler`](tokenflow::TokenFlowScheduler) — the paper's
-//!   buffer-aware two-step scheduler: working-set determination (Eq. 4–5),
+//! * [`FcfsScheduler`] — SGLang's conservative first-come-first-served,
+//!   prefill-prioritised policy with reactive recompute-on-OOM
+//!   preemption. The paper's primary baseline.
+//! * [`ChunkedPrefillScheduler`] — SGLang with chunked prefill mixed into
+//!   decode iterations.
+//! * [`AndesScheduler`] — a QoE-aware preemptive scheduler in the style
+//!   of Andes: urgency-ranked slot allocation with recompute-based
+//!   preemption and no memory-manager co-design.
+//! * [`TokenFlowScheduler`] — the paper's buffer-aware two-step
+//!   scheduler: working-set determination (Eq. 4–5),
 //!   admission guarded by victim buffer headroom, buffer balancing through
 //!   the utility function (Eq. 3) with greedy selection plus adjacent-swap
 //!   local search, recompute-vs-reload balancing (§4.2.3), and the
