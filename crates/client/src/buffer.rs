@@ -31,7 +31,8 @@ pub struct BufferSnapshot {
     pub buffered: u64,
     /// Seconds of content in the buffer at the user's rate.
     pub buffered_secs: f64,
-    /// Total rebuffering time experienced so far.
+    /// Total rebuffering time experienced so far, including a stall that
+    /// is still in progress.
     pub rebuffer: SimDuration,
     /// Number of distinct stall episodes (excluding initial wait).
     pub stall_events: u32,
@@ -98,11 +99,6 @@ impl TokenBuffer {
             stall_events: 0,
             horizon: SimTime::ZERO,
         }
-    }
-
-    /// The reader's consumption rate in tokens/second.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 
     /// Time the first token arrived, if any.
@@ -185,21 +181,6 @@ impl TokenBuffer {
     pub fn buffered(&mut self, t: SimTime) -> u64 {
         self.advance_to(t);
         self.delivered - self.consumed
-    }
-
-    /// Seconds of content buffered at the user's rate at time `t`.
-    pub fn buffered_secs(&mut self, t: SimTime) -> f64 {
-        self.buffered(t) as f64 / self.rate
-    }
-
-    /// Total rebuffering time accumulated by `t`, including a stall that is
-    /// still in progress.
-    pub fn rebuffer_time(&mut self, t: SimTime) -> SimDuration {
-        self.advance_to(t);
-        match self.state {
-            ReaderState::Stalled { since } => self.rebuffer + t.saturating_since(since),
-            _ => self.rebuffer,
-        }
     }
 
     /// Instant at which the buffer fully drains assuming no further
@@ -296,10 +277,10 @@ mod tests {
         let mut b = TokenBuffer::new(10.0);
         b.on_tokens(t(0), 1);
         // Stall begins at 100; by 700 the partial stall is 600 ms.
-        assert_eq!(b.rebuffer_time(t(700)), SimDuration::from_millis(600));
+        assert_eq!(b.snapshot(t(700)).rebuffer, SimDuration::from_millis(600));
         // No double counting once the token arrives.
         b.on_tokens(t(800), 1);
-        assert_eq!(b.rebuffer_time(t(900)), SimDuration::from_millis(700));
+        assert_eq!(b.snapshot(t(900)).rebuffer, SimDuration::from_millis(700));
     }
 
     #[test]

@@ -50,7 +50,7 @@ proptest! {
         }
         let end = SimTime::from_micros(n * interval_us.max(1));
         prop_assert_eq!(buf.snapshot(end).stall_events, 0);
-        prop_assert_eq!(buf.rebuffer_time(end), tokenflow_sim::SimDuration::ZERO);
+        prop_assert_eq!(buf.snapshot(end).rebuffer, tokenflow_sim::SimDuration::ZERO);
     }
 
     #[test]
@@ -63,7 +63,7 @@ proptest! {
         let arrival = SimTime::from_millis(gap_ms);
         buf.on_token(arrival);
         let expected_stall_ms = gap_ms.saturating_sub(100); // read due at 100 ms
-        let measured = buf.rebuffer_time(arrival).as_micros() / 1_000;
+        let measured = buf.snapshot(arrival).rebuffer.as_micros() / 1_000;
         prop_assert_eq!(measured, expected_stall_ms);
     }
 }

@@ -90,9 +90,9 @@ struct FaultRuntime {
     /// dropped from the merged report (the re-dispatched incarnation
     /// carries the request from here).
     superseded: BTreeSet<(usize, u64)>,
-    /// Arrivals rejected by shed mode, as `(global, spec)`; each gets a
-    /// synthesized zero-progress record so conservation holds.
-    shed: Vec<(u64, RequestSpec)>,
+    /// The records of arrivals rejected by shed mode, final when shed:
+    /// zero progress, kept so conservation holds.
+    shed: Vec<RequestMetrics>,
     /// Per-replica capacity Γ for shed pressure on static clusters
     /// (elastic clusters read the control plane's configured Γ).
     gamma: f64,
@@ -445,7 +445,12 @@ impl ClusterEngine {
             if shed {
                 let fault = self.fault.as_mut().expect("shed implies fault runtime");
                 fault.driver.on_shed();
-                fault.shed.push((global, spec));
+                fault.shed.push(RequestMetrics::new(
+                    RequestId(global),
+                    spec.arrival,
+                    spec.rate,
+                    spec.output_tokens,
+                ));
                 self.trace.emit(
                     spec.arrival,
                     TraceEventKind::AdmissionShed {
@@ -836,41 +841,23 @@ impl ClusterEngine {
                 o.complete || self.fault.as_ref().is_some_and(|f| f.crashed.contains(&i))
             });
         // Exact merge: recompute the run report from every replica's
-        // per-request records over the cluster's full timeline. Under a
-        // fault plan each request contributes exactly one record: its
-        // latest incarnation (superseded ones are dropped), or a
-        // synthesized zero-progress record for shed arrivals.
-        let all_records: Vec<RequestMetrics> = match &self.fault {
-            None => replicas
+        // per-request records, where they lie, over the cluster's full
+        // timeline. Under a fault plan each request contributes exactly
+        // one record: its latest incarnation (superseded ones are
+        // dropped), or its shed record.
+        let superseded = self.fault.as_ref().map(|f| &f.superseded);
+        let shed = self.fault.iter().flat_map(|f| &f.shed);
+        let kept = replicas.iter().enumerate().flat_map(|(r, o)| {
+            o.records
                 .iter()
-                .flat_map(|o| o.records.iter().cloned())
-                .collect(),
-            Some(fault) => {
-                let mut records: Vec<RequestMetrics> = Vec::new();
-                for (r, outcome) in replicas.iter().enumerate() {
-                    for rec in &outcome.records {
-                        if !fault.superseded.contains(&(r, rec.id.0)) {
-                            records.push(rec.clone());
-                        }
-                    }
-                }
-                for (global, spec) in &fault.shed {
-                    records.push(RequestMetrics::new(
-                        RequestId(*global),
-                        spec.arrival,
-                        spec.rate,
-                        spec.output_tokens,
-                    ));
-                }
-                records
-            }
-        };
+                .filter(move |rec| superseded.is_none_or(|s| !s.contains(&(r, rec.id.0))))
+        });
         let duration = replicas
             .iter()
             .map(|o| o.sim_time)
             .max()
             .unwrap_or(SimDuration::ZERO);
-        let mut merged = RunReport::from_records(&all_records, duration, &self.config.qos);
+        let mut merged = RunReport::from_records(kept.chain(shed), duration, &self.config.qos);
         // Fleet-wide runtime counters: the replicas' fast-path counters
         // merged with the coordinator's executor counters.
         if let Some(pool) = &self.pool {

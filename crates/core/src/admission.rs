@@ -14,7 +14,7 @@ use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{PreemptCause, TraceEventKind, TraceSink};
 use tokenflow_workload::ClientKind;
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, BLOCK_TOKENS};
 use crate::profiler::EngineProfilers;
 use crate::state::{EngineState, Phase, ReqState};
 
@@ -166,7 +166,7 @@ pub(crate) fn apply_journal(
                 ctx.update_phase(id, phase);
                 if let Some(v) = ctx.requests.get_mut(i) {
                     v.inbound = s.phase.inbound();
-                    v.started = s.generated > 0;
+                    v.started = s.generated() > 0;
                 }
             }
             (Ok(_), None) => finished_views.push(id),
@@ -245,7 +245,7 @@ fn set_progress(view: &mut ReqView, s: &ReqState, snap: &BufferSnapshot) {
     view.buffered_tokens = snap.buffered;
     view.buffered_secs = snap.buffered_secs;
     view.stalled = snap.stalled_now;
-    view.started = s.generated > 0;
+    view.started = s.generated() > 0;
     view.context_tokens = s.context_tokens();
     view.remaining_tokens = s.remaining_tokens();
 }
@@ -328,7 +328,7 @@ fn admit_prefill(
             // Recompute path: drop the host copy and re-prefill. The
             // context re-enters the prefill backlog.
             kv.drop_kv(id);
-            st.state_mut(id).metrics.recomputes += 1;
+            st.state_mut(id).recomputes += 1;
             st.prefill_backlog_tokens += st.state(id).context_tokens();
             true
         }
@@ -369,7 +369,7 @@ pub(crate) fn apply_preempt(
     }
     st.decision_epoch += 1;
     st.remove_running(id);
-    st.state_mut(id).metrics.preemptions += 1;
+    st.state_mut(id).preemptions += 1;
     let tokens = kv.context_tokens(id);
     let discard = |st: &mut EngineState, kv: &mut KvManager, id: RequestId| {
         kv.drop_kv(id);
@@ -462,10 +462,9 @@ pub(crate) fn emergency_reclaim(
     now: SimTime,
     trace: &mut TraceSink,
 ) -> bool {
-    let bt = config.block_tokens as u64;
     let mode = scheduler.emergency_preempt_mode();
     loop {
-        if kv.gpu_free_tokens() / bt >= needed_blocks {
+        if kv.gpu_free_tokens() / BLOCK_TOKENS >= needed_blocks {
             return true;
         }
         build_ctx_into(ctx, st, kv, cost, config, profs, now);
@@ -479,7 +478,7 @@ pub(crate) fn emergency_reclaim(
         // frees immediately. Either way the victim leaves the batch.
         apply_preempt(st, kv, victim, mode, now, PreemptCause::Reclaim, trace);
         if mode == PreemptMode::Offload
-            && kv.gpu_free_tokens() / bt < needed_blocks
+            && kv.gpu_free_tokens() / BLOCK_TOKENS < needed_blocks
             && st.state(victim).phase == Phase::Evicting
         {
             // The flush is in flight; memory frees over the next chunks.

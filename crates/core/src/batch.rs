@@ -12,7 +12,7 @@ use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{TraceEventKind, TraceSink};
 
 use crate::admission;
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, BLOCK_TOKENS};
 use crate::profiler::EngineProfilers;
 use crate::state::{EngineState, Phase};
 
@@ -145,35 +145,29 @@ pub(crate) fn compose_into(
 }
 
 /// Blocks newly required by appending one token to each decode member.
-fn decode_blocks_needed(kv: &KvManager, decode: &[RequestId], bt: u64) -> u64 {
+fn decode_blocks_needed(kv: &KvManager, decode: &[RequestId]) -> u64 {
     decode
         .iter()
-        .filter(|&&id| kv.context_tokens(id).is_multiple_of(bt))
+        .filter(|&&id| kv.context_tokens(id).is_multiple_of(BLOCK_TOKENS))
         .count() as u64
 }
 
 /// Blocks `batch` newly requires: its decode appends plus the whole
 /// allocation of every completing prefill.
-fn blocks_needed(batch: &IterationBatch, st: &EngineState, kv: &KvManager, bt: u64) -> u64 {
+fn blocks_needed(batch: &IterationBatch, st: &EngineState, kv: &KvManager) -> u64 {
     let completing: u64 = batch
         .prefill
         .iter()
         .filter(|p| p.completes)
-        .map(|p| st.state(p.id).prefill_target.div_ceil(bt))
+        .map(|p| st.state(p.id).prefill_target.div_ceil(BLOCK_TOKENS))
         .sum();
-    decode_blocks_needed(kv, &batch.decode, bt) + completing
+    decode_blocks_needed(kv, &batch.decode) + completing
 }
 
 /// The clean-fit test: `batch` fits free GPU memory as composed, with no
 /// reclaim, deferral or shedding. The fast path's pre-check applies it too.
-pub(crate) fn fits_clean(
-    batch: &IterationBatch,
-    st: &EngineState,
-    kv: &KvManager,
-    config: &EngineConfig,
-) -> bool {
-    let bt = config.block_tokens as u64;
-    kv.gpu_free_tokens() / bt >= blocks_needed(batch, st, kv, bt)
+pub(crate) fn fits_clean(batch: &IterationBatch, st: &EngineState, kv: &KvManager) -> bool {
+    kv.gpu_free_tokens() / BLOCK_TOKENS >= blocks_needed(batch, st, kv)
 }
 
 /// Memory pre-check: makes room for decode appends plus completing
@@ -202,11 +196,10 @@ pub(crate) fn fit_memory(
     now: SimTime,
     trace: &mut TraceSink,
 ) -> bool {
-    if fits_clean(batch, st, kv, config) {
+    if fits_clean(batch, st, kv) {
         return true;
     }
-    let bt = config.block_tokens as u64;
-    let needed = blocks_needed(batch, st, kv, bt);
+    let needed = blocks_needed(batch, st, kv);
     if !admission::emergency_reclaim(
         st, kv, scheduler, cost, config, profs, ctx, needed, now, trace,
     ) {
@@ -218,10 +211,10 @@ pub(crate) fn fit_memory(
         batch
             .decode
             .retain(|&id| st.state(id).phase == Phase::Running);
-        let decode_needed = decode_blocks_needed(kv, &batch.decode, bt);
-        let mut needed = blocks_needed(batch, st, kv, bt);
+        let decode_needed = decode_blocks_needed(kv, &batch.decode);
+        let mut needed = blocks_needed(batch, st, kv);
         // Defer completing prefills next (when they still do not fit).
-        if needed > decode_needed && kv.gpu_free_tokens() / bt < needed {
+        if needed > decode_needed && kv.gpu_free_tokens() / BLOCK_TOKENS < needed {
             batch.prefill.clear();
             needed = decode_needed;
         }
@@ -237,10 +230,10 @@ pub(crate) fn fit_memory(
         let mut candidates: Vec<(RequestId, u64)> = batch
             .decode
             .iter()
-            .filter(|&&id| kv.context_tokens(id).is_multiple_of(bt))
+            .filter(|&&id| kv.context_tokens(id).is_multiple_of(BLOCK_TOKENS))
             .map(|&id| (id, st.state_mut(id).buffer.buffered(now)))
             .collect();
-        while kv.gpu_free_tokens() / bt < needed && !candidates.is_empty() {
+        while kv.gpu_free_tokens() / BLOCK_TOKENS < needed && !candidates.is_empty() {
             let (pos, _) = candidates
                 .iter()
                 .enumerate()
@@ -292,7 +285,6 @@ pub(crate) fn price(
 mod tests {
     use tokenflow_client::TokenBuffer;
     use tokenflow_kv::{KvConfig, KvManager};
-    use tokenflow_metrics::RequestMetrics;
     use tokenflow_model::{HardwareProfile, ModelProfile};
     use tokenflow_sched::{SchedContext, SchedContextBuilder, SchedPlan};
     use tokenflow_workload::{ClientKind, RequestSpec};
@@ -320,25 +312,29 @@ mod tests {
     /// `buffered` tokens sitting in its client buffer at t = 0.
     fn running(st: &mut EngineState, kv: &mut KvManager, context: u64, buffered: u64) -> RequestId {
         let id = RequestId(st.requests.len() as u64);
-        let mut buffer = TokenBuffer::new(20.0);
+        let spec = RequestSpec {
+            id,
+            arrival: SimTime::ZERO,
+            prompt_tokens: context,
+            output_tokens: 64,
+            rate: 20.0,
+        };
+        let mut buffer = TokenBuffer::new(spec.rate);
         for _ in 0..buffered {
             buffer.on_token(SimTime::ZERO);
         }
         st.requests.push(ReqState {
-            spec: RequestSpec {
-                id,
-                arrival: SimTime::ZERO,
-                prompt_tokens: context,
-                output_tokens: 64,
-                rate: 20.0,
-            },
+            spec,
             kind: ClientKind::Interactive,
             buffer,
-            metrics: RequestMetrics::new(id, SimTime::ZERO, 20.0, 64),
             phase: Phase::Running,
-            generated: 0,
             prefill_done: context,
             prefill_target: context,
+            finished_at: None,
+            effective_tokens: 0.0,
+            qos_weight_sum: 0.0,
+            preemptions: 0,
+            recomputes: 0,
             timeline: None,
         });
         st.journal_view(id);
@@ -359,9 +355,9 @@ mod tests {
     #[test]
     fn shed_skips_mid_block_members() {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
-        let bt = config.block_tokens as u64;
+        let bt = BLOCK_TOKENS;
         let mut kv = KvManager::new(KvConfig {
-            block_tokens: config.block_tokens,
+            block_tokens: BLOCK_TOKENS as u32,
             gpu_blocks: 5,
             cpu_blocks: 0,
             kv_bytes_per_token: config.model.kv_bytes_per_token(),
@@ -431,9 +427,9 @@ mod tests {
     #[test]
     fn shed_ignores_members_preempted_by_reclaim() {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
-        let bt = config.block_tokens as u64;
+        let bt = BLOCK_TOKENS;
         let mut kv = KvManager::new(KvConfig {
-            block_tokens: config.block_tokens,
+            block_tokens: BLOCK_TOKENS as u32,
             gpu_blocks: 5,
             cpu_blocks: 0,
             kv_bytes_per_token: config.model.kv_bytes_per_token(),
@@ -486,9 +482,9 @@ mod tests {
     #[test]
     fn shed_orders_boundary_candidates_by_buffer() {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
-        let bt = config.block_tokens as u64;
+        let bt = BLOCK_TOKENS;
         let mut kv = KvManager::new(KvConfig {
-            block_tokens: config.block_tokens,
+            block_tokens: BLOCK_TOKENS as u32,
             gpu_blocks: 4,
             cpu_blocks: 0,
             kv_bytes_per_token: config.model.kv_bytes_per_token(),

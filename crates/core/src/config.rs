@@ -4,6 +4,9 @@ use tokenflow_metrics::QosParams;
 use tokenflow_model::{CostModel, HardwareProfile, ModelProfile};
 use tokenflow_sim::SimDuration;
 
+/// Tokens per KV block (the paged-attention page size) in every engine.
+pub const BLOCK_TOKENS: u64 = 16;
+
 /// Complete configuration of a serving engine instance.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -13,8 +16,6 @@ pub struct EngineConfig {
     pub hardware: HardwareProfile,
     /// Fraction of device memory the engine may use (SGLang `mem-frac`).
     pub mem_frac: f64,
-    /// Tokens per KV block.
-    pub block_tokens: u32,
     /// Enable write-through background sync (§5.1).
     pub write_through: bool,
     /// Enable KV offload entirely; `false` is the w/o-offload ablation.
@@ -59,7 +60,6 @@ impl EngineConfig {
             model,
             hardware,
             mem_frac: 0.9,
-            block_tokens: 16,
             write_through: true,
             offload_enabled: true,
             load_evict_overlap: true,

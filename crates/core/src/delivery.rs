@@ -1,10 +1,9 @@
 //! Pipeline stage 4 — delivery: token hand-off into client buffers plus
 //! per-request and time-series metrics.
 //!
-//! This is the only stage that touches client buffers and metric records:
-//! prefill completions emit their first token here, decode members emit
-//! one token each, and finished requests release their KV and leave every
-//! queue.
+//! This is the only stage that delivers into client buffers: prefill
+//! completions emit their first token here, decode members emit one token
+//! each, and finished requests release their KV and leave every queue.
 
 use tokenflow_kv::KvManager;
 use tokenflow_metrics::{effective_weight, qos_token_weight, QosParams, TimeSeries};
@@ -114,8 +113,9 @@ pub(crate) fn deliver_decode(
     delivered
 }
 
-/// Hands one token to a request's client buffer, updating metrics and —
-/// on the final token — finishing the request.
+/// Hands one token to a request's client buffer, which counts it (and
+/// times the first), adds its weights to the request's sums, and — on
+/// the final token — finishes the request.
 pub(crate) fn deliver_token(
     st: &mut EngineState,
     kv: &mut KvManager,
@@ -126,24 +126,22 @@ pub(crate) fn deliver_token(
     trace: &mut TraceSink,
 ) {
     let s = st.state_mut(id);
-    debug_assert!(s.generated < s.spec.output_tokens);
+    debug_assert!(s.remaining_tokens() > 0);
     let buffered_before = s.buffer.buffered(at);
-    s.generated += 1;
     s.buffer.on_token(at);
-    if s.metrics.first_token_at.is_none() {
-        s.metrics.first_token_at = Some(at);
+    let generated = s.generated();
+    if generated == 1 {
         trace.emit(at, TraceEventKind::FirstToken { id });
     }
-    s.metrics.generated = s.generated;
-    s.metrics.effective_tokens += effective_weight(buffered_before, s.spec.output_tokens);
-    s.metrics.qos_weight_sum += qos_token_weight(buffered_before, s.spec.output_tokens, qos);
+    s.effective_tokens += effective_weight(buffered_before, s.spec.output_tokens);
+    s.qos_weight_sum += qos_token_weight(buffered_before, s.spec.output_tokens, qos);
     if let Some(tl) = s.timeline.as_mut() {
-        tl.record(at, s.generated);
+        tl.record(at, generated);
     }
-    outcome.delivered.push((id, s.generated));
-    if s.generated == s.spec.output_tokens {
+    outcome.delivered.push((id, generated));
+    if generated == s.spec.output_tokens {
         s.phase = Phase::Finished;
-        s.metrics.finished_at = Some(at);
+        s.finished_at = Some(at);
         let rate = s.spec.rate;
         st.decision_epoch += 1;
         st.finished_count += 1;

@@ -26,7 +26,7 @@ use tokenflow_trace::{HorizonEndReason, TraceEventKind, TraceSink, TraceSource};
 use tokenflow_workload::{ClientKind, RequestSpec};
 
 use crate::batch::IterationBatch;
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, BLOCK_TOKENS};
 use crate::delivery::Telemetry;
 use crate::outcome::SimOutcome;
 use crate::profiler::EngineProfilers;
@@ -164,12 +164,12 @@ impl Engine {
         let cost = config.cost_model();
         let gpu_tokens = cost.kv_token_capacity(config.mem_frac);
         assert!(
-            gpu_tokens >= config.block_tokens as u64,
+            gpu_tokens >= BLOCK_TOKENS,
             "configuration leaves no KV capacity: model does not fit"
         );
-        let gpu_blocks = gpu_tokens / config.block_tokens as u64;
+        let gpu_blocks = gpu_tokens / BLOCK_TOKENS;
         let kv = KvManager::new(KvConfig {
-            block_tokens: config.block_tokens,
+            block_tokens: BLOCK_TOKENS as u32,
             gpu_blocks,
             // The host pool holds eight GPU pools; transfers move
             // 256-token chunks; write-through flushes fuller buffers
@@ -260,7 +260,6 @@ impl Engine {
         );
         let id = RequestId(self.st.requests.len() as u64);
         spec.id = id;
-        let metrics = RequestMetrics::new(id, spec.arrival, spec.rate, spec.output_tokens);
         // One timeline point per output token: the exact final length is
         // known here, so reserve it once.
         let timeline = (id.0 < self.config.timeline_requests as u64)
@@ -268,11 +267,14 @@ impl Engine {
         self.st.requests.push(ReqState {
             buffer: TokenBuffer::new(spec.rate),
             kind,
-            metrics,
             phase: Phase::WaitingNew,
-            generated: 0,
             prefill_done: 0,
             prefill_target: 0,
+            finished_at: None,
+            effective_tokens: 0.0,
+            qos_weight_sum: 0.0,
+            preemptions: 0,
+            recomputes: 0,
             timeline,
             spec,
         });
@@ -530,7 +532,7 @@ impl Engine {
             // need reclamation or shedding go to the full pipeline.
             let regate = flipped || !h.gates_static;
             if (!regate || self.refresh_and_regate(now))
-                && batch::fits_clean(&self.iter_batch, &self.st, &self.kv, &self.config)
+                && batch::fits_clean(&self.iter_batch, &self.st, &self.kv)
             {
                 return true;
             }
@@ -813,39 +815,28 @@ impl Engine {
     {
     }
 
-    /// Finalises metrics and returns the outcome, consuming the engine.
-    pub fn into_outcome(mut self) -> SimOutcome {
+    /// Derives every request's record (see `ReqState::record`) and the
+    /// run report from them, and returns the outcome, consuming the
+    /// engine.
+    pub fn into_outcome(self) -> SimOutcome {
         let run_end = self.now;
-        // Let every reader drain its buffer so rebuffering is fully
-        // accounted; unfinished requests are measured to run end.
         let complete = self.st.all_finished();
-        for s in &mut self.st.requests {
-            // Finished requests are measured to the instant their reader
-            // consumes the last token — the stream is over, the reader does
-            // not stall on tokens that will never come. Unfinished requests
-            // are measured to the cutoff.
-            let horizon = match (s.metrics.finished_at, s.buffer.drain_end()) {
-                (Some(_), Some(drain)) => drain,
-                _ => run_end,
-            };
-            let snap = s.buffer.snapshot(horizon);
-            s.metrics.rebuffer = snap.rebuffer;
-            s.metrics.stall_events = snap.stall_events;
-        }
-        let records: Vec<RequestMetrics> =
-            self.st.requests.iter().map(|s| s.metrics.clone()).collect();
+        let mut timelines = Vec::new();
+        let records: Vec<RequestMetrics> = self
+            .st
+            .requests
+            .into_iter()
+            .map(|mut s| {
+                timelines.extend(s.timeline.take());
+                s.record(run_end)
+            })
+            .collect();
         let mut report = RunReport::from_records(
             &records,
             run_end.saturating_since(SimTime::ZERO),
             &self.config.qos,
         );
         report.runtime = self.runtime;
-        let timelines = self
-            .st
-            .requests
-            .iter_mut()
-            .filter_map(|s| s.timeline.take())
-            .collect();
         let completion = if complete {
             Completion::Finished
         } else if run_end >= SimTime::ZERO + self.config.deadline {

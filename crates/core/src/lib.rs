@@ -43,7 +43,7 @@ pub mod outcome;
 pub mod profiler;
 pub mod state;
 
-pub use config::EngineConfig;
+pub use config::{EngineConfig, BLOCK_TOKENS};
 pub use engine::{Completion, Engine, StepOutcome};
 pub use outcome::SimOutcome;
 pub use state::EngineLoad;

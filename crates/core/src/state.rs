@@ -52,29 +52,68 @@ impl Phase {
     }
 }
 
-/// Everything the pipeline tracks for one request.
+/// Everything the pipeline tracks for one request, each fact once: the
+/// spec holds id, arrival, rate and lengths; the buffer holds the
+/// delivered-token count, the first-token time, rebuffering and stalls;
+/// `finished_at`, the two weight sums and the two counts are the
+/// same-named [`RequestMetrics`] fields, which nothing else records.
 #[derive(Debug)]
 pub(crate) struct ReqState {
     pub spec: RequestSpec,
     pub kind: ClientKind,
     pub buffer: TokenBuffer,
-    pub metrics: RequestMetrics,
     pub phase: Phase,
-    pub generated: u64,
     pub prefill_done: u64,
     pub prefill_target: u64,
+    pub finished_at: Option<SimTime>,
+    pub effective_tokens: f64,
+    pub qos_weight_sum: f64,
+    pub preemptions: u32,
+    pub recomputes: u32,
     pub timeline: Option<TokenTimeline>,
 }
 
 impl ReqState {
+    /// Output tokens generated so far: the ones delivered to the buffer.
+    pub(crate) fn generated(&self) -> u64 {
+        self.buffer.delivered()
+    }
+
     /// Current context length (prompt + generated so far).
     pub(crate) fn context_tokens(&self) -> u64 {
-        self.spec.prompt_tokens + self.generated
+        self.spec.prompt_tokens + self.generated()
     }
 
     /// Output tokens still to generate.
     pub(crate) fn remaining_tokens(&self) -> u64 {
-        self.spec.output_tokens - self.generated
+        self.spec.output_tokens - self.generated()
+    }
+
+    /// The request's record, derived once, at the end of a run that
+    /// stopped at `run_end`. A finished request's reader is measured to
+    /// when it consumes the last token (it does not stall on tokens that
+    /// will never come); an unfinished one to `run_end`, open stall and all.
+    pub(crate) fn record(&mut self, run_end: SimTime) -> RequestMetrics {
+        let horizon = match (self.finished_at, self.buffer.drain_end()) {
+            (Some(_), Some(drain)) => drain,
+            _ => run_end,
+        };
+        let snap = self.buffer.snapshot(horizon);
+        RequestMetrics {
+            id: self.spec.id,
+            arrival: self.spec.arrival,
+            rate: self.spec.rate,
+            output_len: self.spec.output_tokens,
+            first_token_at: self.buffer.first_token_at(),
+            finished_at: self.finished_at,
+            generated: snap.delivered,
+            effective_tokens: self.effective_tokens,
+            qos_weight_sum: self.qos_weight_sum,
+            rebuffer: snap.rebuffer,
+            stall_events: snap.stall_events,
+            preemptions: self.preemptions,
+            recomputes: self.recomputes,
+        }
     }
 }
 

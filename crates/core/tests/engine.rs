@@ -5,7 +5,7 @@
 //! scheduler parameter), so they double as the refactor's behavioral
 //! oracle: the staged pipeline must keep every one of them green.
 
-use tokenflow_core::{Engine, EngineConfig};
+use tokenflow_core::{Completion, Engine, EngineConfig};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::{
     AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowScheduler,
@@ -402,4 +402,70 @@ fn late_and_tied_submissions_ingest_in_arrival_then_submission_order() {
         })
         .collect();
     assert_eq!(ingested, vec![a, c, late, b, d, last]);
+}
+
+/// The records of a run the deadline cuts off, pinned field by field.
+/// Requests 0–7 and 11 are mid-stream at the cut after repeated
+/// preemptions, most of them resumed by recompute (a 20× slower host
+/// link). 8 and 9 finished, 9 after a stall before every token but the
+/// first (a 400 tok/s reader), so its rebuffering runs to the instant its
+/// reader drains. 10, an agent reading at 400 tok/s, is offloaded for
+/// 12's admission and stalled at the cut, so its rebuffering includes
+/// the stall still open at run end. 13 arrived but never started, and 14
+/// arrives after the deadline.
+#[test]
+fn deadline_cut_run_pins_every_record() {
+    let mut cfg = config();
+    cfg.mem_frac = 0.126;
+    cfg.deadline = SimDuration::from_secs(20);
+    let mut e = Engine::new(cfg, TokenFlowScheduler::new());
+    e.set_link_slowdown(20.0);
+    for _ in 0..8 {
+        e.submit(spec(0, 512, 512, 20.0));
+    }
+    e.submit(spec(0, 256, 64, 40.0));
+    e.submit(spec(200, 128, 600, 400.0));
+    e.submit_agent(spec(500, 128, 8_000, 400.0));
+    e.submit(spec(1_000, 512, 512, 20.0));
+    e.submit(spec(19_500, 4_096, 64, 20.0));
+    e.submit(spec(19_900, 4_096, 64, 20.0));
+    e.submit(spec(30_000, 64, 64, 20.0));
+    assert_eq!(e.run_to_completion(), Completion::Deadline);
+    let out = e.into_outcome();
+    // (ttft, finished_at, generated, rebuffer, stall events, preemptions,
+    // recomputes), times in microseconds.
+    type Row = (Option<u64>, Option<u64>, u64, u64, u32, u32, u32);
+    let want: [Row; 15] = [
+        (Some(62_770), None, 451, 12_930, 1, 18, 1),
+        (Some(62_770), None, 443, 12_930, 1, 8, 6),
+        (Some(62_770), None, 433, 12_930, 1, 12, 7),
+        (Some(62_770), None, 413, 12_930, 1, 12, 8),
+        (Some(125_700), None, 442, 0, 0, 16, 10),
+        (Some(125_700), None, 450, 0, 0, 21, 12),
+        (Some(125_700), None, 422, 0, 0, 15, 11),
+        (Some(133_915), None, 432, 0, 0, 12, 11),
+        (Some(125_700), Some(446_561), 64, 0, 0, 0, 0),
+        (Some(8_075), Some(3_140_966), 600, 1_435_391, 599, 0, 0),
+        (Some(5_848), None, 3_617, 10_458_099, 3_617, 1, 0),
+        (Some(15_624), None, 404, 0, 0, 12, 11),
+        (Some(258_489), None, 12, 0, 0, 0, 0),
+        (None, None, 0, 0, 0, 0, 0),
+        (None, None, 0, 0, 0, 0, 0),
+    ];
+    let got: Vec<Row> = out
+        .records
+        .iter()
+        .map(|r| {
+            (
+                r.ttft().map(|d| d.as_micros()),
+                r.finished_at.map(|t| t.as_micros()),
+                r.generated,
+                r.rebuffer.as_micros(),
+                r.stall_events,
+                r.preemptions,
+                r.recomputes,
+            )
+        })
+        .collect();
+    assert_eq!(got, want);
 }

@@ -1,4 +1,4 @@
-//! Per-request measurement, accumulated live by the serving engine.
+//! Per-request measurement, derived by the serving engine at run end.
 
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 

@@ -230,39 +230,41 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Aggregates per-request records.
-    pub fn from_records(
-        records: &[RequestMetrics],
+    /// Aggregates per-request records, from any re-iterable sequence of
+    /// references, in the order given (float sums depend on it).
+    pub fn from_records<'a>(
+        records: impl IntoIterator<Item = &'a RequestMetrics, IntoIter: Clone>,
         duration: SimDuration,
         qos: &QosParams,
     ) -> RunReport {
+        let records = records.into_iter();
         let dur_secs = duration.as_secs_f64().max(1e-9);
         let ttfts: Vec<f64> = records
-            .iter()
+            .clone()
             .filter_map(|r| r.ttft().map(|d| d.as_secs_f64()))
             .collect();
-        let total_tokens: u64 = records.iter().map(|r| r.generated).sum();
-        let effective: f64 = records.iter().map(|r| r.effective_tokens).sum();
+        let total_tokens: u64 = records.clone().map(|r| r.generated).sum();
+        let effective: f64 = records.clone().map(|r| r.effective_tokens).sum();
         let qos_total: f64 = records
-            .iter()
+            .clone()
             .map(|r| r.qos_contribution(qos.lambda, qos.mu))
             .sum();
         let gen_rates: Vec<f64> = records
-            .iter()
+            .clone()
             .filter_map(|r| r.mean_generation_rate())
             .collect();
         RunReport {
-            submitted: records.len(),
-            completed: records.iter().filter(|r| r.completed()).count(),
+            submitted: records.clone().count(),
+            completed: records.clone().filter(|r| r.completed()).count(),
             duration,
             ttft: Summary::of(&ttfts),
             throughput: total_tokens as f64 / dur_secs,
             effective_throughput: effective / dur_secs,
             qos: qos_total / dur_secs,
-            total_rebuffer_secs: records.iter().map(|r| r.rebuffer.as_secs_f64()).sum(),
-            stall_events: records.iter().map(|r| r.stall_events as u64).sum(),
-            preemptions: records.iter().map(|r| r.preemptions as u64).sum(),
-            recomputes: records.iter().map(|r| r.recomputes as u64).sum(),
+            total_rebuffer_secs: records.clone().map(|r| r.rebuffer.as_secs_f64()).sum(),
+            stall_events: records.clone().map(|r| r.stall_events as u64).sum(),
+            preemptions: records.clone().map(|r| r.preemptions as u64).sum(),
+            recomputes: records.map(|r| r.recomputes as u64).sum(),
             mean_generation_rate: if gen_rates.is_empty() {
                 0.0
             } else {

@@ -17,6 +17,7 @@
 //! fields are typo-guarded, and every value the runtime would assert on is
 //! range-checked, so a spec that parses also builds and runs.
 
+use tokenflow_core::BLOCK_TOKENS;
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy, WindowFault};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sim::{SimDuration, SimTime};
@@ -622,7 +623,7 @@ fn fits(spec: &ScenarioSpec) -> bool {
         return true;
     };
     let config = spec.engine.build_config(model, hardware);
-    config.gpu_kv_tokens() >= u64::from(config.block_tokens)
+    config.gpu_kv_tokens() >= BLOCK_TOKENS
 }
 
 /// Cross-field rule: a fault schedule needs a multi-replica topology,

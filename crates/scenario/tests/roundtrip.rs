@@ -7,6 +7,7 @@
 //! alternatives, never as panics.
 
 use proptest::prelude::*;
+use tokenflow_core::BLOCK_TOKENS;
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy, WindowFault};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
@@ -417,7 +418,7 @@ fn fits(spec: &ScenarioSpec) -> bool {
         ModelProfile::by_name(&spec.model).expect("drawn from MODEL_NAMES"),
         HardwareProfile::by_name(&spec.hardware).expect("drawn from HARDWARE_NAMES"),
     );
-    config.gpu_kv_tokens() >= u64::from(config.block_tokens)
+    config.gpu_kv_tokens() >= BLOCK_TOKENS
 }
 
 proptest! {
