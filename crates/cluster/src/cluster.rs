@@ -841,23 +841,29 @@ impl ClusterEngine {
                 o.complete || self.fault.as_ref().is_some_and(|f| f.crashed.contains(&i))
             });
         // Exact merge: recompute the run report from every replica's
-        // per-request records, where they lie, over the cluster's full
+        // per-request records, by reference, over the cluster's full
         // timeline. Under a fault plan each request contributes exactly
         // one record: its latest incarnation (superseded ones are
-        // dropped), or its shed record.
+        // dropped), or its shed record. The filter runs once, not once
+        // per aggregation pass.
         let superseded = self.fault.as_ref().map(|f| &f.superseded);
-        let shed = self.fault.iter().flat_map(|f| &f.shed);
-        let kept = replicas.iter().enumerate().flat_map(|(r, o)| {
-            o.records
-                .iter()
-                .filter(move |rec| superseded.is_none_or(|s| !s.contains(&(r, rec.id.0))))
-        });
+        let records: Vec<&RequestMetrics> = replicas
+            .iter()
+            .enumerate()
+            .flat_map(|(r, o)| {
+                o.records
+                    .iter()
+                    .filter(move |rec| superseded.is_none_or(|s| !s.contains(&(r, rec.id.0))))
+            })
+            .chain(self.fault.iter().flat_map(|f| &f.shed))
+            .collect();
         let duration = replicas
             .iter()
             .map(|o| o.sim_time)
             .max()
             .unwrap_or(SimDuration::ZERO);
-        let mut merged = RunReport::from_records(kept.chain(shed), duration, &self.config.qos);
+        let mut merged =
+            RunReport::from_records(records.iter().copied(), duration, &self.config.qos);
         // Fleet-wide runtime counters: the replicas' fast-path counters
         // merged with the coordinator's executor counters.
         if let Some(pool) = &self.pool {
