@@ -19,21 +19,28 @@ use crate::profiler::EngineProfilers;
 use crate::state::{EngineState, Phase, ReqState};
 
 /// Pops every arrival due by `now` off the front of the pending queue,
-/// journaling each so the next context build gives it a view.
-pub(crate) fn ingest_arrivals(st: &mut EngineState, now: SimTime, trace: &mut TraceSink) {
-    while let Some(&(arrival, id)) = st.arrivals.front() {
+/// builds its state in a live slot (with a delivery timeline when its id
+/// is below `timeline_requests`), and journals it so the next context
+/// build gives it a view.
+pub(crate) fn ingest_arrivals(
+    st: &mut EngineState,
+    now: SimTime,
+    timeline_requests: usize,
+    trace: &mut TraceSink,
+) {
+    while let Some(&pending) = st.arrivals.front() {
+        let (id, arrival) = (pending.spec.id, pending.spec.arrival);
         if arrival > now {
             break;
         }
         st.arrivals.pop_front();
         st.decision_epoch += 1;
-        // Requests cannot leave WaitingNew before they arrive (the
-        // scheduler only ever sees arrived requests), so each arrival
-        // joins the waiting pool and its whole prompt joins the prefill
-        // backlog.
-        debug_assert_eq!(st.state(id).phase, Phase::WaitingNew);
+        // Each arrival joins the waiting pool and its whole prompt joins
+        // the prefill backlog.
+        let state = ReqState::new(pending, id.0 < timeline_requests as u64);
         st.waiting_count += 1;
-        st.prefill_backlog_tokens += st.state(id).context_tokens();
+        st.prefill_backlog_tokens += state.context_tokens();
+        st.insert(state);
         st.journal_view(id);
         trace.emit(now, TraceEventKind::Arrived { id, arrival });
     }
@@ -78,11 +85,7 @@ pub(crate) fn build_ctx_into(
     // flush, and a zero-byte load.
     let evict_empty = (ctx.d2h_eta + SimDuration::ZERO).as_secs_f64();
     let load_empty = (ctx.h2d_eta + kv.pcie().transfer_time(0)).as_secs_f64();
-    let EngineState {
-        requests,
-        finished_views,
-        ..
-    } = st;
+    let mut finished_views = std::mem::take(&mut st.finished_views);
     finished_views.sort_unstable();
     finished_views.dedup();
     let mut finished = finished_views.iter().copied().peekable();
@@ -94,7 +97,7 @@ pub(crate) fn build_ctx_into(
         if v.phase == ReqPhase::WaitingNew && !v.started {
             v.evict_secs = evict_empty;
             v.load_secs = load_empty;
-        } else if let Some(s) = requests.get_mut(v.id.0 as usize) {
+        } else if let Some(s) = st.get_mut(v.id) {
             let snap = s.buffer.snapshot(now);
             refresh_view(v, s, &snap, kv, now);
         }
@@ -103,6 +106,7 @@ pub(crate) fn build_ctx_into(
     });
     debug_assert!(finished.next().is_none(), "a finished view was missed");
     finished_views.clear();
+    st.finished_views = finished_views;
 
     let live_n = ctx.requests.len().max(1) as u64;
     let avg_ctx = (context_sum / live_n).max(128);
@@ -147,30 +151,24 @@ pub(crate) fn apply_journal(
     kv: &KvManager,
     now: SimTime,
 ) -> bool {
-    let EngineState {
-        requests,
-        view_journal,
-        finished_views,
-        ..
-    } = st;
-    if view_journal.is_empty() {
+    if st.view_journal.is_empty() {
         return false;
     }
-    for id in view_journal.drain(..) {
-        let Some(s) = requests.get_mut(id.0 as usize) else {
-            continue;
-        };
+    let mut journal = std::mem::take(&mut st.view_journal);
+    for id in journal.drain(..) {
         let at = ctx.requests.binary_search_by(|v| v.id.cmp(&id));
-        match (at, s.phase.sched_phase()) {
-            (Ok(i), Some(phase)) => {
+        // A journaled request without a live state has finished.
+        let live = st.get_mut(id).map(|s| (s.phase.sched_phase(), s));
+        match (at, live) {
+            (Ok(i), Some((phase, s))) => {
                 ctx.update_phase(id, phase);
                 if let Some(v) = ctx.requests.get_mut(i) {
                     v.inbound = s.phase.inbound();
                     v.started = s.generated() > 0;
                 }
             }
-            (Ok(_), None) => finished_views.push(id),
-            (Err(i), Some(phase)) => {
+            (Ok(_), None) => st.finished_views.push(id),
+            (Err(i), Some((phase, s))) => {
                 let snap = s.buffer.snapshot(now);
                 ctx.requests
                     .insert(i, fresh_view(id, phase, s, &snap, kv, now));
@@ -178,6 +176,7 @@ pub(crate) fn apply_journal(
             (Err(_), None) => {}
         }
     }
+    st.view_journal = journal;
     true
 }
 
@@ -254,8 +253,9 @@ fn set_progress(view: &mut ReqView, s: &ReqState, snap: &BufferSnapshot) {
 /// only. It recomputes every view with [`fresh_view`] (on a copy of the
 /// buffer, so it changes no state) and requires it field for field, with
 /// floats compared bitwise; checks membership by count (one view per
-/// ingested, unfinished request, in strictly ascending id order); and
-/// checks the running counters against their definitions.
+/// ingested, unfinished request, in strictly ascending id order, and one
+/// live state per view); and checks the running counters against their
+/// definitions.
 #[cfg(any(test, debug_assertions))]
 fn check_maintained(ctx: &SchedContext, st: &EngineState, kv: &KvManager, now: SimTime) {
     assert_eq!(
@@ -263,14 +263,24 @@ fn check_maintained(ctx: &SchedContext, st: &EngineState, kv: &KvManager, now: S
         st.ingested() - st.finished_count,
         "the context must hold one view per ingested, unfinished request"
     );
+    assert_eq!(
+        st.live_count(),
+        ctx.requests.len(),
+        "only live requests may hold a state"
+    );
     ctx.debug_assert_id_ordered();
     let mut waiting = 0usize;
     let mut backlog = 0u64;
     for v in &ctx.requests {
-        let s = st.state(v.id);
-        let Some(phase) = s.phase.sched_phase().filter(|_| s.spec.arrival <= now) else {
-            panic!("{:?} has a view but has not arrived or has finished", v.id);
+        let Some(s) = st.get(v.id) else {
+            panic!("{:?} has a view but no live state", v.id);
         };
+        assert!(
+            s.spec.arrival <= now,
+            "{:?} has a view but has not arrived",
+            v.id
+        );
+        let phase = s.phase.sched_phase();
         let snap = s.buffer.clone().snapshot(now);
         let want = fresh_view(v.id, phase, s, &snap, kv, now);
         assert!(
@@ -297,6 +307,15 @@ fn check_maintained(ctx: &SchedContext, st: &EngineState, kv: &KvManager, now: S
         st.prefill_backlog_tokens, backlog,
         "prefill_backlog_tokens drifted"
     );
+    // The rate sum is kept by adding at submit and subtracting at finish,
+    // so it carries rounding the recomputed sum does not.
+    let rates: f64 = st.arrivals.iter().map(|p| p.spec.rate).sum::<f64>()
+        + st.live_states().map(|s| s.spec.rate).sum::<f64>();
+    assert!(
+        (st.active_rate_sum - rates).abs() <= 1e-9 * st.active_rate_sum.abs().max(rates.abs()),
+        "active_rate_sum drifted: kept {} vs {rates} over pending and live requests",
+        st.active_rate_sum
+    );
 }
 
 /// Field-for-field view equality: the derived `PartialEq`, with the
@@ -316,29 +335,32 @@ fn admit_prefill(
     now: SimTime,
     trace: &mut TraceSink,
 ) {
-    let phase = st.state(id).phase;
-    let recompute = match phase {
+    let Some(s) = st.get_mut(id) else {
+        return; // stale action; ignore
+    };
+    let recompute = match s.phase {
         // A waiting request's context is already counted in the prefill
         // backlog; admission keeps it there (target − done is unchanged).
-        Phase::WaitingNew => {
-            st.waiting_count -= 1;
-            false
-        }
+        Phase::WaitingNew => false,
+        // Recompute path: drop the host copy and re-prefill. The context
+        // re-enters the prefill backlog.
         Phase::OnCpu => {
-            // Recompute path: drop the host copy and re-prefill. The
-            // context re-enters the prefill backlog.
-            kv.drop_kv(id);
-            st.state_mut(id).recomputes += 1;
-            st.prefill_backlog_tokens += st.state(id).context_tokens();
+            s.recomputes += 1;
             true
         }
         _ => return, // stale action; ignore
     };
-    st.decision_epoch += 1;
-    let s = st.state_mut(id);
     s.prefill_target = s.context_tokens();
     s.prefill_done = 0;
     s.phase = Phase::Prefilling;
+    let target = s.prefill_target;
+    if recompute {
+        kv.drop_kv(id);
+        st.prefill_backlog_tokens += target;
+    } else {
+        st.waiting_count -= 1;
+    }
+    st.decision_epoch += 1;
     st.prefill_queue.push_back(id);
     st.journal_view(id);
     trace.emit(
@@ -346,9 +368,7 @@ fn admit_prefill(
         TraceEventKind::Admitted {
             id,
             recompute,
-            queued_behind_tokens: st
-                .prefill_backlog_tokens
-                .saturating_sub(st.state(id).prefill_target),
+            queued_behind_tokens: st.prefill_backlog_tokens.saturating_sub(target),
         },
     );
 }
@@ -364,43 +384,42 @@ pub(crate) fn apply_preempt(
     cause: PreemptCause,
     trace: &mut TraceSink,
 ) {
-    if st.state(id).phase != Phase::Running {
+    let Some(slot) = st.slot(id) else {
         return; // stale action
-    }
+    };
+    let Some(s) = st.at_mut(slot).filter(|s| s.phase == Phase::Running) else {
+        return; // stale action
+    };
+    s.preemptions += 1;
+    let context = s.context_tokens();
     st.decision_epoch += 1;
     st.remove_running(id);
-    st.state_mut(id).preemptions += 1;
     let tokens = kv.context_tokens(id);
-    let discard = |st: &mut EngineState, kv: &mut KvManager, id: RequestId| {
-        kv.drop_kv(id);
-        st.state_mut(id).phase = Phase::WaitingNew;
-        // A discarded victim was running, hence arrived: it rejoins the
-        // waiting pool (and the prefill backlog, with its full recompute
-        // context) until the scheduler re-admits its recompute.
-        st.waiting_count += 1;
-        st.prefill_backlog_tokens += st.state(id).context_tokens();
+    let evict = match mode {
+        PreemptMode::Discard => None,
+        PreemptMode::Offload => kv.begin_evict(id, now).ok(),
     };
-    let discarded = match mode {
-        PreemptMode::Discard => {
-            discard(st, kv, id);
-            true
+    let phase = match evict {
+        Some(EvictStart::Instant) => Phase::OnCpu,
+        Some(EvictStart::InFlight) => {
+            trace.emit(now, TraceEventKind::EvictStart { id, tokens });
+            Phase::Evicting
         }
-        PreemptMode::Offload => match kv.begin_evict(id, now) {
-            Ok(EvictStart::Instant) => {
-                st.state_mut(id).phase = Phase::OnCpu;
-                false
-            }
-            Ok(EvictStart::InFlight) => {
-                st.state_mut(id).phase = Phase::Evicting;
-                trace.emit(now, TraceEventKind::EvictStart { id, tokens });
-                false
-            }
-            Err(_) => {
-                discard(st, kv, id);
-                true
-            }
-        },
+        None => {
+            kv.drop_kv(id);
+            // A discarded victim was running, hence arrived: it rejoins
+            // the waiting pool (and the prefill backlog, with its full
+            // recompute context) until the scheduler re-admits its
+            // recompute.
+            st.waiting_count += 1;
+            st.prefill_backlog_tokens += context;
+            Phase::WaitingNew
+        }
     };
+    if let Some(s) = st.at_mut(slot) {
+        s.phase = phase;
+    }
+    let discarded = phase == Phase::WaitingNew;
     st.journal_view(id);
     trace.emit(
         now,
@@ -424,9 +443,12 @@ pub(crate) fn apply_plan(
         match action {
             Action::AdmitPrefill(id) => admit_prefill(st, kv, id, now, trace),
             Action::Resume(id) => {
-                if st.state(id).phase == Phase::OnCpu && kv.begin_load(id, now).is_ok() {
+                let Some(s) = st.get_mut(id).filter(|s| s.phase == Phase::OnCpu) else {
+                    continue; // stale action
+                };
+                if kv.begin_load(id, now).is_ok() {
+                    s.phase = Phase::Loading;
                     st.decision_epoch += 1;
-                    st.state_mut(id).phase = Phase::Loading;
                     st.journal_view(id);
                     trace.emit(now, TraceEventKind::Resumed { id });
                     trace.emit(
@@ -471,7 +493,7 @@ pub(crate) fn emergency_reclaim(
         let Some(victim) = scheduler.emergency_victim(ctx) else {
             return false;
         };
-        if st.state(victim).phase != Phase::Running {
+        if st.phase(victim) != Some(Phase::Running) {
             return false;
         }
         // Offload may free only partially (in-flight flush); discard
@@ -479,7 +501,7 @@ pub(crate) fn emergency_reclaim(
         apply_preempt(st, kv, victim, mode, now, PreemptCause::Reclaim, trace);
         if mode == PreemptMode::Offload
             && kv.gpu_free_tokens() / BLOCK_TOKENS < needed_blocks
-            && st.state(victim).phase == Phase::Evicting
+            && st.phase(victim) == Some(Phase::Evicting)
         {
             // The flush is in flight; memory frees over the next chunks.
             // The next iteration picks a new victim if the loop cannot

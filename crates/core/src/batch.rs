@@ -14,7 +14,7 @@ use tokenflow_trace::{TraceEventKind, TraceSink};
 use crate::admission;
 use crate::config::{EngineConfig, BLOCK_TOKENS};
 use crate::profiler::EngineProfilers;
-use crate::state::{EngineState, Phase};
+use crate::state::{EngineState, Phase, ReqState};
 
 /// One request's share of an iteration's prefill work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +52,8 @@ impl IterationBatch {
 /// whose decode gate is open, journaling each verdict (pacing policies
 /// gate over-buffered requests out; their KV stays put). `view_of(i, id)`
 /// finds the view of `st.running[i]`; a member without one is never gated.
+/// Every member of `st.running` is in [`Phase::Running`]: each phase
+/// change out of it leaves the list in the same call.
 pub(crate) fn gate_decode<'c>(
     batch: &mut IterationBatch,
     st: &EngineState,
@@ -62,12 +64,15 @@ pub(crate) fn gate_decode<'c>(
 ) {
     batch.decode.clear();
     batch.prefill.clear();
+    debug_assert!(st
+        .running
+        .iter()
+        .all(|&id| st.phase(id) == Some(Phase::Running)));
     batch.decode.extend(
         st.running
             .iter()
             .copied()
             .enumerate()
-            .filter(|&(_, id)| st.state(id).phase == Phase::Running)
             .filter(|&(i, id)| {
                 let open = view_of(i, id).is_none_or(|v| scheduler.decode_gate(v, ctx));
                 trace.gate(ctx.now, id, !open);
@@ -95,9 +100,10 @@ pub(crate) fn compose_into(
                 // Dedicated prefill iteration: prefill has priority.
                 decode.clear();
                 let mut budget = config.max_prefill_tokens;
-                for qi in 0..st.prefill_queue.len() {
-                    let id = st.prefill_queue[qi];
-                    let s = st.state(id);
+                for &id in &st.prefill_queue {
+                    let Some(s) = st.get(id) else {
+                        continue;
+                    };
                     let remaining = s.prefill_target - s.prefill_done;
                     if !prefill.is_empty() && remaining > budget {
                         break;
@@ -125,12 +131,13 @@ pub(crate) fn compose_into(
         }
         PrefillPolicy::Chunked(chunk) => {
             let mut budget = chunk;
-            for qi in 0..st.prefill_queue.len() {
+            for &id in &st.prefill_queue {
                 if budget == 0 {
                     break;
                 }
-                let id = st.prefill_queue[qi];
-                let s = st.state(id);
+                let Some(s) = st.get(id) else {
+                    continue;
+                };
                 let remaining = s.prefill_target - s.prefill_done;
                 let take = remaining.min(budget);
                 prefill.push(PrefillSlice {
@@ -159,7 +166,8 @@ fn blocks_needed(batch: &IterationBatch, st: &EngineState, kv: &KvManager) -> u6
         .prefill
         .iter()
         .filter(|p| p.completes)
-        .map(|p| st.state(p.id).prefill_target.div_ceil(BLOCK_TOKENS))
+        .filter_map(|p| st.get(p.id))
+        .map(|s| s.prefill_target.div_ceil(BLOCK_TOKENS))
         .sum();
     decode_blocks_needed(kv, &batch.decode) + completing
 }
@@ -210,7 +218,7 @@ pub(crate) fn fit_memory(
         // preempted members cannot become phantom shed candidates.
         batch
             .decode
-            .retain(|&id| st.state(id).phase == Phase::Running);
+            .retain(|&id| st.phase(id) == Some(Phase::Running));
         let decode_needed = decode_blocks_needed(kv, &batch.decode);
         let mut needed = blocks_needed(batch, st, kv);
         // Defer completing prefills next (when they still do not fit).
@@ -231,7 +239,7 @@ pub(crate) fn fit_memory(
             .decode
             .iter()
             .filter(|&&id| kv.context_tokens(id).is_multiple_of(BLOCK_TOKENS))
-            .map(|&id| (id, st.state_mut(id).buffer.buffered(now)))
+            .filter_map(|&id| Some((id, st.get_mut(id)?.buffer.buffered(now))))
             .collect();
         while kv.gpu_free_tokens() / BLOCK_TOKENS < needed && !candidates.is_empty() {
             let (pos, _) = candidates
@@ -249,7 +257,7 @@ pub(crate) fn fit_memory(
     // Refresh decode after possible emergency preemptions.
     batch
         .decode
-        .retain(|&id| st.state(id).phase == Phase::Running);
+        .retain(|&id| st.phase(id) == Some(Phase::Running));
     false
 }
 
@@ -263,12 +271,14 @@ pub(crate) fn price(
     let prefill_past: u64 = batch
         .prefill
         .iter()
-        .map(|p| st.state(p.id).prefill_done)
+        .filter_map(|p| st.get(p.id))
+        .map(|s| s.prefill_done)
         .sum();
     let decode_context: u64 = batch
         .decode
         .iter()
-        .map(|&id| st.state(id).context_tokens())
+        .filter_map(|&id| st.get(id))
+        .map(ReqState::context_tokens)
         .sum();
     let spec = IterationSpec {
         prefill_tokens,
@@ -291,7 +301,6 @@ mod tests {
 
     use super::*;
     use crate::config::EngineConfig;
-    use crate::state::ReqState;
 
     /// A scheduler whose emergency path never finds a victim, forcing
     /// `fit_memory` onto the shed path under test.
@@ -311,31 +320,25 @@ mod tests {
     /// One running request with `context` tokens of GPU-resident KV and
     /// `buffered` tokens sitting in its client buffer at t = 0.
     fn running(st: &mut EngineState, kv: &mut KvManager, context: u64, buffered: u64) -> RequestId {
-        let id = RequestId(st.requests.len() as u64);
         let spec = RequestSpec {
-            id,
+            id: RequestId(0),
             arrival: SimTime::ZERO,
             prompt_tokens: context,
             output_tokens: 64,
             rate: 20.0,
         };
+        let id = st.submit(spec, ClientKind::Interactive);
+        let pending = st.arrivals.pop_front().expect("just submitted");
         let mut buffer = TokenBuffer::new(spec.rate);
         for _ in 0..buffered {
             buffer.on_token(SimTime::ZERO);
         }
-        st.requests.push(ReqState {
-            spec,
-            kind: ClientKind::Interactive,
+        st.insert(ReqState {
             buffer,
             phase: Phase::Running,
             prefill_done: context,
             prefill_target: context,
-            finished_at: None,
-            effective_tokens: 0.0,
-            qos_weight_sum: 0.0,
-            preemptions: 0,
-            recomputes: 0,
-            timeline: None,
+            ..ReqState::new(pending, false)
         });
         st.journal_view(id);
         st.push_running(id);

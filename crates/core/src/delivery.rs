@@ -3,12 +3,13 @@
 //!
 //! This is the only stage that delivers into client buffers: prefill
 //! completions emit their first token here, decode members emit one token
-//! each, and finished requests release their KV and leave every queue.
+//! each, and finished requests release their KV, leave every queue and
+//! give up their live state for their record.
 
 use tokenflow_kv::KvManager;
 use tokenflow_metrics::{effective_weight, qos_token_weight, QosParams, TimeSeries};
 use tokenflow_sched::ReqView;
-use tokenflow_sim::{RequestId, SimDuration, SimTime};
+use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_trace::{TraceEventKind, TraceSink};
 
 use crate::batch::IterationBatch;
@@ -29,15 +30,20 @@ pub(crate) fn apply_prefill_progress(
 ) {
     for slice in &batch.prefill {
         st.prefill_backlog_tokens = st.prefill_backlog_tokens.saturating_sub(slice.tokens);
-        let s = st.state_mut(slice.id);
+        let Some(slot) = st.slot(slice.id) else {
+            continue;
+        };
+        let Some(s) = st.at_mut(slot) else {
+            continue;
+        };
         s.prefill_done += slice.tokens;
         if slice.completes {
             debug_assert_eq!(s.prefill_done, s.prefill_target);
             let target = s.prefill_target;
             match kv.on_prefill(slice.id, target, end) {
                 Ok(()) => {
+                    s.phase = Phase::Running;
                     st.prefill_queue.retain(|&r| r != slice.id);
-                    st.state_mut(slice.id).phase = Phase::Running;
                     st.decision_epoch += 1;
                     st.push_running(slice.id);
                     st.journal_view(slice.id);
@@ -50,13 +56,12 @@ pub(crate) fn apply_prefill_progress(
                         },
                     );
                     // The prefill forward pass emits the next token.
-                    deliver_token(st, kv, slice.id, end, qos, outcome, trace);
+                    deliver_token(st, kv, slot, end, qos, outcome, trace);
                 }
                 Err(_) => {
                     // Lost the memory race: retry the final allocation
                     // next iteration (progress is kept, so one token goes
                     // back to the prefill backlog).
-                    let s = st.state_mut(slice.id);
                     s.prefill_done = s.prefill_target.saturating_sub(1);
                     st.prefill_backlog_tokens += 1;
                     trace.emit(
@@ -82,9 +87,10 @@ pub(crate) fn apply_prefill_progress(
     }
 }
 
-/// Delivers one decode token per batch member. `now` is the iteration's
-/// start (flush priorities track occupancy at composition time); `end` is
-/// when the tokens materialise. Returns the number delivered.
+/// Delivers one decode token per batch member, resolving each member's
+/// slot once. `now` is the iteration's start (flush priorities track
+/// occupancy at composition time); `end` is when the tokens materialise.
+/// Returns the number delivered.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deliver_decode(
     st: &mut EngineState,
@@ -98,34 +104,41 @@ pub(crate) fn deliver_decode(
 ) -> u64 {
     let mut delivered = 0u64;
     for &id in &batch.decode {
-        if st.state(id).phase != Phase::Running {
+        let Some(slot) = st.slot(id) else {
             continue; // finished via prefill edge case; defensive
-        }
-        let buffered = st.state_mut(id).buffer.buffered(now) as f64;
+        };
+        let Some(s) = st.at_mut(slot).filter(|s| s.phase == Phase::Running) else {
+            continue;
+        };
+        let buffered = s.buffer.buffered(now) as f64;
         if kv.append_token(id, buffered).is_err() {
             // Could not extend KV despite the pre-check (extreme
             // contention): skip this request's token this round.
             continue;
         }
-        deliver_token(st, kv, id, end, qos, outcome, trace);
+        deliver_token(st, kv, slot, end, qos, outcome, trace);
         delivered += 1;
     }
     delivered
 }
 
-/// Hands one token to a request's client buffer, which counts it (and
-/// times the first), adds its weights to the request's sums, and — on
-/// the final token — finishes the request.
+/// Hands one token to the client buffer of the request in live `slot`,
+/// which counts it (and times the first), adds its weights to the
+/// request's sums, and — on the final token — finishes the request: its
+/// record is derived, its timeline kept, and its slot freed.
 pub(crate) fn deliver_token(
     st: &mut EngineState,
     kv: &mut KvManager,
-    id: RequestId,
+    slot: usize,
     at: SimTime,
     qos: &QosParams,
     outcome: &mut StepOutcome,
     trace: &mut TraceSink,
 ) {
-    let s = st.state_mut(id);
+    let Some(s) = st.at_mut(slot) else {
+        return;
+    };
+    let id = s.spec.id;
     debug_assert!(s.remaining_tokens() > 0);
     let buffered_before = s.buffer.buffered(at);
     s.buffer.on_token(at);
@@ -140,7 +153,6 @@ pub(crate) fn deliver_token(
     }
     outcome.delivered.push((id, generated));
     if generated == s.spec.output_tokens {
-        s.phase = Phase::Finished;
         s.finished_at = Some(at);
         let rate = s.spec.rate;
         st.decision_epoch += 1;
@@ -150,6 +162,7 @@ pub(crate) fn deliver_token(
         st.prefill_queue.retain(|&r| r != id);
         st.journal_view(id);
         kv.drop_kv(id);
+        st.retire(slot, at);
         outcome.finished.push(id);
         trace.emit(at, TraceEventKind::Finished { id });
     }
@@ -197,8 +210,9 @@ impl Telemetry {
     /// requests are untouched `WaitingNew` submissions, so they belong in
     /// the queued count exactly as the old full-table scan counted them).
     /// Everything else is finished (excluded from both counts) or arrives
-    /// after `t`. Phases are read from the request table, since a view's
-    /// may be older than the step's deliveries.
+    /// after `t`. Phases are read from the live states, since a view's
+    /// may be older than the step's deliveries; a view without one
+    /// finished during the step.
     pub(crate) fn sample(
         &mut self,
         st: &EngineState,
@@ -210,15 +224,13 @@ impl Telemetry {
             let t = self.next_sample;
             let mut queued = st.pending_due_arrivals(t);
             let mut running = 0usize;
-            for v in views {
-                let s = st.state(v.id);
+            for s in views.iter().filter_map(|v| st.get(v.id)) {
                 // Arrivals between a stale sample instant and `now` are
                 // live already but not visible at `t` yet.
                 if s.spec.arrival > t {
                     continue;
                 }
                 match s.phase {
-                    Phase::Finished => {}
                     Phase::WaitingNew => queued += 1,
                     _ => running += 1,
                 }

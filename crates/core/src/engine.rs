@@ -16,9 +16,8 @@
 //! logic lives in the stage modules, which is what lets the cluster crate
 //! drive many replicas of this loop on one simulated timeline.
 
-use tokenflow_client::TokenBuffer;
 use tokenflow_kv::{Direction, KvConfig, KvManager};
-use tokenflow_metrics::{RequestMetrics, RunReport, RuntimeCounters, TokenTimeline};
+use tokenflow_metrics::{RunReport, RuntimeCounters};
 use tokenflow_model::CostModel;
 use tokenflow_sched::{PlanNote, SchedContext, SchedContextBuilder, Scheduler};
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
@@ -30,7 +29,7 @@ use crate::config::{EngineConfig, BLOCK_TOKENS};
 use crate::delivery::Telemetry;
 use crate::outcome::SimOutcome;
 use crate::profiler::EngineProfilers;
-use crate::state::{EngineLoad, EngineState, Phase, ReqState};
+use crate::state::{EngineLoad, EngineState};
 use crate::{admission, batch, delivery, kv_orchestrator};
 
 // Evaluated at compile time: `Engine` must stay `Send` so the cluster's
@@ -247,40 +246,19 @@ impl Engine {
         self.submit_as(spec, ClientKind::Agent)
     }
 
-    /// Submits a request with an explicit client kind.
+    /// Submits a request with an explicit client kind. The request waits
+    /// as its spec until it arrives; ingest builds its state.
     ///
     /// # Panics
     ///
     /// Panics if the spec has a zero output length or a non-positive rate.
-    pub fn submit_as(&mut self, mut spec: RequestSpec, kind: ClientKind) -> RequestId {
+    pub fn submit_as(&mut self, spec: RequestSpec, kind: ClientKind) -> RequestId {
         assert!(spec.output_tokens > 0, "output length must be positive");
         assert!(
             spec.rate.is_finite() && spec.rate > 0.0,
             "rate must be positive"
         );
-        let id = RequestId(self.st.requests.len() as u64);
-        spec.id = id;
-        // One timeline point per output token: the exact final length is
-        // known here, so reserve it once.
-        let timeline = (id.0 < self.config.timeline_requests as u64)
-            .then(|| TokenTimeline::with_capacity(id, spec.output_tokens));
-        self.st.requests.push(ReqState {
-            buffer: TokenBuffer::new(spec.rate),
-            kind,
-            phase: Phase::WaitingNew,
-            prefill_done: 0,
-            prefill_target: 0,
-            finished_at: None,
-            effective_tokens: 0.0,
-            qos_weight_sum: 0.0,
-            preemptions: 0,
-            recomputes: 0,
-            timeline,
-            spec,
-        });
-        self.st.active_rate_sum += spec.rate;
-        self.st.push_arrival(spec.arrival, id);
-        id
+        self.st.submit(spec, kind)
     }
 
     /// Current simulation time.
@@ -301,8 +279,8 @@ impl Engine {
     pub fn load_snapshot(&self) -> EngineLoad {
         EngineLoad {
             now: self.now,
-            submitted: self.st.requests.len(),
-            live: self.st.requests.len() - self.st.finished_count,
+            submitted: self.st.submitted(),
+            live: self.st.submitted() - self.st.finished_count,
             arrived: self.st.ingested(),
             waiting: self.st.waiting_count,
             running: self.st.running.len(),
@@ -343,7 +321,12 @@ impl Engine {
         // transfers. Both bump the decision epoch when they act, so they
         // run *before* the horizon check — an arrival or a transfer
         // completion lands in a full pipeline step.
-        admission::ingest_arrivals(&mut self.st, now, &mut self.trace);
+        admission::ingest_arrivals(
+            &mut self.st,
+            now,
+            self.config.timeline_requests,
+            &mut self.trace,
+        );
         self.apply_transfers(now);
 
         // Plan-horizon fast path: inside an armed, unexpired certificate
@@ -567,12 +550,13 @@ impl Engine {
             self.rebuild_running_ctx_idx();
         }
         let idx = &self.running_ctx_idx;
-        for (i, &id) in self.st.running.iter().enumerate() {
-            if let Some(v) = self.ctx.requests.get_mut(idx[i] as usize) {
-                debug_assert_eq!(v.id, id);
-                admission::write_progress(v, &mut self.st.requests[id.0 as usize], now);
+        let views = &mut self.ctx.requests;
+        self.st.for_each_running(|i, s| {
+            if let Some(v) = idx.get(i).and_then(|&j| views.get_mut(j as usize)) {
+                debug_assert_eq!(v.id, s.spec.id);
+                admission::write_progress(v, s, now);
             }
-        }
+        });
         let views = &self.ctx.requests;
         batch::gate_decode(
             &mut self.iter_batch,
@@ -683,8 +667,8 @@ impl Engine {
         let now = outcome.now;
         outcome.idle = true;
         let mut wake = SimTime::MAX;
-        if let Some(&(t, _)) = self.st.arrivals.front() {
-            wake = wake.min(t);
+        if let Some(p) = self.st.arrivals.front() {
+            wake = wake.min(p.spec.arrival);
         }
         if let Some(t) = kv_orchestrator::next_transfer_completion(&self.kv) {
             wake = wake.min(t);
@@ -783,15 +767,27 @@ impl Engine {
 
     /// Specs of every submitted-but-unfinished request, in id order —
     /// exactly what a fail-stop at this instant loses (resident KV and
-    /// in-flight streams included). The specs carry this replica's dense
-    /// local ids; callers owning an id mapping translate them back.
+    /// in-flight streams included): the live requests and the pending
+    /// ones. The specs carry this replica's dense local ids; callers
+    /// owning an id mapping translate them back.
     pub fn unfinished_requests(&self) -> Vec<RequestSpec> {
-        self.st
-            .requests
-            .iter()
-            .filter(|s| s.phase != Phase::Finished)
+        let mut specs: Vec<RequestSpec> = self
+            .st
+            .live_states()
             .map(|s| s.spec)
-            .collect()
+            .chain(self.st.arrivals.iter().map(|p| p.spec))
+            .collect();
+        specs.sort_unstable_by_key(|s| s.id);
+        specs
+    }
+
+    /// Per-request state held now: live engine states (one per ingested,
+    /// unfinished request) and the KV manager's per-request entries. A
+    /// pending or finished request holds neither. Read by the resident-
+    /// memory probes; not a stable interface.
+    #[doc(hidden)]
+    pub fn resident_requests(&self) -> (usize, usize) {
+        (self.st.live_count(), self.kv.tracked_requests())
     }
 
     /// Plan-horizon fast-path counters accumulated so far.
@@ -815,22 +811,15 @@ impl Engine {
     {
     }
 
-    /// Derives every request's record (see `ReqState::record`) and the
-    /// run report from them, and returns the outcome, consuming the
-    /// engine.
+    /// Derives the record (see `ReqState::record`) of every request still
+    /// live or pending — a finished one derived its own when it finished
+    /// — and the run report from all of them, and returns the outcome,
+    /// consuming the engine. Records and timelines are returned in id
+    /// order, the order the report's sums run in.
     pub fn into_outcome(self) -> SimOutcome {
         let run_end = self.now;
         let complete = self.st.all_finished();
-        let mut timelines = Vec::new();
-        let records: Vec<RequestMetrics> = self
-            .st
-            .requests
-            .into_iter()
-            .map(|mut s| {
-                timelines.extend(s.timeline.take());
-                s.record(run_end)
-            })
-            .collect();
+        let (records, timelines) = self.st.into_records(run_end, self.config.timeline_requests);
         let mut report = RunReport::from_records(
             &records,
             run_end.saturating_since(SimTime::ZERO),

@@ -57,10 +57,8 @@ pub(crate) fn run_window(
 ) {
     debug_assert!(decode.is_sorted());
     let reprice = |req| {
-        decode
-            .binary_search(&req)
-            .ok()
-            .map(|_| st.state_mut(req).buffer.buffered(now) as f64)
+        decode.binary_search(&req).ok()?;
+        Some(st.get_mut(req)?.buffer.buffered(now) as f64)
     };
     kv.run_window(now, window, reprice, events);
     apply_events(st, events, trace);
@@ -77,7 +75,9 @@ fn apply_events(st: &mut EngineState, events: &[KvEvent], trace: &mut TraceSink)
     for &event in events {
         match event {
             KvEvent::EvictDone { req, at } => {
-                let s = st.state_mut(req);
+                let Some(s) = st.get_mut(req) else {
+                    continue;
+                };
                 if s.phase == Phase::Evicting {
                     s.phase = Phase::OnCpu;
                     st.journal_view(req);
@@ -85,7 +85,9 @@ fn apply_events(st: &mut EngineState, events: &[KvEvent], trace: &mut TraceSink)
                 }
             }
             KvEvent::LoadDone { req, at } => {
-                let s = st.state_mut(req);
+                let Some(s) = st.get_mut(req) else {
+                    continue;
+                };
                 if s.phase == Phase::Loading {
                     s.phase = Phase::Running;
                     st.push_running(req);

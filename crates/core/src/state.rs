@@ -14,7 +14,8 @@ use tokenflow_sched::ReqPhase;
 use tokenflow_sim::{RequestId, SimTime};
 use tokenflow_workload::{ClientKind, RequestSpec};
 
-/// Engine-internal request lifecycle phase.
+/// Engine-internal lifecycle phase of a live request (a finished one
+/// keeps no state, so it has no phase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
     /// Arrived; no KV anywhere; awaiting admission.
@@ -29,19 +30,16 @@ pub(crate) enum Phase {
     OnCpu,
     /// KV loading back to the GPU.
     Loading,
-    /// All output tokens generated.
-    Finished,
 }
 
 impl Phase {
-    /// The scheduler-facing phase, or `None` for finished requests.
-    pub(crate) fn sched_phase(self) -> Option<ReqPhase> {
+    /// The scheduler-facing phase.
+    pub(crate) fn sched_phase(self) -> ReqPhase {
         match self {
-            Phase::WaitingNew => Some(ReqPhase::WaitingNew),
-            Phase::Prefilling | Phase::Evicting | Phase::Loading => Some(ReqPhase::Transitioning),
-            Phase::Running => Some(ReqPhase::Running),
-            Phase::OnCpu => Some(ReqPhase::WaitingCpu),
-            Phase::Finished => None,
+            Phase::WaitingNew => ReqPhase::WaitingNew,
+            Phase::Prefilling | Phase::Evicting | Phase::Loading => ReqPhase::Transitioning,
+            Phase::Running => ReqPhase::Running,
+            Phase::OnCpu => ReqPhase::WaitingCpu,
         }
     }
 
@@ -52,8 +50,16 @@ impl Phase {
     }
 }
 
-/// Everything the pipeline tracks for one request, each fact once: the
-/// spec holds id, arrival, rate and lengths; the buffer holds the
+/// A submitted request waiting for its arrival: all the engine keeps of
+/// it until ingest builds its [`ReqState`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pending {
+    pub spec: RequestSpec,
+    pub kind: ClientKind,
+}
+
+/// Everything the pipeline tracks for one live request, each fact once:
+/// the spec holds id, arrival, rate and lengths; the buffer holds the
 /// delivered-token count, the first-token time, rebuffering and stalls;
 /// `finished_at`, the two weight sums and the two counts are the
 /// same-named [`RequestMetrics`] fields, which nothing else records.
@@ -74,6 +80,27 @@ pub(crate) struct ReqState {
 }
 
 impl ReqState {
+    /// The state of a request that has just arrived: waiting, nothing
+    /// generated. `timeline` asks for a per-token delivery timeline.
+    pub(crate) fn new(Pending { spec, kind }: Pending, timeline: bool) -> Self {
+        ReqState {
+            buffer: TokenBuffer::new(spec.rate),
+            kind,
+            phase: Phase::WaitingNew,
+            prefill_done: 0,
+            prefill_target: 0,
+            finished_at: None,
+            effective_tokens: 0.0,
+            qos_weight_sum: 0.0,
+            preemptions: 0,
+            recomputes: 0,
+            // One timeline point per output token: the exact final length
+            // is known here, so reserve it once.
+            timeline: timeline.then(|| TokenTimeline::with_capacity(spec.id, spec.output_tokens)),
+            spec,
+        }
+    }
+
     /// Output tokens generated so far: the ones delivered to the buffer.
     pub(crate) fn generated(&self) -> u64 {
         self.buffer.delivered()
@@ -89,10 +116,13 @@ impl ReqState {
         self.spec.output_tokens - self.generated()
     }
 
-    /// The request's record, derived once, at the end of a run that
-    /// stopped at `run_end`. A finished request's reader is measured to
-    /// when it consumes the last token (it does not stall on tokens that
-    /// will never come); an unfinished one to `run_end`, open stall and all.
+    /// The request's record, derived once: when it finishes, or at the
+    /// end of a run that stopped at `run_end`. A finished request's
+    /// reader is measured to when it consumes the last token (it does not
+    /// stall on tokens that will never come), which depends on nothing
+    /// after the finish, so deriving it at the finish gives the run-end
+    /// record; an unfinished one is measured to `run_end`, open stall and
+    /// all.
     pub(crate) fn record(&mut self, run_end: SimTime) -> RequestMetrics {
         let horizon = match (self.finished_at, self.buffer.drain_end()) {
             (Some(_), Some(drain)) => drain,
@@ -117,21 +147,42 @@ impl ReqState {
     }
 }
 
-/// The mutable request table plus the queues the stages rotate requests
-/// through.
+/// Slot-index value of a request without a live state: pending or
+/// finished.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The request table plus the queues the stages rotate requests through.
+///
+/// A request's state lives only while the request does. Submitted, it
+/// waits in `arrivals` as its spec; ingest builds its [`ReqState`] in a
+/// slot of `live`; its finish derives its record and frees the slot for
+/// the next arrival. Ids index only `slot_of`, 4 bytes per submitted
+/// request. Slots decide no order: everything that orders requests
+/// (`running`, the prefill queue, the context, the outcome) goes by id
+/// or FIFO.
 #[derive(Debug, Default)]
 pub(crate) struct EngineState {
-    /// All requests, indexed by dense `RequestId`.
-    pub requests: Vec<ReqState>,
-    /// Submitted requests not ingested yet, as `(arrival, id)` in
-    /// arrival order with ties in submission order. Arrival ingest pops
-    /// the due front; everything ingested has left, so the length is the
-    /// un-ingested population and a binary search answers "how many due
-    /// arrivals are still un-ingested at time t" — telemetry samples
-    /// instants *inside* an iteration, after ingestion ran at the
-    /// iteration's start, and those requests are queued at the sample
-    /// instant even though they are not in the live index yet.
-    pub arrivals: VecDeque<(SimTime, RequestId)>,
+    /// `slot_of[id]` is the `live` slot of an ingested, unfinished
+    /// request, or `NO_SLOT`. Its length is the submitted count.
+    slot_of: Vec<u32>,
+    /// Live requests' states (`None` = a free slot): as long as the most
+    /// requests ever live at once.
+    live: Vec<Option<ReqState>>,
+    /// Free slots of `live`, the last freed reused first.
+    free: Vec<u32>,
+    /// Records of finished requests, in finish order.
+    records: Vec<RequestMetrics>,
+    /// Delivery timelines of finished requests, in finish order.
+    timelines: Vec<TokenTimeline>,
+    /// Submitted requests not ingested yet, in arrival order with ties in
+    /// submission order. Arrival ingest pops the due front; everything
+    /// ingested has left, so the length is the un-ingested population
+    /// and a binary search answers "how many due arrivals are still
+    /// un-ingested at time t" — telemetry samples instants *inside* an
+    /// iteration, after ingestion ran at the iteration's start, and those
+    /// requests are queued at the sample instant even though they are
+    /// not in the live index yet.
+    pub arrivals: VecDeque<Pending>,
     /// Members of the decode batch, kept sorted by id.
     pub running: Vec<RequestId>,
     /// Admitted requests whose prefill is in progress, FIFO.
@@ -190,26 +241,151 @@ impl EngineState {
         EngineState::default()
     }
 
-    pub(crate) fn state(&self, id: RequestId) -> &ReqState {
-        &self.requests[id.0 as usize]
+    /// The `live` slot of `id`, if it is live (ingested, unfinished).
+    /// Hot loops resolve a request's slot once and then use
+    /// [`EngineState::at_mut`].
+    pub(crate) fn slot(&self, id: RequestId) -> Option<usize> {
+        let slot = *self.slot_of.get(id.0 as usize)?;
+        (slot != NO_SLOT).then_some(slot as usize)
     }
 
-    pub(crate) fn state_mut(&mut self, id: RequestId) -> &mut ReqState {
-        &mut self.requests[id.0 as usize]
+    /// The state in a live slot, mutably.
+    pub(crate) fn at_mut(&mut self, slot: usize) -> Option<&mut ReqState> {
+        self.live.get_mut(slot).and_then(Option::as_mut)
     }
 
-    /// Queues a submission for ingest after every pending entry arriving
-    /// at or before it (submissions almost always come arrival-sorted, so
-    /// the common case is a push; a fault retry keeps its original, past
-    /// arrival and is inserted).
-    pub(crate) fn push_arrival(&mut self, at: SimTime, id: RequestId) {
-        match self.arrivals.back() {
-            Some(&(last, _)) if last > at => {
-                let pos = self.arrivals.partition_point(|&(a, _)| a <= at);
-                self.arrivals.insert(pos, (at, id));
+    /// `id`'s state, if it is live.
+    pub(crate) fn get(&self, id: RequestId) -> Option<&ReqState> {
+        self.live.get(self.slot(id)?)?.as_ref()
+    }
+
+    /// `id`'s state, mutably, if it is live.
+    pub(crate) fn get_mut(&mut self, id: RequestId) -> Option<&mut ReqState> {
+        let slot = self.slot(id)?;
+        self.at_mut(slot)
+    }
+
+    /// `id`'s phase: `None` when it is pending or finished.
+    pub(crate) fn phase(&self, id: RequestId) -> Option<Phase> {
+        self.get(id).map(|s| s.phase)
+    }
+
+    /// Calls `f` with each decode-batch member's index in `running` and
+    /// its state, resolving each member's slot once, in id order.
+    pub(crate) fn for_each_running(&mut self, mut f: impl FnMut(usize, &mut ReqState)) {
+        for (i, &id) in self.running.iter().enumerate() {
+            let Some(slot) = self.slot(id) else {
+                continue;
+            };
+            if let Some(s) = self.live.get_mut(slot).and_then(Option::as_mut) {
+                f(i, s);
             }
-            _ => self.arrivals.push_back((at, id)),
         }
+    }
+
+    /// Every live request's state, in slot order (no order that reaches a
+    /// result may come from it).
+    pub(crate) fn live_states(&self) -> impl Iterator<Item = &ReqState> {
+        self.live.iter().flatten()
+    }
+
+    /// Live requests: states held now.
+    pub(crate) fn live_count(&self) -> usize {
+        self.live.len() - self.free.len()
+    }
+
+    /// Requests submitted so far.
+    pub(crate) fn submitted(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// Submits a request: assigns it the next dense id, adds its rate to
+    /// [`EngineState::active_rate_sum`], and queues it for ingest after
+    /// every pending entry arriving at or before it (submissions almost
+    /// always come arrival-sorted, so the common case is a push; a fault
+    /// retry keeps its original, past arrival and is inserted).
+    pub(crate) fn submit(&mut self, mut spec: RequestSpec, kind: ClientKind) -> RequestId {
+        let id = RequestId(self.slot_of.len() as u64);
+        spec.id = id;
+        self.slot_of.push(NO_SLOT);
+        self.active_rate_sum += spec.rate;
+        let at = spec.arrival;
+        let pending = Pending { spec, kind };
+        match self.arrivals.back() {
+            Some(last) if last.spec.arrival > at => {
+                let pos = self.arrivals.partition_point(|p| p.spec.arrival <= at);
+                self.arrivals.insert(pos, pending);
+            }
+            _ => self.arrivals.push_back(pending),
+        }
+        id
+    }
+
+    /// Gives an ingested request's state a live slot, reusing a freed one
+    /// when there is one.
+    pub(crate) fn insert(&mut self, state: ReqState) {
+        let idx = state.spec.id.0 as usize;
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
+            None => {
+                self.live.push(None);
+                self.live.len() - 1
+            }
+        };
+        if let Some(entry) = self.live.get_mut(slot) {
+            *entry = Some(state);
+        }
+        if let Some(entry) = self.slot_of.get_mut(idx) {
+            *entry = slot as u32;
+        }
+    }
+
+    /// Retires the request in `slot`, which finished at `at`: keeps its
+    /// record, derived now, and its timeline, and frees the slot.
+    pub(crate) fn retire(&mut self, slot: usize, at: SimTime) {
+        let Some(mut state) = self.live.get_mut(slot).and_then(Option::take) else {
+            return;
+        };
+        if let Some(entry) = self.slot_of.get_mut(state.spec.id.0 as usize) {
+            *entry = NO_SLOT;
+        }
+        self.free.push(slot as u32);
+        self.records.push(state.record(at));
+        self.timelines.extend(state.timeline.take());
+    }
+
+    /// Every request's record and delivery timeline, in id order: a
+    /// finished request's as derived at its finish, a live or pending
+    /// one's derived now, at `run_end` (a pending request below
+    /// `timeline_requests` gets an empty timeline).
+    pub(crate) fn into_records(
+        self,
+        run_end: SimTime,
+        timeline_requests: usize,
+    ) -> (Vec<RequestMetrics>, Vec<TokenTimeline>) {
+        let unfinished = self.live_count() + self.arrivals.len();
+        let EngineState {
+            live,
+            arrivals,
+            mut records,
+            mut timelines,
+            ..
+        } = self;
+        records.reserve_exact(unfinished);
+        for mut s in live.into_iter().flatten() {
+            timelines.extend(s.timeline.take());
+            records.push(s.record(run_end));
+        }
+        for pending in arrivals {
+            let id = pending.spec.id;
+            if id.0 < timeline_requests as u64 {
+                timelines.push(TokenTimeline::new(id));
+            }
+            records.push(ReqState::new(pending, false).record(run_end));
+        }
+        records.sort_unstable_by_key(|r| r.id);
+        timelines.sort_unstable_by_key(|t| t.id);
+        (records, timelines)
     }
 
     /// Due-but-uningested arrivals at `t`: submitted requests whose
@@ -217,12 +393,12 @@ impl EngineState {
     /// ingested yet (ingestion runs at iteration starts; `t` may lie
     /// inside an iteration).
     pub(crate) fn pending_due_arrivals(&self, t: SimTime) -> usize {
-        self.arrivals.partition_point(|&(a, _)| a <= t)
+        self.arrivals.partition_point(|p| p.spec.arrival <= t)
     }
 
     /// Submitted requests the admission stage has ingested.
     pub(crate) fn ingested(&self) -> usize {
-        self.requests.len() - self.arrivals.len()
+        self.submitted() - self.arrivals.len()
     }
 
     /// Journals a change to `id`'s scheduler view (see
@@ -247,7 +423,7 @@ impl EngineState {
 
     /// True when every submitted request has finished.
     pub(crate) fn all_finished(&self) -> bool {
-        self.finished_count == self.requests.len()
+        self.finished_count == self.submitted()
     }
 }
 

@@ -5,7 +5,7 @@
 //! scheduler parameter), so they double as the refactor's behavioral
 //! oracle: the staged pipeline must keep every one of them green.
 
-use tokenflow_core::{Completion, Engine, EngineConfig};
+use tokenflow_core::{Completion, Engine, EngineConfig, StepOutcome};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::{
     AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowScheduler,
@@ -468,4 +468,150 @@ fn deadline_cut_run_pins_every_record() {
         })
         .collect();
     assert_eq!(got, want);
+}
+
+/// Each request's phase at the end of a traced run so far, replayed from
+/// its decision events: `None` for a request that has not arrived.
+fn phases_from_trace(e: &mut Engine, n: usize) -> Vec<Option<&'static str>> {
+    let mut phase = vec![None; n];
+    for event in e.take_trace_events() {
+        let (id, next) = match event.kind {
+            TraceEventKind::Arrived { id, .. } => (id, "waiting"),
+            TraceEventKind::Admitted { id, .. } => (id, "prefilling"),
+            TraceEventKind::PrefillChunk {
+                id,
+                completes: true,
+                ..
+            }
+            | TraceEventKind::LoadDone { id } => (id, "running"),
+            // An in-flight eviction announces itself before the
+            // preemption that starts it.
+            TraceEventKind::EvictStart { id, .. } => (id, "evicting"),
+            TraceEventKind::Preempted { id, discard, .. } => match phase[id.0 as usize] {
+                _ if discard => (id, "waiting"),
+                Some("evicting") => continue,
+                _ => (id, "offloaded"),
+            },
+            TraceEventKind::EvictDone { id } => (id, "offloaded"),
+            TraceEventKind::Resumed { id } => (id, "loading"),
+            TraceEventKind::Finished { id } => (id, "finished"),
+            _ => continue,
+        };
+        phase[id.0 as usize] = Some(next);
+    }
+    phase
+}
+
+/// `unfinished_requests` at a cut taken mid-burst, when requests are in
+/// every phase at once: not arrived, waiting, prefilling, running,
+/// offloaded to the host and finished. The call lists every request
+/// short of finished, arrived or not, in id order, and the load
+/// snapshot's counters agree with it. The pinned values were captured
+/// from the engine that kept every request's state from submission to
+/// run end.
+#[test]
+fn unfinished_requests_at_a_mid_burst_cut() {
+    let mut cfg = config();
+    cfg.mem_frac = 0.126;
+    cfg.trace = true;
+    let mut e = Engine::new(cfg, TokenFlowScheduler::new());
+    e.set_link_slowdown(20.0);
+    let mut specs = vec![spec(0, 512, 512, 20.0); 8];
+    specs.push(spec(0, 256, 64, 40.0));
+    specs.push(spec(200, 128, 600, 400.0));
+    specs.push(spec(500, 128, 8_000, 400.0));
+    specs.push(spec(1_000, 512, 512, 20.0));
+    specs.extend((0..6).map(|i| spec(4_000 + i * 100, 2_048, 64, 20.0)));
+    specs.push(spec(30_000, 64, 64, 20.0));
+    for (i, s) in specs.iter_mut().enumerate() {
+        s.id = if i == 10 {
+            e.submit_agent(*s)
+        } else {
+            e.submit(*s)
+        };
+    }
+    assert!(!e.step_until(SimTime::from_millis(7_100)));
+
+    let phases = phases_from_trace(&mut e, 19);
+    let ids_in = |want: Option<&str>| -> Vec<u64> {
+        (0..19u64).filter(|&i| phases[i as usize] == want).collect()
+    };
+    for (phase, ids) in [
+        (None, vec![18]),
+        (Some("waiting"), vec![15, 16, 17]),
+        (Some("prefilling"), vec![14]),
+        (Some("running"), vec![7, 11, 13]),
+        (Some("offloaded"), vec![0, 1, 2, 3, 4, 5, 6, 10]),
+        (Some("finished"), vec![8, 9, 12]),
+    ] {
+        assert_eq!(ids_in(phase), ids, "{phase:?}");
+    }
+
+    let unfinished = [0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 13, 14, 15, 16, 17, 18];
+    let want: Vec<RequestSpec> = unfinished.iter().map(|&i| specs[i]).collect();
+    assert_eq!(e.unfinished_requests(), want);
+    let load = e.load_snapshot();
+    assert_eq!(
+        (load.submitted, load.live, load.arrived, load.waiting),
+        (19, 16, 18, 3)
+    );
+}
+
+/// Requests that have not arrived cost no engine or KV state, and
+/// finished ones give theirs back. A short TokenFlow workload is stepped
+/// with and without 100,000 extra requests arriving at t = 10⁶ s: every
+/// step does the same, and both engines hold the same number of live
+/// request states and KV per-request entries after every step. Run to
+/// completion, the workload leaves neither.
+#[test]
+fn far_future_arrivals_hold_no_engine_or_kv_state() {
+    let engine = |far_future: u64| {
+        let mut e = Engine::new(
+            config().with_mem_frac(0.3).with_max_batch(16),
+            TokenFlowScheduler::new(),
+        );
+        for i in 0..40 {
+            e.submit(spec(i * 50, 256 + 16 * i, 256, 20.0 + i as f64));
+        }
+        for i in 0..far_future {
+            e.submit(spec(1_000_000_000 + i, 128, 32, 20.0));
+        }
+        e
+    };
+    let mut plain = engine(0);
+    let mut crowded = engine(100_000);
+    let (mut a, mut b) = (StepOutcome::default(), StepOutcome::default());
+    let mut peak = (0, 0);
+    for step in 0..2_000 {
+        plain.step_into(&mut a);
+        crowded.step_into(&mut b);
+        assert_eq!(
+            (a.now, &a.delivered, &a.finished, a.idle),
+            (b.now, &b.delivered, &b.finished, b.idle),
+            "step {step}"
+        );
+        assert!(!a.done, "the window must end before the workload does");
+        let held = plain.resident_requests();
+        assert_eq!(crowded.resident_requests(), held, "step {step}");
+        peak = (peak.0.max(held.0), peak.1.max(held.1));
+    }
+    assert!(peak.0 >= 16 && peak.1 >= 16, "peak holdings {peak:?}");
+    assert!(plain.run_to_completion().is_finished());
+    assert_eq!(plain.resident_requests(), (0, 0));
+}
+
+/// A request that arrives after another finished takes the freed live
+/// slot, ahead of an older request still live; `unfinished_requests`
+/// still lists every unfinished request, live or pending, in id order.
+#[test]
+fn unfinished_requests_stay_in_id_order_when_slots_are_reused() {
+    let mut e = Engine::new(config(), FcfsScheduler::new());
+    e.submit(spec(0, 64, 2, 20.0));
+    let long = e.submit(spec(0, 64, 2_000, 20.0));
+    let late = e.submit(spec(500, 64, 2_000, 20.0));
+    let pending = e.submit(spec(60_000, 64, 8, 20.0));
+    assert!(!e.step_until(SimTime::from_millis(1_000)));
+    assert_eq!(e.resident_requests().0, 2, "long and late are live");
+    let ids: Vec<RequestId> = e.unfinished_requests().iter().map(|s| s.id).collect();
+    assert_eq!(ids, vec![long, late, pending]);
 }

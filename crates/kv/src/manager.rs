@@ -197,6 +197,15 @@ struct Stale {
     load: u64,
 }
 
+impl Stale {
+    fn is_empty(&self) -> bool {
+        self.wt == 0 && self.evict == 0 && self.load == 0
+    }
+}
+
+/// Slot-index value of an id without KV state.
+const NO_SLOT: u32 = u32::MAX;
+
 /// The hierarchical KV-cache manager.
 ///
 /// # Examples
@@ -217,15 +226,25 @@ pub struct KvManager {
     cpu: BlockPool,
     pcie: PcieEngine,
     write_queue: WriteQueue,
-    /// Per-request KV state, slab-indexed by the engine's dense
-    /// `RequestId` (`None` = no KV anywhere). A dense vector instead of a
-    /// hash map: the hot path touches several entries per live request
-    /// per step, and ids are already dense, so indexing is O(1) with no
-    /// hashing and no iteration over requests that ever existed.
+    /// `slot_of[id]` is the `states` slot of a request holding KV, or
+    /// [`NO_SLOT`]: 4 bytes per id, the only table that grows with ids.
+    /// A dense vector instead of a hash map: the hot path touches several
+    /// entries per live request per step, and the engine's ids are dense,
+    /// so a lookup is two loads with no hashing.
+    slot_of: Vec<u32>,
+    /// Per-request KV state of the requests holding KV (`None` = a free
+    /// slot). A request takes a slot at prefill and frees it when its KV
+    /// is dropped; freed slots are reused, so the table is as long as the
+    /// most requests that ever held KV at once. Slots decide no order:
+    /// the write queue and the link streams keep their FIFO orders.
     states: Vec<Option<ReqState>>,
-    /// Stale in-flight token counters, slab-indexed like `states`
-    /// (all-zero = nothing stale for that id).
-    stale: Vec<Stale>,
+    /// Free slots of `states`, the last freed reused first.
+    free: Vec<u32>,
+    /// Stale in-flight token counters of dropped requests, keyed by id.
+    /// An entry lives only while its chunks are on the link, so a slot
+    /// freed by a drop can be reused (and the id re-prefilled) while the
+    /// dropped chunks drain. Small: a linear scan finds an entry.
+    stale: Vec<(RequestId, Stale)>,
     loading_order: VecDeque<RequestId>,
     /// Count of requests currently in `Evicting` (for overlap gating).
     evicting_count: usize,
@@ -258,7 +277,9 @@ impl KvManager {
             cpu: BlockPool::new(config.cpu_blocks),
             pcie,
             write_queue,
+            slot_of: Vec::new(),
             states: Vec::new(),
+            free: Vec::new(),
             stale: Vec::new(),
             loading_order: VecDeque::new(),
             evicting_count: 0,
@@ -274,21 +295,69 @@ impl KvManager {
         &self.config
     }
 
+    /// The `states` slot of `req`, if it holds KV.
+    #[inline]
+    fn slot(&self, req: RequestId) -> Option<usize> {
+        let slot = *self.slot_of.get(req.0 as usize)?;
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    #[inline]
     fn req_state(&self, req: RequestId) -> Option<&ReqState> {
-        self.states.get(req.0 as usize).and_then(Option::as_ref)
+        self.states.get(self.slot(req)?).and_then(Option::as_ref)
     }
 
-    fn req_state_mut(&mut self, req: RequestId) -> Option<&mut ReqState> {
-        self.states.get_mut(req.0 as usize).and_then(Option::as_mut)
+    /// `req`'s slot and state, if it holds KV.
+    fn entry_mut(&mut self, req: RequestId) -> Option<(usize, &mut ReqState)> {
+        let slot = self.slot(req)?;
+        Some((slot, self.at_mut(slot)?))
     }
 
-    /// The slab slot for `req`, growing the table on first touch.
-    fn slot_mut(&mut self, req: RequestId) -> &mut Option<ReqState> {
-        let idx = req.0 as usize;
-        if self.states.len() <= idx {
-            self.states.resize_with(idx + 1, || None);
+    fn at_mut(&mut self, slot: usize) -> Option<&mut ReqState> {
+        self.states.get_mut(slot).and_then(Option::as_mut)
+    }
+
+    /// Gives `req` (which holds no KV) a slot with an empty state,
+    /// reusing a freed one when there is one.
+    fn insert(&mut self, req: RequestId) -> usize {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.states.push(None);
+                (self.states.len() - 1) as u32
+            }
+        };
+        if let Some(entry) = self.states.get_mut(slot as usize) {
+            *entry = Some(ReqState::default());
         }
-        &mut self.states[idx]
+        let idx = req.0 as usize;
+        if self.slot_of.len() <= idx {
+            self.slot_of.resize(idx + 1, NO_SLOT);
+        }
+        if let Some(entry) = self.slot_of.get_mut(idx) {
+            *entry = slot;
+        }
+        slot as usize
+    }
+
+    /// Frees `req`'s slot and returns it with the state, if it held KV.
+    fn remove(&mut self, req: RequestId) -> Option<(usize, ReqState)> {
+        let slot = self.slot(req)?;
+        let state = self.states.get_mut(slot).and_then(Option::take)?;
+        if let Some(entry) = self.slot_of.get_mut(req.0 as usize) {
+            *entry = NO_SLOT;
+        }
+        self.free.push(slot as u32);
+        Some((slot, state))
+    }
+
+    /// Per-request entries held now: KV states plus stale counters. At
+    /// most one of each per id, and none for an id without KV or stale
+    /// chunks on the link; the engine's far-future probe and the KV
+    /// property suite read it.
+    #[doc(hidden)]
+    pub fn tracked_requests(&self) -> usize {
+        self.states.len() - self.free.len() + self.stale.len()
     }
 
     /// The GPU block pool (read-only).
@@ -318,6 +387,7 @@ impl KvManager {
     }
 
     /// Context length tracked for `req`.
+    #[inline]
     pub fn context_tokens(&self, req: RequestId) -> u64 {
         self.req_state(req).map_or(0, |s| s.total)
     }
@@ -339,6 +409,7 @@ impl KvManager {
 
     /// Dirty (host-unsynced) tokens of a request, counting in-flight sync
     /// as clean-to-be.
+    #[inline]
     pub fn dirty_tokens(&self, req: RequestId) -> u64 {
         self.req_state(req)
             .map_or(0, |s| s.total - s.synced - s.wt_inflight - s.evict_inflight)
@@ -346,6 +417,7 @@ impl KvManager {
 
     /// Estimated time to evict `req` now: D2H queue drain plus the dirty
     /// flush itself (the `t_evict_queueing + t_evict` terms of §4.2.3).
+    #[inline]
     pub fn estimated_evict_time(&self, req: RequestId, now: SimTime) -> SimDuration {
         let dirty = self.dirty_tokens(req);
         let bytes = dirty * self.config.kv_bytes_per_token;
@@ -359,6 +431,7 @@ impl KvManager {
 
     /// Estimated time to load `req` back: H2D queue drain plus the full
     /// context transfer (the `t_load_queueing + t_load` terms of §4.2.3).
+    #[inline]
     pub fn estimated_load_time(&self, req: RequestId, now: SimTime) -> SimDuration {
         let tokens = self.context_tokens(req);
         let bytes = tokens * self.config.kv_bytes_per_token;
@@ -394,7 +467,9 @@ impl KvManager {
     /// Updates the background-flush priority for `req` (call with the
     /// request's current buffer occupancy; larger buffers flush first).
     pub fn set_write_priority(&mut self, req: RequestId, priority: f64) {
-        self.write_queue.set_priority(req, priority);
+        if let Some(slot) = self.slot(req) {
+            self.write_queue.set_priority(slot as u32, priority);
+        }
     }
 
     /// Bulk write-priority update: one pass over the pending write queue,
@@ -405,8 +480,10 @@ impl KvManager {
         self.write_queue.retune(f);
     }
 
-    fn set_gpu_hold(&mut self, req: RequestId, new_tokens: u64) -> Result<(), KvError> {
-        let s = self.states[req.0 as usize].as_mut().expect("request state");
+    fn set_gpu_hold(&mut self, slot: usize, new_tokens: u64) -> Result<(), KvError> {
+        let Some(s) = self.states.get_mut(slot).and_then(Option::as_mut) else {
+            return Err(KvError::BadState("unknown request"));
+        };
         let new_blocks = tokens_to_blocks(new_tokens, self.config.block_tokens);
         if new_blocks > s.gpu_blocks {
             if !self.gpu.try_alloc(new_blocks - s.gpu_blocks) {
@@ -420,8 +497,10 @@ impl KvManager {
         Ok(())
     }
 
-    fn set_cpu_hold(&mut self, req: RequestId, new_tokens: u64) -> Result<(), KvError> {
-        let s = self.states[req.0 as usize].as_mut().expect("request state");
+    fn set_cpu_hold(&mut self, slot: usize, new_tokens: u64) -> Result<(), KvError> {
+        let Some(s) = self.states.get_mut(slot).and_then(Option::as_mut) else {
+            return Err(KvError::BadState("unknown request"));
+        };
         let new_blocks = tokens_to_blocks(new_tokens, self.config.block_tokens);
         if new_blocks > s.cpu_blocks {
             if !self.cpu.try_alloc(new_blocks - s.cpu_blocks) {
@@ -443,35 +522,40 @@ impl KvManager {
         tokens: u64,
         _now: SimTime,
     ) -> Result<(), KvError> {
-        let state = self.slot_mut(req).get_or_insert_with(ReqState::default);
-        if state.residency != Residency::None {
+        // A request holds a state exactly while it holds KV.
+        if self.slot(req).is_some() {
             return Err(KvError::BadState("prefill requires no existing KV"));
         }
-        self.set_gpu_hold(req, tokens)?;
-        let s = self.req_state_mut(req).expect("request state");
-        s.total = tokens;
-        s.synced = 0;
-        s.residency = Residency::Gpu;
+        let slot = self.insert(req);
+        if let Err(e) = self.set_gpu_hold(slot, tokens) {
+            self.remove(req);
+            return Err(e);
+        }
+        if let Some(s) = self.at_mut(slot) {
+            s.total = tokens;
+            s.residency = Residency::Gpu;
+        }
         if self.config.write_through {
-            self.write_queue.push(req, tokens, 0.0);
+            self.write_queue.push(req, slot as u32, tokens, 0.0);
         }
         Ok(())
     }
 
     /// Appends one decoded token's KV for a GPU-resident request.
     pub fn append_token(&mut self, req: RequestId, priority: f64) -> Result<(), KvError> {
-        let s = self
-            .req_state_mut(req)
+        let (slot, s) = self
+            .entry_mut(req)
             .ok_or(KvError::BadState("unknown request"))?;
         if s.residency != Residency::Gpu {
             return Err(KvError::BadState("append requires GPU residency"));
         }
         let new_total = s.total + 1;
-        self.set_gpu_hold(req, new_total)?;
-        let s = self.req_state_mut(req).expect("request state");
-        s.total = new_total;
+        self.set_gpu_hold(slot, new_total)?;
+        if let Some(s) = self.at_mut(slot) {
+            s.total = new_total;
+        }
         if self.config.write_through {
-            self.write_queue.push(req, 1, priority);
+            self.write_queue.push(req, slot as u32, 1, priority);
         }
         Ok(())
     }
@@ -482,8 +566,8 @@ impl KvManager {
         if !self.config.offload_enabled {
             return Err(KvError::OffloadDisabled);
         }
-        let s = self
-            .req_state(req)
+        let (slot, s) = self
+            .entry_mut(req)
             .ok_or(KvError::BadState("unknown request"))?;
         if s.residency != Residency::Gpu {
             return Err(KvError::BadState("evict requires GPU residency"));
@@ -499,21 +583,22 @@ impl KvManager {
         if !self.cpu.can_alloc(extra_blocks) {
             return Err(KvError::OutOfCpuMemory);
         }
-        self.set_cpu_hold(req, target_cpu)?;
+        self.set_cpu_hold(slot, target_cpu)?;
 
         // Anything pending in the background write queue now flushes via the
         // eviction path instead.
-        self.write_queue.cancel(req);
+        self.write_queue.cancel(slot as u32);
 
         // GPU blocks for already-synced tokens are reclaimable right now.
         let keep = total - synced;
-        self.set_gpu_hold(req, keep)?;
+        self.set_gpu_hold(slot, keep)?;
 
         let pending = dirty + wt_inflight;
         if pending == 0 {
-            self.set_gpu_hold(req, 0)?;
-            let s = self.req_state_mut(req).expect("request state");
-            s.residency = Residency::Cpu;
+            self.set_gpu_hold(slot, 0)?;
+            if let Some(s) = self.at_mut(slot) {
+                s.residency = Residency::Cpu;
+            }
             return Ok(EvictStart::Instant);
         }
 
@@ -533,10 +618,11 @@ impl KvManager {
                 now,
             );
         }
-        let s = self.req_state_mut(req).expect("request state");
-        s.evict_pending = pending;
-        s.evict_inflight = dirty;
-        s.residency = Residency::Evicting;
+        if let Some(s) = self.at_mut(slot) {
+            s.evict_pending = pending;
+            s.evict_inflight = dirty;
+            s.residency = Residency::Evicting;
+        }
         self.evicting_count += 1;
         Ok(EvictStart::InFlight)
     }
@@ -545,8 +631,8 @@ impl KvManager {
     /// enqueued as GPU blocks become available (see
     /// [`KvManager::advance_to`]).
     pub fn begin_load(&mut self, req: RequestId, now: SimTime) -> Result<(), KvError> {
-        let s = self
-            .req_state_mut(req)
+        let (_, s) = self
+            .entry_mut(req)
             .ok_or(KvError::BadState("unknown request"))?;
         if s.residency != Residency::Cpu {
             return Err(KvError::BadState("load requires CPU residency"));
@@ -566,24 +652,31 @@ impl KvManager {
     /// absorbed; their bandwidth was already spent, which is exactly the
     /// waste reactive eviction incurs.
     pub fn drop_kv(&mut self, req: RequestId) {
-        self.write_queue.cancel(req);
-        let Some(s) = self.states.get_mut(req.0 as usize).and_then(Option::take) else {
-            return;
+        let Some((slot, s)) = self.remove(req) else {
+            return; // no KV, hence nothing queued either
         };
+        self.write_queue.cancel(slot as u32);
         if s.residency == Residency::Evicting {
             self.evicting_count -= 1;
         }
         if s.residency == Residency::Loading {
             self.loading_count -= 1;
         }
-        let idx = req.0 as usize;
-        if self.stale.len() <= idx {
-            self.stale.resize_with(idx + 1, Stale::default);
+        let dropped = Stale {
+            wt: s.wt_inflight,
+            evict: s.evict_inflight,
+            load: s.load_enqueued - s.load_done,
+        };
+        if !dropped.is_empty() {
+            match self.stale.iter_mut().find(|(id, _)| *id == req) {
+                Some((_, stale)) => {
+                    stale.wt += dropped.wt;
+                    stale.evict += dropped.evict;
+                    stale.load += dropped.load;
+                }
+                None => self.stale.push((req, dropped)),
+            }
         }
-        let stale = &mut self.stale[idx];
-        stale.wt += s.wt_inflight;
-        stale.evict += s.evict_inflight;
-        stale.load += s.load_enqueued - s.load_done;
         self.gpu.free(s.gpu_blocks);
         self.cpu.free(s.cpu_blocks);
         self.loading_order.retain(|&r| r != req);
@@ -612,15 +705,16 @@ impl KvManager {
             .pull_into(budget_tokens, self.config.chunk_tokens, &mut chunks);
         let mut host_full = false;
         for chunk in chunks.drain(..) {
-            let Some(s) = self.req_state(chunk.req) else {
+            let Some((slot, s)) = self.entry_mut(chunk.req) else {
                 continue;
             };
             let new_cpu_hold = s.cpu_hold + chunk.tokens;
-            host_full = host_full || self.set_cpu_hold(chunk.req, new_cpu_hold).is_err();
+            host_full = host_full || self.set_cpu_hold(slot, new_cpu_hold).is_err();
             if host_full {
                 // Host pool full: this chunk and every later one stay
                 // dirty, queued for a later pump.
-                self.write_queue.push(chunk.req, chunk.tokens, 0.0);
+                self.write_queue
+                    .push(chunk.req, slot as u32, chunk.tokens, 0.0);
                 continue;
             }
             self.pcie.enqueue(
@@ -632,8 +726,9 @@ impl KvManager {
                 },
                 now,
             );
-            let s = self.req_state_mut(chunk.req).expect("request state");
-            s.wt_inflight += chunk.tokens;
+            if let Some(s) = self.at_mut(slot) {
+                s.wt_inflight += chunk.tokens;
+            }
         }
         self.chunk_scratch = chunks;
     }
@@ -701,8 +796,8 @@ impl KvManager {
         let full_chunk = self.pcie.transfer_time(chunk_tokens * bytes_per_token);
         let mut blocks = 0;
         let mut run = SimDuration::ZERO;
-        for (req, tokens) in self.write_queue.entries() {
-            let Some(s) = self.req_state(req) else {
+        for (slot, tokens) in self.write_queue.entries() {
+            let Some(s) = self.states.get(slot as usize).and_then(Option::as_ref) else {
                 continue;
             };
             blocks += s.extra_cpu_blocks(tokens, block_tokens);
@@ -722,8 +817,8 @@ impl KvManager {
         }
         let states = &mut self.states;
         let mut bytes = 0;
-        self.write_queue.drain(|req, tokens| {
-            let Some(s) = states.get_mut(req.0 as usize).and_then(Option::as_mut) else {
+        self.write_queue.drain(|slot, tokens| {
+            let Some(s) = states.get_mut(slot as usize).and_then(Option::as_mut) else {
                 return;
             };
             s.cpu_blocks += s.extra_cpu_blocks(tokens, block_tokens);
@@ -754,7 +849,7 @@ impl KvManager {
         // check, which matters because the engine pumps at least twice
         // per step.
         while let Some(&req) = self.loading_order.front() {
-            let Some(s) = self.req_state(req) else {
+            let Some((slot, s)) = self.entry_mut(req) else {
                 self.loading_order.pop_front();
                 continue;
             };
@@ -768,7 +863,7 @@ impl KvManager {
             while enqueued < total {
                 let chunk = (total - enqueued).min(self.config.chunk_tokens);
                 let new_hold = enqueued + chunk;
-                if self.set_gpu_hold(req, new_hold).is_err() {
+                if self.set_gpu_hold(slot, new_hold).is_err() {
                     blocked = true;
                     break;
                 }
@@ -784,8 +879,9 @@ impl KvManager {
                 );
                 enqueued = new_hold;
             }
-            let s = self.req_state_mut(req).expect("request state");
-            s.load_enqueued = enqueued;
+            if let Some(s) = self.at_mut(slot) {
+                s.load_enqueued = enqueued;
+            }
             if blocked {
                 // FIFO head-of-line: later loads wait behind this one.
                 break;
@@ -836,8 +932,13 @@ impl KvManager {
         self.pump_loads(now);
     }
 
+    /// Absorbs a completed chunk of `req` against its stale counters,
+    /// dropping the entry once nothing stale is left on the link.
     fn absorb_stale(&mut self, req: RequestId, tokens: u64, kind: StaleKind) -> bool {
-        let Some(stale) = self.stale.get_mut(req.0 as usize) else {
+        let Some(at) = self.stale.iter().position(|(id, _)| *id == req) else {
+            return false;
+        };
+        let Some((_, stale)) = self.stale.get_mut(at) else {
             return false;
         };
         let counter = match kind {
@@ -845,12 +946,14 @@ impl KvManager {
             StaleKind::Evict => &mut stale.evict,
             StaleKind::Load => &mut stale.load,
         };
-        if *counter >= tokens {
-            *counter -= tokens;
-            true
-        } else {
-            false
+        if *counter < tokens {
+            return false;
         }
+        *counter -= tokens;
+        if stale.is_empty() {
+            self.stale.swap_remove(at);
+        }
+        true
     }
 
     fn on_sync_complete(
@@ -861,7 +964,7 @@ impl KvManager {
         at: SimTime,
         events: &mut Vec<KvEvent>,
     ) {
-        let Some(s) = self.req_state_mut(req) else {
+        let Some((slot, s)) = self.entry_mut(req) else {
             return;
         };
         s.synced += tokens;
@@ -874,12 +977,13 @@ impl KvManager {
             s.evict_pending -= tokens;
             let done = s.evict_pending == 0;
             let new_hold = s.gpu_hold - tokens.min(s.gpu_hold);
-            self.set_gpu_hold(req, new_hold)
+            self.set_gpu_hold(slot, new_hold)
                 .expect("shrinking GPU hold cannot fail");
             if done {
-                let s = self.req_state_mut(req).expect("request state");
-                debug_assert_eq!(s.synced, s.total, "eviction must sync everything");
-                s.residency = Residency::Cpu;
+                if let Some(s) = self.at_mut(slot) {
+                    debug_assert_eq!(s.synced, s.total, "eviction must sync everything");
+                    s.residency = Residency::Cpu;
+                }
                 self.evicting_count -= 1;
                 events.push(KvEvent::EvictDone { req, at });
             }
@@ -893,7 +997,7 @@ impl KvManager {
         at: SimTime,
         events: &mut Vec<KvEvent>,
     ) {
-        let Some(s) = self.req_state_mut(req) else {
+        let Some((_, s)) = self.entry_mut(req) else {
             return;
         };
         s.load_done += tokens;
@@ -907,6 +1011,7 @@ impl KvManager {
     /// Internal consistency check: pool usage equals the sum of per-request
     /// holds. Used by tests.
     pub fn check_conservation(&self) -> bool {
+        // Free slots hold `None`, so only requests holding KV count.
         let gpu: u64 = self.states.iter().flatten().map(|s| s.gpu_blocks).sum();
         let cpu: u64 = self.states.iter().flatten().map(|s| s.cpu_blocks).sum();
         gpu == self.gpu.used_blocks() && cpu == self.cpu.used_blocks()

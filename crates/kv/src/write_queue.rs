@@ -13,9 +13,12 @@
 //! Every decode member appends one token per step, so the queue holds
 //! about one entry per batch member and is pushed to once per member per
 //! step. Entries are stored in arrival order, one per request, behind a
-//! dense slot index (`RequestId` → entry position): push, merge,
-//! re-pricing, cancel and per-request lookups are O(1), and an entry's
-//! position doubles as its FIFO rank. [`WriteQueue::pull_into`] orders
+//! dense index from the caller's per-request slot to the entry's
+//! position: push, merge, re-pricing, cancel and per-request lookups are
+//! O(1), and an entry's position doubles as its FIFO rank. The
+//! [`KvManager`](crate::KvManager) passes the slot its own state table
+//! keeps the request in, so the index is bounded by the requests holding
+//! KV, not by every id ever seen. [`WriteQueue::pull_into`] orders
 //! the queue once per pump — one O(Q log Q) sort of `(priority key,
 //! position)` pairs in priority mode, none in FIFO mode — drains entries
 //! in that order, and compacts the drained ones away in one O(Q) pass.
@@ -29,7 +32,7 @@
 
 use tokenflow_sim::RequestId;
 
-/// Slot-index value of a request with nothing queued.
+/// Slot-index value of a slot with nothing queued.
 const VACANT: usize = usize::MAX;
 
 /// One request's pending dirty tokens. An entry with no tokens is a
@@ -37,6 +40,8 @@ const VACANT: usize = usize::MAX;
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct WriteItem {
     req: RequestId,
+    /// The caller's slot for `req`, which keys the index.
+    slot: u32,
     tokens: u64,
     /// Larger = flushed earlier in priority mode (the owner's buffer size).
     priority: f64,
@@ -68,8 +73,11 @@ pub struct WriteChunk {
 
 /// The pending write-through buffer.
 ///
-/// Request ids are expected to be dense (the engine's ids are): the slot
-/// index grows to the largest id ever pushed. Priorities must not be NaN.
+/// Each request is named by its id and by a dense `slot` the caller
+/// assigns: no two requests with pending tokens may share a slot, and a
+/// slot is free for reuse once its request's tokens are pulled or
+/// cancelled. The index grows to the largest slot ever pushed.
+/// Priorities must not be NaN.
 ///
 /// # Examples
 ///
@@ -78,10 +86,10 @@ pub struct WriteChunk {
 /// use tokenflow_sim::RequestId;
 ///
 /// let mut q = WriteQueue::new(true);
-/// q.push(RequestId(0), 100, 5.0);
-/// q.push(RequestId(1), 100, 50.0); // bigger buffer: flushed first
+/// q.push(RequestId(7), 0, 100, 5.0);
+/// q.push(RequestId(9), 1, 100, 50.0); // bigger buffer: flushed first
 /// let chunks = q.pull(64, 64);
-/// assert_eq!(chunks[0].req, RequestId(1));
+/// assert_eq!(chunks[0].req, RequestId(9));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WriteQueue {
@@ -89,8 +97,8 @@ pub struct WriteQueue {
     /// first push after the queue last held none of its tokens, and keeps
     /// its place through merges, so position order is FIFO order.
     items: Vec<WriteItem>,
-    /// `slots[req]` is the position of `req`'s live entry in `items`, or
-    /// [`VACANT`].
+    /// `slots[slot]` is the position of the live entry pushed under
+    /// `slot` in `items`, or [`VACANT`].
     slots: Vec<usize>,
     /// Retained pull scratch: `(flush key, position)` per live entry.
     order: Vec<(u64, usize)>,
@@ -109,53 +117,55 @@ impl WriteQueue {
         }
     }
 
-    /// The position of `req`'s live entry in `items`, if it has one.
-    fn position(&self, req: RequestId) -> Option<usize> {
+    /// The position of the live entry pushed under `slot`, if any.
+    fn position(&self, slot: u32) -> Option<usize> {
         self.slots
-            .get(req.0 as usize)
+            .get(slot as usize)
             .copied()
             .filter(|&pos| pos != VACANT)
     }
 
-    fn entry_mut(&mut self, req: RequestId) -> Option<&mut WriteItem> {
-        let pos = self.position(req)?;
+    fn entry_mut(&mut self, slot: u32) -> Option<&mut WriteItem> {
+        let pos = self.position(slot)?;
         self.items.get_mut(pos)
     }
 
-    /// Points `req`'s slot at `pos`, growing the index on first touch.
-    fn set_slot(&mut self, req: RequestId, pos: usize) {
-        let idx = req.0 as usize;
+    /// Points `slot` at `pos`, growing the index on first touch.
+    fn set_slot(&mut self, slot: u32, pos: usize) {
+        let idx = slot as usize;
         if self.slots.len() <= idx {
             self.slots.resize(idx + 1, VACANT);
         }
-        if let Some(slot) = self.slots.get_mut(idx) {
-            *slot = pos;
+        if let Some(entry) = self.slots.get_mut(idx) {
+            *entry = pos;
         }
     }
 
-    /// Adds `tokens` dirty tokens for `req` at the given priority, merging
-    /// with an existing entry for the same request if present.
-    pub fn push(&mut self, req: RequestId, tokens: u64, priority: f64) {
+    /// Adds `tokens` dirty tokens for `req`, held in `slot`, at the given
+    /// priority, merging with the slot's existing entry if present.
+    pub fn push(&mut self, req: RequestId, slot: u32, tokens: u64, priority: f64) {
         if tokens == 0 {
             return;
         }
         self.pending += tokens;
-        if let Some(item) = self.entry_mut(req) {
+        if let Some(item) = self.entry_mut(slot) {
+            debug_assert_eq!(item.req, req, "two requests share write slot {slot}");
             item.tokens += tokens;
             item.priority = priority;
             return;
         }
-        self.set_slot(req, self.items.len());
+        self.set_slot(slot, self.items.len());
         self.items.push(WriteItem {
             req,
+            slot,
             tokens,
             priority,
         });
     }
 
-    /// Updates the flush priority of a request's pending tokens.
-    pub fn set_priority(&mut self, req: RequestId, priority: f64) {
-        if let Some(item) = self.entry_mut(req) {
+    /// Updates the flush priority of the pending tokens in `slot`.
+    pub fn set_priority(&mut self, slot: u32, priority: f64) {
+        if let Some(item) = self.entry_mut(slot) {
             item.priority = priority;
         }
     }
@@ -174,15 +184,15 @@ impl WriteQueue {
         }
     }
 
-    /// Removes and returns all pending tokens for `req` (used when the
+    /// Removes and returns all pending tokens in `slot` (used when its
     /// request is preempted — the remainder flushes via the eviction path —
-    /// or released). The emptied entry keeps its place until the next
-    /// pull compacts it away.
-    pub fn cancel(&mut self, req: RequestId) -> u64 {
-        let Some(pos) = self.position(req) else {
+    /// or released), which frees the slot. The emptied entry keeps its
+    /// place until the next pull compacts it away.
+    pub fn cancel(&mut self, slot: u32) -> u64 {
+        let Some(pos) = self.position(slot) else {
             return 0;
         };
-        self.set_slot(req, VACANT);
+        self.set_slot(slot, VACANT);
         let tokens = self
             .items
             .get_mut(pos)
@@ -253,37 +263,39 @@ impl WriteQueue {
             if item.tokens > 0 {
                 break; // budget spent mid-entry
             }
-            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
-                *slot = VACANT;
+            if let Some(entry) = self.slots.get_mut(item.slot as usize) {
+                *entry = VACANT;
             }
         }
         self.pending -= budget - remaining;
         self.items.retain(|item| item.tokens > 0);
         for (pos, item) in self.items.iter().enumerate() {
-            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
-                *slot = pos;
+            if let Some(entry) = self.slots.get_mut(item.slot as usize) {
+                *entry = pos;
             }
         }
     }
 
-    /// Every request with pending tokens and its count, in arrival order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (RequestId, u64)> + '_ {
+    /// The slot of every request with pending tokens and its count, in
+    /// arrival order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.items
             .iter()
             .filter(|item| item.tokens > 0)
-            .map(|item| (item.req, item.tokens))
+            .map(|item| (item.slot, item.tokens))
     }
 
-    /// Empties the queue, handing each request with pending tokens and
-    /// its count to `f` in arrival order: for a caller that syncs every
-    /// pending token at once. O(Q), and the storage is retained.
-    pub(crate) fn drain<F: FnMut(RequestId, u64)>(&mut self, mut f: F) {
+    /// Empties the queue, handing the slot of each request with pending
+    /// tokens and its count to `f` in arrival order: for a caller that
+    /// syncs every pending token at once. O(Q), and the storage is
+    /// retained.
+    pub(crate) fn drain<F: FnMut(u32, u64)>(&mut self, mut f: F) {
         for item in self.items.drain(..) {
-            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
-                *slot = VACANT;
+            if let Some(entry) = self.slots.get_mut(item.slot as usize) {
+                *entry = VACANT;
             }
             if item.tokens > 0 {
-                f(item.req, item.tokens);
+                f(item.slot, item.tokens);
             }
         }
         self.pending = 0;
@@ -294,9 +306,9 @@ impl WriteQueue {
         self.pending
     }
 
-    /// Pending tokens for a specific request.
-    pub fn pending_for(&self, req: RequestId) -> u64 {
-        self.position(req)
+    /// Pending tokens in `slot`.
+    pub fn pending_for(&self, slot: u32) -> u64 {
+        self.position(slot)
             .and_then(|pos| self.items.get(pos))
             .map_or(0, |item| item.tokens)
     }
@@ -318,18 +330,18 @@ mod tests {
     #[test]
     fn push_merges_same_request() {
         let mut q = WriteQueue::new(true);
-        q.push(r(0), 10, 1.0);
-        q.push(r(0), 5, 2.0);
-        assert_eq!(q.pending_for(r(0)), 15);
+        q.push(r(0), 0, 10, 1.0);
+        q.push(r(0), 0, 5, 2.0);
+        assert_eq!(q.pending_for(0), 15);
         assert_eq!(q.pending_tokens(), 15);
     }
 
     #[test]
     fn priority_mode_flushes_largest_buffer_first() {
         let mut q = WriteQueue::new(true);
-        q.push(r(0), 100, 1.0);
-        q.push(r(1), 100, 9.0);
-        q.push(r(2), 100, 5.0);
+        q.push(r(0), 0, 100, 1.0);
+        q.push(r(1), 1, 100, 9.0);
+        q.push(r(2), 2, 100, 5.0);
         let order: Vec<u64> = q.pull(300, 100).iter().map(|c| c.req.0).collect();
         assert_eq!(order, vec![1, 2, 0]);
     }
@@ -337,8 +349,8 @@ mod tests {
     #[test]
     fn fifo_mode_preserves_arrival_order() {
         let mut q = WriteQueue::new(false);
-        q.push(r(0), 100, 1.0);
-        q.push(r(1), 100, 9.0);
+        q.push(r(0), 0, 100, 1.0);
+        q.push(r(1), 1, 100, 9.0);
         let order: Vec<u64> = q.pull(200, 100).iter().map(|c| c.req.0).collect();
         assert_eq!(order, vec![0, 1]);
     }
@@ -346,18 +358,18 @@ mod tests {
     #[test]
     fn pull_respects_budget_and_chunk_size() {
         let mut q = WriteQueue::new(true);
-        q.push(r(0), 1000, 1.0);
+        q.push(r(0), 0, 1000, 1.0);
         let chunks = q.pull(300, 128);
         let total: u64 = chunks.iter().map(|c| c.tokens).sum();
         assert_eq!(total, 300);
         assert!(chunks.iter().all(|c| c.tokens <= 128));
-        assert_eq!(q.pending_for(r(0)), 700);
+        assert_eq!(q.pending_for(0), 700);
     }
 
     #[test]
     fn pull_stops_when_empty() {
         let mut q = WriteQueue::new(true);
-        q.push(r(0), 50, 1.0);
+        q.push(r(0), 0, 50, 1.0);
         let chunks = q.pull(1000, 64);
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].tokens, 50);
@@ -368,19 +380,19 @@ mod tests {
     #[test]
     fn cancel_removes_pending() {
         let mut q = WriteQueue::new(true);
-        q.push(r(0), 40, 1.0);
-        q.push(r(1), 60, 2.0);
-        assert_eq!(q.cancel(r(0)), 40);
+        q.push(r(0), 0, 40, 1.0);
+        q.push(r(1), 1, 60, 2.0);
+        assert_eq!(q.cancel(0), 40);
         assert_eq!(q.pending_tokens(), 60);
-        assert_eq!(q.cancel(r(0)), 0);
+        assert_eq!(q.cancel(0), 0);
     }
 
     #[test]
     fn set_priority_reorders() {
         let mut q = WriteQueue::new(true);
-        q.push(r(0), 10, 1.0);
-        q.push(r(1), 10, 2.0);
-        q.set_priority(r(0), 10.0);
+        q.push(r(0), 0, 10, 1.0);
+        q.push(r(1), 1, 10, 2.0);
+        q.set_priority(0, 10.0);
         let order: Vec<u64> = q.pull(20, 10).iter().map(|c| c.req.0).collect();
         assert_eq!(order, vec![0, 1]);
     }
@@ -388,8 +400,8 @@ mod tests {
     #[test]
     fn priority_ties_break_fifo() {
         let mut q = WriteQueue::new(true);
-        q.push(r(5), 10, 3.0);
-        q.push(r(6), 10, 3.0);
+        q.push(r(5), 5, 10, 3.0);
+        q.push(r(6), 6, 10, 3.0);
         let order: Vec<u64> = q.pull(20, 10).iter().map(|c| c.req.0).collect();
         assert_eq!(order, vec![5, 6]);
     }
@@ -397,7 +409,7 @@ mod tests {
     #[test]
     fn zero_push_is_noop() {
         let mut q = WriteQueue::new(true);
-        q.push(r(0), 0, 1.0);
+        q.push(r(0), 0, 0, 1.0);
         assert!(q.is_empty());
     }
 }

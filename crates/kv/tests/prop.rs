@@ -4,6 +4,8 @@
 //! a compute window that settles the queue in one pass leaves the manager
 //! exactly as the ordered pump and advance do.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use proptest::{seed_from_name, TestRng};
 use tokenflow_kv::write_queue::WriteChunk;
@@ -36,6 +38,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
+    // Block accounting balances after every operation, and the manager
+    // keeps per-request entries only for requests that hold KV or have
+    // stale chunks on the link: at most one state per holder, plus at
+    // most one stale entry per id dropped since the link last went idle
+    // (only a drop leaves stale chunks, and an idle link has none).
     #[test]
     fn block_accounting_is_conserved(ops in prop::collection::vec(arb_op(), 1..120)) {
         let mut cfg = KvConfig::test_config();
@@ -43,7 +50,11 @@ proptest! {
         cfg.cpu_blocks = 2_048;
         let mut kv = KvManager::new(cfg);
         let mut now = SimTime::ZERO;
+        let mut dropped = BTreeSet::new();
         for op in ops {
+            if let Op::Drop { req } = op {
+                dropped.insert(req);
+            }
             match op {
                 Op::Prefill { req, tokens } => {
                     let _ = kv.on_prefill(RequestId(req as u64), tokens as u64, now);
@@ -69,8 +80,22 @@ proptest! {
                 }
             }
             prop_assert!(kv.check_conservation(), "pool usage must equal per-request holds");
+            if kv.pcie().is_idle() {
+                dropped.clear();
+            }
+            let holding = (0..6u64)
+                .filter(|&req| kv.residency(RequestId(req)) != Residency::None)
+                .count();
+            prop_assert!(
+                kv.tracked_requests() <= holding + dropped.len(),
+                "{} entries for {} holders and {} recent drops",
+                kv.tracked_requests(),
+                holding,
+                dropped.len()
+            );
         }
-        // Draining all transfers and dropping everything frees both pools.
+        // Draining all transfers and dropping everything frees both pools
+        // and every per-request entry.
         now += SimDuration::from_secs(100);
         kv.advance_to(now);
         for req in 0..6u64 {
@@ -80,6 +105,7 @@ proptest! {
         kv.advance_to(now);
         prop_assert_eq!(kv.gpu_pool().used_blocks(), 0);
         prop_assert_eq!(kv.cpu_pool().used_blocks(), 0);
+        prop_assert_eq!(kv.tracked_requests(), 0);
     }
 
     #[test]
@@ -114,6 +140,12 @@ const PRIORITIES: [f64; 5] = [0.0, -0.0, 1.0, 2.5, 9.0];
 
 /// Request ids the queue ops draw from.
 const QUEUE_REQS: u64 = 6;
+
+/// The write slot the queue ops hold request `req` in: the ids reversed,
+/// so an order that followed slots instead of arrival would show.
+fn queue_slot(req: u64) -> u32 {
+    (QUEUE_REQS - 1 - req) as u32
+}
 
 #[derive(Debug, Clone)]
 enum QueueOp {
@@ -284,12 +316,12 @@ proptest! {
                 match op {
                     QueueOp::Push { req, tokens, priority } => {
                         let p = PRIORITIES[*priority];
-                        queue.push(RequestId(*req), *tokens, p);
+                        queue.push(RequestId(*req), queue_slot(*req), *tokens, p);
                         model.push(RequestId(*req), *tokens, p);
                     }
                     QueueOp::SetPriority { req, priority } => {
                         let p = PRIORITIES[*priority];
-                        queue.set_priority(RequestId(*req), p);
+                        queue.set_priority(queue_slot(*req), p);
                         model.set_priority(RequestId(*req), p);
                     }
                     QueueOp::Retune { priorities } => {
@@ -303,7 +335,7 @@ proptest! {
                     }
                     QueueOp::Cancel { req } => {
                         prop_assert_eq!(
-                            queue.cancel(RequestId(*req)),
+                            queue.cancel(queue_slot(*req)),
                             model.cancel(RequestId(*req)),
                             "cancel at step {} ({:?}), priority mode {}", step, op, priority_mode
                         );
@@ -319,7 +351,7 @@ proptest! {
                 }
                 for req in 0..QUEUE_REQS {
                     prop_assert_eq!(
-                        queue.pending_for(RequestId(req)),
+                        queue.pending_for(queue_slot(req)),
                         model.pending_for(RequestId(req)),
                         "pending_for(req#{}) after step {} ({:?}), priority mode {}",
                         req, step, op, priority_mode
