@@ -308,11 +308,14 @@ fn check_maintained(ctx: &SchedContext, st: &EngineState, kv: &KvManager, now: S
         "prefill_backlog_tokens drifted"
     );
     // The rate sum is kept by adding at submit and subtracting at finish,
-    // so it carries rounding the recomputed sum does not.
+    // so it carries rounding the recomputed sum does not; once every
+    // request has finished that rounding is all it holds, hence the
+    // tolerance's floor of 1 token/s.
     let rates: f64 = st.arrivals.iter().map(|p| p.spec.rate).sum::<f64>()
         + st.live_states().map(|s| s.spec.rate).sum::<f64>();
+    let scale = st.active_rate_sum.abs().max(rates.abs()).max(1.0);
     assert!(
-        (st.active_rate_sum - rates).abs() <= 1e-9 * st.active_rate_sum.abs().max(rates.abs()),
+        (st.active_rate_sum - rates).abs() <= 1e-9 * scale,
         "active_rate_sum drifted: kept {} vs {rates} over pending and live requests",
         st.active_rate_sum
     );

@@ -615,3 +615,21 @@ fn unfinished_requests_stay_in_id_order_when_slots_are_reused() {
     let ids: Vec<RequestId> = e.unfinished_requests().iter().map(|s| s.id).collect();
     assert_eq!(ids, vec![long, late, pending]);
 }
+
+/// An engine whose requests have all finished keeps stepping as a no-op,
+/// though its rate sum, kept by adding at submit and subtracting at
+/// finish, holds a rounding residue instead of zero (debug builds check
+/// the sum against its definition at every context build).
+#[test]
+fn a_finished_engine_keeps_stepping() {
+    let mut e = Engine::new(config(), FcfsScheduler::new());
+    for rate in [0.1, 0.2, 0.7, 13.3, 0.3] {
+        e.submit(spec(0, 64, 4, rate));
+    }
+    assert!(e.run_to_completion().is_finished());
+    assert!(e.load_snapshot().rate_sum.abs() < 1e-9);
+    for _ in 0..3 {
+        let out = e.step();
+        assert!(out.done && out.delivered.is_empty());
+    }
+}
